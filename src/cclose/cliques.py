@@ -1,8 +1,7 @@
-"""Maximal-clique enumeration (Bron-Kerbosch with pivoting)."""
+"""Clique listing: maximal cliques by Bron-Kerbosch with pivoting, cliques of
+one fixed size by ordered neighbourhood extension."""
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .closure import compute_closure
 from .graph import Graph
@@ -34,14 +33,39 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
 
 
 def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
-    """All cliques with exactly ``size`` vertices, sorted.
+    """All cliques with exactly ``size`` vertices, each sorted, in
+    lexicographic order; size 0 yields the empty clique.
 
-    size 0 yields the empty clique; fine at desk scale, where size is at most
-    the closure of the graph.
+    Ordered neighbourhood extension (Chiba & Nishizeki; kClist): a partial
+    clique carries its common neighbours with larger ids, in ascending order,
+    and grows by each of them in turn, so the output comes out sorted without
+    a sort. A branch stops once too few candidates remain to reach ``size``,
+    and the recursion depth is ``size``, never the vertex count. Every clique
+    is certified with ``Graph.is_clique`` before it is listed.
     """
+    if size < 0:
+        raise ValueError("size must be non-negative")
     if size == 0:
         return [()]
-    return [c for c in combinations(g.vertex_ids, size) if g.is_clique(c)]
+    adj = {v: g.neighbors(v) for v in g.vertex_ids}
+    out: list[tuple[int, ...]] = []
+
+    def extend(clique: tuple[int, ...], candidates: list[int]) -> None:
+        if len(clique) == size - 1:
+            for v in candidates:
+                found = clique + (v,)
+                if not g.is_clique(found):
+                    raise AssertionError(f"listed non-clique {found}")
+                out.append(found)
+            return
+        need = size - len(clique)
+        for i in range(len(candidates) - need + 1):
+            v = candidates[i]
+            nbrs = adj[v]
+            extend(clique + (v,), [w for w in candidates[i + 1:] if w in nbrs])
+
+    extend((), list(adj))
+    return out
 
 
 def clique_count_bound_holds(g: Graph) -> bool:

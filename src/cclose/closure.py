@@ -7,6 +7,7 @@ is the reference implementation that everything else is checked against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,6 +32,18 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
     if u == v:
         raise ValueError("common_neighbors needs two distinct vertices")
     return g.neighbors(u) & g.neighbors(v)
+
+
+def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
+    """Vertices adjacent to every one of ``vertices``.
+
+    An empty input constrains nothing, so every vertex of ``g`` qualifies.
+    """
+    common: frozenset[int] | None = None
+    for v in vertices:
+        nbrs = g.neighbors(v)
+        common = nbrs if common is None else common & nbrs
+    return frozenset(g.vertex_ids) if common is None else common
 
 
 def compute_closure(g: Graph) -> ClosureReport:
@@ -89,27 +102,7 @@ def attach_simplicial(g: Graph, c: int, clique: frozenset[int] | set[int]) -> Gr
 
 
 def _is_maximal_clique(g: Graph, clique: set[int]) -> bool:
-    if not clique:
-        return g.n == 0
-    candidates = None
-    for u in clique:
-        nbrs = g.neighbors(u)
-        candidates = nbrs if candidates is None else candidates & nbrs
-    assert candidates is not None
-    return not (candidates - clique)
-
-
-def closure_observation_holds(g: Graph, maximal_cliques: list) -> bool:
-    """Every maximal clique meets outside neighborhoods in < closure vertices."""
-    c = compute_closure(g).c
-    for clique in maximal_cliques:
-        cs = set(clique)
-        for v in g.vertex_ids:
-            if v in cs:
-                continue
-            if len(cs & g.neighbors(v)) >= c:
-                return False
-    return True
+    return not (common_neighborhood(g, clique) - clique)
 
 
 def nonadjacent_pairs(g: Graph):

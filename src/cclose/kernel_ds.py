@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .closure import compute_closure, is_c_closed
+from .closure import common_neighborhood, compute_closure, is_c_closed
 from .cliques import cliques_of_size, maximal_cliques
 from .errors import ExtractionError
 from .graph import Graph
@@ -122,7 +122,7 @@ def rr_common_neighborhood(inst: Instance, c: int, i: int) -> RuleRecord | None:
     black = inst.black_vertices()
     bound = common_neighborhood_threshold(c, inst.k, i)
     for clique in cliques_of_size(g, c - i):
-        common = _common_black_neighbors(g, clique, black)
+        common = common_neighborhood(g, clique) & black
         if len(common) > bound:
             u = g.fresh_id()
             whitened = sorted(set(clique) & black | common)
@@ -144,19 +144,9 @@ def rr_clique_no(inst: Instance, c: int) -> bool:
     black = inst.black_vertices()
     rho = ramsey_threshold(c, c * inst.k, inst.k + 1)
     return any(
-        len(_common_black_neighbors(g, clique, black)) > rho
+        len(common_neighborhood(g, clique) & black) > rho
         for clique in cliques_of_size(g, c - 1)
     )
-
-
-def _common_black_neighbors(g: Graph, clique, black: frozenset[int]) -> set[int]:
-    common: set[int] | None = None
-    for v in clique:
-        nbrs = g.neighbors(v)
-        common = set(nbrs) if common is None else common & nbrs
-    if common is None:  # empty clique: every vertex qualifies
-        common = set(g.vertex_ids)
-    return common & black
 
 
 def per_vertex_black_bound(c: int, k: int, r: int) -> int:

@@ -9,7 +9,7 @@ comparison.
 
 from __future__ import annotations
 
-from .closure import is_c_closed
+from .closure import common_neighborhood, is_c_closed
 from .errors import ExtractionError, PreconditionError
 from .graph import Graph
 from .instances import (
@@ -179,12 +179,6 @@ def extract_irs_witness(
 
 
 def _extend_to_maximal_clique(g: Graph, clique: set[int]) -> frozenset[int]:
-    while True:
-        common: set[int] | None = None
-        for v in clique:
-            nbrs = g.neighbors(v)
-            common = set(nbrs) if common is None else common & nbrs
-        extension = sorted((common or set()) - clique)
-        if not extension:
-            return frozenset(clique)
-        clique.add(extension[0])
+    while extension := common_neighborhood(g, clique) - clique:
+        clique.add(min(extension))
+    return frozenset(clique)

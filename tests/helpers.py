@@ -89,6 +89,11 @@ def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
+    """Every ``size``-subset that is a clique, in lexicographic order."""
+    return [combo for combo in combinations(g.vertex_ids, size) if g.is_clique(combo)]
+
+
 def brute_hitting_set(universe, sets, k_max=None) -> int | None:
     """Minimum hitting-set size by ascending subset scan (None if > k_max)."""
     ground = sorted(universe)

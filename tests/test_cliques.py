@@ -1,3 +1,6 @@
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +13,7 @@ from cclose import (
     maximal_cliques,
 )
 
-from helpers import brute_maximal_cliques, random_graph
+from helpers import brute_cliques_of_size, brute_maximal_cliques, random_graph
 
 
 def test_examples():
@@ -56,6 +59,45 @@ def test_cliques_of_size():
     assert cliques_of_size(k4, 0) == [()]
     assert cliques_of_size(k4, 2) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert cliques_of_size(cycle_graph(4), 3) == []
+    assert cliques_of_size(k4, 5) == []
+    assert cliques_of_size(Graph([3, 7, 9]), 1) == [(3,), (7,), (9,)]
+    assert cliques_of_size(Graph([3, 7, 9]), 2) == []
+    with pytest.raises(ValueError):
+        cliques_of_size(k4, -1)
+
+
+@given(
+    st.integers(0, 2 ** 31),
+    st.integers(0, 12),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.lists(st.integers(0, 11), max_size=4),
+    st.integers(0, 6),
+)
+def test_cliques_of_size_agrees_with_brute_force(seed, n, p, removed, size):
+    g = random_graph(n, p, seed).without_vertices({v for v in removed if v < n})
+    assert cliques_of_size(g, size) == brute_cliques_of_size(g, size)
+
+
+def test_cliques_of_size_certifies_only_listed_cliques(monkeypatch):
+    rng = random.Random(7)
+    planted = range(0, 40, 5)
+    edges = {(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.15}
+    edges |= {(u, v) for u in planted for v in planted if u < v}
+    g = Graph(range(40), edges)
+    calls = 0
+    original = Graph.is_clique
+
+    def counting(self, vertices):
+        nonlocal calls
+        calls += 1
+        return original(self, vertices)
+
+    monkeypatch.setattr(Graph, "is_clique", counting)
+    listed = cliques_of_size(g, 4)
+    assert len(listed) >= 70  # the planted 8-clique alone holds C(8, 4) = 70
+    assert calls <= len(listed)
+    monkeypatch.undo()
+    assert listed == brute_cliques_of_size(g, 4)
 
 
 def test_bound_examples():

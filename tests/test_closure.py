@@ -15,6 +15,7 @@ from cclose import (
     maximal_cliques,
     path_graph,
 )
+from cclose.closure import common_neighborhood
 
 from helpers import closure_by_matrix, random_graph
 
@@ -30,6 +31,15 @@ def test_common_neighbors_examples():
 def test_common_neighbors_same_vertex_rejected():
     with pytest.raises(ValueError):
         common_neighbors(cycle_graph(4), 1, 1)
+
+
+def test_common_neighborhood_examples():
+    c4 = cycle_graph(4)
+    assert common_neighborhood(c4, [0, 2]) == {1, 3}
+    assert common_neighborhood(c4, [0, 1]) == frozenset()
+    assert common_neighborhood(c4, [1]) == {0, 2}
+    assert common_neighborhood(c4.without_vertex(3), []) == {0, 1, 2}
+    assert common_neighborhood(Graph(), []) == frozenset()
 
 
 def test_compute_closure_examples():
