@@ -1,7 +1,12 @@
 """Command-line frontend.
 
-Exit codes: 0 success/agreement, 1 failure or disagreement, 2 usage or input
-error, 3 resource limit exceeded.
+Exit codes:
+  0  success or agreement
+  1  failure or disagreement, including a failed extraction (an ``error:``
+     line on stderr)
+  2  usage or input error
+  3  resource limit exceeded: an oracle's size limit, the interpreter's
+     recursion limit, or memory (a ``resource limit:`` line on stderr)
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import sys
 
 from .cliques import maximal_cliques
 from .closure import compute_closure
-from .errors import ParseError, PreconditionError, ResourceLimitError
+from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
 from .generators import generate
 from .graphio import load_graph, normalize_ids, save_graph
 from .instances import Bipartition, Coloring, Decided, Instance, Problem, Reduced
@@ -96,10 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except (ValueError, PreconditionError, OSError) as exc:
+    except (ValueError, PreconditionError, ExtractionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,19 @@
 """Closure analysis: how tightly common neighborhoods force adjacency.
 
 A graph is c-closed if every nonadjacent vertex pair has fewer than c common
-neighbors; the closure of a graph is the smallest such c. The pair scan here
-is the reference implementation that everything else is checked against.
+neighbors; the closure of a graph is the smallest such c. Both the closure
+and the c-closed test count wedges (paths u-w-v) from each vertex, as in Fox,
+Roughgarden, Seshadhri, Wei & Wein, *Finding cliques in social networks*
+(SICOMP 2020): a pair with a common neighbor is at distance two, so the work
+is O(sum of squared degrees) and pairs farther apart are never visited.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import PreconditionError
 from .graph import Graph
@@ -47,38 +51,56 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
 
 
 def compute_closure(g: Graph) -> ClosureReport:
-    """Exact closure by scanning all nonadjacent pairs.
+    """Exact closure by wedge counting.
 
     Graphs with fewer than two vertices, and complete graphs, have closure 1
     (the constraint set is empty). The witness pair is the lexicographically
-    smallest maximizer.
+    smallest maximizer. The cost is O(sum of squared degrees), so sparse
+    graphs are fast. On dense graphs the tallies approach n^3 and cost more
+    than a scan of all n^2 pairs with set intersections would (G(120, 0.9):
+    about 45 ms against 6 ms); no workload has such graphs, so there is no
+    switch on density.
     """
-    best = 0
-    best_pair: tuple[int, int] | None = None
-    ids = g.vertex_ids
-    for i, u in enumerate(ids):
-        nbrs_u = g.neighbors(u)
-        for v in ids[i + 1:]:
-            if v in nbrs_u:
-                continue
-            shared = len(nbrs_u & g.neighbors(v))
-            if shared > best:
-                best = shared
-                best_pair = (u, v)
-    return ClosureReport(c=best + 1, witness_pair=best_pair)
+    best, pair = 0, None
+    for best, pair in _record_pairs(g, 0):
+        pass
+    return ClosureReport(c=best + 1, witness_pair=pair)
 
 
 def is_c_closed(g: Graph, c: int) -> bool:
-    """True iff no nonadjacent pair has at least c common neighbors."""
+    """True iff no nonadjacent pair has at least c common neighbors.
+
+    Stops at the first violating pair; costs as ``compute_closure``.
+    """
     if c <= 0:
         raise ValueError("c must be positive")
-    ids = g.vertex_ids
-    for i, u in enumerate(ids):
-        nbrs_u = g.neighbors(u)
-        for v in ids[i + 1:]:
-            if v not in nbrs_u and len(nbrs_u & g.neighbors(v)) >= c:
-                return False
-    return True
+    return next(_record_pairs(g, c - 1), None) is None
+
+
+def _record_pairs(g: Graph, floor: int) -> Iterator[tuple[int, tuple[int, int]]]:
+    """Yield rising records (shared, (u, v)): nonadjacent pairs u < v with
+    more than ``floor`` common neighbours, each record beating the last.
+
+    u ascends, and for one u only its best pair (smallest v on a tie) can be
+    a record, so the last record is the lexicographically smallest
+    maximizer. For each u, tallying the neighbourhoods of its neighbours
+    gives |N(u) & N(v)| for every v within distance two; a vertex of degree
+    at most the current record cannot share more neighbours with anyone and
+    is skipped.
+    """
+    adj = {v: g.neighbors(v) for v in g.vertex_ids}
+    best = floor
+    for u, nbrs in adj.items():
+        if len(nbrs) <= best:
+            continue
+        shared = Counter(chain.from_iterable(map(adj.__getitem__, nbrs)))
+        beaten = [
+            (-k, v) for v, k in shared.items() if k > best and v > u and v not in nbrs
+        ]
+        if beaten:
+            negated, v = min(beaten)
+            best = -negated
+            yield best, (u, v)
 
 
 def attach_simplicial(g: Graph, c: int, clique: frozenset[int] | set[int]) -> Graph:

@@ -88,23 +88,39 @@ class CrownDecomposition:
 
 
 def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
-    """Maximum bipartite matching by augmenting paths, in sorted-id order."""
-    match: dict[int, int] = {}
+    """Maximum bipartite matching by augmenting paths, in sorted-id order.
 
-    def try_augment(u: int, seen: set[int]) -> bool:
-        for w in sorted(g.neighbors(u)):
-            if w in seen:
+    Each search is a depth-first walk over an explicit stack, so path length
+    is not bounded by the interpreter's recursion limit. The walk tries
+    neighbours in ascending id order, which fixes the matching returned.
+    """
+    nbrs = {u: sorted(g.neighbors(u)) for u in left}
+    match: dict[int, int] = {}
+    for root in left:
+        if root in match:
+            continue
+        seen: set[int] = set()
+        stack = [(root, iter(nbrs[root]))]
+        # via[i] is the right vertex stack[i] is trying; it leads to stack[i + 1].
+        via: list[int] = []
+        while stack:
+            for w in stack[-1][1]:
+                if w not in seen:
+                    break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
                 continue
             seen.add(w)
-            if w not in match or try_augment(match[w], seen):
-                match[w] = u
-                match[u] = w
-                return True
-        return False
-
-    for u in left:
-        if u not in match:
-            try_augment(u, set())
+            via.append(w)
+            partner = match.get(w)
+            if partner is None:
+                for (u, _), v in zip(stack, via):
+                    match[v] = u
+                    match[u] = v
+                break
+            stack.append((partner, iter(nbrs[partner])))
     return match
 
 

@@ -35,6 +35,21 @@ def closure_by_matrix(g: Graph) -> int:
     return int(common[upper].max()) + 1
 
 
+def pair_scan_closure(g: Graph) -> tuple[int, tuple[int, int] | None]:
+    """Closure and the lexicographically smallest maximizing nonadjacent
+    pair, by intersecting the neighbourhoods of every pair in id order."""
+    best = 0
+    best_pair = None
+    for u, v in combinations(g.vertex_ids, 2):
+        if g.has_edge(u, v):
+            continue
+        shared = len(g.neighbors(u) & g.neighbors(v))
+        if shared > best:
+            best = shared
+            best_pair = (u, v)
+    return best + 1, best_pair
+
+
 @lru_cache(maxsize=1)
 def atlas_graphs() -> tuple[Graph, ...]:
     """All 1253 graphs on up to seven vertices, from the networkx atlas."""
@@ -64,6 +79,30 @@ def brute_max_matching(g: Graph) -> int:
     result = rec(frozenset(g.vertex_ids))
     rec.cache_clear()
     return result
+
+
+def recursive_kuhn(g: Graph, left: list[int]) -> dict[int, int]:
+    """Kuhn's augmenting-path matching, recursive, neighbours in id order.
+
+    Maps each matched vertex to its partner, in both directions.
+    """
+    match: dict[int, int] = {}
+
+    def try_augment(u: int, seen: set[int]) -> bool:
+        for w in sorted(g.neighbors(u)):
+            if w in seen:
+                continue
+            seen.add(w)
+            if w not in match or try_augment(match[w], seen):
+                match[w] = u
+                match[u] = w
+                return True
+        return False
+
+    for u in left:
+        if u not in match:
+            try_augment(u, set())
+    return match
 
 
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:

@@ -1,7 +1,10 @@
 import json
 
-from cclose import parse_graph, serialize_graph
+import pytest
+
+from cclose import cli, parse_graph, serialize_graph
 from cclose.cli import main
+from cclose.errors import ExtractionError
 
 
 def write(tmp_path, name, text):
@@ -154,6 +157,27 @@ def test_resource_limit_exits_3(tmp_path, capsys):
     big = "p 30\n" + "".join(f"e {i} {i + 1}\n" for i in range(29))
     path = write(tmp_path, "big.txt", big)
     assert main(["solve", "--problem", "ds", "-k", "2", "--method", "oracle", path]) == 3
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (RecursionError("maximum recursion depth exceeded"), 3, "resource limit: maximum"),
+        (MemoryError(), 3, "resource limit: MemoryError"),
+        (ExtractionError("crown matching fails to saturate V1"), 1, "error: crown"),
+    ],
+    ids=["recursion", "memory", "extraction"],
+)
+def test_pipeline_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "kernelize_im", failing)
+    dst = str(tmp_path / "out.txt")
+    assert main(["kernelize", "--problem", "im", "-k", "1", c4_file(tmp_path), dst]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err
 
 
 def test_serialize_parse_roundtrip_canonical(tmp_path):

@@ -17,7 +17,7 @@ from cclose import (
 )
 from cclose.closure import common_neighborhood
 
-from helpers import closure_by_matrix, random_graph
+from helpers import closure_by_matrix, pair_scan_closure, random_graph
 
 
 def test_common_neighbors_examples():
@@ -68,6 +68,45 @@ def test_is_c_closed_examples():
 def test_closure_matches_matrix_oracle(seed, n):
     g = random_graph(n, 0.4, seed)
     assert compute_closure(g).c == closure_by_matrix(g)
+
+
+@given(
+    st.integers(0, 2 ** 31),
+    st.integers(0, 16),
+    st.floats(0, 1),
+    st.lists(st.integers(0, 15), max_size=5),
+)
+def test_closure_matches_pair_scan(seed, n, p, removed):
+    g = random_graph(n, p, seed).without_vertices({v for v in removed if v < n})
+    c, pair = pair_scan_closure(g)
+    report = compute_closure(g)
+    assert (report.c, report.witness_pair) == (c, pair)
+    for bound in range(1, g.n + 2):
+        assert is_c_closed(g, bound) == (c <= bound)
+
+
+def test_closure_makes_one_neighbors_call_per_vertex(monkeypatch):
+    g = random_graph(200, 0.03, 5)
+    calls = 0
+    original = Graph.neighbors
+
+    def counting(self, v):
+        nonlocal calls
+        calls += 1
+        return original(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counting)
+    c = compute_closure(g).c
+    assert calls <= g.n
+    for bound in (c - 1, c):
+        calls = 0
+        is_c_closed(g, bound)
+        assert calls <= g.n
+
+
+def test_closure_of_long_path():
+    report = compute_closure(path_graph(5000))
+    assert report.c == 2 and report.witness_pair == (0, 2)
 
 
 @given(st.integers(0, 2 ** 31), st.integers(1, 12))

@@ -16,12 +16,14 @@ from cclose import (
     max_matching_bipartite,
     max_matching_general,
     oracle_vc,
+    path_graph,
     star_graph,
     two_maximal_independent_set,
     vclp_half_integral,
 )
+from cclose.matching import _kuhn
 
-from helpers import brute_max_matching, random_graph
+from helpers import brute_max_matching, random_graph, recursive_kuhn
 
 
 def bipartition_of(g):
@@ -64,6 +66,28 @@ class TestBipartiteMatching:
         for u, v in g.edges():
             assert u in cover or v in cover
         assert len(matching) == brute_max_matching(g)
+
+    @given(st.integers(0, 2 ** 31), st.integers(0, 12), st.floats(0, 1))
+    def test_same_matching_as_recursive_kuhn(self, seed, n, p):
+        import random
+
+        rng = random.Random(seed)
+        ids = rng.sample(range(3 * n), n)
+        left = sorted(ids[: n // 2])
+        right = ids[n // 2:]
+        g = Graph(ids, [(u, v) for u in left for v in right if rng.random() < p])
+        assert _kuhn(g, left) == recursive_kuhn(g, left)
+
+    @pytest.mark.parametrize(
+        "make, size, expected",
+        [(path_graph, 3000, 1500), (star_graph, 10_000, 1)],
+        ids=["path3000", "star10000"],
+    )
+    def test_long_paths_and_big_stars(self, make, size, expected):
+        g = make(size)
+        matching, cover = bipartite_matching_with_cover(g, bipartition_of(g))
+        assert len(matching) == len(cover) == expected
+        assert vclp_half_integral(g).lp_cost == expected
 
 
 class TestGeneralMatching:
