@@ -2,13 +2,16 @@
 
 The colored pipeline bounds black vertices via clique and common-neighborhood
 rules, prunes redundant white vertices, and finally trades the coloring for a
-small clique gadget. Rules are scheduled as a deterministic fixpoint loop in
-the stated order; after any structural change all earlier rules are
-re-checked.
+small clique gadget. The black-bounding rules run as a deterministic fixpoint
+loop in the stated order. White removal runs after them as one ascending
+pass: dropping a white vertex changes no black set, clique black count or
+budget, so no earlier rule can fire again and a white vertex that fails the
+rule keeps failing it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from math import comb
 
@@ -181,35 +184,78 @@ def rr_black_count(inst: Instance, c: int) -> bool:
     return len(inst.black_vertices()) > inst.k * bound + inst.k
 
 
-def rr_white_removal(inst: Instance) -> RuleRecord | None:
+def rr_white_removal(inst: Instance, keep: AbstractSet[int] = frozenset()) -> RuleRecord | None:
     """A white vertex is dropped when r other vertices each dominate all of
-    its black neighborhood."""
+    its black neighborhood. The smallest such white outside ``keep`` goes."""
+    black = inst.black_vertices()
+    for w in sorted(inst.white_vertices() - keep):
+        record = _rr_white_removal_at(inst, black, w)
+        if record is not None:
+            return record
+    return None
+
+
+def sweep_white_removal(
+    inst: Instance, keep: AbstractSet[int] = frozenset()
+) -> tuple[Instance, list[RuleRecord]]:
+    """Exhaust white removal in one ascending pass over the whites outside
+    ``keep``, replaying each removal.
+
+    Dropping a white vertex changes no black set, so every other white keeps
+    its demand and can only lose dominators: a white that fails the rule
+    keeps failing it. The pass therefore yields exactly the records of
+    calling rr_white_removal until it returns None.
+    """
+    black = inst.black_vertices()
+    trace: list[RuleRecord] = []
+    for w in sorted(inst.white_vertices() - keep):
+        record = _rr_white_removal_at(inst, black, w)
+        if record is not None:
+            inst = replay(inst, record)
+            trace.append(record)
+    return inst, trace
+
+
+def _rr_white_removal_at(inst: Instance, black: AbstractSet[int], w: int) -> RuleRecord | None:
+    """White removal tried on the white vertex ``w`` alone.
+
+    Every dominator of a nonempty demand contains its smallest vertex d in
+    its closed neighborhood, so only N[d] is scanned; an empty demand is
+    dominated by every other vertex.
+    """
     assert inst.r is not None
     g = inst.graph
-    black = inst.black_vertices()
-    for w in sorted(inst.white_vertices()):
-        demand = g.neighbors(w) & black
-        dominators = 0
-        for v in g.vertex_ids:
-            if v == w:
-                continue
-            if demand <= (g.closed_neighborhood(v) & black):
-                dominators += 1
-                if dominators >= inst.r:
-                    return RuleRecord(
-                        rule="RR6",
-                        vertices_removed=(w,),
-                        payload={"white": w, "black_demand": sorted(demand)},
-                    )
-    return None
+    demand = g.neighbors(w) & black
+    if demand:
+        dominators = sum(
+            1
+            for v in g.closed_neighborhood(min(demand))
+            if v != w and demand <= g.closed_neighborhood(v)
+        )
+    else:
+        dominators = g.n - 1
+    if dominators < inst.r:
+        return None
+    return RuleRecord(
+        rule="RR6",
+        vertices_removed=(w,),
+        payload={"white": w, "black_demand": sorted(demand)},
+    )
 
 
 # -- the colored pipeline --------------------------------------------------------
 
 
 def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
-    """Exhaust RR2, RR3.1..RR3.(c-r) (or the r >= c No-check), the black-count
-    check, and white removal, restarting from the top after every change."""
+    """Exhaust RR2 and RR3.1..RR3.(c-r), restarting from RR2 after every
+    change; then run the r >= c No-check and the black-count check once, and
+    finally white removal as one ascending pass.
+
+    White removal changes no maximal clique's black count, no clique's common
+    black neighborhood, no black count and no budget, so none of the earlier
+    rules or checks can change its verdict after it; the result is the
+    fixpoint of all the rules in the stated order.
+    """
     if inst.problem is not Problem.BW_TDS:
         raise ValueError(f"expected a BW-TDS instance, got {inst.problem}")
     assert inst.r is not None
@@ -236,18 +282,18 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
                 record = rr_common_neighborhood(inst, c, i)
                 if record is not None:
                     break
-        if record is None and r >= c and rr_clique_no(inst, c):
-            return Decided(False)
-        if record is None and rr_black_count(inst, c):
-            return Decided(False)
-        if record is None:
-            record = rr_white_removal(inst)
         if record is None:
             break
         inst = replay(inst, record)
         trace.append(record)
     else:
         raise ExtractionError("BW-TDS pipeline failed to reach a fixpoint")
+    if r >= c and rr_clique_no(inst, c):
+        return Decided(False)
+    if rr_black_count(inst, c):
+        return Decided(False)
+    inst, removals = sweep_white_removal(inst)
+    trace.extend(removals)
 
     bound = per_vertex_black_bound(c, inst.k, r)
     assert len(inst.black_vertices()) <= inst.k * bound + inst.k
@@ -393,7 +439,12 @@ def kernelize_ds(inst: Instance, c: int) -> KernelOutcome:
 def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> KernelOutcome:
     """BW-Dominating Set on bipartite graphs: high-degree vertices are forced
     into the solution, too many blacks is a No, and whites with at most one
-    black neighbor are dropped."""
+    black neighbor are dropped.
+
+    Dropping a white vertex changes no vertex's black-neighbor count, so it
+    cannot make RR7 fire and fixes every white's RR9 verdict: RR7 is
+    exhausted first, then RR9 runs as one ascending pass.
+    """
     if inst.problem is not Problem.BW_TDS or inst.r != 1:
         raise ValueError("expected a BW-TDS instance with r = 1")
     parts.validate(inst.graph)
@@ -413,23 +464,22 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
         if inst.k == 0:
             return Decided(False)
         record = _rr_high_degree(inst, c)
+        if record is None:
+            break
+        forced.append(record.vertices_removed[0])
+        inst = replay(inst, record)
+        trace.append(record)
+    # Strictly more than c*k^2 blacks: k vertices, each covering at most
+    # c*k - 1 black neighbors plus themselves, cannot dominate them all.
+    # (Exactly c*k^2 can still be a Yes: one isolated black vertex at
+    # c = k = 1.)
+    if len(black) > c * inst.k * inst.k:
+        return Decided(False)
+    for w in sorted(inst.white_vertices()):
+        record = _rr_white_leaf(inst, black, w)
         if record is not None:
-            forced.append(record.vertices_removed[0])
             inst = replay(inst, record)
             trace.append(record)
-            continue
-        # Strictly more than c*k^2 blacks: k vertices, each covering at most
-        # c*k - 1 black neighbors plus themselves, cannot dominate them all.
-        # (Exactly c*k^2 can still be a Yes: one isolated black vertex at
-        # c = k = 1.)
-        if len(black) > c * inst.k * inst.k:
-            return Decided(False)
-        record = _rr_white_leaf(inst)
-        if record is not None:
-            inst = replay(inst, record)
-            trace.append(record)
-            continue
-        break
 
     k = inst.k
     assert inst.graph.n <= c * k * k + c * comb(c * k * k, 2), "bipartite kernel bound"
@@ -463,24 +513,22 @@ def _rr_high_degree(inst: Instance, c: int) -> RuleRecord | None:
     return None
 
 
-def _rr_white_leaf(inst: Instance) -> RuleRecord | None:
-    """RR9, extended: a white vertex with at most one black neighbor goes.
+def _rr_white_leaf(inst: Instance, black: AbstractSet[int], w: int) -> RuleRecord | None:
+    """RR9, extended, tried on the white vertex ``w``: a white vertex with at
+    most one black neighbor goes.
 
     The stated rule says "only one", but a white vertex with no black
     neighbor is equally redundant and the white-count bound needs it gone;
     the extension is flagged in the payload.
     """
-    g = inst.graph
-    black = inst.black_vertices()
-    for w in sorted(inst.white_vertices()):
-        hits = len(g.neighbors(w) & black)
-        if hits <= 1:
-            return RuleRecord(
-                rule="RR9",
-                vertices_removed=(w,),
-                payload={"white": w, "black_neighbors": hits, "extended_zero_case": hits == 0},
-            )
-    return None
+    hits = len(inst.graph.neighbors(w) & black)
+    if hits > 1:
+        return None
+    return RuleRecord(
+        rule="RR9",
+        vertices_removed=(w,),
+        payload={"white": w, "black_neighbors": hits, "extended_zero_case": hits == 0},
+    )
 
 
 # -- hardness-construction generator -------------------------------------------------

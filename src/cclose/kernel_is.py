@@ -11,10 +11,12 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
     """Strip high-degree vertices, then either answer outright or shrink.
 
     A vertex of degree at least (c-1)(k-1)+1 can always be swapped out of a
-    solution, so it is removed (smallest id first, for determinism). Once the
-    maximum degree falls below the threshold, a graph on (threshold)*k
-    vertices is greedily Yes; otherwise the residual has at most c*k^2
-    vertices.
+    solution, so it is removed (smallest id first, for determinism). Degrees
+    only fall as vertices go, so a vertex below the threshold stays below it
+    and one ascending pass removes exactly what restarting from the smallest
+    id after every removal would. Once the maximum degree falls below the
+    threshold, a graph on (threshold)*k vertices is greedily Yes; otherwise
+    the residual has at most c*k^2 vertices.
     """
     if inst.problem is not Problem.IS:
         raise ValueError(f"expected an IS instance, got {inst.problem}")
@@ -26,14 +28,15 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
     g = inst.graph
     threshold = (c - 1) * (k - 1) + 1
     trace: list[RuleRecord] = []
-    while True:
-        target = next((v for v in g.vertex_ids if g.degree(v) >= threshold), None)
-        if target is None:
-            break
-        g = g.without_vertex(target)
-        trace.append(
-            RuleRecord(rule="RR1", vertices_removed=(target,), payload={"degree_threshold": threshold})
-        )
+    removed: set[int] = set()
+    for v in g.vertex_ids:
+        if len(g.neighbors(v) - removed) >= threshold:
+            removed.add(v)
+            trace.append(
+                RuleRecord(rule="RR1", vertices_removed=(v,), payload={"degree_threshold": threshold})
+            )
+    if removed:
+        g = g.without_vertices(removed)
     if g.n >= threshold * k:
         return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
     reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)

@@ -16,8 +16,8 @@ from math import comb
 from .closure import is_c_closed
 from .errors import ExtractionError
 from .graph import Graph
-from .instances import Coloring, Instance, Problem, RuleRecord, Witness, replay
-from .kernel_ds import rr_clique
+from .instances import Coloring, Instance, Problem, Witness, replay
+from .kernel_ds import rr_clique, sweep_white_removal
 from .matching import is_two_maximal, two_maximal_independent_set
 from .oracle import validate_witness
 
@@ -125,11 +125,7 @@ def _branch(
         r=r,
         coloring=Coloring(frozenset(set(g.vertex_ids) - unsatisfied)),
     )
-    while True:
-        record = _rr_white_removal_avoiding(leaf, partial)
-        if record is None:
-            break
-        leaf = replay(leaf, record)
+    leaf, _ = sweep_white_removal(leaf, keep=partial)
     lg = leaf.graph
     remaining = [v for v in lg.vertex_ids if v not in partial]
     demands = leaf.black_vertices()
@@ -142,21 +138,3 @@ def _branch(
                 return candidate
     return None
 
-
-def _rr_white_removal_avoiding(inst: Instance, keep: set[int]) -> RuleRecord | None:
-    """White-removal restricted to vertices outside the partial solution."""
-    assert inst.r is not None
-    g = inst.graph
-    black = inst.black_vertices()
-    for w in sorted(inst.white_vertices()):
-        if w in keep:
-            continue
-        demand = g.neighbors(w) & black
-        dominators = sum(
-            1
-            for v in g.vertex_ids
-            if v != w and demand <= (g.closed_neighborhood(v) & black)
-        )
-        if dominators >= inst.r:
-            return RuleRecord(rule="RR6", vertices_removed=(w,), payload={"white": w})
-    return None

@@ -12,7 +12,28 @@ from functools import lru_cache
 from itertools import combinations
 
 from cclose import Graph
-from cclose.instances import Bipartition
+from cclose.errors import ExtractionError
+from cclose.instances import (
+    Bipartition,
+    Decided,
+    Instance,
+    Problem,
+    Reduced,
+    RuleRecord,
+    Witness,
+    replay,
+)
+from cclose.kernel_ds import (
+    _decide_cluster_bwtds,
+    _rr_high_degree,
+    per_vertex_black_bound,
+    rr_black_count,
+    rr_clique,
+    rr_clique_no,
+    rr_common_neighborhood,
+)
+from cclose.kernel_is import _greedy_low_degree_is
+from cclose.oracle import validate_witness
 
 
 def closure_by_matrix(g: Graph) -> int:
@@ -209,3 +230,158 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(range(n), edges)
+
+
+# -- restart-from-the-top reference pipelines ----------------------------------
+#
+# The kernels below restart their rule list from the first rule after every
+# change, which is the plain meaning of "exhaust the rules in order". With the
+# full-scan white-removal rules they call, they are the references that the
+# library's single ascending passes must match record for record.
+
+
+def restart_rr_white_removal(inst, keep=frozenset()):
+    """White removal with a dominator scan over every vertex; the smallest
+    removable white outside ``keep`` goes."""
+    assert inst.r is not None
+    g = inst.graph
+    black = inst.black_vertices()
+    for w in sorted(inst.white_vertices()):
+        if w in keep:
+            continue
+        demand = g.neighbors(w) & black
+        dominators = 0
+        for v in g.vertex_ids:
+            if v == w:
+                continue
+            if demand <= (g.closed_neighborhood(v) & black):
+                dominators += 1
+                if dominators >= inst.r:
+                    return RuleRecord(
+                        rule="RR6",
+                        vertices_removed=(w,),
+                        payload={"white": w, "black_demand": sorted(demand)},
+                    )
+    return None
+
+
+def restart_kernelize_bwtds(inst, c):
+    r = inst.r
+    if not inst.black_vertices():
+        return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
+    if inst.k == 0:
+        return Decided(False)
+    if c == 1:
+        return _decide_cluster_bwtds(inst)
+
+    trace = []
+    guard = 8 * (inst.graph.n + inst.k + 10)
+    for _ in range(guard):
+        if not inst.black_vertices():
+            return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
+        record = rr_clique(inst, c)
+        if record is None and r <= c - 1:
+            for i in range(1, c - r + 1):
+                record = rr_common_neighborhood(inst, c, i)
+                if record is not None:
+                    break
+        if record is None and r >= c and rr_clique_no(inst, c):
+            return Decided(False)
+        if record is None and rr_black_count(inst, c):
+            return Decided(False)
+        if record is None:
+            record = restart_rr_white_removal(inst)
+        if record is None:
+            break
+        inst = replay(inst, record)
+        trace.append(record)
+    else:
+        raise ExtractionError("BW-TDS pipeline failed to reach a fixpoint")
+
+    bound = per_vertex_black_bound(c, inst.k, r)
+    assert len(inst.black_vertices()) <= inst.k * bound + inst.k
+    reduced = Instance(
+        problem=Problem.BW_TDS,
+        graph=inst.graph,
+        k=inst.k,
+        r=r,
+        coloring=inst.coloring,
+        bipartition=inst.bipartition,
+        declared_closure=c,
+    )
+    return Reduced(reduced, tuple(trace))
+
+
+def restart_rr_white_leaf(inst):
+    g = inst.graph
+    black = inst.black_vertices()
+    for w in sorted(inst.white_vertices()):
+        hits = len(g.neighbors(w) & black)
+        if hits <= 1:
+            return RuleRecord(
+                rule="RR9",
+                vertices_removed=(w,),
+                payload={"white": w, "black_neighbors": hits, "extended_zero_case": hits == 0},
+            )
+    return None
+
+
+def restart_kernelize_bipartite_bwds(inst, c):
+    original = inst
+    trace = []
+    forced = []
+    while True:
+        black = inst.black_vertices()
+        if not black:
+            witness = Witness.vertex_set(forced, Problem.BW_TDS)
+            if not validate_witness(original, witness):
+                raise ExtractionError("forced-vertex witness fails validation")
+            return Decided(True, witness)
+        if inst.k == 0:
+            return Decided(False)
+        record = _rr_high_degree(inst, c)
+        if record is not None:
+            forced.append(record.vertices_removed[0])
+            inst = replay(inst, record)
+            trace.append(record)
+            continue
+        if len(black) > c * inst.k * inst.k:
+            return Decided(False)
+        record = restart_rr_white_leaf(inst)
+        if record is not None:
+            inst = replay(inst, record)
+            trace.append(record)
+            continue
+        break
+
+    reduced = Instance(
+        problem=Problem.BW_TDS,
+        graph=inst.graph,
+        k=inst.k,
+        r=1,
+        coloring=inst.coloring,
+        bipartition=inst.bipartition.restricted_to(inst.graph) if inst.bipartition else None,
+        declared_closure=c,
+    )
+    return Reduced(reduced, tuple(trace))
+
+
+def restart_kernelize_is(inst, c):
+    k = inst.k
+    if k == 0:
+        return Decided(True, Witness.vertex_set((), Problem.IS))
+    g = inst.graph
+    threshold = (c - 1) * (k - 1) + 1
+    trace = []
+    while True:
+        target = next((v for v in g.vertex_ids if g.degree(v) >= threshold), None)
+        if target is None:
+            break
+        g = g.without_vertex(target)
+        trace.append(
+            RuleRecord(rule="RR1", vertices_removed=(target,), payload={"degree_threshold": threshold})
+        )
+    if g.n >= threshold * k:
+        return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
+    reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)
+    return Reduced(reduced, tuple(trace))

@@ -34,10 +34,25 @@ from cclose import (
     uncolor_gadget,
     validate_witness,
 )
+from cclose import kernel_ds
 from cclose.instances import replay
-from cclose.kernel_ds import rr_black_count, rr_clique, rr_common_neighborhood, rr_white_removal
+from cclose.kernel_ds import (
+    rr_black_count,
+    rr_clique,
+    rr_common_neighborhood,
+    rr_white_removal,
+    sweep_white_removal,
+)
 
-from helpers import brute_hitting_set, random_graph
+from helpers import (
+    brute_hitting_set,
+    random_c_closed_bipartite,
+    random_c_closed_graph,
+    random_graph,
+    restart_kernelize_bipartite_bwds,
+    restart_kernelize_bwtds,
+    restart_rr_white_removal,
+)
 
 
 def bw(g, k, r=1, white=frozenset()):
@@ -133,6 +148,33 @@ class TestRuleWhiteRemoval:
         record = rr_white_removal(inst)
         assert record is not None and record.vertices_removed == (1,)
 
+    def test_kept_whites_stay(self):
+        # both leaves of the path are removable whites; keeping 0 leaves 2
+        inst = bw(path_graph(3), k=1, white=frozenset({0, 2}))
+        assert rr_white_removal(inst).vertices_removed == (0,)
+        assert rr_white_removal(inst, keep={0}).vertices_removed == (2,)
+        assert rr_white_removal(inst, keep={0, 2}) is None
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.integers(0, 16),
+        st.integers(1, 3),
+        st.floats(0.2, 0.8),
+    )
+    def test_sweep_matches_restarted_rule(self, seed, n, r, white_share):
+        rng = random.Random(seed)
+        g = random_graph(n, 0.35, seed)
+        white = frozenset(v for v in g.vertex_ids if rng.random() < white_share)
+        keep = frozenset(v for v in g.vertex_ids if rng.random() < 0.2)
+        inst = bw(g, k=2, r=r, white=white)
+        expected_trace = []
+        state = inst
+        while (record := restart_rr_white_removal(state, keep)) is not None:
+            expected_trace.append(record)
+            state = replay(state, record)
+        assert sweep_white_removal(inst, keep) == (state, expected_trace)
+
 
 class TestBwtdsPipeline:
     def test_all_black_p4_stays_no(self):
@@ -211,6 +253,72 @@ class TestBwtdsPipeline:
             blacks = red.black_vertices()
             for v in red.graph.vertex_ids:
                 assert len(red.graph.neighbors(v) & blacks) <= pv
+
+
+class TestAscendingPasses:
+    """The single white-removal passes give exactly the outcome of restarting
+    every rule after every change: answer, witness, reduced instance and every
+    record, payloads included."""
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.integers(0, 16),
+        st.integers(2, 4),
+        st.integers(0, 3),
+        st.integers(1, 3),
+        st.floats(0.1, 0.7),
+    )
+    def test_bwtds_matches_restarting_pipeline(self, seed, n, c, k, r, p):
+        rng = random.Random(seed)
+        g = random_c_closed_graph(n, c, p, seed)
+        white = frozenset(v for v in g.vertex_ids if rng.random() < 0.3)
+        inst = bw(g, k=k, r=r, white=white)
+        assert kernelize_bwtds(inst, c) == restart_kernelize_bwtds(inst, c)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.integers(0, 8),
+        st.integers(0, 8),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.floats(0.1, 0.7),
+    )
+    def test_bipartite_matches_restarting_pipeline(self, seed, nl, nr, c, k, p):
+        rng = random.Random(seed)
+        g, parts = random_c_closed_bipartite(nl, nr, c, p, seed)
+        white = frozenset(v for v in g.vertex_ids if rng.random() < 0.5)
+        inst = Instance(
+            problem=Problem.BW_TDS,
+            graph=g,
+            k=k,
+            r=1,
+            coloring=Coloring(white),
+            bipartition=parts,
+        )
+        assert kernelize_bipartite_bwds(inst, parts, c) == restart_kernelize_bipartite_bwds(inst, c)
+
+    def test_white_removals_do_not_relist_cliques(self, monkeypatch):
+        # An all-black star at c = 2, k = 1: RR2 whitens the first edge, RR3.1
+        # whitens the leaves, and RR6 then drops the whitened vertices.
+        inst = bw(star_graph(6), k=1)
+        expected = restart_kernelize_bwtds(inst, 2)
+        calls = []
+        original = kernel_ds.rr_clique
+
+        def counting_rr_clique(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernel_ds, "rr_clique", counting_rr_clique)
+        out = kernelize_bwtds(inst, 2)
+        assert out == expected
+        rules = [record.rule for record in out.trace]
+        assert rules.count("RR6") >= 5
+        assert "RR2" in rules and "RR3.1" in rules
+        black_rules = sum(1 for rule in rules if rule == "RR2" or rule.startswith("RR3."))
+        assert len(calls) <= black_rules + 1
 
 
 class TestGadget:

@@ -17,7 +17,7 @@ from cclose import (
     validate_witness,
 )
 
-from helpers import random_graph
+from helpers import random_graph, restart_kernelize_is
 
 
 def make(g, k, problem=Problem.IS):
@@ -89,3 +89,20 @@ def test_rr1_strips_high_degree(seed):
     out = kernelize_is(make(g, k), c)
     if isinstance(out, Reduced):
         assert out.instance.graph.max_degree() <= (c - 1) * (k - 1)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 10 ** 6),
+    st.integers(0, 16),
+    st.floats(0.1, 0.8),
+    st.integers(0, 4),
+    st.integers(0, 1),
+)
+def test_single_pass_matches_restarting_rr1(seed, n, p, k, slack):
+    # The same outcome, trace and reduced graph as restarting the degree rule
+    # from the smallest id after every removal.
+    g = random_graph(n, p, seed)
+    c = compute_closure(g).c + slack
+    inst = make(g, k)
+    assert kernelize_is(inst, c) == restart_kernelize_is(inst, c)
