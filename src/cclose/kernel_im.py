@@ -230,13 +230,13 @@ def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> Kerne
     else:
         raise ExtractionError("IM pipeline failed to reach a fixpoint")
 
-    _assert_partition_bounds(inst, c)
+    _assert_partition_bounds(inst, c, p)
     reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
     return Reduced(reduced, tuple(trace))
 
 
-def _assert_partition_bounds(inst: Instance, c: int) -> None:
-    p = vclp_half_integral(inst.graph)
+def _assert_partition_bounds(inst: Instance, c: int, p: VclpPartition) -> None:
+    """The size bounds on the LP partition ``p`` of the reduced graph."""
     k = inst.k
     a = 4 * c * k + 1
     assert len(p.v_half) < 3 * unrestricted_threshold(c, a, k)

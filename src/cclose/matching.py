@@ -87,58 +87,164 @@ class CrownDecomposition:
 # -- bipartite matching and König covers --------------------------------------
 
 
+_DEAD = float("inf")
+
+
 def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
     """Maximum bipartite matching by augmenting paths, in sorted-id order.
 
-    Each search is a depth-first walk over an explicit stack, so path length
-    is not bounded by the interpreter's recursion limit. The walk tries
-    neighbours in ascending id order, which fixes the matching returned.
+    Maps each matched vertex to its partner, in both directions. Each search
+    is a depth-first walk over an explicit stack, so path length is not
+    bounded by the interpreter's recursion limit. The walk tries neighbours
+    in ascending id order, which fixes the matching returned.
+
+    Right vertices that reach no free vertex are marked dead and skipped by
+    every later walk. A finished subtree under right vertex w is dead when
+    all it met outside itself was dead, that is, when its lowlink (the
+    least discovery index of a live vertex it met) is not below w's own; a
+    failed search marks all it reached. A dead set is closed under
+    alternating steps and holds no free vertex, so no augmenting path
+    enters it, no augmentation changes it, and it stays dead. Without the
+    pruning, a walk into a dead vertex would only wander inside that closed
+    set and come back, marking no live vertex as seen. Live vertices are
+    therefore visited in the same order, and the matching is the same.
     """
     nbrs = {u: sorted(g.neighbors(u)) for u in left}
+    # stamp[w] is w's discovery index, which counts from the search's base,
+    # or _DEAD. A stamp below base is from an earlier search: w is unseen.
+    stamp = {w: -1 for ws in nbrs.values() for w in ws}
+    stride = len(stamp)
     match: dict[int, int] = {}
+    base = 0
     for root in left:
         if root in match:
             continue
-        seen: set[int] = set()
-        stack = [(root, iter(nbrs[root]))]
-        # via[i] is the right vertex stack[i] is trying; it leads to stack[i + 1].
+        base += stride
+        # The live right vertices this search reached, in discovery order;
+        # w sits at stamp[w] - base, and a dead subtree is always a suffix.
+        live: list[int] = []
+        # todo[i] holds the untried neighbours of the i-th left vertex on the
+        # path; via[i] is the one it is trying, whose partner is the next.
+        todo = [iter(nbrs[root])]
         via: list[int] = []
-        while stack:
-            for w in stack[-1][1]:
-                if w not in seen:
+        # low is the lowlink of the subtree on top; lows keeps those below it.
+        low = base
+        lows: list[int] = []
+        while todo:
+            for w in todo[-1]:
+                seen = stamp[w]
+                if seen < base:
                     break
+                if seen < low:
+                    low = seen
             else:
-                stack.pop()
-                if via:
-                    via.pop()
+                todo.pop()
+                if not via:
+                    for x in live:
+                        stamp[x] = _DEAD
+                    continue
+                w = via.pop()
+                if low >= stamp[w]:
+                    cut = stamp[w] - base
+                    for x in live[cut:]:
+                        stamp[x] = _DEAD
+                    del live[cut:]
+                    low = lows.pop()
+                else:
+                    low = min(low, lows.pop())
                 continue
-            seen.add(w)
             via.append(w)
             partner = match.get(w)
             if partner is None:
-                for (u, _), v in zip(stack, via):
-                    match[v] = u
+                u = root
+                for v in via:
+                    nxt = match.get(v)
                     match[u] = v
+                    match[v] = u
+                    u = nxt
                 break
-            stack.append((partner, iter(nbrs[partner])))
+            lows.append(low)
+            low = stamp[w] = base + len(live)
+            live.append(w)
+            todo.append(iter(nbrs[partner]))
     return match
 
 
-def bipartite_matching_with_cover(
-    g: Graph, parts: Bipartition
-) -> tuple[Matching, frozenset[int]]:
-    """A maximum matching plus a König vertex cover of the same size.
+def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
+    """Maximum bipartite matching by shortest augmenting paths.
 
-    The equal-size cover certifies maximality of the matching (and minimality
-    of the cover) instance by instance.
+    Hopcroft & Karp (1973), O(E√V). Each phase layers the left vertices by
+    alternating distance from the free ones, then augments along layered
+    paths found by depth-first search on an explicit stack; a left vertex
+    that leads nowhere leaves the layering for the rest of the phase. Maps
+    each matched vertex to its partner, in both directions. Which maximum
+    matching it returns is not specified.
     """
-    parts.validate(g)
-    left = sorted(parts.left_of(g))
-    match = _kuhn(g, left)
-    edges = {(min(u, match[u]), max(u, match[u])) for u in left if u in match}
+    nbrs = {u: list(g.neighbors(u)) for u in left}
+    match: dict[int, int] = {}
+    while True:
+        free = [u for u in left if u not in match]
+        dist = dict.fromkeys(free, 0)
+        frontier = free
+        found = False
+        while frontier and not found:
+            nxt = []
+            for u in frontier:
+                d = dist[u] + 1
+                for w in nbrs[u]:
+                    x = match.get(w)
+                    if x is None:
+                        found = True
+                    elif x not in dist:
+                        dist[x] = d
+                        nxt.append(x)
+            frontier = nxt
+        if not found:
+            return match
+        untried = {u: iter(nbrs[u]) for u in dist}
+        for root in free:
+            stack = [root]
+            # via[i] is the right vertex stack[i] is trying; it leads to stack[i + 1].
+            via: list[int] = []
+            while stack:
+                u = stack[-1]
+                d = dist[u] + 1
+                for w in untried[u]:
+                    x = match.get(w)
+                    if x is None or dist.get(x) == d:
+                        break
+                else:
+                    del dist[u]
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                via.append(w)
+                if x is None:
+                    for u, v in zip(stack, via):
+                        match[u] = v
+                        match[v] = u
+                    break
+                stack.append(x)
 
-    # König: alternate from unmatched left vertices; cover is the unreached
-    # left side plus the reached right side.
+
+def _konig_cover(g: Graph, left: list[int], match: dict[int, int]) -> frozenset[int]:
+    """The König vertex cover of a maximum matching, certified.
+
+    ``match`` maps each matched vertex to its partner, in both directions.
+    Alternate from the unmatched left vertices; the cover is the unreached
+    left side plus the reached right side. ``match`` must pair left vertices
+    with distinct neighbours, and the cover must be as large as the matching
+    and cover every edge, which certifies the matching maximum and the cover
+    minimum, instance by instance.
+    """
+    size = 0
+    for u in left:
+        w = match.get(u)
+        if w is not None:
+            if match.get(w) != u or not g.has_edge(u, w):
+                raise ExtractionError(f"({u}, {w}) is not a matching edge")
+            size += 1
     reached: set[int] = set()
     frontier = [u for u in left if u not in match]
     reached.update(frontier)
@@ -160,13 +266,27 @@ def bipartite_matching_with_cover(
         for v in g.vertex_ids
         if (v in left_set and v not in reached) or (v not in left_set and v in reached)
     )
-    matching = Matching(frozenset(edges))
-    if len(cover) != len(matching):
+    if len(cover) != size:
         raise ExtractionError("König certificate failed: cover size != matching size")
     for u, v in g.edges():
         if u not in cover and v not in cover:
             raise ExtractionError(f"König cover misses edge ({u}, {v})")
-    return matching, cover
+    return cover
+
+
+def bipartite_matching_with_cover(
+    g: Graph, parts: Bipartition
+) -> tuple[Matching, frozenset[int]]:
+    """Kuhn's maximum matching plus a König vertex cover of the same size.
+
+    The equal-size cover certifies maximality of the matching (and minimality
+    of the cover) instance by instance.
+    """
+    parts.validate(g)
+    left = sorted(parts.left_of(g))
+    match = _kuhn(g, left)
+    cover = _konig_cover(g, left, match)
+    return Matching.of((u, match[u]) for u in left if u in match), cover
 
 
 def max_matching_bipartite(g: Graph, parts: Bipartition) -> Matching:
@@ -286,19 +406,23 @@ def vclp_half_integral(g: Graph) -> VclpPartition:
     """An optimal half-integral solution of the vertex-cover LP.
 
     A minimum vertex cover of the bipartite double cover (via König) halves
-    into an optimal fractional cover: x_v = |{v', v''} ∩ cover| / 2.
+    into an optimal fractional cover: x_v = |{v', v''} ∩ cover| / 2. The
+    König cover does not depend on which maximum matching it is built from
+    (Dulmage & Mendelsohn 1958): its reached vertices are the left vertices
+    some maximum matching leaves free and their neighbours. So Hopcroft–Karp
+    gives the same partition as Kuhn's matching, only faster.
     """
-    dg, parts = double_cover(g)
-    _, cover = bipartite_matching_with_cover(dg, parts)
+    dg, _ = double_cover(g)
+    left = [2 * v for v in g.vertex_ids]
+    cover = _konig_cover(dg, left, _hopcroft_karp(dg, left))
+    hits = {v: (2 * v in cover) + (2 * v + 1 in cover) for v in g.vertex_ids}
     v0, v1, v_half = set(), set(), set()
-    for v in g.vertex_ids:
-        hits = (2 * v in cover) + (2 * v + 1 in cover)
-        (v0, v_half, v1)[hits].add(v)
-    cost = Fraction(2 * len(v1) + len(v_half), 2)
-    part = VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost)
+    for v, h in hits.items():
+        (v0, v_half, v1)[h].add(v)
     for u, v in g.edges():
-        assert part.value_of(u) + part.value_of(v) >= 1, "LP infeasibility"
-    return part
+        assert hits[u] + hits[v] >= 2, "LP infeasibility"
+    cost = Fraction(2 * len(v1) + len(v_half), 2)
+    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost)
 
 
 def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:

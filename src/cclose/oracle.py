@@ -189,14 +189,6 @@ def _is_irredundant_mask(mask: int, nbr: list[int], cnbr: list[int], other: list
 # -- structural predicates ---------------------------------------------------
 
 
-def is_independent_set(g: Graph, vs) -> bool:
-    return g.is_independent_set(vs)
-
-
-def is_clique(g: Graph, vs) -> bool:
-    return g.is_clique(vs)
-
-
 def r_dominates_blacks(g: Graph, d, coloring: Coloring | None, r: int) -> bool:
     dset = set(d)
     if not dset <= set(g.vertex_ids):

@@ -8,6 +8,7 @@ serve as ground truth.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from cclose.kernel_ds import (
     rr_common_neighborhood,
 )
 from cclose.kernel_is import _greedy_low_degree_is
+from cclose.matching import VclpPartition, bipartite_matching_with_cover, double_cover
 from cclose.oracle import validate_witness
 
 
@@ -124,6 +126,17 @@ def recursive_kuhn(g: Graph, left: list[int]) -> dict[int, int]:
         if u not in match:
             try_augment(u, set())
     return match
+
+
+def kuhn_vclp(g: Graph) -> VclpPartition:
+    """The vertex-cover LP from Kuhn's matching on the double cover, halved."""
+    dg, parts = double_cover(g)
+    _, cover = bipartite_matching_with_cover(dg, parts)
+    v0, v1, v_half = set(), set(), set()
+    for v in g.vertex_ids:
+        (v0, v_half, v1)[(2 * v in cover) + (2 * v + 1 in cover)].add(v)
+    cost = Fraction(2 * len(v1) + len(v_half), 2)
+    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost)
 
 
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:

@@ -21,9 +21,21 @@ from cclose import (
     two_maximal_independent_set,
     vclp_half_integral,
 )
-from cclose.matching import _kuhn
+from cclose.errors import ExtractionError
+from cclose.matching import _hopcroft_karp, _konig_cover, _kuhn
 
-from helpers import brute_max_matching, random_graph, recursive_kuhn
+from helpers import brute_max_matching, kuhn_vclp, random_graph, recursive_kuhn
+
+
+def random_bipartite(seed, n, p):
+    """n vertices with non-contiguous ids; the first half, sorted, is the left."""
+    import random
+
+    rng = random.Random(seed)
+    ids = rng.sample(range(3 * n), n)
+    left = sorted(ids[: n // 2])
+    g = Graph(ids, [(u, v) for u in left for v in ids[n // 2:] if rng.random() < p])
+    return g, left
 
 
 def bipartition_of(g):
@@ -78,10 +90,54 @@ class TestBipartiteMatching:
         g = Graph(ids, [(u, v) for u in left for v in right if rng.random() < p])
         assert _kuhn(g, left) == recursive_kuhn(g, left)
 
+    @given(st.integers(0, 2 ** 31), st.integers(40, 160), st.floats(2, 5))
+    def test_same_matching_as_recursive_kuhn_at_mean_degree_2_to_5(self, seed, n, degree):
+        # Dead subtrees that met a live ancestor only through a descendant
+        # are common here and rare on small or dense graphs.
+        g, left = random_bipartite(seed, n, degree / (n - n // 2))
+        assert _kuhn(g, left) == recursive_kuhn(g, left)
+
+    def test_konig_cover_rejects_what_it_cannot_certify(self):
+        g = path_graph(4)
+        left = [0, 2]
+        assert _konig_cover(g, left, {0: 1, 1: 0, 2: 3, 3: 2}) == {0, 2}
+        with pytest.raises(ExtractionError, match="not a matching edge"):
+            _konig_cover(g, left, {0: 3, 3: 0, 2: 1, 1: 2})
+        with pytest.raises(ExtractionError, match="not a matching edge"):
+            _konig_cover(g, left, {0: 1, 1: 2, 2: 1})
+        with pytest.raises(ExtractionError, match="cover size"):
+            _konig_cover(g, left, {2: 1, 1: 2})
+
+    @given(st.integers(0, 2 ** 31), st.integers(0, 12), st.floats(0, 1))
+    def test_hopcroft_karp_is_maximum(self, seed, n, p):
+        g, left = random_bipartite(seed, n, p)
+        match = _hopcroft_karp(g, left)
+        for u, v in match.items():
+            assert match[v] == u and g.has_edge(u, v)
+        assert len(match) == len(_kuhn(g, left)) == 2 * brute_max_matching(g)
+
+    @pytest.mark.parametrize("teeth", [1, 2])
+    @pytest.mark.parametrize("shape", ["ladder", "comb"])
+    def test_long_matched_prefix_same_matching(self, shape, teeth):
+        # Each search in id order meets the matched prefix first, which is
+        # where dead vertices are pruned; leaves sharing a spine vertex make
+        # searches fail. Ids are spread out so that they are not contiguous.
+        n = 300
+        spine = [(i, i + 1) for i in range(n - 1)]
+        if shape == "ladder":
+            edges = spine + [(n + i, n + i + 1) for i in range(n - 1)]
+            edges += [(i, n + i) for i in range(n)]
+        else:
+            edges = spine + [(i, n * t + i) for t in range(1, teeth + 1) for i in range(n)]
+        ids = sorted({v for e in edges for v in e})
+        g = Graph([3 * v + 1 for v in ids], [(3 * u + 1, 3 * v + 1) for u, v in edges])
+        left = sorted(bipartition_of(g).left)
+        assert _kuhn(g, left) == recursive_kuhn(g, left)
+
     @pytest.mark.parametrize(
         "make, size, expected",
-        [(path_graph, 3000, 1500), (star_graph, 10_000, 1)],
-        ids=["path3000", "star10000"],
+        [(path_graph, 3000, 1500), (path_graph, 10_000, 5000), (star_graph, 10_000, 1)],
+        ids=["path3000", "path10000", "star10000"],
     )
     def test_long_paths_and_big_stars(self, make, size, expected):
         g = make(size)
@@ -147,6 +203,19 @@ class TestVclp:
         assert p.lp_cost <= vc
         mm = len(max_matching_general(g))
         assert vc + mm >= 2 * p.lp_cost
+
+    @given(
+        st.integers(0, 2 ** 31),
+        st.integers(0, 30),
+        st.one_of(st.floats(0, 0.15), st.floats(0.5, 1)),
+    )
+    def test_same_partition_as_kuhn(self, seed, n, p):
+        import random
+
+        rng = random.Random(seed)
+        ids = rng.sample(range(3 * n), n)
+        g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[:i] if rng.random() < p])
+        assert vclp_half_integral(g) == kuhn_vclp(g)
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 9))
     def test_cost_is_half_integral(self, seed, n):
