@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from cclose import Graph
+from cclose import Graph, is_c_closed
 from cclose.errors import ExtractionError
 from cclose.instances import (
     Bipartition,
@@ -33,8 +33,21 @@ from cclose.kernel_ds import (
     rr_clique_no,
     rr_common_neighborhood,
 )
+from cclose.kernel_im import (
+    _assert_partition_bounds,
+    _decide_cluster_im,
+    lift_im_witness,
+    rr_leaf_rules,
+    rr_lp_thresholds,
+    rr_neighborhood_matching,
+)
 from cclose.kernel_is import _greedy_low_degree_is
-from cclose.matching import VclpPartition, bipartite_matching_with_cover, double_cover
+from cclose.matching import (
+    VclpPartition,
+    bipartite_matching_with_cover,
+    double_cover,
+    vclp_half_integral,
+)
 from cclose.oracle import validate_witness
 
 
@@ -397,4 +410,50 @@ def restart_kernelize_is(inst, c):
     if g.n >= threshold * k:
         return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
     reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)
+    return Reduced(reduced, tuple(trace))
+
+
+def restart_kernelize_im(inst, c, require_witness=False):
+    """The Induced Matching pipeline with its rounds written out: RR10 first,
+    then the LP thresholds, the leaf rules and isolated-vertex removal on one
+    LP solve per round."""
+    if inst.problem is not Problem.IM:
+        raise ValueError(f"expected an IM instance, got {inst.problem}")
+    if not is_c_closed(inst.graph, c):
+        raise ValueError("graph is not c-closed")
+    if inst.k == 0:
+        return Decided(True, Witness.edge_set((), Problem.IM))
+    if c == 1:
+        return _decide_cluster_im(inst)
+
+    original = inst
+    trace = []
+    guard = 20 * (inst.graph.n + inst.k + 10)
+    for _ in range(guard):
+        record = rr_neighborhood_matching(inst, c)
+        if record is not None:
+            inst = replay(inst, record)
+            trace.append(record)
+            continue
+        p = vclp_half_integral(inst.graph)
+        decided = rr_lp_thresholds(inst, c, p, require_witness)
+        if decided is not None:
+            witness = decided.witness
+            if witness is not None:
+                witness = lift_im_witness(original, witness, trace, require_witness)
+            return Decided(decided.answer, witness)
+        record = rr_leaf_rules(inst, c, p)
+        if record is None:
+            isolated = inst.graph.isolated_vertices()
+            if isolated:
+                record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
+        if record is None:
+            break
+        inst = replay(inst, record)
+        trace.append(record)
+    else:
+        raise ExtractionError("IM pipeline failed to reach a fixpoint")
+
+    _assert_partition_bounds(inst, c, p)
+    reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
     return Reduced(reduced, tuple(trace))

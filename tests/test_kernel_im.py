@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cclose import (
@@ -27,10 +27,11 @@ from cclose import (
     validate_witness,
     vclp_half_integral,
 )
+from cclose.errors import ExtractionError
 from cclose.instances import replay
 from cclose.kernel_im import rr_leaf_rules, rr_lp_thresholds, rr_neighborhood_matching
 
-from helpers import random_graph
+from helpers import random_c_closed_graph, random_graph, restart_kernelize_im
 
 
 def make(g, k):
@@ -225,6 +226,53 @@ class TestKernelizeIm:
                 assert len(calls) == 1 + sum(r.rule != "RR10" for r in out.trace)
                 assert calls[-1] == out.instance.graph
         assert reduced > 0
+
+
+def _outcome(kernelize, inst, c, require_witness):
+    try:
+        return kernelize(inst, c, require_witness)
+    except ExtractionError as exc:
+        return ExtractionError, str(exc)
+
+
+class TestRestartReference:
+    """kernelize_im gives exactly the outcome of the pipeline with its rounds
+    written out: answer, witness, reduced instance and every record."""
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.lists(st.sampled_from((2, 3)), max_size=12),
+        st.integers(0, 6),
+        st.integers(2, 3),
+        st.integers(0, 2),
+        st.floats(0.0, 0.3),
+        st.booleans(),
+    )
+    # 8 edges and a cherry at c = 2, k = 1: RR13 trims the cherry to an edge,
+    # and the V_half class then reaches RR11's threshold of 18 mid-run.
+    @example(0, [2] * 8 + [3], 0, 2, 1, 0.0, True)
+    def test_matches_restarting_pipeline(self, seed, parts, extra, c, k, p, require_witness):
+        # Planted edges and cherries (paths on three vertices) give the LP
+        # half-integral classes and leaf rules to work on.
+        base, v = [], 0
+        for size in parts:
+            base += [(v + i, v + i + 1) for i in range(size - 1)]
+            v += size
+        g = random_c_closed_graph(v + extra, c, p, seed, base_edges=base)
+        inst = make(g, k)
+        assert _outcome(kernelize_im, inst, c, require_witness) == _outcome(
+            restart_kernelize_im, inst, c, require_witness
+        )
+
+    def test_mid_run_decision_lifts_the_witness(self):
+        edges = [(2 * i, 2 * i + 1) for i in range(8)] + [(16, 17), (17, 18)]
+        inst = make(Graph(range(19), edges), 1)
+        assert len(vclp_half_integral(inst.graph).v_half) < 3 * unrestricted_threshold(2, 9, 1)
+        out = kernelize_im(inst, 2, require_witness=True)
+        assert out == restart_kernelize_im(inst, 2, require_witness=True)
+        assert isinstance(out, Decided) and out.answer
+        assert validate_witness(inst, out.witness)
 
 
 class TestOptimumIndependence:
