@@ -1,7 +1,7 @@
 """Kernelization pipelines, Ramsey-type extractors, and exact solvers for
 graph problems parameterized by solution size and closure."""
 
-from .closure import ClosureReport, attach_simplicial, common_neighbors, compute_closure, is_c_closed
+from .closure import ClosureReport, attach_simplicial, compute_closure, is_c_closed
 from .cliques import clique_count_bound_holds, cliques_of_size, maximal_cliques
 from .errors import (
     BipartitionError,

@@ -31,13 +31,6 @@ class ClosureReport:
         assert (self.c > 1) == (self.witness_pair is not None)
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
-    """N(u) ∩ N(v) for two distinct vertices."""
-    if u == v:
-        raise ValueError("common_neighbors needs two distinct vertices")
-    return g.neighbors(u) & g.neighbors(v)
-
-
 def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     """Vertices adjacent to every one of ``vertices``.
 

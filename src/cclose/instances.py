@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from .errors import BipartitionError
+from .errors import BipartitionError, ExtractionError
 from .graph import Graph
 
 BLACK = "black"
@@ -224,6 +224,31 @@ def replay_trace(inst: Instance, trace: Iterable[RuleRecord]) -> Instance:
     for record in trace:
         inst = replay(inst, record)
     return inst
+
+
+def exhaust(
+    inst: Instance, rules: Sequence[Callable[[Instance], RuleRecord | Decided | None]]
+) -> tuple[Instance, list[RuleRecord], Decided | None]:
+    """Apply the first rule that fires, replay its record and start again
+    from the first rule, until no rule fires or one decides the instance.
+
+    Returns the final instance, the records applied, and the verdict of the
+    deciding rule (None at a fixpoint). Running out of the 20*(n+k+10)
+    applications allowed raises ExtractionError.
+    """
+    trace: list[RuleRecord] = []
+    for _ in range(20 * (inst.graph.n + inst.k + 10)):
+        for rule in rules:
+            outcome = rule(inst)
+            if outcome is not None:
+                break
+        else:
+            return inst, trace, None
+        if isinstance(outcome, Decided):
+            return inst, trace, outcome
+        inst = replay(inst, outcome)
+        trace.append(outcome)
+    raise ExtractionError("the rules failed to reach a fixpoint")
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 The colored pipeline bounds black vertices via clique and common-neighborhood
 rules, prunes redundant white vertices, and finally trades the coloring for a
-small clique gadget. The black-bounding rules run as a deterministic fixpoint
-loop in the stated order. White removal runs after them as one ascending
-pass: dropping a white vertex changes no black set, clique black count or
-budget, so no earlier rule can fire again and a white vertex that fails the
-rule keeps failing it.
+small clique gadget. The black-bounding rules are exhausted in the stated
+order by ``instances.exhaust``. White removal runs after them as one
+ascending pass: dropping a white vertex changes no black set, clique black
+count or budget, so no earlier rule can fire again and a white vertex that
+fails the rule keeps failing it.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .instances import (
     Reduced,
     RuleRecord,
     Witness,
+    exhaust,
     replay,
 )
 from .oracle import validate_witness
@@ -184,27 +185,18 @@ def rr_black_count(inst: Instance, c: int) -> bool:
     return len(inst.black_vertices()) > inst.k * bound + inst.k
 
 
-def rr_white_removal(inst: Instance, keep: AbstractSet[int] = frozenset()) -> RuleRecord | None:
-    """A white vertex is dropped when r other vertices each dominate all of
-    its black neighborhood. The smallest such white outside ``keep`` goes."""
-    black = inst.black_vertices()
-    for w in sorted(inst.white_vertices() - keep):
-        record = _rr_white_removal_at(inst, black, w)
-        if record is not None:
-            return record
-    return None
-
-
 def sweep_white_removal(
     inst: Instance, keep: AbstractSet[int] = frozenset()
 ) -> tuple[Instance, list[RuleRecord]]:
     """Exhaust white removal in one ascending pass over the whites outside
     ``keep``, replaying each removal.
 
-    Dropping a white vertex changes no black set, so every other white keeps
-    its demand and can only lose dominators: a white that fails the rule
-    keeps failing it. The pass therefore yields exactly the records of
-    calling rr_white_removal until it returns None.
+    A white vertex is dropped when r other vertices each dominate all of its
+    black neighborhood. Dropping one changes no black set, so every other
+    white keeps its demand and can only lose dominators: a white that fails
+    the rule keeps failing it. The pass therefore yields exactly the records
+    of removing the smallest removable white again and again, as
+    ``tests/helpers.restart_rr_white_removal`` does.
     """
     black = inst.black_vertices()
     trace: list[RuleRecord] = []
@@ -247,14 +239,16 @@ def _rr_white_removal_at(inst: Instance, black: AbstractSet[int], w: int) -> Rul
 
 
 def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
-    """Exhaust RR2 and RR3.1..RR3.(c-r), restarting from RR2 after every
-    change; then run the r >= c No-check and the black-count check once, and
-    finally white removal as one ascending pass.
+    """Exhaust RR2 and RR3.1..RR3.(c-r) with ``exhaust``, which restarts from
+    RR2 after every change; then run the r >= c No-check and the black-count
+    check once, and finally white removal as one ascending pass.
 
-    White removal changes no maximal clique's black count, no clique's common
-    black neighborhood, no black count and no budget, so none of the earlier
-    rules or checks can change its verdict after it; the result is the
-    fixpoint of all the rules in the stated order.
+    Every RR2 or RR3.i record adds a fresh black vertex, so black vertices
+    never run out during the exhaustion. White removal changes no maximal
+    clique's black count, no clique's common black neighborhood, no black
+    count and no budget, so none of the earlier rules or checks can change
+    its verdict after it; the result is the fixpoint of all the rules in the
+    stated order.
     """
     if inst.problem is not Problem.BW_TDS:
         raise ValueError(f"expected a BW-TDS instance, got {inst.problem}")
@@ -269,25 +263,11 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
     if c == 1:
         return _decide_cluster_bwtds(inst)
 
-    trace: list[RuleRecord] = []
-    guard = 8 * (inst.graph.n + inst.k + 10)
-    for _ in range(guard):
-        if not inst.black_vertices():
-            # Rules only trade blacks for blacks, so this means the input had
-            # none; kept for safety.
-            return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
-        record = rr_clique(inst, c)
-        if record is None and r <= c - 1:
-            for i in range(1, c - r + 1):
-                record = rr_common_neighborhood(inst, c, i)
-                if record is not None:
-                    break
-        if record is None:
-            break
-        inst = replay(inst, record)
-        trace.append(record)
-    else:
-        raise ExtractionError("BW-TDS pipeline failed to reach a fixpoint")
+    rules = [lambda i: rr_clique(i, c)] + [
+        lambda i, stage=stage: rr_common_neighborhood(i, c, stage)
+        for stage in range(1, c - r + 1)
+    ]
+    inst, trace, _ = exhaust(inst, rules)
     if r >= c and rr_clique_no(inst, c):
         return Decided(False)
     if rr_black_count(inst, c):
@@ -443,7 +423,9 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
 
     Dropping a white vertex changes no vertex's black-neighbor count, so it
     cannot make RR7 fire and fixes every white's RR9 verdict: RR7 is
-    exhausted first, then RR9 runs as one ascending pass.
+    exhausted first, then RR9 runs as one ascending pass. RR7 fires on no
+    vertex once the blacks are gone or the budget is spent, so both verdicts
+    can wait until it is exhausted.
     """
     if inst.problem is not Problem.BW_TDS or inst.r != 1:
         raise ValueError("expected a BW-TDS instance with r = 1")
@@ -452,23 +434,16 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
         raise ValueError("graph is not c-closed")
 
     original = inst
-    trace: list[RuleRecord] = []
-    forced: list[int] = []
-    while True:
-        black = inst.black_vertices()
-        if not black:
-            witness = Witness.vertex_set(forced, Problem.BW_TDS)
-            if not validate_witness(original, witness):
-                raise ExtractionError("forced-vertex witness fails validation")
-            return Decided(True, witness)
-        if inst.k == 0:
-            return Decided(False)
-        record = _rr_high_degree(inst, c)
-        if record is None:
-            break
-        forced.append(record.vertices_removed[0])
-        inst = replay(inst, record)
-        trace.append(record)
+    inst, trace, _ = exhaust(inst, [lambda i: _rr_high_degree(i, c)])
+    black = inst.black_vertices()
+    if not black:
+        forced = [record.vertices_removed[0] for record in trace]
+        witness = Witness.vertex_set(forced, Problem.BW_TDS)
+        if not validate_witness(original, witness):
+            raise ExtractionError("forced-vertex witness fails validation")
+        return Decided(True, witness)
+    if inst.k == 0:
+        return Decided(False)
     # Strictly more than c*k^2 blacks: k vertices, each covering at most
     # c*k - 1 black neighbors plus themselves, cannot dominate them all.
     # (Exactly c*k^2 can still be a Yes: one isolated black vertex at
@@ -496,7 +471,10 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
 
 
 def _rr_high_degree(inst: Instance, c: int) -> RuleRecord | None:
-    """RR7: a vertex with at least c*k black neighbors is in every solution."""
+    """RR7: a vertex with at least c*k black neighbors is in every solution.
+    No-op at k = 0, where no vertex can be taken."""
+    if inst.k == 0:
+        return None
     g = inst.graph
     black = inst.black_vertices()
     need = c * inst.k

@@ -22,6 +22,7 @@ from .instances import (
     Reduced,
     RuleRecord,
     Witness,
+    exhaust,
     replay,
 )
 from .matching import Matching, VclpPartition, crown_from_vclp, max_matching_general, vclp_half_integral
@@ -191,8 +192,9 @@ def rr_leaf_rules(inst: Instance, c: int, p: VclpPartition) -> RuleRecord | None
 
 
 def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> KernelOutcome:
-    """The full pipeline; 1-closed graphs are decided outright by counting
-    non-trivial clique components."""
+    """The full pipeline: RR10, then the LP rules on a fresh LP solve, to a
+    fixpoint. 1-closed graphs are decided outright by counting non-trivial
+    clique components."""
     if inst.problem is not Problem.IM:
         raise ValueError(f"expected an IM instance, got {inst.problem}")
     if not is_c_closed(inst.graph, c):
@@ -203,36 +205,34 @@ def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> Kerne
         return _decide_cluster_im(inst)
 
     original = inst
-    trace: list[RuleRecord] = []
-    guard = 20 * (inst.graph.n + inst.k + 10)
-    for _ in range(guard):
-        record = rr_neighborhood_matching(inst, c)
-        if record is not None:
-            inst = replay(inst, record)
-            trace.append(record)
-            continue
-        p = vclp_half_integral(inst.graph)
-        decided = rr_lp_thresholds(inst, c, p, require_witness)
-        if decided is not None:
-            witness = decided.witness
-            if witness is not None:
-                witness = lift_im_witness(original, witness, trace, require_witness)
-            return Decided(decided.answer, witness)
-        record = rr_leaf_rules(inst, c, p)
-        if record is None:
-            isolated = inst.graph.isolated_vertices()
-            if isolated:
-                record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
-        if record is None:
-            break
-        inst = replay(inst, record)
-        trace.append(record)
-    else:
-        raise ExtractionError("IM pipeline failed to reach a fixpoint")
-
-    _assert_partition_bounds(inst, c, p)
+    rules = [
+        lambda i: rr_neighborhood_matching(i, c),
+        lambda i: _lp_stage(i, c, require_witness),
+    ]
+    inst, trace, decided = exhaust(inst, rules)
+    if decided is not None:
+        witness = decided.witness
+        if witness is not None:
+            witness = lift_im_witness(original, witness, trace, require_witness)
+        return Decided(decided.answer, witness)
     reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
     return Reduced(reduced, tuple(trace))
+
+
+def _lp_stage(inst: Instance, c: int, require_witness: bool) -> Decided | RuleRecord | None:
+    """One LP solve feeds RR11/RR12, then the leaf rules, then the removal of
+    isolated vertices. When none fires, the instance is reduced and the same
+    solve checks the partition bounds."""
+    p = vclp_half_integral(inst.graph)
+    decided = rr_lp_thresholds(inst, c, p, require_witness)
+    if decided is not None:
+        return decided
+    record = rr_leaf_rules(inst, c, p)
+    if record is None and (isolated := inst.graph.isolated_vertices()):
+        record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
+    if record is None:
+        _assert_partition_bounds(inst, c, p)
+    return record
 
 
 def _assert_partition_bounds(inst: Instance, c: int, p: VclpPartition) -> None:

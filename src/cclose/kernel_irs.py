@@ -21,7 +21,7 @@ from .instances import (
     Reduced,
     RuleRecord,
     Witness,
-    replay,
+    exhaust,
 )
 from .oracle import is_irredundant, validate_witness
 from .ramsey import (
@@ -67,13 +67,7 @@ def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> Kern
         raise ValueError("graph is not c-closed")
     if inst.k == 0:
         return Decided(True, Witness.vertex_set((), Problem.IRS))
-    trace: list[RuleRecord] = []
-    while True:
-        record = rr_simplicial_twin(inst)
-        if record is None:
-            break
-        inst = replay(inst, record)
-        trace.append(record)
+    inst, trace, _ = exhaust(inst, [rr_simplicial_twin])
     _, _, total = irs_thresholds(c, inst.k)
     if inst.graph.n >= total:
         witness = None

@@ -16,7 +16,7 @@ from math import comb
 from .closure import is_c_closed
 from .errors import ExtractionError
 from .graph import Graph
-from .instances import Coloring, Instance, Problem, Witness, replay
+from .instances import Coloring, Instance, Problem, Witness, exhaust
 from .kernel_ds import rr_clique, sweep_white_removal
 from .matching import is_two_maximal, two_maximal_independent_set
 from .oracle import validate_witness
@@ -36,21 +36,17 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     if not is_c_closed(g, c):
         raise ValueError("graph is not c-closed")
     inst = Instance(problem=Problem.BW_TDS, graph=g, k=k, r=r, coloring=Coloring())
-    rr2_cliques: list[tuple[int, tuple[int, ...]]] = []
+    rr2_trace = []
     if c * k >= 2:
-        while True:
-            record = rr_clique(inst, c)
-            if record is None:
-                break
-            rr2_cliques.append((record.vertices_added[0], tuple(record.payload["clique"])))
-            inst = replay(inst, record)
+        inst, rr2_trace, _ = exhaust(inst, [lambda i: rr_clique(i, c)])
 
     solution = _branch(inst, c, r, k, set(), ds_mode=False)
     if solution is None:
         return False, None
-    for added, clique in reversed(rr2_cliques):
+    for record in reversed(rr2_trace):
+        added = record.vertices_added[0]
         if added in solution:
-            swap = sorted(set(clique) - solution)
+            swap = sorted(set(record.payload["clique"]) - solution)
             if not swap:
                 raise ExtractionError("no swap partner when lifting over the clique rule")
             solution.remove(added)

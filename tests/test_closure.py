@@ -6,7 +6,6 @@ from cclose import (
     Graph,
     PreconditionError,
     attach_simplicial,
-    common_neighbors,
     complete_graph,
     compute_closure,
     cycle_graph,
@@ -22,15 +21,10 @@ from helpers import closure_by_matrix, pair_scan_closure, random_graph
 
 def test_common_neighbors_examples():
     c4 = cycle_graph(4)
-    assert common_neighbors(c4, 0, 2) == {1, 3}
-    assert common_neighbors(Graph(range(2)), 0, 1) == frozenset()
+    assert common_neighborhood(c4, (0, 2)) == {1, 3}
+    assert common_neighborhood(Graph(range(2)), (0, 1)) == frozenset()
     k4 = complete_graph(4)
-    assert common_neighbors(k4, 0, 1) == {2, 3}
-
-
-def test_common_neighbors_same_vertex_rejected():
-    with pytest.raises(ValueError):
-        common_neighbors(cycle_graph(4), 1, 1)
+    assert common_neighborhood(k4, (0, 1)) == {2, 3}
 
 
 def test_common_neighborhood_examples():
@@ -118,7 +112,7 @@ def test_closure_report_is_consistent(seed, n):
         assert not is_c_closed(g, report.c - 1)
         u, v = report.witness_pair
         assert not g.has_edge(u, v)
-        assert len(common_neighbors(g, u, v)) == report.c - 1
+        assert len(common_neighborhood(g, (u, v))) == report.c - 1
 
 
 @given(st.integers(0, 2 ** 31), st.integers(1, 10), st.integers(1, 5))

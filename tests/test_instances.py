@@ -2,6 +2,8 @@ import pytest
 
 from cclose import (
     Coloring,
+    Decided,
+    ExtractionError,
     Instance,
     Problem,
     RuleRecord,
@@ -10,6 +12,7 @@ from cclose import (
     replay,
     replay_trace,
 )
+from cclose.instances import exhaust
 
 
 def test_instance_validation():
@@ -109,3 +112,59 @@ def test_witness_constructors():
     assert w.sorted_elements() == [1, 3]
     e = Witness.edge_set([(5, 2), (1, 0)], Problem.IM)
     assert e.sorted_elements() == [(0, 1), (2, 5)]
+
+
+def _remove(rule, v):
+    return RuleRecord(rule=rule, vertices_removed=(v,))
+
+
+def test_exhaust_restarts_from_the_first_rule():
+    calls = []
+
+    def odd_drops_max(inst):
+        calls.append("A")
+        g = inst.graph
+        return _remove("A", max(g.vertex_ids)) if g.n % 2 else None
+
+    def drops_min(inst):
+        calls.append("B")
+        g = inst.graph
+        return _remove("B", min(g.vertex_ids)) if g.n > 1 else None
+
+    inst = Instance(problem=Problem.IS, graph=path_graph(4), k=1)
+    post, trace, decided = exhaust(inst, [odd_drops_max, drops_min])
+    assert decided is None
+    assert [(r.rule, r.vertices_removed) for r in trace] == [
+        ("B", (0,)), ("A", (3,)), ("B", (1,)), ("A", (2,)),
+    ]
+    assert calls == ["A", "B", "A", "A", "B", "A", "A", "B"]
+    assert post == replay_trace(inst, trace) and post.graph.n == 0
+
+
+def test_exhaust_stops_at_a_verdict():
+    def drops_max(inst):
+        g = inst.graph
+        return _remove("A", max(g.vertex_ids)) if g.n > 2 else None
+
+    def never_reached(inst):
+        raise AssertionError("a rule after the verdict ran")
+
+    inst = Instance(problem=Problem.IS, graph=path_graph(5), k=1)
+    verdict = Decided(False)
+    post, trace, decided = exhaust(inst, [drops_max, lambda i: verdict, never_reached])
+    assert decided is verdict
+    assert [r.vertices_removed for r in trace] == [(4,), (3,), (2,)]
+    assert post.graph == path_graph(2)
+
+
+def test_exhaust_bounds_a_rule_that_fires_forever():
+    calls = []
+
+    def adds_a_vertex(inst):
+        calls.append(inst)
+        return RuleRecord(rule="grow", vertices_added=(inst.graph.fresh_id(),))
+
+    inst = Instance(problem=Problem.IS, graph=path_graph(3), k=1)
+    with pytest.raises(ExtractionError, match="fixpoint"):
+        exhaust(inst, [adds_a_vertex])
+    assert len(calls) == 20 * (3 + 1 + 10)

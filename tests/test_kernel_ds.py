@@ -40,7 +40,6 @@ from cclose.kernel_ds import (
     rr_black_count,
     rr_clique,
     rr_common_neighborhood,
-    rr_white_removal,
     sweep_white_removal,
 )
 
@@ -123,12 +122,17 @@ class TestRuleBlackCount:
         assert oracle_answer(inst)
 
 
+def first_white_removal(inst, keep=frozenset()):
+    _, trace = sweep_white_removal(inst, keep)
+    return trace[0] if trace else None
+
+
 class TestRuleWhiteRemoval:
     def test_white_leaf_with_backup_dominator(self):
         # white leaf 2 attached to black 1 that has another neighbor 0
         g = path_graph(3)
         inst = bw(g, k=1, white=frozenset({2}))
-        record = rr_white_removal(inst)
+        record = first_white_removal(inst)
         assert record is not None and record.vertices_removed == (2,)
         post = replay(inst, record)
         assert oracle_answer(inst) == oracle_answer(post)
@@ -138,22 +142,22 @@ class TestRuleWhiteRemoval:
         # make 0's black demand unique so no other vertex covers it
         g = Graph(range(3), [(0, 1), (0, 2)])
         inst = bw(g, k=1, r=2, white=frozenset({0}))
-        record = rr_white_removal(inst)
+        record = first_white_removal(inst)
         # 0's demand {1, 2} is covered only by 0 itself, so it stays
         assert record is None or record.vertices_removed != (0,)
 
     def test_isolated_white_removed(self):
         g = Graph(range(2))
         inst = bw(g, k=1, white=frozenset({1}))
-        record = rr_white_removal(inst)
+        record = first_white_removal(inst)
         assert record is not None and record.vertices_removed == (1,)
 
     def test_kept_whites_stay(self):
         # both leaves of the path are removable whites; keeping 0 leaves 2
         inst = bw(path_graph(3), k=1, white=frozenset({0, 2}))
-        assert rr_white_removal(inst).vertices_removed == (0,)
-        assert rr_white_removal(inst, keep={0}).vertices_removed == (2,)
-        assert rr_white_removal(inst, keep={0, 2}) is None
+        assert first_white_removal(inst).vertices_removed == (0,)
+        assert first_white_removal(inst, keep={0}).vertices_removed == (2,)
+        assert first_white_removal(inst, keep={0, 2}) is None
 
     @settings(max_examples=150)
     @given(

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclose import (
@@ -249,9 +249,6 @@ class TestRestartReference:
         st.floats(0.0, 0.3),
         st.booleans(),
     )
-    # 8 edges and a cherry at c = 2, k = 1: RR13 trims the cherry to an edge,
-    # and the V_half class then reaches RR11's threshold of 18 mid-run.
-    @example(0, [2] * 8 + [3], 0, 2, 1, 0.0, True)
     def test_matches_restarting_pipeline(self, seed, parts, extra, c, k, p, require_witness):
         # Planted edges and cherries (paths on three vertices) give the LP
         # half-integral classes and leaf rules to work on.
@@ -266,6 +263,8 @@ class TestRestartReference:
         )
 
     def test_mid_run_decision_lifts_the_witness(self):
+        # 8 edges and a cherry at c = 2, k = 1: RR13 trims the cherry to an
+        # edge, and the V_half class then reaches RR11's threshold of 18.
         edges = [(2 * i, 2 * i + 1) for i in range(8)] + [(16, 17), (17, 18)]
         inst = make(Graph(range(19), edges), 1)
         assert len(vclp_half_integral(inst.graph).v_half) < 3 * unrestricted_threshold(2, 9, 1)
