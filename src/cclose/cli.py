@@ -18,7 +18,7 @@ import sys
 from .cliques import maximal_cliques
 from .closure import compute_closure
 from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
-from .generators import generate
+from .generators import MODEL_PARAMS, generate
 from .graphio import load_graph, normalize_ids, save_graph
 from .instances import Bipartition, Coloring, Decided, Instance, Problem, Reduced
 from .kernel_ds import kernelize_bipartite_bwds, kernelize_bwtds, kernelize_ds
@@ -188,6 +188,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             value = getattr(args, key)
             if value is not None:
                 params[key] = value
+        missing = [f"--{key}" for key in MODEL_PARAMS[model] if key not in params]
+        if missing:
+            print(f"error: model {args.model!r} needs {' and '.join(missing)}", file=sys.stderr)
+            return 2
         g = generate(model, seed=args.seed, **params)
         save_graph(args.output, g)
         print(f"wrote {args.output} (n={g.n}, m={g.m})")

@@ -53,20 +53,29 @@ def compute_closure(g: Graph) -> ClosureReport:
     than a scan of all n^2 pairs with set intersections would (G(120, 0.9):
     about 45 ms against 6 ms); no workload has such graphs, so there is no
     switch on density.
+
+    The report is memoized on ``g`` (graphs are immutable), so a kernel's
+    ``is_c_closed`` precondition on the same graph costs no second scan.
     """
     best, pair = 0, None
     for best, pair in _record_pairs(g, 0):
         pass
-    return ClosureReport(c=best + 1, witness_pair=pair)
+    g._closure = ClosureReport(c=best + 1, witness_pair=pair)
+    return g._closure
 
 
 def is_c_closed(g: Graph, c: int) -> bool:
-    """True iff no nonadjacent pair has at least c common neighbors.
+    """True iff no nonadjacent pair has at least c common neighbors, that is,
+    iff the closure of ``g`` is at most c.
 
-    Stops at the first violating pair; costs as ``compute_closure``.
+    Answers from the closure memoized by ``compute_closure`` when ``g`` has
+    one. Otherwise it scans as ``compute_closure`` does but stops at the
+    first violating pair, and memoizes nothing.
     """
     if c <= 0:
         raise ValueError("c must be positive")
+    if g._closure is not None:
+        return g._closure.c <= c
     return next(_record_pairs(g, c - 1), None) is None
 
 

@@ -87,17 +87,26 @@ def closure_repair(n: int, p: float, c: int, seed: int) -> Graph:
     return g
 
 
-GENERATORS = ("cliques", "theta", "er", "closure_repair")
+MODEL_PARAMS = {
+    "cliques": ("count", "size"),
+    "theta": ("paths",),
+    "er": ("n", "p"),
+    "closure_repair": ("n", "p", "c"),
+}
 
 
 def generate(model: str, seed: int = 0, **params) -> Graph:
-    """Dispatch by model name; unused seed parameters are ignored."""
+    """Dispatch by model name; the model's ``MODEL_PARAMS`` are required,
+    other parameters and the seed of an unseeded model are ignored."""
+    if model not in MODEL_PARAMS:
+        raise ValueError(f"unknown model {model!r} (expected one of {tuple(MODEL_PARAMS)})")
+    missing = [key for key in MODEL_PARAMS[model] if key not in params]
+    if missing:
+        raise ValueError(f"model {model!r} needs {' and '.join(missing)}")
     if model == "cliques":
         return disjoint_cliques(params["count"], params["size"])
     if model == "theta":
         return theta_graph(params["paths"])
     if model == "er":
         return er_graph(params["n"], params["p"], seed)
-    if model == "closure_repair":
-        return closure_repair(params["n"], params["p"], params["c"], seed)
-    raise ValueError(f"unknown model {model!r} (expected one of {GENERATORS})")
+    return closure_repair(params["n"], params["p"], params["c"], seed)

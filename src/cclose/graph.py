@@ -10,11 +10,18 @@ class Graph:
 
     Vertex identifiers are non-negative integers and stay stable across
     deletions: removing a vertex never renumbers the others, so rule traces
-    and witnesses remain valid references. Every mutating operation returns
-    a new graph; values can therefore be shared freely between threads.
+    and witnesses remain valid references. The adjacency is never changed
+    after construction: every mutating operation returns a new graph, so
+    values can be shared freely between threads.
+
+    Because the adjacency is fixed, a graph also memoizes its closure report
+    (``_closure``): ``closure.compute_closure`` fills it and
+    ``closure.is_c_closed`` answers from it. Every graph starts without one,
+    derived graphs included, so the memo never outlives the adjacency it
+    describes; equality ignores it.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_closure")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj: dict[int, set[int]] = {}
@@ -28,6 +35,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
+        self._closure = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -35,6 +43,7 @@ class Graph:
     def _from_adj(cls, adj: dict[int, set[int]]) -> "Graph":
         g = cls.__new__(cls)
         g._adj = adj
+        g._closure = None
         return g
 
     def _copy_adj(self) -> dict[int, set[int]]:

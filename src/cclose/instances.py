@@ -226,6 +226,41 @@ def replay_trace(inst: Instance, trace: Iterable[RuleRecord]) -> Instance:
     return inst
 
 
+def replay_removals(inst: Instance, records: Sequence[RuleRecord]) -> Instance:
+    """``replay_trace`` for records that only remove vertices, in one step.
+
+    Such a record adds nothing, recolors nothing and keeps the budget, so
+    replaying it only deletes its vertices and restricts the coloring and
+    the bipartition to what is left. Deleting vertex sets one after another
+    leaves the same graph as deleting their union at once, and a restriction
+    depends only on the surviving vertices, so one ``without_vertices`` and
+    one restriction give the instance that replaying the records one by one
+    would, without a graph copy and a bipartition check per record.
+    """
+    if not records:
+        return inst
+    removed: list[int] = []
+    for record in records:
+        assert not (
+            record.vertices_added
+            or record.edges_added
+            or record.recolored
+            or record.k_delta
+            or record.payload.get("uncolor")
+        ), f"{record.rule} record does more than remove vertices"
+        removed.extend(record.vertices_removed)
+    g = inst.graph.without_vertices(removed)
+    return Instance(
+        problem=inst.problem,
+        graph=g,
+        k=inst.k,
+        r=inst.r,
+        coloring=inst.coloring.restricted_to(g) if inst.coloring is not None else None,
+        bipartition=inst.bipartition.restricted_to(g) if inst.bipartition is not None else None,
+        declared_closure=inst.declared_closure,
+    )
+
+
 def exhaust(
     inst: Instance, rules: Sequence[Callable[[Instance], RuleRecord | Decided | None]]
 ) -> tuple[Instance, list[RuleRecord], Decided | None]:

@@ -32,6 +32,7 @@ from .instances import (
     Witness,
     exhaust,
     replay,
+    replay_removals,
 )
 from .oracle import validate_witness
 from .ramsey import ramsey_threshold
@@ -189,7 +190,7 @@ def sweep_white_removal(
     inst: Instance, keep: AbstractSet[int] = frozenset()
 ) -> tuple[Instance, list[RuleRecord]]:
     """Exhaust white removal in one ascending pass over the whites outside
-    ``keep``, replaying each removal.
+    ``keep``, then delete every removed white at once.
 
     A white vertex is dropped when r other vertices each dominate all of its
     black neighborhood. Dropping one changes no black set, so every other
@@ -197,19 +198,30 @@ def sweep_white_removal(
     the rule keeps failing it. The pass therefore yields exactly the records
     of removing the smallest removable white again and again, as
     ``tests/helpers.restart_rr_white_removal`` does.
+
+    Every removal is decided on the input graph. The demand of a white is
+    black, so removing other whites changes no surviving vertex's coverage
+    of it: the dominators on the shrunken graph are those on the input
+    minus the whites already removed, and an empty demand, which every other
+    vertex dominates, has n - |removed| - 1 of them. The records are then
+    applied by one ``replay_removals``.
     """
     black = inst.black_vertices()
+    removed: set[int] = set()
     trace: list[RuleRecord] = []
     for w in sorted(inst.white_vertices() - keep):
-        record = _rr_white_removal_at(inst, black, w)
+        record = _rr_white_removal_at(inst, black, w, removed)
         if record is not None:
-            inst = replay(inst, record)
+            removed.add(w)
             trace.append(record)
-    return inst, trace
+    return replay_removals(inst, trace), trace
 
 
-def _rr_white_removal_at(inst: Instance, black: AbstractSet[int], w: int) -> RuleRecord | None:
-    """White removal tried on the white vertex ``w`` alone.
+def _rr_white_removal_at(
+    inst: Instance, black: AbstractSet[int], w: int, removed: AbstractSet[int]
+) -> RuleRecord | None:
+    """White removal tried on the white vertex ``w`` of the graph left after
+    deleting the whites in ``removed`` from ``inst.graph``.
 
     Every dominator of a nonempty demand contains its smallest vertex d in
     its closed neighborhood, so only N[d] is scanned; an empty demand is
@@ -222,10 +234,10 @@ def _rr_white_removal_at(inst: Instance, black: AbstractSet[int], w: int) -> Rul
         dominators = sum(
             1
             for v in g.closed_neighborhood(min(demand))
-            if v != w and demand <= g.closed_neighborhood(v)
+            if v != w and v not in removed and demand <= g.closed_neighborhood(v)
         )
     else:
-        dominators = g.n - 1
+        dominators = g.n - len(removed) - 1
     if dominators < inst.r:
         return None
     return RuleRecord(
@@ -423,9 +435,10 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
 
     Dropping a white vertex changes no vertex's black-neighbor count, so it
     cannot make RR7 fire and fixes every white's RR9 verdict: RR7 is
-    exhausted first, then RR9 runs as one ascending pass. RR7 fires on no
-    vertex once the blacks are gone or the budget is spent, so both verdicts
-    can wait until it is exhausted.
+    exhausted first, then RR9 runs as one ascending pass that decides every
+    white on the instance RR7 left and applies all the removals with one
+    ``replay_removals``. RR7 fires on no vertex once the blacks are gone or
+    the budget is spent, so both verdicts can wait until it is exhausted.
     """
     if inst.problem is not Problem.BW_TDS or inst.r != 1:
         raise ValueError("expected a BW-TDS instance with r = 1")
@@ -450,11 +463,13 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     # c = k = 1.)
     if len(black) > c * inst.k * inst.k:
         return Decided(False)
-    for w in sorted(inst.white_vertices()):
-        record = _rr_white_leaf(inst, black, w)
-        if record is not None:
-            inst = replay(inst, record)
-            trace.append(record)
+    leaves = [
+        record
+        for w in sorted(inst.white_vertices())
+        if (record := _rr_white_leaf(inst, black, w)) is not None
+    ]
+    inst = replay_removals(inst, leaves)
+    trace.extend(leaves)
 
     k = inst.k
     assert inst.graph.n <= c * k * k + c * comb(c * k * k, 2), "bipartite kernel bound"

@@ -41,10 +41,17 @@ from .ramsey import (
 
 def rr_neighborhood_matching(inst: Instance, c: int) -> RuleRecord | None:
     """RR10: drop the smallest vertex whose neighborhood holds a maximum
-    matching of size at least 2*c*k."""
+    matching of size at least 2*c*k.
+
+    A matching inside N(v) has at most deg(v)/2 edges, so a vertex of degree
+    below twice the target is skipped without running blossom on its
+    neighborhood; the same vertex fires, with the same payload, as in a scan
+    of every neighborhood."""
     g = inst.graph
     need = 2 * c * inst.k
     for v in g.vertex_ids:
+        if g.degree(v) < 2 * need:
+            continue
         m = max_matching_general(g.induced(g.neighbors(v)))
         if len(m) >= need:
             return RuleRecord(

@@ -39,13 +39,13 @@ from cclose.kernel_im import (
     lift_im_witness,
     rr_leaf_rules,
     rr_lp_thresholds,
-    rr_neighborhood_matching,
 )
 from cclose.kernel_is import _greedy_low_degree_is
 from cclose.matching import (
     VclpPartition,
     bipartite_matching_with_cover,
     double_cover,
+    max_matching_general,
     vclp_half_integral,
 )
 from cclose.oracle import validate_witness
@@ -413,6 +413,22 @@ def restart_kernelize_is(inst, c):
     return Reduced(reduced, tuple(trace))
 
 
+def unpruned_rr_neighborhood_matching(inst, c):
+    """RR10 with blossom run on every vertex's neighborhood, whatever its
+    degree."""
+    g = inst.graph
+    need = 2 * c * inst.k
+    for v in g.vertex_ids:
+        m = max_matching_general(g.induced(g.neighbors(v)))
+        if len(m) >= need:
+            return RuleRecord(
+                rule="RR10",
+                vertices_removed=(v,),
+                payload={"vertex": v, "neighborhood_matching": len(m)},
+            )
+    return None
+
+
 def restart_kernelize_im(inst, c, require_witness=False):
     """The Induced Matching pipeline with its rounds written out: RR10 first,
     then the LP thresholds, the leaf rules and isolated-vertex removal on one
@@ -430,7 +446,7 @@ def restart_kernelize_im(inst, c, require_witness=False):
     trace = []
     guard = 20 * (inst.graph.n + inst.k + 10)
     for _ in range(guard):
-        record = rr_neighborhood_matching(inst, c)
+        record = unpruned_rr_neighborhood_matching(inst, c)
         if record is not None:
             inst = replay(inst, record)
             trace.append(record)

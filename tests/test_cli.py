@@ -113,6 +113,22 @@ def test_gen_er_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+@pytest.mark.parametrize(
+    "model, given, missing",
+    [
+        ("cliques", ["--count", "2"], "--size"),
+        ("theta", [], "--paths"),
+        ("er", [], "--n and --p"),
+        ("closure-repair", ["--n", "8", "--p", "0.5"], "--c"),
+    ],
+)
+def test_gen_missing_model_parameter_is_a_usage_error(tmp_path, capsys, model, given, missing):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--model", model, *given, "-o", str(out)]) == 2
+    assert f"error: model {model!r} needs {missing}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_command_agrees(capsys):
     code = main(
         ["verify", "--problem", "ds", "--n-max", "6", "--trials", "25", "--seed", "7"]

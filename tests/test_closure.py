@@ -3,14 +3,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cclose import (
+    Bipartition,
+    Coloring,
     Graph,
+    Instance,
     PreconditionError,
+    Problem,
     attach_simplicial,
     complete_graph,
     compute_closure,
     cycle_graph,
     disjoint_cliques,
     is_c_closed,
+    kernelize_bipartite_bwds,
+    kernelize_bwtds,
+    kernelize_ds,
+    kernelize_im,
+    kernelize_im_bipartite,
+    kernelize_irs,
+    kernelize_is,
     maximal_cliques,
     path_graph,
 )
@@ -174,3 +185,72 @@ class TestAttachSimplicial:
         for clique in maximal_cliques(g):
             h = attach_simplicial(g, c, frozenset(clique))
             assert is_c_closed(h, c)
+
+
+class TestClosureMemo:
+    def test_is_c_closed_reads_the_memo_without_scanning(self, monkeypatch):
+        g = random_graph(30, 0.3, 1)
+        c = compute_closure(g).c
+        assert c >= 2
+        calls = []
+        original = Graph.neighbors
+
+        def counted(self, v):
+            calls.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(Graph, "neighbors", counted)
+        assert is_c_closed(g, c) and is_c_closed(g, c + 1)
+        assert not is_c_closed(g, c - 1)
+        assert calls == []
+
+    def test_unmemoized_check_leaves_no_memo(self):
+        g = random_graph(20, 0.3, 2)
+        c = compute_closure(random_graph(20, 0.3, 2)).c
+        assert is_c_closed(g, c) and not is_c_closed(g, c - 1)
+        assert g._closure is None
+
+    def test_derived_graphs_carry_no_memo(self):
+        g = random_graph(12, 0.4, 3)
+        compute_closure(g)
+        assert g._closure is not None
+        u, v = next(
+            (u, v) for u in g.vertex_ids for v in g.vertex_ids if u < v and not g.has_edge(u, v)
+        )
+        derived = [
+            g.with_vertex(100),
+            g.with_vertices([100, 101]),
+            g.with_edge(u, v),
+            g.with_edges([(u, v)]),
+            g.without_vertex(0),
+            g.without_vertices([0, 1]),
+            g.induced([0, 1, 2, 3]),
+        ]
+        assert all(h._closure is None for h in derived)
+        assert g == Graph(g.vertex_ids, g.edges())
+
+    def test_kernels_still_reject_a_c_below_the_memoized_closure(self):
+        g = random_graph(12, 0.4, 4)
+        c = compute_closure(g).c
+        assert c >= 2
+        bw = Instance(problem=Problem.BW_TDS, graph=g, k=2, r=1, coloring=Coloring())
+        calls = [
+            lambda: kernelize_is(Instance(problem=Problem.IS, graph=g, k=2), c - 1),
+            lambda: kernelize_ds(Instance(problem=Problem.DS, graph=g, k=2), c - 1),
+            lambda: kernelize_bwtds(bw, c - 1),
+            lambda: kernelize_im(Instance(problem=Problem.IM, graph=g, k=2), c - 1),
+            lambda: kernelize_irs(Instance(problem=Problem.IRS, graph=g, k=2), c - 1),
+        ]
+        cycle = cycle_graph(6)
+        assert compute_closure(cycle).c == 2
+        parts = Bipartition(frozenset({0, 2, 4}))
+        bw_cycle = Instance(problem=Problem.BW_TDS, graph=cycle, k=2, r=1, coloring=Coloring())
+        calls += [
+            lambda: kernelize_bipartite_bwds(bw_cycle, parts, 1),
+            lambda: kernelize_im_bipartite(
+                Instance(problem=Problem.IM, graph=cycle, k=2), parts, mode="closure", c=1
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not c-closed"):
+                call()

@@ -61,6 +61,13 @@ def test_generate_dispatch():
         generate("unknown")
 
 
+def test_generate_names_missing_parameters():
+    with pytest.raises(ValueError, match="needs p"):
+        generate("er", n=5)
+    with pytest.raises(ValueError, match="needs n and p and c"):
+        generate("closure_repair")
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 def test_nonpositive_sizes_rejected(bad):
     with pytest.raises(ValueError):

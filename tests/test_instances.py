@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclose import (
+    Bipartition,
     Coloring,
+    Graph,
     Decided,
     ExtractionError,
     Instance,
@@ -12,7 +16,7 @@ from cclose import (
     replay,
     replay_trace,
 )
-from cclose.instances import exhaust
+from cclose.instances import exhaust, replay_removals
 
 
 def test_instance_validation():
@@ -91,6 +95,48 @@ def test_replay_trace_composes():
     ]
     final = replay_trace(inst, trace)
     assert final.graph.vertex_ids == (0, 3)
+
+
+@st.composite
+def removal_cases(draw):
+    """A colored (BW-TDS) or uncolored (IM) instance on scattered vertex ids,
+    optionally with a bipartition, and removal-only records that delete a
+    random selection of its vertices in random order and chunks."""
+    ids = sorted(draw(st.sets(st.integers(0, 60), max_size=14)))
+    left = frozenset(v for v in ids if draw(st.booleans()))
+    bipartite = draw(st.booleans())
+    pairs = [
+        (u, v)
+        for i, u in enumerate(ids)
+        for v in ids[i + 1:]
+        if not bipartite or (u in left) != (v in left)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(ids, edges)
+    parts = Bipartition(left) if bipartite else None
+    if draw(st.booleans()):
+        white = frozenset(v for v in ids if draw(st.booleans()))
+        inst = Instance(
+            problem=Problem.BW_TDS, graph=g, k=2, r=1, coloring=Coloring(white), bipartition=parts
+        )
+    else:
+        inst = Instance(problem=Problem.IM, graph=g, k=2, bipartition=parts, declared_closure=3)
+    order = draw(st.permutations(ids))
+    removed = order[: draw(st.integers(0, len(ids)))]
+    records = []
+    while removed:
+        size = draw(st.integers(1, 3))
+        chunk, removed = tuple(removed[:size]), removed[size:]
+        rule = draw(st.sampled_from(["RR6", "RR9"]))
+        records.append(RuleRecord(rule=rule, vertices_removed=chunk))
+    return inst, records
+
+
+@settings(max_examples=200)
+@given(removal_cases())
+def test_replay_removals_matches_replay_trace(case):
+    inst, records = case
+    assert replay_removals(inst, records) == replay_trace(inst, records)
 
 
 def test_rule_record_json():

@@ -180,6 +180,59 @@ class TestRuleWhiteRemoval:
         assert sweep_white_removal(inst, keep) == (state, expected_trace)
 
 
+    def test_empty_demand_counts_only_surviving_vertices(self):
+        # whites 0, 1, 2 and black 3, all isolated, r = 2: every other vertex
+        # dominates an empty demand, but after 0 and 1 go only vertex 3 is
+        # left besides 2, so 2 stays (n - 1 = 3 would wrongly remove it)
+        inst = bw(Graph(range(4)), k=1, r=2, white={0, 1, 2})
+        post, trace = sweep_white_removal(inst)
+        assert [record.vertices_removed for record in trace] == [(0,), (1,)]
+        assert post.graph.vertex_ids == (2, 3)
+        assert restart_rr_white_removal(post) is None
+
+
+def counting_without_vertices(monkeypatch):
+    """Count calls of ``Graph.without_vertices`` from here on."""
+    calls = []
+    original = Graph.without_vertices
+
+    def counted(self, vs):
+        calls.append(1)
+        return original(self, vs)
+
+    monkeypatch.setattr(Graph, "without_vertices", counted)
+    return calls
+
+
+def test_white_removal_sweep_copies_the_graph_once(monkeypatch):
+    # every white leaf of a black-centred star is dominated by the centre
+    inst = bw(star_graph(12), k=1, white=set(range(1, 13)))
+    calls = counting_without_vertices(monkeypatch)
+    post, trace = sweep_white_removal(inst)
+    assert len(trace) == 12 and post.graph.vertex_ids == (0,)
+    assert len(calls) <= 1
+
+
+def test_rr9_pass_copies_the_graph_once(monkeypatch):
+    # blacks 0-3; whites 4-15 each see one black, so all twelve go by RR9
+    g = Graph(range(16), [(w, w % 4) for w in range(4, 16)])
+    inst = Instance(
+        problem=Problem.BW_TDS,
+        graph=g,
+        k=2,
+        r=1,
+        coloring=Coloring(frozenset(range(4, 16))),
+        bipartition=Bipartition(frozenset(range(4))),
+    )
+    c = compute_closure(g).c
+    calls = counting_without_vertices(monkeypatch)
+    out = kernelize_bipartite_bwds(inst, inst.bipartition, c)
+    assert isinstance(out, Reduced)
+    assert [record.rule for record in out.trace] == ["RR9"] * 12
+    assert out.instance.graph.vertex_ids == (0, 1, 2, 3)
+    assert len(calls) <= 1
+
+
 class TestBwtdsPipeline:
     def test_all_black_p4_stays_no(self):
         inst = bw(path_graph(4), k=1)

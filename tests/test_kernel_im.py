@@ -27,11 +27,18 @@ from cclose import (
     validate_witness,
     vclp_half_integral,
 )
+from cclose import kernel_im
 from cclose.errors import ExtractionError
+from cclose.generators import er_graph
 from cclose.instances import replay
 from cclose.kernel_im import rr_leaf_rules, rr_lp_thresholds, rr_neighborhood_matching
 
-from helpers import random_c_closed_graph, random_graph, restart_kernelize_im
+from helpers import (
+    random_c_closed_graph,
+    random_graph,
+    restart_kernelize_im,
+    unpruned_rr_neighborhood_matching,
+)
 
 
 def make(g, k):
@@ -61,6 +68,48 @@ class TestRuleNeighborhoodMatching:
             inst = replay(inst, record)
         largest = max((len(cl) for cl in maximal_cliques(inst.graph)), default=0)
         assert largest <= 4 * c * inst.k
+
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.integers(0, 14),
+        st.floats(0.5, 0.95),
+        st.integers(1, 2),
+        st.integers(1, 2),
+    )
+    def test_degree_bound_matches_the_unpruned_scan(self, seed, n, p, c, k):
+        # exhausting RR10 walks through neighborhoods just above and just
+        # below the bound; every step must pick the same vertex and payload
+        inst = make(random_graph(n, p, seed), k)
+        while True:
+            record = rr_neighborhood_matching(inst, c)
+            assert record == unpruned_rr_neighborhood_matching(inst, c)
+            if record is None:
+                break
+            inst = replay(inst, record)
+
+    def test_degree_bound_scan_fires_on_dense_graphs(self):
+        fired = 0
+        for seed in range(20):
+            inst = make(random_graph(12, 0.8, seed), 1)
+            record = rr_neighborhood_matching(inst, 1)
+            assert record == unpruned_rr_neighborhood_matching(inst, 1)
+            fired += record is not None
+        assert fired >= 10
+
+    def test_degree_bound_skips_blossom_on_a_sparse_graph(self, monkeypatch):
+        # need = 2ck = 18, so only degree >= 36 is scanned; G(300, 0.02) has none
+        calls = []
+        original = kernel_im.max_matching_general
+
+        def counted(g):
+            calls.append(g.n)
+            return original(g)
+
+        monkeypatch.setattr(kernel_im, "max_matching_general", counted)
+        assert rr_neighborhood_matching(make(er_graph(300, 0.02, seed=1), 3), 3) is None
+        assert calls == []
 
 
 class TestLpThresholdRules:
