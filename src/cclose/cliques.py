@@ -3,6 +3,8 @@ one fixed size by ordered neighbourhood extension."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .closure import compute_closure
 from .graph import Graph
 
@@ -10,24 +12,45 @@ from .graph import Graph
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques, each sorted, in sorted order.
 
-    Pivoting on a maximum-degree candidate keeps the recursion small; the
-    output is canonicalized so callers can rely on a deterministic order.
+    Bron-Kerbosch with pivoting on an explicit stack, so the depth is bounded
+    by memory rather than by the recursion limit: a complete graph, which is
+    1-closed, stacks one frame per vertex. The pivot is a candidate with the
+    most neighbours in P, the smallest id on a tie; candidates are tried in
+    ascending id and the first to reach the most any could have is taken, so
+    a near-complete P costs one intersection rather than |P|. The output is
+    canonicalized so callers can rely on a deterministic order.
     """
     out: list[tuple[int, ...]] = []
     adj = {v: g.neighbors(v) for v in g.vertex_ids}
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        pivot = max(p | x, key=lambda v: (len(adj[v] & p), -v))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
+    def branches(p: set[int], x: set[int]) -> Iterator[int]:
+        most = len(p) if x else len(p) - 1
+        pivot, best = None, -1
+        for u in sorted(p | x):
+            count = len(adj[u] & p)
+            if count > best:
+                pivot, best = u, count
+                if count == most:
+                    break
+        return iter(sorted(p - adj[pivot]))
 
-    if g.n:
-        expand(set(), set(g.vertex_ids), set())
+    if not adj:
+        return out
+    p = set(adj)
+    stack = [((), p, set(), branches(p, set()))]
+    while stack:
+        r, p, x, todo = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            continue
+        grown, p_v, x_v = r + (v,), p & adj[v], x & adj[v]
+        p.remove(v)
+        x.add(v)
+        if p_v:
+            stack.append((grown, p_v, x_v, branches(p_v, x_v)))
+        elif not x_v:
+            out.append(tuple(sorted(grown)))
     out.sort()
     return out
 

@@ -58,7 +58,7 @@ def compute_closure(g: Graph) -> ClosureReport:
     ``is_c_closed`` precondition on the same graph costs no second scan.
     """
     best, pair = 0, None
-    for best, pair in _record_pairs(g, 0):
+    for best, pair in _record_pairs(g):
         pass
     g._closure = ClosureReport(c=best + 1, witness_pair=pair)
     return g._closure
@@ -68,20 +68,21 @@ def is_c_closed(g: Graph, c: int) -> bool:
     """True iff no nonadjacent pair has at least c common neighbors, that is,
     iff the closure of ``g`` is at most c.
 
-    Answers from the closure memoized by ``compute_closure`` when ``g`` has
-    one. Otherwise it scans as ``compute_closure`` does but stops at the
-    first violating pair, and memoizes nothing.
+    Answers from the closure memoized on ``g``, and runs ``compute_closure``
+    first when there is none, so every later check of the same graph, at any
+    c, is free. The full scan costs about what an early exit at the first
+    violating pair does on a c-closed graph, which must be scanned whole
+    either way.
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if g._closure is not None:
-        return g._closure.c <= c
-    return next(_record_pairs(g, c - 1), None) is None
+    report = g._closure if g._closure is not None else compute_closure(g)
+    return report.c <= c
 
 
-def _record_pairs(g: Graph, floor: int) -> Iterator[tuple[int, tuple[int, int]]]:
+def _record_pairs(g: Graph) -> Iterator[tuple[int, tuple[int, int]]]:
     """Yield rising records (shared, (u, v)): nonadjacent pairs u < v with
-    more than ``floor`` common neighbours, each record beating the last.
+    common neighbours, each record beating the last.
 
     u ascends, and for one u only its best pair (smallest v on a tie) can be
     a record, so the last record is the lexicographically smallest
@@ -91,7 +92,7 @@ def _record_pairs(g: Graph, floor: int) -> Iterator[tuple[int, tuple[int, int]]]
     is skipped.
     """
     adj = {v: g.neighbors(v) for v in g.vertex_ids}
-    best = floor
+    best = 0
     for u, nbrs in adj.items():
         if len(nbrs) <= best:
             continue

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
@@ -284,6 +284,31 @@ def exhaust(
         inst = replay(inst, outcome)
         trace.append(outcome)
     raise ExtractionError("the rules failed to reach a fixpoint")
+
+
+def sweep(
+    inst: Instance,
+    rule: Callable[[Instance, Iterator[Any]], RuleRecord | None],
+    candidates: Iterable[Any],
+) -> tuple[Instance, list[RuleRecord]]:
+    """Exhaust one rule in a single pass over one listing of its candidates.
+
+    ``rule(inst, rest)`` takes candidates from the shared iterator ``rest``
+    until one fires on ``inst`` and returns its record, or returns None once
+    ``rest`` runs dry. Each record is replayed and the rule called again on
+    the new instance with the candidates left, so each candidate is tried
+    once. This gives the records of restarting the rule on a fresh listing
+    after every change only where no record can make a passed candidate, or
+    one the fresh listing would add, fire; the caller has to show that.
+
+    Returns the final instance and the records applied.
+    """
+    rest = iter(candidates)
+    trace: list[RuleRecord] = []
+    while (record := rule(inst, rest)) is not None:
+        inst = replay(inst, record)
+        trace.append(record)
+    return inst, trace
 
 
 @dataclass(frozen=True)

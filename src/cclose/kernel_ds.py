@@ -2,15 +2,20 @@
 
 The colored pipeline bounds black vertices via clique and common-neighborhood
 rules, prunes redundant white vertices, and finally trades the coloring for a
-small clique gadget. The black-bounding rules are exhausted in the stated
-order by ``instances.exhaust``. White removal runs after them as one
-ascending pass: dropping a white vertex changes no black set, clique black
-count or budget, so no earlier rule can fire again and a white vertex that
-fails the rule keeps failing it.
+small clique gadget. The black-bounding rules, RR2 and then each stage
+RR3.i in increasing i, run as one ``instances.sweep`` each over a single
+clique listing: their records only whiten vertices and attach a fresh black
+vertex to the fired clique, so no clique the sweep has passed, nor any clique
+through the fresh vertex, can fire later, and no earlier rule fires again
+(``sweep_black_rules`` gives the argument). White removal runs after them as
+one ascending pass: dropping a white vertex changes no black set, clique
+black count or budget, so no earlier rule can fire again and a white vertex
+that fails the rule keeps failing it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from math import comb
@@ -33,6 +38,7 @@ from .instances import (
     exhaust,
     replay,
     replay_removals,
+    sweep,
 )
 from .oracle import validate_witness
 from .ramsey import ramsey_threshold
@@ -78,14 +84,21 @@ class HittingSetInstance:
 # -- individual rules ----------------------------------------------------------
 
 
-def rr_clique(inst: Instance, c: int) -> RuleRecord | None:
+def rr_clique(
+    inst: Instance, c: int, cliques: Iterator[tuple[int, ...]] | None = None
+) -> RuleRecord | None:
     """A maximal clique holding at least c*k black vertices pins r solution
     vertices inside it: attach a fresh black simplicial vertex and whiten the
-    clique. No-op (None) when no clique qualifies."""
+    clique. No-op (None) when no clique qualifies.
+
+    ``cliques`` stands in for the maximal cliques of ``inst.graph``: the
+    candidates left of an earlier listing. The rule takes them until one
+    fires, so the next call resumes after it (see ``sweep_black_rules``).
+    """
     g = inst.graph
     black = inst.black_vertices()
     need = c * inst.k
-    for clique in maximal_cliques(g):
+    for clique in maximal_cliques(g) if cliques is None else cliques:
         in_black = [v for v in clique if v in black]
         if len(in_black) >= need:
             u = g.fresh_id()
@@ -115,18 +128,21 @@ def common_neighborhood_threshold(c: int, k: int, i: int) -> int:
     return bound
 
 
-def rr_common_neighborhood(inst: Instance, c: int, i: int) -> RuleRecord | None:
+def rr_common_neighborhood(
+    inst: Instance, c: int, i: int, cliques: Iterator[tuple[int, ...]] | None = None
+) -> RuleRecord | None:
     """Stage i of the common-neighborhood rule (applies when r <= c - 1).
 
     A clique of size exactly c - i whose common black neighborhood P exceeds
     the stage threshold gets a fresh black simplicial vertex; the clique and
-    P turn white. Stages must be exhausted in increasing i.
+    P turn white. Stages must be exhausted in increasing i. ``cliques``
+    stands in for the (c - i)-cliques of ``inst.graph`` as in ``rr_clique``.
     """
     assert inst.r is not None and 1 <= i <= c - inst.r
     g = inst.graph
     black = inst.black_vertices()
     bound = common_neighborhood_threshold(c, inst.k, i)
-    for clique in cliques_of_size(g, c - i):
+    for clique in cliques_of_size(g, c - i) if cliques is None else cliques:
         common = common_neighborhood(g, clique) & black
         if len(common) > bound:
             u = g.fresh_id()
@@ -143,15 +159,30 @@ def rr_common_neighborhood(inst: Instance, c: int, i: int) -> RuleRecord | None:
 
 def rr_clique_no(inst: Instance, c: int) -> bool:
     """With r >= c, a (c-1)-clique with more than rho common black neighbors
-    certifies a No-instance."""
+    certifies a No-instance. Only cliques whose members each have more than
+    rho black neighbors are checked (``_black_rich_cliques``)."""
     assert inst.r is not None and inst.r >= c
     g = inst.graph
     black = inst.black_vertices()
     rho = ramsey_threshold(c, c * inst.k, inst.k + 1)
     return any(
         len(common_neighborhood(g, clique) & black) > rho
-        for clique in cliques_of_size(g, c - 1)
+        for clique in _black_rich_cliques(inst, c - 1, rho)
     )
+
+
+def _black_rich_cliques(inst: Instance, size: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """The cliques of ``size`` in ``inst.graph``, in listing order, whose
+    members each have more than ``bound`` black neighbors.
+
+    The common black neighborhood of a clique lies in the black neighborhood
+    of each member, so no other clique can have more than ``bound`` common
+    black neighbors. The whole graph is listed, then filtered.
+    """
+    g = inst.graph
+    black = inst.black_vertices()
+    rich = {v for v in g.vertex_ids if len(g.neighbors(v) & black) > bound}
+    return (clique for clique in cliques_of_size(g, size) if rich.issuperset(clique))
 
 
 def per_vertex_black_bound(c: int, k: int, r: int) -> int:
@@ -184,6 +215,44 @@ def rr_black_count(inst: Instance, c: int) -> bool:
     assert inst.r is not None
     bound = per_vertex_black_bound(c, inst.k, inst.r)
     return len(inst.black_vertices()) > inst.k * bound + inst.k
+
+
+def sweep_black_rules(inst: Instance, c: int) -> tuple[Instance, list[RuleRecord]]:
+    """Exhaust RR2 and then each stage RR3.1..RR3.(c-r) in increasing i, each
+    in one ``sweep`` over a single listing of its cliques (needs c*k >= 2).
+
+    The records are those of restarting from RR2 after every change. A
+    record on clique Q whitens vertices and adds a fresh black u with
+    N(u) = Q, so black counts and common black neighborhoods only shrink,
+    except where u counts:
+    - RR2: Q was maximal, so Q + u takes its place in the sorted listing and
+      holds one black vertex, below c*k. The next firing is the first listed
+      clique after Q that still qualifies.
+    - RR3.i: u is a common neighbor only of subsets of Q, and the only
+      candidate of size |Q| among them is Q, whose common blacks are now
+      {u} alone, below every stage threshold; a clique through u has its
+      common neighbors inside Q, all white. Q + u holds one black vertex, so
+      RR2 stays exhausted, and earlier stages, whose cliques are larger than
+      Q, gain nothing either.
+    So every record leaves the rules before its own exhausted, and the
+    candidates its sweep has passed short of firing. Every record also adds
+    a fresh black vertex, so black vertices never run out. The stage
+    candidates are filtered by ``_black_rich_cliques`` when they are listed:
+    the fresh u is the only black neighbor a member of Q gains, and only Q
+    counts it, so the black neighbors of a member at listing time bound the
+    common black neighborhood of each of its other cliques from then on.
+    """
+    assert inst.r is not None and c * inst.k >= 2
+    inst, trace = sweep(inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(inst.graph))
+    for stage in range(1, c - inst.r + 1):
+        bound = common_neighborhood_threshold(c, inst.k, stage)
+        inst, records = sweep(
+            inst,
+            lambda i, rest, stage=stage: rr_common_neighborhood(i, c, stage, rest),
+            _black_rich_cliques(inst, c - stage, bound),
+        )
+        trace.extend(records)
+    return inst, trace
 
 
 def sweep_white_removal(
@@ -251,16 +320,17 @@ def _rr_white_removal_at(
 
 
 def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
-    """Exhaust RR2 and RR3.1..RR3.(c-r) with ``exhaust``, which restarts from
-    RR2 after every change; then run the r >= c No-check and the black-count
-    check once, and finally white removal as one ascending pass.
+    """Exhaust RR2 and then RR3.1..RR3.(c-r) with ``sweep_black_rules``, one
+    clique listing per rule; then run the r >= c No-check and the
+    black-count check once, and finally white removal as one ascending pass.
 
-    Every RR2 or RR3.i record adds a fresh black vertex, so black vertices
-    never run out during the exhaustion. White removal changes no maximal
-    clique's black count, no clique's common black neighborhood, no black
-    count and no budget, so none of the earlier rules or checks can change
-    its verdict after it; the result is the fixpoint of all the rules in the
-    stated order.
+    The records are those of restarting from RR2 after every change, as
+    ``tests/helpers.restart_kernelize_bwtds`` does (``sweep_black_rules``
+    gives the argument). White removal changes no maximal clique's black
+    count, no clique's common black neighborhood, no black count and no
+    budget, so none of the earlier rules or checks can change its verdict
+    after it; the result is the fixpoint of all the rules in the stated
+    order.
     """
     if inst.problem is not Problem.BW_TDS:
         raise ValueError(f"expected a BW-TDS instance, got {inst.problem}")
@@ -275,11 +345,7 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
     if c == 1:
         return _decide_cluster_bwtds(inst)
 
-    rules = [lambda i: rr_clique(i, c)] + [
-        lambda i, stage=stage: rr_common_neighborhood(i, c, stage)
-        for stage in range(1, c - r + 1)
-    ]
-    inst, trace, _ = exhaust(inst, rules)
+    inst, trace = sweep_black_rules(inst, c)
     if r >= c and rr_clique_no(inst, c):
         return Decided(False)
     if rr_black_count(inst, c):

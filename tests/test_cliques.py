@@ -54,6 +54,12 @@ def test_structural_invariants(seed, n):
     assert covered == set(g.vertex_ids)
 
 
+def test_complete_graph_needs_no_deep_recursion():
+    # A complete graph is 1-closed; Bron-Kerbosch goes one level deeper per
+    # vertex of its one maximal clique.
+    assert maximal_cliques(complete_graph(2000)) == [tuple(range(2000))]
+
+
 def test_cliques_of_size():
     k4 = complete_graph(4)
     assert cliques_of_size(k4, 0) == [()]

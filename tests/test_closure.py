@@ -204,11 +204,30 @@ class TestClosureMemo:
         assert not is_c_closed(g, c - 1)
         assert calls == []
 
-    def test_unmemoized_check_leaves_no_memo(self):
-        g = random_graph(20, 0.3, 2)
-        c = compute_closure(random_graph(20, 0.3, 2)).c
-        assert is_c_closed(g, c) and not is_c_closed(g, c - 1)
-        assert g._closure is None
+    def test_first_check_fills_the_memo(self, monkeypatch):
+        expected = compute_closure(random_graph(20, 0.3, 2))
+        assert expected.c >= 2
+        # The first check fills the memo whether it passes or fails.
+        graphs = [random_graph(20, 0.3, 2), random_graph(20, 0.3, 2)]
+        assert all(g._closure is None for g in graphs)
+        assert is_c_closed(graphs[0], expected.c)
+        assert not is_c_closed(graphs[1], expected.c - 1)
+        assert all(g._closure == expected for g in graphs)
+        calls = []
+        original = Graph.neighbors
+
+        def counted(self, v):
+            calls.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(Graph, "neighbors", counted)
+        for g in graphs:
+            assert is_c_closed(g, expected.c) and not is_c_closed(g, expected.c - 1)
+        assert calls == []
+        monkeypatch.undo()
+        g = graphs[0]
+        derived = [g.with_vertex(100), g.without_vertex(0), g.induced([0, 1, 2, 3])]
+        assert all(h._closure is None for h in derived)
 
     def test_derived_graphs_carry_no_memo(self):
         g = random_graph(12, 0.4, 3)

@@ -16,7 +16,7 @@ from cclose import (
     replay,
     replay_trace,
 )
-from cclose.instances import exhaust, replay_removals
+from cclose.instances import exhaust, replay_removals, sweep
 
 
 def test_instance_validation():
@@ -162,6 +162,24 @@ def test_witness_constructors():
 
 def _remove(rule, v):
     return RuleRecord(rule=rule, vertices_removed=(v,))
+
+
+def test_sweep_tries_each_candidate_once_on_the_current_instance():
+    seen = []
+
+    def drops_a_present_vertex(inst, rest):
+        for v in rest:
+            seen.append((inst.graph.n, v))
+            if inst.graph.has_vertex(v):
+                return _remove("D", v)
+        return None
+
+    inst = Instance(problem=Problem.IS, graph=path_graph(6), k=1)
+    post, trace = sweep(inst, drops_a_present_vertex, [4, 1, 4, 9, 2])
+    assert [r.vertices_removed for r in trace] == [(4,), (1,), (2,)]
+    # Each record is replayed before the rule resumes after its candidate.
+    assert seen == [(6, 4), (5, 1), (4, 4), (4, 9), (4, 2)]
+    assert post == replay_trace(inst, trace) and post.graph == Graph([0, 3, 5], [])
 
 
 def test_exhaust_restarts_from_the_first_rule():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from cclose import (
     Problem,
     Reduced,
     Witness,
+    cliques_of_size,
     complete_graph,
     compute_closure,
     cycle_graph,
@@ -24,22 +26,28 @@ from cclose import (
     kernelize_bwtds,
     kernelize_ds,
     lift_witness,
+    maximal_cliques,
     oracle_answer,
     oracle_ds,
     oracle_tds,
     path_graph,
     ramsey_threshold,
     replay_trace,
+    solve_tds,
     star_graph,
     uncolor_gadget,
     validate_witness,
 )
-from cclose import kernel_ds
-from cclose.instances import replay
+from cclose import kernel_ds, solver
+from cclose.closure import common_neighborhood
+from cclose.instances import exhaust, replay, sweep
 from cclose.kernel_ds import (
+    common_neighborhood_threshold,
     rr_black_count,
     rr_clique,
+    rr_clique_no,
     rr_common_neighborhood,
+    sweep_black_rules,
     sweep_white_removal,
 )
 
@@ -376,6 +384,182 @@ class TestAscendingPasses:
         assert "RR2" in rules and "RR3.1" in rules
         black_rules = sum(1 for rule in rules if rule == "RR2" or rule.startswith("RR3."))
         assert len(calls) <= black_rules + 1
+
+
+def disjoint_union(*graphs):
+    vertices, edges, base = [], [], 0
+    for g in graphs:
+        vertices += [base + v for v in g.vertex_ids]
+        edges += [(base + u, base + v) for u, v in g.edges()]
+        base += g.n
+    return Graph(vertices, edges)
+
+
+def book(pages):
+    """An edge (the spine 0-1) with ``pages`` triangles on it; 3-closed."""
+    return Graph(range(pages + 2), [(0, 1)] + [(s, p) for p in range(2, pages + 2) for s in (0, 1)])
+
+
+def restarting_black_rules(inst, c):
+    """RR2 and RR3.1..RR3.(c-r), restarted from RR2 after every change, each
+    listing the cliques of the instance it is given."""
+    rules = [lambda i: rr_clique(i, c)] + [
+        lambda i, stage=stage: rr_common_neighborhood(i, c, stage)
+        for stage in range(1, c - inst.r + 1)
+    ]
+    inst, trace, _ = exhaust(inst, rules)
+    return inst, trace
+
+
+def _hitting_set_instance():
+    # Element 0 lies in 7 sets and element 1 in 6 more: once RR2 has whitened
+    # the universe clique, RR3.2 fires on both elements.
+    sets = [frozenset({0, x}) for x in range(1, 8)] + [frozenset({1, x}) for x in range(2, 8)]
+    hs = HittingSetInstance(universe=tuple(range(8)), sets=tuple(sets), set_size=2, k=1)
+    return bw(hitting_set_to_ds(hs).graph, k=1)
+
+
+def _community_instance(seed, white_fraction):
+    """Planted 6-, 5-, 4- and 4-cliques plus ten more vertices, with random
+    edges kept 3-closed, at k = 1."""
+    cliques = disjoint_union(*map(complete_graph, (6, 5, 4, 4)))
+    g = random_c_closed_graph(cliques.n + 10, 3, 0.4, seed, base_edges=cliques.edges())
+    rng = random.Random(seed)
+    return bw(g, k=1, white=frozenset(v for v in g.vertex_ids if rng.random() < white_fraction))
+
+
+# (c, instance, how often each black-bounding rule fires)
+SWEEP_CASES = {
+    "stars-c2": (2, lambda: bw(disjoint_union(star_graph(7), star_graph(9)), k=1),
+                 {"RR2": 2, "RR3.1": 2}),
+    "stars-c3": (3, lambda: bw(disjoint_union(*[star_graph(6)] * 3), k=1), {"RR3.2": 3}),
+    "books-c3": (3, lambda: bw(disjoint_union(book(5), book(6)), k=1), {"RR2": 2, "RR3.1": 2}),
+    "book-and-star-c3": (3, lambda: bw(disjoint_union(book(5), star_graph(7)), k=1),
+                         {"RR2": 1, "RR3.1": 1, "RR3.2": 1}),
+    "hitting-set-c3": (3, _hitting_set_instance, {"RR2": 1, "RR3.2": 2}),
+    "community-c3": (3, lambda: _community_instance(0, 0.3), {"RR2": 4, "RR3.2": 1}),
+    "community-c3-rr3.1": (3, lambda: _community_instance(34, 0.5), {"RR2": 1, "RR3.1": 1}),
+    "r-equals-c": (2, lambda: bw(
+        disjoint_union(complete_graph(4), complete_graph(4), star_graph(6)), k=2, r=2),
+        {"RR2": 2}),
+    "r-above-c": (3, lambda: bw(
+        disjoint_union(complete_graph(3), book(2), complete_graph(4)), k=1, r=4),
+        {"RR2": 3}),
+    "r-equals-c-no": (2, lambda: bw(star_graph(5), k=1, r=2), {"RR2": 1}),
+}
+
+
+class TestCliqueSweeps:
+    """RR2 and each RR3.i stage, swept over one clique listing, give the
+    records of restarting from RR2 after every change."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_sweep_matches_restarting_rules(self, name):
+        c, make, fired = SWEEP_CASES[name]
+        inst = make()
+        assert compute_closure(inst.graph).c <= c
+        swept = sweep_black_rules(inst, c)
+        assert swept == restarting_black_rules(inst, c)
+        assert Counter(record.rule for record in swept[1]) == fired
+        assert kernelize_bwtds(inst, c) == restart_kernelize_bwtds(inst, c)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.lists(st.tuples(st.sampled_from("scb"), st.integers(1, 10)), min_size=1, max_size=4),
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.3, 0.6]),
+    )
+    def test_structured_instances_match_restarting_rules(self, seed, parts, c, k, r, white_p):
+        make = {"s": star_graph, "c": lambda n: complete_graph(min(n, 8)), "b": book}
+        g = disjoint_union(*(make[kind](size) for kind, size in parts))
+        g = random_c_closed_graph(g.n, c, 0.03, seed, base_edges=g.edges())
+        if compute_closure(g).c > c:
+            return  # a book is 3-closed, a star 2-closed
+        rng = random.Random(seed)
+        inst = bw(g, k=k, r=r, white=frozenset(v for v in g.vertex_ids if rng.random() < white_p))
+        assert sweep_black_rules(inst, c) == restarting_black_rules(inst, c)
+        assert kernelize_bwtds(inst, c) == restart_kernelize_bwtds(inst, c)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 14), st.integers(1, 3), st.floats(0.1, 0.7))
+    def test_clique_preprocessing_of_the_solver_matches_restarting(self, seed, n, c, p):
+        # solve_tds sweeps RR2 alone, at every r, whenever c*k >= 2.
+        g = random_c_closed_graph(n, c, p, seed)
+        for k in range(1, 4):
+            if c * k < 2:
+                continue
+            inst = bw(g, k=k, r=1 + seed % 3)
+            swept = sweep(inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(g))
+            assert swept == exhaust(inst, [lambda i: rr_clique(i, c)])[:2]
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 14), st.integers(2, 4), st.integers(1, 2))
+    def test_clique_no_check_matches_the_unfiltered_scan(self, seed, n, c, k):
+        rng = random.Random(seed)
+        g = random_c_closed_graph(n, c, rng.uniform(0.2, 0.8), seed)
+        inst = bw(g, k=k, r=c, white=frozenset(v for v in g.vertex_ids if rng.random() < 0.3))
+        rho = ramsey_threshold(c, c * k, k + 1)
+        black = inst.black_vertices()
+        unfiltered = any(
+            len(common_neighborhood(g, q) & black) > rho for q in cliques_of_size(g, c - 1)
+        )
+        assert rr_clique_no(inst, c) == unfiltered
+
+    def test_one_listing_per_rule(self, monkeypatch):
+        listings = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(g, *size):
+                listings[(name, *size)] += 1
+                return original(g, *size)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(kernel_ds, "maximal_cliques")
+        count(kernel_ds, "cliques_of_size")
+        count(solver, "maximal_cliques")
+        c, make, fired = SWEEP_CASES["book-and-star-c3"]
+        out = kernelize_bwtds(make(), c)
+        assert Counter(r.rule for r in out.trace if r.rule != "RR6") == fired
+        assert listings == {("maximal_cliques",): 1, ("cliques_of_size", 2): 1, ("cliques_of_size", 1): 1}
+
+        listings.clear()
+        fires = []
+        original_rule = solver.rr_clique
+
+        def counted_rule(*args):
+            record = original_rule(*args)
+            fires.append(record is not None)
+            return record
+
+        monkeypatch.setattr(solver, "rr_clique", counted_rule)
+        solve_tds(disjoint_union(complete_graph(3), complete_graph(4), complete_graph(3)), 2, 1, 1)
+        assert fires.count(True) == 3
+        assert listings == {("maximal_cliques",): 1}
+
+    def test_threshold_filter_skips_common_neighborhoods(self, monkeypatch):
+        # Only the star center has more black neighbors than a stage needs
+        # (3 for RR3.1, 5 for RR3.2), so the one common neighborhood computed
+        # is that of the center alone, where RR3.2 fires.
+        inst = bw(disjoint_union(star_graph(7), *[complete_graph(2)] * 20), k=1)
+        assert [common_neighborhood_threshold(3, 1, i) for i in (1, 2)] == [3, 5]
+        calls = []
+        original = kernel_ds.common_neighborhood
+
+        def counted(g, clique):
+            calls.append(clique)
+            return original(g, clique)
+
+        monkeypatch.setattr(kernel_ds, "common_neighborhood", counted)
+        swept = sweep_black_rules(inst, 3)
+        monkeypatch.undo()
+        assert swept == restarting_black_rules(inst, 3)
+        assert calls == [(0,)]
 
 
 class TestGadget:
