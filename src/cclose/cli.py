@@ -5,13 +5,15 @@ Exit codes:
   1  failure or disagreement, including a failed extraction (an ``error:``
      line on stderr)
   2  usage or input error
-  3  resource limit exceeded: an oracle's size limit, the interpreter's
-     recursion limit, or memory (a ``resource limit:`` line on stderr)
+  3  resource limit exceeded: an oracle's size limit, a graph file's vertex
+     count above graphio.MAX_VERTICES, the interpreter's recursion limit, or
+     memory (a ``resource limit:`` line on stderr)
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +33,10 @@ from .solver import solve_ds, solve_tds
 from .verify import PROBLEMS, run_verify
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, and every in-process ``main`` call reuses it."""
     parser = argparse.ArgumentParser(prog="cclose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,8 @@ class ExtractionError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An input exceeds the configured size limit of an exact solver."""
+    """An input exceeds a configured size limit: an exact solver's limit, or
+    ``graphio.MAX_VERTICES`` for the vertex count of a graph file."""
 
 
 class ParseError(ValueError):

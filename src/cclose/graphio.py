@@ -14,25 +14,59 @@ every vertex. Parsing a canonical file and re-serializing is the identity.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .graph import Graph
 from .instances import BLACK, LEFT, RIGHT, WHITE, Bipartition, Coloring
 
 
+# A ``p`` record above this vertex count is refused before anything is
+# allocated for it (CLI exit 3).
+MAX_VERTICES = 10**6
+
+
 def parse_graph(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]:
+    """Parse the text format in one pass, filling the adjacency as edges arrive.
+
+    Raises ``ParseError`` (with the offending line) on malformed input and
+    ``ResourceLimitError`` on a ``p`` record above ``MAX_VERTICES``.
+    """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
+    adj: dict[int, set[int]] = {}
     colors: dict[int, str] = {}
     sides: dict[int, str] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         fields = line.split()
+        if not fields:
+            continue
         tag = fields[0]
-        if tag == "p":
+        if tag == "e":
+            if len(fields) != 3:
+                raise ParseError("e record takes exactly two fields", lineno)
+            if n is None:
+                raise ParseError("vertex record before p record", lineno)
+            try:
+                u = int(fields[1])
+            except ValueError:
+                raise ParseError("expected an integer in field 1", lineno) from None
+            if not 0 <= u < n:
+                raise ParseError(f"vertex {u} out of range [0, {n})", lineno)
+            try:
+                v = int(fields[2])
+            except ValueError:
+                raise ParseError("expected an integer in field 2", lineno) from None
+            if not 0 <= v < n:
+                raise ParseError(f"vertex {v} out of range [0, {n})", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            nbrs = adj[u]
+            if v in nbrs:
+                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+            nbrs.add(v)
+            adj[v].add(u)
+        elif tag == "p":
             if n is not None:
                 raise ParseError("duplicate p record", lineno)
             n = _int_field(fields, 1, lineno)
@@ -40,18 +74,11 @@ def parse_graph(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]:
                 raise ParseError("p record takes exactly one field", lineno)
             if n < 0:
                 raise ParseError("vertex count must be nonnegative", lineno)
-        elif tag == "e":
-            if len(fields) != 3:
-                raise ParseError("e record takes exactly two fields", lineno)
-            u = _vertex_field(fields, 1, n, lineno)
-            v = _vertex_field(fields, 2, n, lineno)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen_edges:
-                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
-            seen_edges.add(key)
-            edges.append(key)
+            if n > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}"
+                )
+            adj = {v: set() for v in range(n)}
         elif tag == "c":
             if len(fields) != 3 or fields[2] not in (BLACK, WHITE):
                 raise ParseError("c record needs a vertex and black|white", lineno)
@@ -71,7 +98,7 @@ def parse_graph(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]:
 
     if n is None:
         raise ParseError("missing p record", None)
-    g = Graph(range(n), edges)
+    g = Graph._from_adj(adj)
 
     coloring = None
     if colors:
@@ -128,10 +155,8 @@ def normalize_ids(g: Graph) -> tuple[Graph, dict[int, int]]:
     Returns the relabeled graph and the old-id -> new-id mapping.
     """
     mapping = {v: i for i, v in enumerate(g.vertex_ids)}
-    relabeled = Graph(
-        mapping.values(),
-        [(mapping[u], mapping[v]) for u, v in g.edges()],
-    )
+    adj = g._adj
+    relabeled = Graph._from_adj({i: {mapping[w] for w in adj[v]} for v, i in mapping.items()})
     return relabeled, mapping
 
 

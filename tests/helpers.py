@@ -13,9 +13,14 @@ from functools import lru_cache
 from itertools import combinations
 
 from cclose import Graph, is_c_closed
-from cclose.errors import ExtractionError
+from cclose.errors import ExtractionError, ParseError
 from cclose.instances import (
+    BLACK,
+    LEFT,
+    RIGHT,
+    WHITE,
     Bipartition,
+    Coloring,
     Decided,
     Instance,
     Problem,
@@ -473,3 +478,91 @@ def restart_kernelize_im(inst, c, require_witness=False):
     _assert_partition_bounds(inst, c, p)
     reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
     return Reduced(reduced, tuple(trace))
+
+
+def reference_parse_graph(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]:
+    """The two-pass parser that ``graphio.parse_graph`` replaced: each
+    endpoint through the field helpers, duplicates found in a set of edge
+    keys, and the graph built from the collected edge list."""
+    n: int | None = None
+    edges: list[tuple[int, int]] = []
+    seen_edges: set[tuple[int, int]] = set()
+    colors: dict[int, str] = {}
+    sides: dict[int, str] = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "p":
+            if n is not None:
+                raise ParseError("duplicate p record", lineno)
+            n = _int_field(fields, 1, lineno)
+            if len(fields) != 2:
+                raise ParseError("p record takes exactly one field", lineno)
+            if n < 0:
+                raise ParseError("vertex count must be nonnegative", lineno)
+        elif tag == "e":
+            if len(fields) != 3:
+                raise ParseError("e record takes exactly two fields", lineno)
+            u = _vertex_field(fields, 1, n, lineno)
+            v = _vertex_field(fields, 2, n, lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
+            key = (min(u, v), max(u, v))
+            if key in seen_edges:
+                raise ParseError(f"duplicate edge ({u}, {v})", lineno)
+            seen_edges.add(key)
+            edges.append(key)
+        elif tag == "c":
+            if len(fields) != 3 or fields[2] not in (BLACK, WHITE):
+                raise ParseError("c record needs a vertex and black|white", lineno)
+            u = _vertex_field(fields, 1, n, lineno)
+            if u in colors:
+                raise ParseError(f"duplicate color for vertex {u}", lineno)
+            colors[u] = fields[2]
+        elif tag == "b":
+            if len(fields) != 3 or fields[2] not in (LEFT, RIGHT):
+                raise ParseError("b record needs a vertex and left|right", lineno)
+            u = _vertex_field(fields, 1, n, lineno)
+            if u in sides:
+                raise ParseError(f"duplicate side for vertex {u}", lineno)
+            sides[u] = fields[2]
+        else:
+            raise ParseError(f"unknown record type {tag!r}", lineno)
+
+    if n is None:
+        raise ParseError("missing p record", None)
+    g = Graph(range(n), edges)
+
+    coloring = None
+    if colors:
+        coloring = Coloring(frozenset(u for u, col in colors.items() if col == WHITE))
+
+    bipartition = None
+    if sides:
+        missing = [v for v in range(n) if v not in sides]
+        if missing:
+            raise ParseError(f"bipartition incomplete: vertex {missing[0]} has no side", None)
+        bipartition = Bipartition(frozenset(u for u, s in sides.items() if s == LEFT))
+        bipartition.validate(g)
+
+    return g, coloring, bipartition
+
+
+def _int_field(fields: list[str], idx: int, lineno: int) -> int:
+    try:
+        return int(fields[idx])
+    except (IndexError, ValueError):
+        raise ParseError(f"expected an integer in field {idx}", lineno) from None
+
+
+def _vertex_field(fields: list[str], idx: int, n: int | None, lineno: int) -> int:
+    if n is None:
+        raise ParseError("vertex record before p record", lineno)
+    u = _int_field(fields, idx, lineno)
+    if not 0 <= u < n:
+        raise ParseError(f"vertex {u} out of range [0, {n})", lineno)
+    return u

@@ -1,8 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
 
-from cclose import cli, parse_graph, serialize_graph
+from cclose import Bipartition, Coloring, Graph, cli, graphio, parse_graph, serialize_graph
 from cclose.cli import main
 from cclose.errors import ExtractionError
 
@@ -200,3 +203,152 @@ def test_serialize_parse_roundtrip_canonical(tmp_path):
     text = "p 3\ne 0 1\ne 1 2\nc 2 white\n"
     g, coloring, parts = parse_graph(text)
     assert serialize_graph(g, coloring, parts) == text
+
+
+def test_p_above_vertex_limit_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphio, "MAX_VERTICES", 3)
+    path = write(tmp_path, "big.txt", "p 4\n")
+    assert main(["closure", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "resource limit: line 1: vertex count 4 exceeds the limit of 3\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
+    """Flags set in one in-process call do not leak into the next."""
+    seen = []
+    dispatch = cli._dispatch
+
+    def spy(args):
+        seen.append(vars(args).copy())
+        return dispatch(args)
+
+    monkeypatch.setattr(cli, "_dispatch", spy)
+    src = c4_file(tmp_path)
+    trace = tmp_path / "trace.json"
+    dst = str(tmp_path / "out.txt")
+    argv = ["kernelize", "--problem", "im", "-k", "1", "--require-witness", "--emit-trace"]
+    assert main([*argv, str(trace), src, dst]) == 0
+    assert trace.exists()
+    trace.unlink()
+    assert main(["cliques", "--count-only", src]) == 0
+    assert main(["kernelize", "--problem", "im", "-k", "1", src, dst]) == 0
+    assert not trace.exists()
+    assert main(["cliques", src]) == 0
+    assert main(["gen", "--model", "cliques", "--count", "2", "--size", "3", "-o", dst]) == 0
+    assert main(["gen", "--model", "er", "--n", "4", "--p", "0.5", "-o", dst]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "4" and out[3:7] == ["0 1", "0 3", "1 2", "2 3"]
+    assert seen[0]["emit_trace"] == str(trace) and seen[0]["require_witness"]
+    assert seen[2]["emit_trace"] is None and not seen[2]["require_witness"]
+    assert seen[1]["count_only"] and not seen[3]["count_only"]
+    assert seen[4]["count"] == 2 and seen[5]["count"] is None and seen[5]["seed"] == 0
+    commands = [args["command"] for args in seen]
+    assert commands == ["kernelize", "cliques", "kernelize", "cliques", "gen", "gen"]
+
+
+# sha256 of (stdout, output file or None, trace file or None) for every
+# command that the benchmark's sparse_cli workload runs on its G(n, 6/n) and
+# colored bipartite files. The inputs are a seeded
+# `cclose gen --model er --n 1000 --p 0.006` graph and a colored bipartite
+# graph derived from it. The digests were recorded with the two-pass parser
+# (`helpers.reference_parse_graph`), so they pin the CLI's bytes across its
+# rewrites.
+GOLDEN = {
+    ("gnp.txt", "closure"): (
+        "a3ea85fcd2bc133c9a787f4864c8ce65fdfa54792f15dbc9b9251e1993452c59",
+        None,
+        None,
+    ),
+    ("gnp.txt", "cliques --count-only"): (
+        "3224d5369273a4550b7186c8389e927cf86027e5912a7da00141f0ebbfc99ea4",
+        None,
+        None,
+    ),
+    ("gnp.txt", "kernelize --problem is -k 2"): (
+        "e0ee4c6de380432986776f9df01c7f52747d93c77697c7c3a26c68f5b7287b7e",
+        None,
+        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+    ),
+    ("gnp.txt", "kernelize --problem is -k 30"): (
+        "dc63aab396fd14b52f1be0629748489206d042b4138101950a511d067f89e71b",
+        "b720e221f608b640b10b6e117059313e6f5cef908aa90297044371f05141a316",
+        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+    ),
+    ("gnp.txt", "kernelize --problem im -k 3"): (
+        "64923e896e61f3d745272e62e3d7666e2ed48802bb0da9bb93f1e801facbe315",
+        "ce4b3e186e88cfa64d697da719dae222c5f2052cf006c49315bce31f7cab515d",
+        "541db30be6935479d8f3d8effd2a32b98671bf796f1e5becb65d40ab3ffaee4b",
+    ),
+    ("gnp.txt", "kernelize --problem irs -k 3"): (
+        "64f5ed09dfed16ea6684386273d640d47aa4a9bdde749c8779c02edcf2cf664f",
+        "b720e221f608b640b10b6e117059313e6f5cef908aa90297044371f05141a316",
+        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+    ),
+    ("bip.txt", "kernelize --problem ds --bipartite -k 3"): (
+        "c41c4ea07911dec7a597f554a4d95b6d57259f328e690d5712cb18a905d1e91e",
+        None,
+        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+    ),
+    ("bip.txt", "kernelize --problem ds --bipartite -k 40"): (
+        "961a3a039fe479672a91e55f721013446b094a414fd27e493941805b47a27088",
+        "9ff91f1a39c34dbdece8caeeff8bc6f10cbc78898c6ea5ae0691557e17be6868",
+        "9c8dd9554522ca1d374d2d503ba136ba82b937026eec08ae301ede114eb80e1e",
+    ),
+    ("bip.txt", "kernelize --problem im --bipartite --mode closure -k 3"): (
+        "f4c6706c1b92c54b4e35069d90dbedc70021ecfcae4dbf8731fd7f052211ff05",
+        None,
+        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+    ),
+    ("bip.txt", "kernelize --problem im --bipartite --mode delta -k 3"): (
+        "f4c6706c1b92c54b4e35069d90dbedc70021ecfcae4dbf8731fd7f052211ff05",
+        None,
+        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+    ),
+}
+
+
+def _sha(data):
+    return None if data is None else hashlib.sha256(data.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    gnp = str(workdir / "gnp.txt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["gen", "--model", "er", "--n", "1000", "--p", "0.006", "--seed", "5", "-o", gnp]
+        assert main(argv) == 0
+    g, _, _ = graphio.load_graph(gnp)
+    bip = Graph(g.vertex_ids, [(u, v) for u, v in g.edges() if (u + v) % 2])
+    white = Coloring(frozenset(v for v in g.vertex_ids if v % 3 == 0))
+    parts = Bipartition(frozenset(v for v in g.vertex_ids if v % 2 == 0))
+    graphio.save_graph(workdir / "bip.txt", bip, white, parts)
+    return workdir
+
+
+def _golden_run(workdir, command, name):
+    """Run one command on ``workdir/name``; the digests of what it wrote."""
+    argv = list(command)
+    out_path = workdir / "out.txt"
+    trace_path = workdir / "trace.json"
+    for path in (out_path, trace_path):
+        if path.exists():
+            path.unlink()
+    if command[0] == "kernelize":
+        argv += ["--emit-trace", str(trace_path), str(workdir / name), str(out_path)]
+    else:
+        argv.append(str(workdir / name))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    files = [p.read_text() if p.exists() else None for p in (out_path, trace_path)]
+    return [_sha(stdout.getvalue()), *map(_sha, files)]
+
+
+@pytest.mark.parametrize("name, command", list(GOLDEN), ids=[" ".join(key) for key in GOLDEN])
+def test_cli_bytes_match_golden(golden_files, name, command):
+    assert _golden_run(golden_files, command.split(), name) == list(GOLDEN[name, command])
