@@ -207,7 +207,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_kernelize(args: argparse.Namespace) -> int:
     g, coloring, bipartition = load_graph(args.infile)
-    c = compute_closure(g).c
+    # Every pipeline but the bipartite IM kernel in delta mode reads c.
+    delta_im = args.problem == "im" and args.bipartite and args.mode == "delta"
+    c = None if delta_im else compute_closure(g).c
     if args.problem == "is":
         inst = Instance(problem=Problem.IS, graph=g, k=args.k)
         outcome = kernelize_is(inst, c)

@@ -3,12 +3,14 @@
 The pipeline destroys large cliques (neighborhoods with big matchings), caps
 the LP partition classes by Ramsey-type thresholds, and cleans up the
 LP-zero vertices with leaf rules. The LP split is solution-dependent, so it
-is recomputed after every structural change; each rule is correct for any
-optimal half-integral solution, which makes refreshing safe.
+is recomputed after every structural change, each solve growing the last
+one's matching; each rule is correct for any optimal half-integral
+solution, which makes refreshing safe.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from math import comb
 
 from .closure import is_c_closed
@@ -201,7 +203,14 @@ def rr_leaf_rules(inst: Instance, c: int, p: VclpPartition) -> RuleRecord | None
 def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> KernelOutcome:
     """The full pipeline: RR10, then the LP rules on a fresh LP solve, to a
     fixpoint. 1-closed graphs are decided outright by counting non-trivial
-    clique components."""
+    clique components.
+
+    Each LP solve is warm-started from the previous round's maximum matching
+    of the double cover; ``vclp_half_integral`` keeps the pairs whose
+    vertices and edge survive the round's record. The partition does not
+    depend on the matching it is read from (Dulmage–Mendelsohn), so the
+    rounds see the partitions of cold solves, and a round after a small
+    removal costs about one search phase instead of a whole solve."""
     if inst.problem is not Problem.IM:
         raise ValueError(f"expected an IM instance, got {inst.problem}")
     if not is_c_closed(inst.graph, c):
@@ -212,10 +221,15 @@ def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> Kerne
         return _decide_cluster_im(inst)
 
     original = inst
-    rules = [
-        lambda i: rr_neighborhood_matching(i, c),
-        lambda i: _lp_stage(i, c, require_witness),
-    ]
+    matching: Mapping[int, int] = {}
+
+    def lp_stage(i: Instance) -> Decided | RuleRecord | None:
+        nonlocal matching
+        p = vclp_half_integral(i.graph, matching)
+        matching = p.matching
+        return _lp_stage(i, c, p, require_witness)
+
+    rules = [lambda i: rr_neighborhood_matching(i, c), lp_stage]
     inst, trace, decided = exhaust(inst, rules)
     if decided is not None:
         witness = decided.witness
@@ -226,11 +240,12 @@ def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> Kerne
     return Reduced(reduced, tuple(trace))
 
 
-def _lp_stage(inst: Instance, c: int, require_witness: bool) -> Decided | RuleRecord | None:
-    """One LP solve feeds RR11/RR12, then the leaf rules, then the removal of
-    isolated vertices. When none fires, the instance is reduced and the same
-    solve checks the partition bounds."""
-    p = vclp_half_integral(inst.graph)
+def _lp_stage(
+    inst: Instance, c: int, p: VclpPartition, require_witness: bool
+) -> Decided | RuleRecord | None:
+    """The round's LP solve ``p`` feeds RR11/RR12, then the leaf rules, then
+    the removal of isolated vertices. When none fires, the instance is
+    reduced and the same solve checks the partition bounds."""
     decided = rr_lp_thresholds(inst, c, p, require_witness)
     if decided is not None:
         return decided

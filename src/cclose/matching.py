@@ -8,8 +8,8 @@ care which one they get.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ExtractionError
@@ -60,6 +60,10 @@ class VclpPartition:
     v1: frozenset[int]
     v_half: frozenset[int]
     lp_cost: Fraction
+    # The maximum matching of the double cover the split was read from, as
+    # u -> w for its edges u'w''. Many matchings give the same split, so it
+    # takes no part in equality.
+    matching: Mapping[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     def value_of(self, v: int) -> Fraction:
         if v in self.v0:
@@ -170,38 +174,47 @@ def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
     return match
 
 
-def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
+def _hopcroft_karp(
+    adj: Mapping[int, Iterable[int]], left: Iterable[int], start: Mapping[int, int] | None = None
+) -> tuple[dict[int, int], dict[int, int]]:
     """Maximum bipartite matching by shortest augmenting paths.
 
-    Hopcroft & Karp (1973), O(E√V). Each phase layers the left vertices by
-    alternating distance from the free ones, then augments along layered
-    paths found by depth-first search on an explicit stack; a left vertex
-    that leads nowhere leaves the layering for the rest of the phase. Maps
-    each matched vertex to its partner, in both directions. Which maximum
-    matching it returns is not specified.
+    Hopcroft & Karp (1973), O(E√V). ``adj`` maps each left vertex to its
+    right neighbours; the two sides are separate even where their ids
+    coincide. Each phase layers the left vertices by alternating distance
+    from the free ones, then augments along layered paths found by
+    depth-first search on an explicit stack; a left vertex that leads
+    nowhere leaves the layering for the rest of the phase.
+
+    ``start`` is a matching to grow from, as left-to-right pairs; a pair that
+    is not an edge, or whose right vertex is already taken, is skipped.
+    Returns the left-to-right and the right-to-left match maps. Which
+    maximum matching it returns is not specified.
     """
-    nbrs = {u: list(g.neighbors(u)) for u in left}
-    match: dict[int, int] = {}
+    ml: dict[int, int] = {}
+    mr: dict[int, int] = {}
+    for u, w in (start or {}).items():
+        if u in adj and w in adj[u] and w not in mr:
+            ml[u] = w
+            mr[w] = u
     while True:
-        free = [u for u in left if u not in match]
+        free = [u for u in left if u not in ml]
         dist = dict.fromkeys(free, 0)
         frontier = free
+        reached: set[int] = set()
         found = False
         while frontier and not found:
-            nxt = []
-            for u in frontier:
-                d = dist[u] + 1
-                for w in nbrs[u]:
-                    x = match.get(w)
-                    if x is None:
-                        found = True
-                    elif x not in dist:
-                        dist[x] = d
-                        nxt.append(x)
-            frontier = nxt
+            # The right vertices first met from this layer; the partners of
+            # the matched ones form the next layer.
+            step = set().union(*map(adj.__getitem__, frontier)) - reached
+            reached |= step
+            depth = dist[frontier[0]] + 1
+            frontier = [mr[w] for w in step if w in mr]
+            found = len(frontier) < len(step)
+            dist.update(dict.fromkeys(frontier, depth))
         if not found:
-            return match
-        untried = {u: iter(nbrs[u]) for u in dist}
+            return ml, mr
+        untried = {u: iter(adj[u]) for u in dist}
         for root in free:
             stack = [root]
             # via[i] is the right vertex stack[i] is trying; it leads to stack[i + 1].
@@ -210,7 +223,7 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
                 u = stack[-1]
                 d = dist[u] + 1
                 for w in untried[u]:
-                    x = match.get(w)
+                    x = mr.get(w)
                     if x is None or dist.get(x) == d:
                         break
                 else:
@@ -221,57 +234,48 @@ def _hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
                     continue
                 via.append(w)
                 if x is None:
-                    for u, v in zip(stack, via):
-                        match[u] = v
-                        match[v] = u
+                    for u, w in zip(stack, via):
+                        ml[u] = w
+                        mr[w] = u
                     break
                 stack.append(x)
 
 
-def _konig_cover(g: Graph, left: list[int], match: dict[int, int]) -> frozenset[int]:
+def _konig_cover(
+    adj: Mapping[int, Iterable[int]], left: Iterable[int], ml: Mapping[int, int], mr: Mapping[int, int]
+) -> tuple[frozenset[int], frozenset[int]]:
     """The König vertex cover of a maximum matching, certified.
 
-    ``match`` maps each matched vertex to its partner, in both directions.
-    Alternate from the unmatched left vertices; the cover is the unreached
-    left side plus the reached right side. ``match`` must pair left vertices
-    with distinct neighbours, and the cover must be as large as the matching
-    and cover every edge, which certifies the matching maximum and the cover
-    minimum, instance by instance.
+    ``ml`` and ``mr`` are the matching's left-to-right and right-to-left
+    maps, and ``adj`` maps each left vertex to its right neighbours. Alternate
+    from the unmatched left vertices; the cover is the unreached left side
+    plus the reached right side, returned as those two sets. The maps must
+    pair left vertices with distinct neighbours, and the cover must be as
+    large as the matching and cover every edge, which certifies the matching
+    maximum and the cover minimum, instance by instance.
     """
-    size = 0
-    for u in left:
-        w = match.get(u)
-        if w is not None:
-            if match.get(w) != u or not g.has_edge(u, w):
-                raise ExtractionError(f"({u}, {w}) is not a matching edge")
-            size += 1
-    reached: set[int] = set()
-    frontier = [u for u in left if u not in match]
-    reached.update(frontier)
+    for u, w in ml.items():
+        if mr.get(w) != u or w not in adj[u]:
+            raise ExtractionError(f"({u}, {w}) is not a matching edge")
+    if len(mr) != len(ml):
+        raise ExtractionError("the two match maps disagree")
+    frontier = [u for u in left if u not in ml]
+    reached_left = set(frontier)
+    reached_right: set[int] = set()
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                if w in reached:
-                    continue
-                reached.add(w)
-                partner = match.get(w)
-                if partner is not None and partner not in reached:
-                    reached.add(partner)
-                    nxt.append(partner)
-        frontier = nxt
-    left_set = set(left)
-    cover = frozenset(
-        v
-        for v in g.vertex_ids
-        if (v in left_set and v not in reached) or (v not in left_set and v in reached)
-    )
-    if len(cover) != size:
+        # A matched left vertex is reached only through its partner, so the
+        # partners of the newly reached right vertices are all new.
+        step = set().union(*map(adj.__getitem__, frontier)) - reached_right
+        reached_right |= step
+        frontier = [mr[w] for w in step if w in mr]
+        reached_left.update(frontier)
+    cover_left = frozenset(u for u in left if u not in reached_left)
+    if len(cover_left) + len(reached_right) != len(ml):
         raise ExtractionError("König certificate failed: cover size != matching size")
-    for u, v in g.edges():
-        if u not in cover and v not in cover:
-            raise ExtractionError(f"König cover misses edge ({u}, {v})")
-    return cover
+    for u in reached_left:
+        if not reached_right.issuperset(adj[u]):
+            raise ExtractionError(f"König cover misses an edge at left vertex {u}")
+    return cover_left, frozenset(reached_right)
 
 
 def bipartite_matching_with_cover(
@@ -285,8 +289,9 @@ def bipartite_matching_with_cover(
     parts.validate(g)
     left = sorted(parts.left_of(g))
     match = _kuhn(g, left)
-    cover = _konig_cover(g, left, match)
-    return Matching.of((u, match[u]) for u in left if u in match), cover
+    ml = {u: match[u] for u in left if u in match}
+    cover_left, cover_right = _konig_cover(g._adj, left, ml, {w: u for u, w in ml.items()})
+    return Matching.of(ml.items()), cover_left | cover_right
 
 
 def max_matching_bipartite(g: Graph, parts: Bipartition) -> Matching:
@@ -390,39 +395,38 @@ def max_matching_general(g: Graph) -> Matching:
 # -- vertex-cover LP ----------------------------------------------------------
 
 
-def double_cover(g: Graph) -> tuple[Graph, Bipartition]:
-    """The bipartite double cover: v splits into 2v (left) and 2v+1 (right);
-    each edge uv becomes u'v'' and v'u''."""
-    vertices = [2 * v for v in g.vertex_ids] + [2 * v + 1 for v in g.vertex_ids]
-    edges = []
-    for u, v in g.edges():
-        edges.append((2 * u, 2 * v + 1))
-        edges.append((2 * v, 2 * u + 1))
-    dg = Graph(vertices, edges)
-    return dg, Bipartition(frozenset(2 * v for v in g.vertex_ids))
-
-
-def vclp_half_integral(g: Graph) -> VclpPartition:
+def vclp_half_integral(g: Graph, start: Mapping[int, int] | None = None) -> VclpPartition:
     """An optimal half-integral solution of the vertex-cover LP.
 
     A minimum vertex cover of the bipartite double cover (via König) halves
     into an optimal fractional cover: x_v = |{v', v''} ∩ cover| / 2. The
-    König cover does not depend on which maximum matching it is built from
-    (Dulmage & Mendelsohn 1958): its reached vertices are the left vertices
-    some maximum matching leaves free and their neighbours. So Hopcroft–Karp
-    gives the same partition as Kuhn's matching, only faster.
+    double cover has a left copy v' and a right copy v'' of every vertex and
+    an edge u'w'' for every edge uw in either orientation, so g's own
+    adjacency is the double cover's, read from the left; Hopcroft–Karp and
+    the König search run on it with separate left and right match maps, and
+    the double cover is never built. The certificate holds on it: the cover
+    is as large as the matching and meets every pair u'w''.
+
+    The König cover does not depend on which maximum matching it is built
+    from (Dulmage & Mendelsohn 1958): its reached vertices are the left
+    vertices some maximum matching leaves free and their neighbours. So
+    Hopcroft–Karp gives the same partition as Kuhn's matching, and a solve
+    may grow any matching of the double cover instead of an empty one:
+    ``start`` (pairs u ↦ w for the edges u'w''; pairs that are not edges of
+    ``g`` or share a w are dropped) warm-starts it, and the result carries
+    the maximum matching it was read from as ``matching``.
     """
-    dg, _ = double_cover(g)
-    left = [2 * v for v in g.vertex_ids]
-    cover = _konig_cover(dg, left, _hopcroft_karp(dg, left))
-    hits = {v: (2 * v in cover) + (2 * v + 1 in cover) for v in g.vertex_ids}
+    adj = g._adj
+    # Every vertex has a left copy, so adj is also the list of left vertices.
+    ml, mr = _hopcroft_karp(adj, adj, start)
+    cover_left, cover_right = _konig_cover(adj, adj, ml, mr)
+    # An edge uw gives the pairs u'w'' and w'u'', and the certified cover
+    # meets both, so the two ends of every edge hold two hits between them.
     v0, v1, v_half = set(), set(), set()
-    for v, h in hits.items():
-        (v0, v_half, v1)[h].add(v)
-    for u, v in g.edges():
-        assert hits[u] + hits[v] >= 2, "LP infeasibility"
+    for v in adj:
+        (v0, v_half, v1)[(v in cover_left) + (v in cover_right)].add(v)
     cost = Fraction(2 * len(v1) + len(v_half), 2)
-    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost)
+    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost, ml)
 
 
 def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:

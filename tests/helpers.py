@@ -49,7 +49,6 @@ from cclose.kernel_is import _greedy_low_degree_is
 from cclose.matching import (
     VclpPartition,
     bipartite_matching_with_cover,
-    double_cover,
     max_matching_general,
     vclp_half_integral,
 )
@@ -144,6 +143,18 @@ def recursive_kuhn(g: Graph, left: list[int]) -> dict[int, int]:
         if u not in match:
             try_augment(u, set())
     return match
+
+
+def double_cover(g: Graph) -> tuple[Graph, Bipartition]:
+    """The bipartite double cover, built: v splits into 2v (left) and 2v+1
+    (right); each edge uv becomes u'v'' and v'u''."""
+    vertices = [2 * v for v in g.vertex_ids] + [2 * v + 1 for v in g.vertex_ids]
+    edges = []
+    for u, v in g.edges():
+        edges.append((2 * u, 2 * v + 1))
+        edges.append((2 * v, 2 * u + 1))
+    dg = Graph(vertices, edges)
+    return dg, Bipartition(frozenset(2 * v for v in g.vertex_ids))
 
 
 def kuhn_vclp(g: Graph) -> VclpPartition:

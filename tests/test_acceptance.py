@@ -58,13 +58,14 @@ from cclose import (
 )
 from cclose.instances import replay
 from cclose.kernel_irs import irs_thresholds
-from cclose.matching import bipartite_matching_with_cover, double_cover, validate_matching
+from cclose.matching import bipartite_matching_with_cover, validate_matching
 
 from helpers import (
     atlas_graphs,
     brute_hitting_set,
     brute_max_matching,
     closure_by_matrix,
+    double_cover,
     random_c_closed_bipartite,
     random_c_closed_graph,
     random_graph,

@@ -352,3 +352,29 @@ def _golden_run(workdir, command, name):
 @pytest.mark.parametrize("name, command", list(GOLDEN), ids=[" ".join(key) for key in GOLDEN])
 def test_cli_bytes_match_golden(golden_files, name, command):
     assert _golden_run(golden_files, command.split(), name) == list(GOLDEN[name, command])
+
+
+# How often each command scans its graph for the closure: once where the
+# pipeline reads c, never where it does not (listing cliques, and the
+# bipartite IM kernel in delta mode).
+CLOSURE_SCANS = {"cliques --count-only": 0, "kernelize --problem im --bipartite --mode delta -k 3": 0}
+
+
+@pytest.mark.parametrize("name, command", list(GOLDEN), ids=[" ".join(key) for key in GOLDEN])
+def test_closure_scans_per_command(golden_files, monkeypatch, name, command):
+    import sys
+
+    from cclose import closure
+
+    original = closure.compute_closure
+    scans = []
+
+    def counted(g):
+        scans.append(g.n)
+        return original(g)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cclose") and getattr(module, "compute_closure", None) is original:
+            monkeypatch.setattr(module, "compute_closure", counted)
+    assert _golden_run(golden_files, command.split(), name) == list(GOLDEN[name, command])
+    assert len(scans) == CLOSURE_SCANS.get(command, 1)

@@ -273,3 +273,118 @@ class TestClosureMemo:
         for call in calls:
             with pytest.raises(ValueError, match="not c-closed"):
                 call()
+
+
+def _relabeled(seed, n, shape, p):
+    """A graph on n non-contiguous ids: G(n, p), complete or edgeless."""
+    import random
+
+    rng = random.Random(seed)
+    ids = rng.sample(range(4 * n + 1), n)
+    if shape == "complete":
+        edges = [(u, v) for i, u in enumerate(ids) for v in ids[:i]]
+    elif shape == "edgeless":
+        edges = []
+    else:
+        edges = [(u, v) for i, u in enumerate(ids) for v in ids[:i] if rng.random() < p]
+    return Graph(ids, edges)
+
+
+class TestWedgeTally:
+    """One tally of wedges by middle vertex, in batches of at most
+    ``closure.TALLY_BATCH`` pair counts."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
+    @given(
+        st.integers(0, 2 ** 31),
+        st.integers(0, 16),
+        st.sampled_from(["random", "random", "complete", "edgeless"]),
+        st.floats(0, 1),
+    )
+    def test_matches_pair_scan(self, batch, seed, n, shape, p):
+        from unittest import mock
+
+        from cclose import closure
+
+        g = _relabeled(seed, n, shape, p)
+        size = closure.TALLY_BATCH if batch is None else batch
+        with mock.patch.object(closure, "TALLY_BATCH", size):
+            report = compute_closure(g)
+        assert (report.c, report.witness_pair) == pair_scan_closure(g)
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 40])
+    @given(st.integers(0, 2 ** 31), st.integers(0, 16), st.floats(0, 1))
+    def test_batches_are_exact_bounded_and_ascending(self, batch, seed, n, p):
+        from unittest import mock
+
+        from cclose import closure
+
+        g = _relabeled(seed, n, "random", p)
+        with mock.patch.object(closure, "TALLY_BATCH", batch):
+            batches = [sorted(counts.items()) for counts in closure._wedge_tallies(g._adj)]
+        assert all(0 < len(b) <= batch for b in batches if b)
+        merged = [item for b in batches for item in b]
+        assert merged == sorted(merged)
+        expected = [
+            ((u, v), k)
+            for u in g.vertex_ids
+            for v in g.vertex_ids
+            if u < v and (k := len(g.neighbors(u) & g.neighbors(v)))
+        ]
+        assert merged == expected
+
+    def test_one_batch_is_live_at_a_time(self, monkeypatch):
+        # Each batch must be gone before the next is built.
+        import weakref
+
+        from cclose import closure
+
+        monkeypatch.setattr(closure, "TALLY_BATCH", 7)
+        tallies = closure._wedge_tallies
+        built = []
+
+        def tracked(adj):
+            batches = tallies(adj)
+            while True:
+                assert all(ref() is None for ref in built)
+                counts = next(batches, None)
+                if counts is None:
+                    return
+                assert len(counts) <= 7
+                built.append(weakref.ref(counts))
+                yield counts
+                del counts
+
+        monkeypatch.setattr(closure, "_wedge_tallies", tracked)
+        g = random_graph(40, 0.3, 11)
+        report = compute_closure(g)
+        assert (report.c, report.witness_pair) == pair_scan_closure(g)
+        assert len(built) > 10
+
+    def test_memory_stays_bounded_past_one_batch(self, monkeypatch):
+        # K_{2,600}: 359,700 wedges and 179,701 distinct pairs, far more than
+        # one batch; the tally's peak stays within one batch's worth.
+        import tracemalloc
+        from collections import Counter
+
+        from cclose import closure
+
+        leaves = 600
+        g = Graph(range(leaves + 2), [(h, 2 + i) for h in (0, 1) for i in range(leaves)])
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                result = run()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, one_batch = peak(lambda: Counter((i, i + 1) for i in range(closure.TALLY_BATCH)))
+        report, batched = peak(lambda: compute_closure(Graph._from_adj(g._adj)))
+        assert (report.c, report.witness_pair) == (leaves + 1, (0, 1))
+        monkeypatch.setattr(closure, "TALLY_BATCH", 10 ** 9)
+        report, whole = peak(lambda: compute_closure(Graph._from_adj(g._adj)))
+        assert (report.c, report.witness_pair) == (leaves + 1, (0, 1))
+        assert batched < one_batch + 2 ** 20
+        assert 2 * batched < whole

@@ -260,9 +260,9 @@ class TestKernelizeIm:
 
         calls = []
 
-        def counted(g):
+        def counted(g, *start):
             calls.append(g)
-            return vclp_half_integral(g)
+            return vclp_half_integral(g, *start)
 
         monkeypatch.setattr(kernel_im, "vclp_half_integral", counted)
         reduced = 0
@@ -275,6 +275,30 @@ class TestKernelizeIm:
                 assert len(calls) == 1 + sum(r.rule != "RR10" for r in out.trace)
                 assert calls[-1] == out.instance.graph
         assert reduced > 0
+
+    def test_each_round_grows_the_last_rounds_matching(self, monkeypatch):
+        # The first solve starts from nothing; every later one from the
+        # maximum matching the round before ended with.
+        solves = []
+
+        def recorded(g, start):
+            p = vclp_half_integral(g, start)
+            solves.append((dict(start), p))
+            assert p == vclp_half_integral(g)
+            return p
+
+        monkeypatch.setattr(kernel_im, "vclp_half_integral", recorded)
+        warm = 0
+        for seed in range(30):
+            g = random_graph(12, 0.2, seed)
+            solves.clear()
+            kernelize_im(make(g, 1), compute_closure(g).c)
+            if solves:
+                assert solves[0][0] == {}
+            for (_, before), (start, _) in zip(solves, solves[1:]):
+                assert start == before.matching
+                warm += bool(start)
+        assert warm > 0
 
 
 def _outcome(kernelize, inst, c, require_witness):
@@ -310,6 +334,26 @@ class TestRestartReference:
         assert _outcome(kernelize_im, inst, c, require_witness) == _outcome(
             restart_kernelize_im, inst, c, require_witness
         )
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_matches_restarting_pipeline_over_many_warm_rounds(self, c):
+        # 25 planted edges and cherries on about 80 vertices: the leaf rules
+        # fire round after round, and each round's solve is warm-started.
+        rounds = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            base, v = [], 0
+            for size in [rng.choice((2, 3)) for _ in range(25)]:
+                base += [(v + i, v + i + 1) for i in range(size - 1)]
+                v += size
+            g = random_c_closed_graph(v + 15, c, 0.02, seed, base_edges=base)
+            for k in (1, 3):
+                inst = make(g, k)
+                out = _outcome(kernelize_im, inst, c, False)
+                assert out == _outcome(restart_kernelize_im, inst, c, False)
+                if isinstance(out, Reduced):
+                    rounds.append(sum(r.rule != "RR10" for r in out.trace) + 1)
+        assert max(rounds) >= 4
 
     def test_mid_run_decision_lifts_the_witness(self):
         # 8 edges and a cherry at c = 2, k = 1: RR13 trims the cherry to an

@@ -100,21 +100,48 @@ class TestBipartiteMatching:
     def test_konig_cover_rejects_what_it_cannot_certify(self):
         g = path_graph(4)
         left = [0, 2]
-        assert _konig_cover(g, left, {0: 1, 1: 0, 2: 3, 3: 2}) == {0, 2}
+
+        def cover(match):
+            # ``match`` maps partners both ways; the left keys go to ml.
+            ml = {u: w for u, w in match.items() if u in left}
+            mr = {w: u for w, u in match.items() if w not in left}
+            cover_left, cover_right = _konig_cover(g._adj, left, ml, mr)
+            return cover_left | cover_right
+
+        assert cover({0: 1, 1: 0, 2: 3, 3: 2}) == {0, 2}
         with pytest.raises(ExtractionError, match="not a matching edge"):
-            _konig_cover(g, left, {0: 3, 3: 0, 2: 1, 1: 2})
+            cover({0: 3, 3: 0, 2: 1, 1: 2})
         with pytest.raises(ExtractionError, match="not a matching edge"):
-            _konig_cover(g, left, {0: 1, 1: 2, 2: 1})
+            cover({0: 1, 1: 2, 2: 1})
         with pytest.raises(ExtractionError, match="cover size"):
-            _konig_cover(g, left, {2: 1, 1: 2})
+            cover({2: 1, 1: 2})
+        with pytest.raises(ExtractionError, match="maps disagree"):
+            cover({0: 1, 1: 0, 3: 2})
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 12), st.floats(0, 1))
     def test_hopcroft_karp_is_maximum(self, seed, n, p):
         g, left = random_bipartite(seed, n, p)
-        match = _hopcroft_karp(g, left)
-        for u, v in match.items():
-            assert match[v] == u and g.has_edge(u, v)
-        assert len(match) == len(_kuhn(g, left)) == 2 * brute_max_matching(g)
+        ml, mr = _hopcroft_karp(g._adj, left)
+        for u, v in ml.items():
+            assert mr[v] == u and g.has_edge(u, v)
+        for v, u in mr.items():
+            assert ml[u] == v and g.has_edge(u, v)
+        assert 2 * len(ml) == 2 * len(mr) == len(_kuhn(g, left)) == 2 * brute_max_matching(g)
+
+    @given(st.integers(0, 2 ** 31), st.integers(0, 12), st.floats(0, 1), st.floats(0, 1))
+    def test_hopcroft_karp_grows_any_start(self, seed, n, p, keep):
+        # A start that pairs a left vertex with a non-neighbour, or reuses a
+        # right vertex, loses those pairs; the rest are grown to a maximum.
+        import random
+
+        g, left = random_bipartite(seed, n, p)
+        rng = random.Random(seed)
+        ids = sorted(g.vertex_ids)
+        start = {u: rng.choice(ids) for u in left if ids and rng.random() < keep}
+        ml, mr = _hopcroft_karp(g._adj, left, start)
+        for u, v in ml.items():
+            assert mr[v] == u and g.has_edge(u, v)
+        assert len(mr) == len(ml) == brute_max_matching(g)
 
     @pytest.mark.parametrize("teeth", [1, 2])
     @pytest.mark.parametrize("shape", ["ladder", "comb"])
@@ -216,6 +243,42 @@ class TestVclp:
         ids = rng.sample(range(3 * n), n)
         g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[:i] if rng.random() < p])
         assert vclp_half_integral(g) == kuhn_vclp(g)
+
+    @given(
+        st.integers(0, 2 ** 31),
+        st.integers(0, 30),
+        st.one_of(st.floats(0, 0.15), st.floats(0.5, 1)),
+        st.sampled_from(["empty", "partial", "random", "maximum"]),
+    )
+    def test_warm_start_gives_the_same_partition(self, seed, n, p, start):
+        # Any valid matching of the double cover may seed the solve: none, a
+        # part of a maximum one, a random greedy one, or a maximum one (the
+        # kernel's case when a round removes nothing the matching uses).
+        import random
+
+        rng = random.Random(seed)
+        ids = rng.sample(range(3 * n), n)
+        g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[:i] if rng.random() < p])
+        cold = vclp_half_integral(g)
+        if start == "empty":
+            pairs = {}
+        elif start == "maximum":
+            pairs = dict(cold.matching)
+        elif start == "partial":
+            pairs = {u: w for u, w in cold.matching.items() if rng.random() < 0.5}
+        else:
+            pairs, taken = {}, set()
+            for u in rng.sample(ids, n):
+                free = sorted(g.neighbors(u) - taken)
+                if free and rng.random() < 0.7:
+                    pairs[u] = rng.choice(free)
+                    taken.add(pairs[u])
+        warm = vclp_half_integral(g, pairs)
+        assert warm == cold == kuhn_vclp(g)
+        assert len(warm.matching) == len(cold.matching) == 2 * cold.lp_cost
+        for u, w in warm.matching.items():
+            assert g.has_edge(u, w)
+        assert len(set(warm.matching.values())) == len(warm.matching)
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 9))
     def test_cost_is_half_integral(self, seed, n):
