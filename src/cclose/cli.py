@@ -24,7 +24,7 @@ from .generators import MODEL_PARAMS, generate
 from .graphio import load_graph, normalize_ids, save_graph
 from .instances import Bipartition, Coloring, Decided, Instance, Problem, Reduced
 from .kernel_ds import kernelize_bipartite_bwds, kernelize_bwtds, kernelize_ds
-from .kernel_im import kernelize_im, kernelize_im_bipartite
+from .kernel_im import BIPARTITE_MODES, kernelize_im, kernelize_im_bipartite
 from .kernel_irs import kernelize_irs
 from .kernel_is import kernelize_is
 from .oracle import oracle_ds, oracle_tds
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("-k", type=int, required=True)
     p_kern.add_argument("-r", type=int, default=1)
     p_kern.add_argument("--bipartite", action="store_true")
-    p_kern.add_argument("--mode", choices=["delta", "closure"], default="delta")
+    p_kern.add_argument("--mode", choices=list(BIPARTITE_MODES), default="delta")
     p_kern.add_argument("--require-witness", action="store_true")
     p_kern.add_argument("--emit-trace")
     p_kern.add_argument("infile")
@@ -207,9 +207,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_kernelize(args: argparse.Namespace) -> int:
     g, coloring, bipartition = load_graph(args.infile)
-    # Every pipeline but the bipartite IM kernel in delta mode reads c.
-    delta_im = args.problem == "im" and args.bipartite and args.mode == "delta"
-    c = None if delta_im else compute_closure(g).c
+    # Every pipeline reads c but the bipartite IM kernel's modes that do not.
+    reads_c = BIPARTITE_MODES[args.mode] if args.problem == "im" and args.bipartite else True
+    c = compute_closure(g).c if reads_c else None
     if args.problem == "is":
         inst = Instance(problem=Problem.IS, graph=g, k=args.k)
         outcome = kernelize_is(inst, c)

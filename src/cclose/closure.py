@@ -7,13 +7,16 @@ Seshadhri, Wei & Wein, *Finding cliques in social networks* (SICOMP 2020):
 every pair of w's neighbours is one wedge with middle vertex w, so one tally
 over all middle vertices gives the common-neighbour count of every pair at
 distance two, in sum over w of C(deg w, 2) steps. Pairs farther apart are
-never visited. The tally holds at most ``TALLY_BATCH`` pair counts at a time,
-so its memory stays bounded on any graph a file may describe.
+never visited. A graph with more wedges than the module constant
+``TALLY_BATCH`` is tallied one vertex at a time instead, skipping vertices
+whose degree cannot beat the best count found so far; either way at most
+``TALLY_BATCH`` pair counts are live at once, so memory stays bounded on any
+graph a file may describe.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -48,7 +51,6 @@ def common_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
 
 
 # The most pair counts a wedge tally holds at once (about 10 MiB of them).
-# A graph with more wedges is tallied in batches of smaller endpoints.
 TALLY_BATCH = 1 << 16
 
 
@@ -57,27 +59,44 @@ def compute_closure(g: Graph) -> ClosureReport:
 
     Graphs with fewer than two vertices, and complete graphs, have closure 1
     (the constraint set is empty). The witness pair is the lexicographically
-    smallest maximizer. The cost is sum over w of C(deg w, 2), one step per
-    wedge, and at most ``TALLY_BATCH`` pair counts are live at once. Sparse
-    graphs are fast; on dense graphs the wedges approach n^3/2 and cost more
-    than a scan of all n^2 pairs with set intersections would. On G(120, 0.9)
-    (Python 3.11, 2-core Xeon) the tally takes about 120 ms, the pair scan
-    4 ms, and a tally per vertex that skips vertices of degree at most the
-    best count so far 25 ms. No workload has such graphs, so there is no
-    switch on density.
+    smallest maximizer. At most ``TALLY_BATCH`` pair counts are live at once.
+
+    A graph with at most that many wedges is tallied whole: every pair of
+    each middle vertex's sorted neighbours, sum over w of C(deg w, 2) steps
+    in one ``Counter``. A larger one is tallied from each vertex u in
+    ascending order, over the neighbourhoods of u's neighbours, and a u of
+    degree at most the best count so far is skipped, since none of its pairs
+    can beat that count. On skewed graphs a hub's pairs set a high count
+    early and the low-degree rest is passed over, so a star or a theta graph
+    costs about one pass over its edges, not its quadratic number of wedges.
+    On G(120, 0.9) (Python 3.11, 2-core Xeon) the tally takes about 30 ms
+    against 4 ms for a scan of all pairs with set intersections; no workload
+    has such dense graphs, so there is no switch on density.
 
     The report is memoized on ``g`` (graphs are immutable), so a kernel's
     ``is_c_closed`` precondition on the same graph costs no second scan.
     """
     adj = g._adj
     best, pair = 0, None
-    # Batches come in ascending pair order, so a later one replaces the
-    # record only when it beats it.
-    for counts in _wedge_tallies(adj):
-        record = _top_free_pair(counts, adj, best)
-        del counts  # so that one batch of pair counts is live at a time
-        if record is not None:
-            best, pair = record
+    if sum(d * (d - 1) for d in map(len, adj.values())) <= 2 * TALLY_BATCH:
+        rows = (sorted(nbrs) for nbrs in adj.values() if len(nbrs) > 1)
+        counts = Counter(chain.from_iterable(map(combinations, rows, repeat(2))))
+        best, pair = _top_free_pair(counts, adj)
+    else:
+        for u in sorted(adj):
+            nbrs = adj[u]
+            if len(nbrs) <= best:
+                continue
+            # u ascends, and so does v from one tally of u to the next, so
+            # a later pair replaces the record only when it beats it.
+            for counts in _head_tallies(adj, u):
+                beaten = [
+                    (-k, v) for v, k in counts.items() if k > best and v > u and v not in nbrs
+                ]
+                del counts  # so that one tally is live at a time
+                if beaten:
+                    negated, v = min(beaten)
+                    best, pair = -negated, (u, v)
     g._closure = ClosureReport(c=best + 1, witness_pair=pair)
     return g._closure
 
@@ -99,81 +118,44 @@ def is_c_closed(g: Graph, c: int) -> bool:
 
 
 def _top_free_pair(
-    counts: Counter, adj: dict[int, set[int]], floor: int
-) -> tuple[int, tuple[int, int]] | None:
-    """The highest count above ``floor`` among the nonadjacent pairs in
-    ``counts``, with the smallest pair that has it; None if there is none.
-    Drops the adjacent pairs it passes from ``counts``."""
-    while counts:
-        top = max(counts.values())
-        if top <= floor:
-            return None
-        tied = [p for p, k in counts.items() if k == top]
-        free = [(u, v) for u, v in tied if v not in adj[u]]
-        if free:
-            return top, min(free)
-        for p in tied:
-            del counts[p]
-    return None
+    counts: Counter, adj: dict[int, set[int]]
+) -> tuple[int, tuple[int, int] | None]:
+    """The highest count among the nonadjacent pairs in ``counts`` with the
+    smallest pair that has it, or (0, None) if there is none.
 
-
-def _wedge_tallies(adj: dict[int, set[int]]) -> Iterator[Counter]:
-    """Common-neighbour counts of the pairs u < v at distance two, keyed by
-    (u, v), in Counters of at most ``TALLY_BATCH`` keys each.
-
-    When all wedges fit one batch, one tally runs over every middle vertex's
-    sorted neighbours. Otherwise the smaller endpoints u are cut into
-    ascending runs of at most ``TALLY_BATCH`` wedges, and a u with more
-    wedges than that on its own is tallied over runs of ``TALLY_BATCH``
-    consecutive vertex ids for v. Batches come in ascending pair order.
+    The top count usually has a nonadjacent pair, and testing only its pairs
+    for adjacency is several times faster than testing every pair, which is
+    left for when adjacent pairs hold the top count.
     """
-    rows = {w: sorted(nbrs) for w, nbrs in adj.items() if len(nbrs) > 1}
-    wedges = sum(len(row) * (len(row) - 1) for row in rows.values()) // 2
-    if wedges <= TALLY_BATCH:
-        yield Counter(chain.from_iterable(map(combinations, rows.values(), repeat(2))))
+    top = max(counts.values(), default=0)
+    free = [(u, v) for (u, v), k in counts.items() if k == top and v not in adj[u]]
+    if free:
+        return top, min(free)
+    rest = max(((k, -u, -v) for (u, v), k in counts.items() if v not in adj[u]), default=None)
+    return (0, None) if rest is None else (rest[0], (-rest[1], -rest[2]))
+
+
+def _head_tallies(adj: dict[int, set[int]], u: int) -> Iterator[Counter]:
+    """The common-neighbour counts of u with the vertices at distance at
+    most two, keyed by vertex, in Counters of at most ``TALLY_BATCH`` keys.
+
+    One tally over the neighbourhoods of u's neighbours when they hold at
+    most ``TALLY_BATCH`` entries; it also counts u itself and vertices below
+    u. Otherwise the entries above u are sorted, a list no longer than the
+    graph's adjacency, and tallied in ascending runs of at most
+    ``TALLY_BATCH`` distinct vertices, a vertex never split between two runs.
+    """
+    around = list(map(adj.__getitem__, adj[u]))
+    if sum(map(len, around)) <= TALLY_BATCH:
+        yield Counter(chain.from_iterable(around))
         return
-    # heads[u] counts the wedges whose smaller endpoint is u.
-    heads: Counter = Counter()
-    for row in rows.values():
-        for i, u in enumerate(row):
-            heads[u] += len(row) - 1 - i
-    ids = sorted(adj)
-    batch: list[int] = []
-    size = 0
-    for u in sorted(heads):
-        if batch and size + heads[u] > TALLY_BATCH:
-            yield _tally(adj, rows, batch)
-            batch, size = [], 0
-        if heads[u] <= TALLY_BATCH:
-            batch.append(u)
-            size += heads[u]
-            continue
-        for start in range(bisect_right(ids, u), len(ids), TALLY_BATCH):
-            stop = start + TALLY_BATCH
-            yield _tally(adj, rows, [u], ids[start], ids[stop] if stop < len(ids) else None)
-    if batch:
-        yield _tally(adj, rows, batch)
-
-
-def _tally(
-    adj: dict[int, set[int]],
-    rows: dict[int, list[int]],
-    heads: list[int],
-    lo: int | None = None,
-    hi: int | None = None,
-) -> Counter:
-    """Common-neighbour counts of the pairs (u, v) with u in ``heads`` and
-    v > u, within lo <= v < hi where those are given."""
-
-    def larger(u: int, row: list[int]) -> list[int]:
-        start = bisect_right(row, u) if lo is None else bisect_left(row, lo)
-        return row[start:] if hi is None else row[start:bisect_left(row, hi)]
-
-    return Counter(
-        chain.from_iterable(
-            zip(repeat(u), larger(u, rows[w])) for u in heads for w in adj[u] if w in rows
-        )
-    )
+    reached = sorted(chain.from_iterable(around))
+    start = bisect_right(reached, u)
+    while start < len(reached):
+        last = reached[min(start + TALLY_BATCH, len(reached)) - 1]
+        stop = bisect_right(reached, last, start)
+        yield Counter(reached[start:stop])
+        start = stop
 
 
 def attach_simplicial(g: Graph, c: int, clique: frozenset[int] | set[int]) -> Graph:

@@ -283,6 +283,10 @@ def _decide_cluster_im(inst: Instance) -> Decided:
 # -- bipartite kernels ------------------------------------------------------------
 
 
+# The modes of ``kernelize_im_bipartite``, each with whether it reads c.
+BIPARTITE_MODES = {"delta": False, "closure": True}
+
+
 def kernelize_im_bipartite(
     inst: Instance,
     parts: Bipartition,

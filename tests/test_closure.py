@@ -291,10 +291,10 @@ def _relabeled(seed, n, shape, p):
 
 
 class TestWedgeTally:
-    """One tally of wedges by middle vertex, in batches of at most
-    ``closure.TALLY_BATCH`` pair counts."""
+    """One tally of wedges by middle vertex, or, past ``closure.TALLY_BATCH``
+    wedges, one tally per vertex; at most that many pair counts at once."""
 
-    @pytest.mark.parametrize("batch", [None, 1, 2, 7])
+    @pytest.mark.parametrize("batch", [None, 1, 2, 7, 40])
     @given(
         st.integers(0, 2 ** 31),
         st.integers(0, 16),
@@ -314,56 +314,81 @@ class TestWedgeTally:
 
     @pytest.mark.parametrize("batch", [1, 2, 7, 40])
     @given(st.integers(0, 2 ** 31), st.integers(0, 16), st.floats(0, 1))
-    def test_batches_are_exact_bounded_and_ascending(self, batch, seed, n, p):
+    def test_head_tallies_are_exact_bounded_and_ascending(self, batch, seed, n, p):
         from unittest import mock
 
         from cclose import closure
 
         g = _relabeled(seed, n, "random", p)
-        with mock.patch.object(closure, "TALLY_BATCH", batch):
-            batches = [sorted(counts.items()) for counts in closure._wedge_tallies(g._adj)]
-        assert all(0 < len(b) <= batch for b in batches if b)
-        merged = [item for b in batches for item in b]
-        assert merged == sorted(merged)
-        expected = [
-            ((u, v), k)
-            for u in g.vertex_ids
-            for v in g.vertex_ids
-            if u < v and (k := len(g.neighbors(u) & g.neighbors(v)))
-        ]
-        assert merged == expected
+        for u in g.vertex_ids:
+            with mock.patch.object(closure, "TALLY_BATCH", batch):
+                tallies = [sorted(counts.items()) for counts in closure._head_tallies(g._adj, u)]
+            assert all(len(t) <= batch for t in tallies)
+            above = [[(v, k) for v, k in t if v > u] for t in tallies]
+            merged = [item for t in above for item in t]
+            assert merged == sorted(merged)
+            assert len({v for v, _ in merged}) == len(merged)
+            expected = [
+                (v, k)
+                for v in sorted(g.vertex_ids)
+                if v > u and (k := len(g.neighbors(u) & g.neighbors(v)))
+            ]
+            assert merged == expected
 
-    def test_one_batch_is_live_at_a_time(self, monkeypatch):
-        # Each batch must be gone before the next is built.
+    @pytest.mark.parametrize("batch", [1, 2, 7, 40, None])
+    @given(st.integers(0, 2 ** 31), st.integers(0, 16), st.floats(0, 1))
+    def test_one_bounded_tally_is_live_at_a_time(self, batch, seed, n, p):
+        # Every Counter the scan builds holds at most one batch of counts,
+        # and each is gone before the next is built.
         import weakref
+        from collections import Counter
+        from unittest import mock
 
         from cclose import closure
 
-        monkeypatch.setattr(closure, "TALLY_BATCH", 7)
-        tallies = closure._wedge_tallies
         built = []
 
-        def tracked(adj):
-            batches = tallies(adj)
-            while True:
+        class Tracked(Counter):
+            def __init__(self, *args):
                 assert all(ref() is None for ref in built)
-                counts = next(batches, None)
-                if counts is None:
-                    return
-                assert len(counts) <= 7
-                built.append(weakref.ref(counts))
-                yield counts
-                del counts
+                super().__init__(*args)
+                assert len(self) <= closure.TALLY_BATCH
+                built.append(weakref.ref(self))
 
-        monkeypatch.setattr(closure, "_wedge_tallies", tracked)
-        g = random_graph(40, 0.3, 11)
-        report = compute_closure(g)
+        g = _relabeled(seed, n, "random", p)
+        size = closure.TALLY_BATCH if batch is None else batch
+        with mock.patch.object(closure, "TALLY_BATCH", size), mock.patch.object(
+            closure, "Counter", Tracked
+        ):
+            report = compute_closure(g)
         assert (report.c, report.witness_pair) == pair_scan_closure(g)
-        assert len(built) > 10
+
+    @pytest.mark.parametrize(
+        "shape, expected", [("theta", (2001, (0, 1))), ("star", (2, (1, 2)))]
+    )
+    def test_hub_graphs_cost_about_one_pass_over_the_edges(self, monkeypatch, shape, expected):
+        # Each has millions of wedges, but once the first pairs set the best
+        # count every other vertex has too small a degree to beat it.
+        from collections import Counter
+
+        from cclose import closure, star_graph, theta_graph
+
+        g = theta_graph(2000) if shape == "theta" else star_graph(3000)
+        visited = []
+
+        class Tracked(Counter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                visited.append(sum(self.values()))
+
+        monkeypatch.setattr(closure, "Counter", Tracked)
+        report = compute_closure(g)
+        assert (report.c, report.witness_pair) == expected
+        assert sum(visited) <= 4 * g.m
 
     def test_memory_stays_bounded_past_one_batch(self, monkeypatch):
         # K_{2,600}: 359,700 wedges and 179,701 distinct pairs, far more than
-        # one batch; the tally's peak stays within one batch's worth.
+        # one batch; the scan's peak stays within one batch's worth.
         import tracemalloc
         from collections import Counter
 

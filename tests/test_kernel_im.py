@@ -442,6 +442,20 @@ class TestBipartiteKernels:
         with pytest.raises(ValueError):
             kernelize_im_bipartite(inst, parts, "bogus")
 
+    @pytest.mark.parametrize("mode", sorted(kernel_im.BIPARTITE_MODES))
+    def test_modes_say_whether_they_read_c(self, mode):
+        # The CLI skips the closure scan for a mode that does not read c.
+        g = Graph(range(4), [(0, 2), (1, 3)])
+        parts = Bipartition(frozenset({0, 1}))
+        inst = Instance(problem=Problem.IM, graph=g, k=1, bipartition=parts)
+        if kernel_im.BIPARTITE_MODES[mode]:
+            with pytest.raises(ValueError, match="needs c"):
+                kernelize_im_bipartite(inst, parts, mode)
+        else:
+            assert kernelize_im_bipartite(inst, parts, mode) == kernelize_im_bipartite(
+                inst, parts, mode, c=compute_closure(g).c
+            )
+
     @settings(max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(0, 12), st.integers(0, 2))
     def test_randomized_equivalence_both_modes(self, seed, n, k):
