@@ -62,9 +62,11 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     Ordered neighbourhood extension (Chiba & Nishizeki; kClist): a partial
     clique carries its common neighbours with larger ids, in ascending order,
     and grows by each of them in turn, so the output comes out sorted without
-    a sort. A branch stops once too few candidates remain to reach ``size``,
-    and the recursion depth is ``size``, never the vertex count. Every clique
-    is certified with ``Graph.is_clique`` before it is listed.
+    a sort. A branch stops once too few candidates remain to reach ``size``.
+    The search runs on an explicit stack of (clique, candidates, next index)
+    frames, depth first, so a clique of any size costs memory, not recursion
+    depth. Every clique is certified with ``Graph.is_clique`` before it is
+    listed.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -72,22 +74,20 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
         return [()]
     adj = {v: g.neighbors(v) for v in g.vertex_ids}
     out: list[tuple[int, ...]] = []
-
-    def extend(clique: tuple[int, ...], candidates: list[int]) -> None:
+    stack: list[tuple[tuple[int, ...], list[int], int]] = [((), list(adj), 0)]
+    while stack:
+        clique, candidates, i = stack.pop()
         if len(clique) == size - 1:
             for v in candidates:
                 found = clique + (v,)
                 if not g.is_clique(found):
                     raise AssertionError(f"listed non-clique {found}")
                 out.append(found)
-            return
-        need = size - len(clique)
-        for i in range(len(candidates) - need + 1):
+        elif i + size - len(clique) <= len(candidates):
             v = candidates[i]
             nbrs = adj[v]
-            extend(clique + (v,), [w for w in candidates[i + 1:] if w in nbrs])
-
-    extend((), list(adj))
+            stack.append((clique, candidates, i + 1))
+            stack.append((clique + (v,), [w for w in candidates[i + 1:] if w in nbrs], 0))
     return out
 
 

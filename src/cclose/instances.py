@@ -70,8 +70,21 @@ class Bipartition:
         return frozenset(v for v in g.vertex_ids if v not in self.left)
 
     def validate(self, g: Graph) -> None:
+        """Raise ``BipartitionError`` naming the smallest edge of g that does
+        not cross, if there is one.
+
+        Each vertex is checked with one set operation: a left vertex's
+        neighbours must avoid the left side, a right vertex's must lie in it.
+        Only a failing graph pays for the sorted edge scan that names the edge.
+        """
+        left = self.left
+        for v, nbrs in g._adj.items():
+            if not (left.isdisjoint(nbrs) if v in left else left.issuperset(nbrs)):
+                break
+        else:
+            return
         for u, v in g.edges():
-            if (u in self.left) == (v in self.left):
+            if (u in left) == (v in left):
                 raise BipartitionError(f"edge ({u}, {v}) does not cross the bipartition")
 
     def restricted_to(self, g: Graph) -> "Bipartition":

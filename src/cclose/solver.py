@@ -85,7 +85,12 @@ def solve_ds(g: Graph, c: int, k: int) -> tuple[bool, Witness | None]:
 def _branch(
     inst: Instance, c: int, r: int, budget: int, partial: set[int], ds_mode: bool
 ) -> set[int] | None:
-    """One node of the search tree; returns a full solution set or None."""
+    """One node of the search tree; returns a full solution set or None.
+
+    Each recursive call spends one unit of ``budget`` and a node at budget 0
+    does not branch, so the recursion is at most k levels deep below the
+    root, whatever the size of the graph.
+    """
     g = inst.graph
     base_black = inst.black_vertices()
     unsatisfied = frozenset(

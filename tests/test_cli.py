@@ -168,6 +168,19 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p 3\ne 0 1\ne 1 2\ne 1 0\n", "line 4: duplicate edge (1, 0)"),
+        ("p 2\ne 0 " + "1" * 4301 + "\n", "line 2: expected an integer in field 2"),
+    ],
+    ids=["duplicate-edge", "4301-digit-id"],
+)
+def test_canonical_shaped_malformed_file_exits_2(tmp_path, capsys, text, message):
+    assert main(["closure", write(tmp_path, "bad.txt", text)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["kernelize", "--problem", "nope", "-k", "1", "a", "b"]) == 2
 

@@ -60,6 +60,12 @@ def test_complete_graph_needs_no_deep_recursion():
     assert maximal_cliques(complete_graph(2000)) == [tuple(range(2000))]
 
 
+def test_cliques_of_size_needs_no_deep_recursion():
+    # The listing goes one level deeper per clique vertex; a recursive
+    # version hits the recursion limit long before size 1500.
+    assert cliques_of_size(complete_graph(1500), 1500) == [tuple(range(1500))]
+
+
 def test_cliques_of_size():
     k4 = complete_graph(4)
     assert cliques_of_size(k4, 0) == [()]

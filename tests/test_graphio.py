@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,3 +202,111 @@ def test_normalize_ids_matches_rebuilt_graph(n, seed, dropped):
     assert normal == rebuilt
     assert list(normal._adj) == list(rebuilt._adj)
     assert serialize_graph(normal) == serialize_graph(rebuilt)
+
+
+@st.composite
+def canonical_files(draw, min_n=0):
+    """``serialize_graph`` output on n <= 60 vertices, with or without a
+    coloring and a bipartition; the edges usually cross the bipartition."""
+    n = draw(st.integers(min_n, 60))
+    rng = random.Random(draw(st.integers(0, 2 ** 31)))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    left = frozenset(v for v in range(n) if rng.random() < 0.5)
+    crossing = draw(st.integers(0, 3)) > 0
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < p and (not crossing or (u in left) != (v in left))
+    ]
+    coloring = None
+    if draw(st.booleans()):
+        coloring = Coloring(frozenset(v for v in range(n) if rng.random() < 0.3))
+    bipartition = Bipartition(left) if draw(st.booleans()) else None
+    return serialize_graph(Graph(range(n), edges), coloring, bipartition)
+
+
+LONG_ID = "1" * 4301  # one digit past the default limit of int()
+
+
+@st.composite
+def corrupted_canonical_files(draw):
+    """A canonical file with one record changed so that the file keeps the
+    canonical shape: a duplicate or reversed edge, a self-loop, an id out of
+    range, an id with leading zeros, a 4301-digit id, a duplicate color or
+    side, or a missing side."""
+    lines = draw(canonical_files(min_n=1)).splitlines()
+    n = int(lines[0].split()[1])
+    at = {tag: [i for i, line in enumerate(lines) if line[0] == tag] for tag in "pecb"}
+    kinds = ["self-loop", "leading zeros", "long id"]
+    if len(lines) > 1:
+        kinds.append("out of range")
+    if at["e"]:
+        kinds += ["duplicate edge", "reversed edge"]
+    if at["c"]:
+        kinds.append("duplicate color")
+    if at["b"]:
+        kinds += ["duplicate side", "missing side"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "self-loop":
+        u = draw(st.integers(0, n - 1))
+        lines.insert(draw(st.integers(1, len(at["e"]) + 1)), f"e {u} {u}")
+    elif kind == "duplicate edge" or kind == "reversed edge":
+        i = draw(st.sampled_from(at["e"]))
+        _, u, v = lines[i].split()
+        lines.insert(draw(st.sampled_from([i, i + 1])), f"e {u} {v}" if kind == "duplicate edge" else f"e {v} {u}")
+    elif kind == "duplicate color":
+        i = draw(st.sampled_from(at["c"]))
+        lines.insert(i, lines[i])
+    elif kind == "duplicate side":
+        i = draw(st.sampled_from(at["b"]))
+        u = lines[i].split()[1]
+        lines.insert(i + 1, f"b {u} {draw(st.sampled_from(['left', 'right']))}")
+    elif kind == "missing side":
+        del lines[draw(st.sampled_from(at["b"]))]
+    else:
+        i = draw(st.integers(kind == "out of range", len(lines) - 1))
+        tag, *fields = lines[i].split()
+        field = draw(st.integers(0, len(fields) - 1 if tag == "e" else 0))
+        fields[field] = {
+            "out of range": str(draw(st.sampled_from([n, n + 1, 10 ** 20]))),
+            "leading zeros": "0" * draw(st.integers(1, 3)) + fields[field],
+            "long id": LONG_ID,
+        }[kind]
+        lines[i] = " ".join([tag, *fields])
+    return "\n".join(lines) + "\n"
+
+
+@given(corrupted_canonical_files(), st.sampled_from([1, 8, 40, graphio.CHUNK_CHARS]))
+def test_corrupted_canonical_files_match_reference(text, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "CHUNK_CHARS", chunk)
+        assert _parse_outcome(parse_graph, text) == _parse_outcome(reference_parse_graph, text)
+
+
+@given(canonical_files(), st.sampled_from([1, 8, 40, graphio.CHUNK_CHARS]))
+def test_canonical_files_take_the_bulk_path(text, chunk):
+    def refuse(text):
+        raise AssertionError("a canonical file reached the line parser")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "_parse_lines", refuse)
+        mp.setattr(graphio, "CHUNK_CHARS", chunk)
+        assert _parse_outcome(parse_graph, text) == _parse_outcome(reference_parse_graph, text)
+
+
+def test_bulk_parse_holds_one_chunk_at_a_time(monkeypatch):
+    """The scratch memory of a bulk parse follows the chunk, not the file: a
+    whole-file match or split of these 40,000 edges would take megabytes."""
+    rng = random.Random(3)
+    edges = sorted({tuple(sorted(rng.sample(range(10_000), 2))) for _ in range(40_000)})
+    text = "p 10000\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    monkeypatch.setattr(graphio, "CHUNK_CHARS", 1 << 12)
+    tracemalloc.start()
+    try:
+        g, _, _ = parse_graph(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(edges)
+    assert peak - kept < 1 << 20

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclose import (
     Bipartition,
+    BipartitionError,
     Coloring,
     Graph,
     Decided,
@@ -17,6 +20,8 @@ from cclose import (
     replay_trace,
 )
 from cclose.instances import exhaust, replay_removals, sweep
+
+from helpers import random_graph
 
 
 def test_instance_validation():
@@ -232,3 +237,33 @@ def test_exhaust_bounds_a_rule_that_fires_forever():
     with pytest.raises(ExtractionError, match="fixpoint"):
         exhaust(inst, [adds_a_vertex])
     assert len(calls) == 20 * (3 + 1 + 10)
+
+
+@given(
+    st.integers(0, 2 ** 31),
+    st.integers(0, 14),
+    st.sampled_from([0.1, 0.3, 0.6]),
+    st.sets(st.integers(0, 16)),
+    st.sets(st.integers(0, 13), max_size=3),
+    st.integers(0, 2),
+)
+def test_bipartition_validate_names_the_smallest_noncrossing_edge(seed, n, p, left, dropped, stray):
+    """The set checks pass exactly when the sorted edge scan finds nothing,
+    and a failure names the scan's first edge; ids need not be contiguous and
+    the left side may hold ids that are not in the graph."""
+    g = random_graph(n, p, seed).without_vertices(dropped & set(range(n)))
+    crossing = [(u, v) for u, v in g.edges() if (u in left) != (v in left)]
+    noncrossing = [(u, v) for u, v in g.edges() if (u in left) == (v in left)]
+    kept = random.Random(seed).sample(noncrossing, min(stray, len(noncrossing)))
+    g = Graph(g.vertex_ids, crossing + kept)
+    expected = next(
+        (f"edge ({u}, {v}) does not cross the bipartition"
+         for u, v in g.edges() if (u in left) == (v in left)),
+        None,
+    )
+    try:
+        Bipartition(frozenset(left)).validate(g)
+        raised = None
+    except BipartitionError as exc:
+        raised = str(exc)
+    assert raised == expected
