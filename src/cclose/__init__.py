@@ -46,7 +46,6 @@ from .matching import (
     bipartite_matching_with_cover,
     crown_from_vclp,
     is_two_maximal,
-    max_matching_bipartite,
     max_matching_general,
     two_maximal_independent_set,
     vclp_half_integral,

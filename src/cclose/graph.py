@@ -175,6 +175,19 @@ class Graph:
         adj = {v: self._adj[v] & keep for v in keep}
         return Graph._from_adj(adj)
 
+    def between(self, a: Iterable[int], b: Iterable[int]) -> "Graph":
+        """The bipartite subgraph between the disjoint vertex sets ``a`` and
+        ``b``: their vertices and the edges with one end in each."""
+        a, b = set(a), set(b)
+        if not a.isdisjoint(b):
+            raise ValueError("the two sides overlap")
+        for v in a | b:
+            if v not in self._adj:
+                raise ValueError(f"unknown vertex {v}")
+        adj = {v: self._adj[v] & b for v in a}
+        adj.update({v: self._adj[v] & a for v in b})
+        return Graph._from_adj(adj)
+
     # -- structure -----------------------------------------------------------
 
     def components(self) -> list[frozenset[int]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
@@ -184,6 +184,12 @@ class RuleRecord:
 
 
 def _jsonable(obj: Any) -> Any:
+    """``obj`` with sets as sorted lists, tuples as lists and keys as strings.
+
+    It recurses once per level of nesting in a rule payload, which is at
+    most 2 for every rule (a dict of lists of ids), whatever the size of the
+    graph.
+    """
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
@@ -263,14 +269,11 @@ def replay_removals(inst: Instance, records: Sequence[RuleRecord]) -> Instance:
         ), f"{record.rule} record does more than remove vertices"
         removed.extend(record.vertices_removed)
     g = inst.graph.without_vertices(removed)
-    return Instance(
-        problem=inst.problem,
+    return replace(
+        inst,
         graph=g,
-        k=inst.k,
-        r=inst.r,
         coloring=inst.coloring.restricted_to(g) if inst.coloring is not None else None,
         bipartition=inst.bipartition.restricted_to(g) if inst.bipartition is not None else None,
-        declared_closure=inst.declared_closure,
     )
 
 

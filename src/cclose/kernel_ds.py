@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .closure import common_neighborhood, compute_closure, is_c_closed
@@ -352,19 +352,8 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
         return Decided(False)
     inst, removals = sweep_white_removal(inst)
     trace.extend(removals)
-
-    bound = per_vertex_black_bound(c, inst.k, r)
-    assert len(inst.black_vertices()) <= inst.k * bound + inst.k
-    reduced = Instance(
-        problem=Problem.BW_TDS,
-        graph=inst.graph,
-        k=inst.k,
-        r=r,
-        coloring=inst.coloring,
-        bipartition=inst.bipartition,
-        declared_closure=c,
-    )
-    return Reduced(reduced, tuple(trace))
+    assert not rr_black_count(inst, c)
+    return Reduced(replace(inst, declared_closure=c), tuple(trace))
 
 
 def _decide_cluster_bwtds(inst: Instance) -> Decided:
@@ -410,20 +399,13 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, GadgetInfo]:
     white_edges = tuple(
         (w, clique[i]) for w in sorted(inst.white_vertices()) for i in range(r)
     )
+    edges = tuple(clique_edges) + white_edges
+    closure = compute_closure(g.with_vertices(clique).with_edges(edges)).c
     record = RuleRecord(
         rule="gadget",
         vertices_added=clique,
-        edges_added=tuple(clique_edges) + white_edges,
+        edges_added=edges,
         k_delta=r,
-        payload={"uncolor": True, "clique": list(clique)},
-    )
-    new_graph = g.with_vertices(clique).with_edges(record.edges_added)
-    closure = compute_closure(new_graph).c
-    record = RuleRecord(
-        rule=record.rule,
-        vertices_added=record.vertices_added,
-        edges_added=record.edges_added,
-        k_delta=record.k_delta,
         payload={"uncolor": True, "clique": list(clique), "declared_closure": closure},
     )
     gadget_inst = replay(inst, record)
@@ -472,15 +454,7 @@ def kernelize_ds(inst: Instance, c: int) -> KernelOutcome:
     r = 1, then remove colors with the gadget."""
     if inst.problem is not Problem.DS:
         raise ValueError(f"expected a DS instance, got {inst.problem}")
-    colored = Instance(
-        problem=Problem.BW_TDS,
-        graph=inst.graph,
-        k=inst.k,
-        r=1,
-        coloring=Coloring(),
-        bipartition=inst.bipartition,
-        declared_closure=inst.declared_closure,
-    )
+    colored = replace(inst, problem=Problem.BW_TDS, r=1, coloring=Coloring())
     outcome = kernelize_bwtds(colored, c)
     if isinstance(outcome, Decided):
         witness = outcome.witness
@@ -536,19 +510,16 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     ]
     inst = replay_removals(inst, leaves)
     trace.extend(leaves)
+    assert inst.graph.n <= bipartite_kernel_bound(c, inst.k), "bipartite kernel bound"
+    bip = inst.bipartition.restricted_to(inst.graph) if inst.bipartition else None
+    return Reduced(replace(inst, bipartition=bip, declared_closure=c), tuple(trace))
 
-    k = inst.k
-    assert inst.graph.n <= c * k * k + c * comb(c * k * k, 2), "bipartite kernel bound"
-    reduced = Instance(
-        problem=Problem.BW_TDS,
-        graph=inst.graph,
-        k=k,
-        r=1,
-        coloring=inst.coloring,
-        bipartition=inst.bipartition.restricted_to(inst.graph) if inst.bipartition else None,
-        declared_closure=c,
-    )
-    return Reduced(reduced, tuple(trace))
+
+def bipartite_kernel_bound(c: int, k: int) -> int:
+    """The vertex bound of the bipartite BW-DS kernel: at most c*k^2 blacks,
+    and every white RR9 keeps has two black neighbours on one side, a
+    non-adjacent pair that fewer than c vertices share in a c-closed graph."""
+    return c * k * k + c * comb(c * k * k, 2)
 
 
 def _rr_high_degree(inst: Instance, c: int) -> RuleRecord | None:

@@ -11,6 +11,7 @@ solution, which makes refreshing safe.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 from math import comb
 
 from .closure import is_c_closed
@@ -28,7 +29,7 @@ from .instances import (
     replay,
 )
 from .matching import Matching, VclpPartition, crown_from_vclp, max_matching_general, vclp_half_integral
-from .oracle import validate_witness
+from .oracle import certified_witness
 from .ramsey import (
     Clique,
     clique_or_im,
@@ -79,52 +80,40 @@ def rr_lp_thresholds(
     desk-scale graphs. Witness extraction runs opportunistically and is
     mandatory under ``require_witness``.
     """
-    k = inst.k
+    g, k = inst.graph, inst.k
     a = 4 * c * k + 1
-    half_bound = 3 * unrestricted_threshold(c, a, k) if vhalf_threshold is None else vhalf_threshold
-    one_bound = saturated_threshold(c, a, k) if vone_threshold is None else vone_threshold
+    half_bound, one_bound = _lp_bounds(c, k)
+    half_bound = half_bound if vhalf_threshold is None else vhalf_threshold
+    one_bound = one_bound if vone_threshold is None else vone_threshold
     if len(p.v_half) >= half_bound:
-        return Decided(True, _extract_from_half(inst, c, p, require_witness))
-    if len(p.v1) >= one_bound:
-        return Decided(True, _extract_from_crown(inst, c, p, require_witness))
-    return None
-
-
-def _extract_from_half(inst: Instance, c: int, p: VclpPartition, require: bool) -> Witness | None:
-    g, k = inst.graph, inst.k
-    try:
-        m = max_matching_general(g.induced(p.v_half))
-        outcome = clique_or_im(g, c, m, 4 * c * k + 1, k)
-        if isinstance(outcome, Clique):
-            raise ExtractionError("clique branch fired after the matching rule")
-        return _as_witness(inst, outcome)
-    except (ExtractionError, ValueError):
-        if require:
-            raise
+        def extract() -> Witness:
+            m = max_matching_general(g.induced(p.v_half))
+            return _im_witness(clique_or_im(g, c, m, a, k))
+    elif len(p.v1) >= one_bound:
+        def extract() -> Witness:
+            crown = crown_from_vclp(g, p)
+            m = crown.saturating_matching
+            independent = frozenset(crown.independent & m.vertices)
+            return _im_witness(clique_or_im_saturating(g, c, independent, m, a, k))
+    else:
         return None
+    return Decided(True, certified_witness(inst, require_witness, extract))
 
 
-def _extract_from_crown(inst: Instance, c: int, p: VclpPartition, require: bool) -> Witness | None:
-    g, k = inst.graph, inst.k
-    try:
-        crown = crown_from_vclp(g, p)
-        m = crown.saturating_matching
-        independent = frozenset(crown.independent & m.vertices)
-        outcome = clique_or_im_saturating(g, c, independent, m, 4 * c * k + 1, k)
-        if isinstance(outcome, Clique):
-            raise ExtractionError("clique branch fired after the matching rule")
-        return _as_witness(inst, outcome)
-    except (ExtractionError, ValueError):
-        if require:
-            raise
-        return None
+def _lp_bounds(c: int, k: int) -> tuple[int, int]:
+    """RR11's bound on |V_half| and RR12's on |V_1|: a partition reaching
+    either holds a size-k induced matching."""
+    a = 4 * c * k + 1
+    return 3 * unrestricted_threshold(c, a, k), saturated_threshold(c, a, k)
 
 
-def _as_witness(inst: Instance, m: Matching) -> Witness:
-    w = Witness.edge_set(m.edges, Problem.IM)
-    if not validate_witness(inst, w):
-        raise ExtractionError("extracted induced matching fails validation")
-    return w
+def _im_witness(outcome: Clique | Matching) -> Witness:
+    """An extracted induced matching as a witness. A clique of 4ck + 1
+    vertices puts a matching of 2ck edges in each member's neighbourhood,
+    which RR10 removes, so a clique outcome means an extractor went wrong."""
+    if isinstance(outcome, Clique):
+        raise ExtractionError("clique branch fired after the matching rule")
+    return Witness.edge_set(outcome.edges, Problem.IM)
 
 
 def lift_im_witness(
@@ -151,12 +140,7 @@ def lift_im_witness(
         if leaf_edge in edges:
             edges.remove(leaf_edge)
             edges.add((min(shadowed, anchor), max(shadowed, anchor)))
-    lifted = Witness.edge_set(edges, Problem.IM)
-    if not validate_witness(original, lifted):
-        if require:
-            raise ExtractionError("lifted induced matching fails validation")
-        return None
-    return lifted
+    return certified_witness(original, require, lambda: Witness.edge_set(edges, Problem.IM))
 
 
 def rr_leaf_rules(inst: Instance, c: int, p: VclpPartition) -> RuleRecord | None:
@@ -253,17 +237,21 @@ def _lp_stage(
     if record is None and (isolated := inst.graph.isolated_vertices()):
         record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
     if record is None:
-        _assert_partition_bounds(inst, c, p)
+        assert partition_bound_violation(c, inst.k, p) is None
     return record
 
 
-def _assert_partition_bounds(inst: Instance, c: int, p: VclpPartition) -> None:
-    """The size bounds on the LP partition ``p`` of the reduced graph."""
-    k = inst.k
-    a = 4 * c * k + 1
-    assert len(p.v_half) < 3 * unrestricted_threshold(c, a, k)
-    assert len(p.v1) < saturated_threshold(c, a, k)
-    assert len(p.v0) <= len(p.v1) + c * comb(len(p.v1), 2)
+def partition_bound_violation(c: int, k: int, p: VclpPartition) -> str | None:
+    """The first size bound that the LP partition ``p`` of a reduced graph
+    breaks, named, or None when it keeps all three."""
+    half_bound, one_bound = _lp_bounds(c, k)
+    if len(p.v_half) >= half_bound:
+        return "V_half bound violated"
+    if len(p.v1) >= one_bound:
+        return "V_1 bound violated"
+    if len(p.v0) > len(p.v1) + c * comb(len(p.v1), 2):
+        return "V_0 bound violated"
+    return None
 
 
 def _decide_cluster_im(inst: Instance) -> Decided:
@@ -311,37 +299,26 @@ def kernelize_im_bipartite(
     if mode == "delta":
         delta = g.max_degree()
         live = [v for v in g.vertex_ids if g.degree(v) > 0]
-        if delta > 0 and len(live) >= dense_bipartite_threshold(delta, k):
-            return Decided(True, _maybe(inst, require_witness, im_dense_bipartite, g, parts, k))
-        return _reduced_drop_isolated(inst, parts)
-
-    if mode == "closure":
+        if delta == 0 or len(live) < dense_bipartite_threshold(delta, k):
+            return _reduced_drop_isolated(inst, parts)
+        extract = partial(im_dense_bipartite, g, parts, k)
+    elif mode == "closure":
         if c is None:
             raise ValueError("closure mode needs c")
         if not is_c_closed(g, c):
             raise ValueError("graph is not c-closed")
         high = frozenset(v for v in g.vertex_ids if g.degree(v) >= c * k)
         if len(high) >= 2 * k:
-            return Decided(True, _maybe(inst, require_witness, im_from_high_degree, g, parts, c, k))
-        rest = g.without_vertices(high)
-        live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
-        if rest.max_degree() > 0 and len(live) >= dense_bipartite_threshold(c * k, k):
-            rest_parts = Bipartition(parts.left_of(rest))
-            return Decided(
-                True, _maybe(inst, require_witness, im_dense_bipartite, rest, rest_parts, k)
-            )
-        return _reduced_drop_isolated(inst, parts)
-
-    raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
-
-
-def _maybe(inst: Instance, require: bool, extractor, *args) -> Witness | None:
-    try:
-        return _as_witness(inst, extractor(*args))
-    except (ExtractionError, ValueError) as exc:
-        if require:
-            raise ExtractionError(f"witness extraction failed: {exc}") from exc
-        return None
+            extract = partial(im_from_high_degree, g, parts, c, k)
+        else:
+            rest = g.without_vertices(high)
+            live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
+            if rest.max_degree() == 0 or len(live) < dense_bipartite_threshold(c * k, k):
+                return _reduced_drop_isolated(inst, parts)
+            extract = partial(im_dense_bipartite, rest, Bipartition(parts.left_of(rest)), k)
+    else:
+        raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
+    return Decided(True, certified_witness(inst, require_witness, lambda: _im_witness(extract())))
 
 
 def _reduced_drop_isolated(inst: Instance, parts: Bipartition) -> Reduced:

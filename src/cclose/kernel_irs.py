@@ -9,6 +9,8 @@ comparison.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .closure import common_neighborhood, is_c_closed
 from .errors import ExtractionError, PreconditionError
 from .graph import Graph
@@ -23,7 +25,7 @@ from .instances import (
     Witness,
     exhaust,
 )
-from .oracle import is_irredundant, validate_witness
+from .oracle import certified_witness, is_irredundant
 from .ramsey import (
     IndependentSet,
     ceil_sqrt,
@@ -70,21 +72,10 @@ def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> Kern
     inst, trace, _ = exhaust(inst, [rr_simplicial_twin])
     _, _, total = irs_thresholds(c, inst.k)
     if inst.graph.n >= total:
-        witness = None
-        try:
-            witness = _validated(inst, extract_irs_witness(inst.graph, c, inst.k))
-        except (ExtractionError, ValueError):
-            if require_witness:
-                raise
-        return Decided(True, witness)
+        extract = partial(extract_irs_witness, inst.graph, c, inst.k)
+        return Decided(True, certified_witness(inst, require_witness, extract))
     reduced = Instance(problem=Problem.IRS, graph=inst.graph, k=inst.k, declared_closure=c)
     return Reduced(reduced, tuple(trace))
-
-
-def _validated(inst: Instance, w: Witness) -> Witness:
-    if not validate_witness(inst, w):
-        raise ExtractionError("extracted irredundant set fails validation")
-    return w
 
 
 def extract_irs_witness(
@@ -153,15 +144,7 @@ def extract_irs_witness(
     kept = order[1:]  # drop the first matched pair; the rest avoid y_first
     xs_kept = [xs[i] for i in kept]
     ys_kept = [ys[i] for i in kept]
-    cross = Graph(
-        sorted(xs_kept + ys_kept),
-        [
-            (x, y)
-            for x in xs_kept
-            for y in g.neighbors(x)
-            if y in set(ys_kept)
-        ],
-    )
+    cross = g.between(xs_kept, ys_kept)
     assert cross.max_degree() < c, "cross graph degree must stay below c"
     matching = im_dense_bipartite(cross, Bipartition(frozenset(xs_kept)), k)
     members = [v for e in matching.sorted_edges() for v in e if v in set(xs_kept)]

@@ -40,8 +40,14 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
     if g.n >= threshold * k:
         return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
     reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)
-    assert g.n <= c * k * k, "kernel exceeds the c*k^2 bound"
+    assert g.n <= independent_set_kernel_bound(c, k), "kernel exceeds the c*k^2 bound"
     return Reduced(reduced, tuple(trace))
+
+
+def independent_set_kernel_bound(c: int, k: int) -> int:
+    """The c*k^2 vertex bound of the IS kernel: fewer than (threshold)*k
+    vertices remain, and the threshold (c-1)(k-1)+1 is at most c*k."""
+    return c * k * k
 
 
 def _greedy_low_degree_is(g: Graph, k: int) -> list[int]:

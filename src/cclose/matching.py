@@ -294,11 +294,6 @@ def bipartite_matching_with_cover(
     return Matching.of(ml.items()), cover_left | cover_right
 
 
-def max_matching_bipartite(g: Graph, parts: Bipartition) -> Matching:
-    matching, _ = bipartite_matching_with_cover(g, parts)
-    return matching
-
-
 # -- general matching (blossom contraction) -----------------------------------
 
 
@@ -449,14 +444,7 @@ def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
     if not g.is_independent_set(p.v0):
         raise ExtractionError("V0 is not independent; solution not feasible")
     # Only the V0-V1 cross edges matter; V1 may have internal edges.
-    sub = Graph(
-        sorted(p.v0 | p.v1),
-        [
-            (u, v)
-            for u, v in g.edges()
-            if (u in p.v0) != (v in p.v0) and {u, v} <= (p.v0 | p.v1)
-        ],
-    )
+    sub = g.between(p.v0, p.v1)
     matching, _ = bipartite_matching_with_cover(sub, Bipartition(frozenset(p.v0)))
     if not matching.saturates(p.v1):
         raise ExtractionError("crown matching fails to saturate V1")

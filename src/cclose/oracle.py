@@ -8,9 +8,10 @@ all masks. Both orders are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations
 
-from .errors import ResourceLimitError
+from .errors import ExtractionError, ResourceLimitError
 from .graph import Graph
 from .instances import EDGE_SET, VERTEX_SET, Coloring, Instance, Problem, Witness
 
@@ -256,6 +257,28 @@ def validate_witness(inst: Instance, w: Witness) -> bool:
     if inst.problem is Problem.IRS:
         return w.kind == VERTEX_SET and len(w.elements) >= inst.k and is_irredundant(g, w.elements)
     raise AssertionError(f"unhandled problem {inst.problem}")
+
+
+def certified_witness(
+    inst: Instance, require: bool, extract: Callable[[], Witness]
+) -> Witness | None:
+    """The witness ``extract()`` builds, once ``validate_witness`` accepts it
+    for ``inst``.
+
+    An extractor that raises ``ExtractionError`` or ``ValueError``, or a
+    witness that fails validation, gives None; with ``require`` set, the
+    extractor's error is raised as it is, and a failed validation as an
+    ``ExtractionError``.
+    """
+    try:
+        witness = extract()
+        if not validate_witness(inst, witness):
+            raise ExtractionError(f"extracted {inst.problem.value} witness fails validation")
+    except (ExtractionError, ValueError):
+        if require:
+            raise
+        return None
+    return witness
 
 
 def oracle_answer(inst: Instance, limit: int = DEFAULT_LIMIT) -> bool:

@@ -11,6 +11,7 @@ happen.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb, isqrt
 
@@ -164,18 +165,25 @@ def im_from_bounded_degree(g: Graph, m: Matching, b: int) -> Matching:
     delta = g.max_degree()
     if len(m) < 2 * delta * b:
         raise PreconditionError(f"need a matching of size {2 * delta * b}, got {len(m)}")
+    chosen = _peel(g, m.sorted_edges(), b)
+    if len(chosen) < b:
+        raise ExtractionError("peeling ran out of matched edges")
+    return _verified_im(g, chosen)
+
+
+def _peel(g: Graph, edges: Iterable[tuple[int, int]], b: int) -> list[tuple[int, int]]:
+    """Up to b of ``edges``, taken in order, each skipped when an end lies in
+    the closed neighborhood of an edge already taken."""
     chosen: list[tuple[int, int]] = []
     removed: set[int] = set()
-    for u, v in m.sorted_edges():
+    for u, v in edges:
         if len(chosen) == b:
             break
         if u in removed or v in removed:
             continue
         chosen.append((u, v))
         removed |= g.closed_neighborhood(u) | g.closed_neighborhood(v)
-    if len(chosen) < b:
-        raise ExtractionError("peeling ran out of matched edges")
-    return _verified_im(g, chosen)
+    return chosen
 
 
 def im_from_high_degree(g: Graph, parts: Bipartition, c: int, b: int) -> Matching:
@@ -280,15 +288,7 @@ def clique_or_im_saturating(
         )
     if a == 1:
         return Clique(frozenset({min(independent)}))
-    far = m.vertices - independent
-    cross = Graph(
-        sorted(independent | far),
-        [
-            (u, v)
-            for u, v in g.edges()
-            if (u in independent) != (v in independent) and {u, v} <= (independent | far)
-        ],
-    )
+    cross = g.between(independent, m.vertices - independent)
     cross_parts = Bipartition(frozenset(independent))
     saturating = Matching(
         frozenset(e for e in m.edges if (e[0] in independent) != (e[1] in independent))
@@ -356,9 +356,9 @@ def im_dense_bipartite(g: Graph, parts: Bipartition, b: int) -> Matching:
     ceil(6 * Delta^(3/2) * b) + 2 * Delta * b non-isolated vertices.
 
     Either the maximum matching feeds the peeling argument, or a König cover
-    is small and a greedily grown inclusion-maximal induced matching between
-    the cover side and the low-degree uncovered vertices must reach size b on
-    one of the two sides.
+    is small and peeling the edges between the cover side and the low-degree
+    uncovered vertices, in sorted order, must reach b of them on one of the
+    two sides.
     """
     parts.validate(g)
     if b < 0:
@@ -390,29 +390,10 @@ def im_dense_bipartite(g: Graph, parts: Bipartition, b: int) -> Matching:
             deg = len(g.neighbors(y) & covered_near)
             if deg * deg < delta:
                 low.add(y)
-        grown = _greedy_maximal_im(core, covered_near, low)
-        if len(grown) >= b:
-            return _verified_im(g, grown[:b])
+        peeled = _peel(core, core.between(covered_near, low).edges(), b)
+        if len(peeled) == b:
+            return _verified_im(g, peeled)
     raise ExtractionError("dense bipartite counting violated: both sides failed")
-
-
-def _greedy_maximal_im(g: Graph, side_a: set[int], side_b: set[int]) -> list[tuple[int, int]]:
-    """Inclusion-maximal induced matching between two vertex sets, grown in
-    vertex-id order."""
-    edges = sorted(
-        (min(u, v), max(u, v))
-        for u in side_a
-        for v in g.neighbors(u)
-        if v in side_b
-    )
-    chosen: list[tuple[int, int]] = []
-    blocked: set[int] = set()
-    for u, v in edges:
-        if u in blocked or v in blocked:
-            continue
-        chosen.append((u, v))
-        blocked |= g.closed_neighborhood(u) | g.closed_neighborhood(v)
-    return chosen
 
 
 def _verified_im(g: Graph, edges) -> Matching:

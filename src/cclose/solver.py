@@ -10,6 +10,7 @@ path.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -125,13 +126,7 @@ def _branch(
 
     # TDS leaf: prune redundant whites (never touching the partial solution),
     # then try every extension of at most `budget` vertices, smallest first.
-    leaf = Instance(
-        problem=Problem.BW_TDS,
-        graph=g,
-        k=budget,
-        r=r,
-        coloring=Coloring(frozenset(set(g.vertex_ids) - unsatisfied)),
-    )
+    leaf = replace(inst, k=budget, coloring=Coloring(frozenset(set(g.vertex_ids) - unsatisfied)))
     leaf, _ = sweep_white_removal(leaf, keep=partial)
     lg = leaf.graph
     remaining = [v for v in lg.vertex_ids if v not in partial]

@@ -9,8 +9,7 @@ are shrunk by greedy vertex deletion before being reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass, field, replace
 
 from .closure import compute_closure, is_c_closed
 from .errors import ResourceLimitError
@@ -27,13 +26,18 @@ from .instances import (
     Reduced,
     replay,
 )
-from .kernel_ds import kernelize_bipartite_bwds, kernelize_bwtds, kernelize_ds
-from .kernel_im import kernelize_im, kernelize_im_bipartite
-from .kernel_irs import kernelize_irs
-from .kernel_is import kernelize_is
+from .kernel_ds import (
+    bipartite_kernel_bound,
+    kernelize_bipartite_bwds,
+    kernelize_bwtds,
+    kernelize_ds,
+    rr_black_count,
+)
+from .kernel_im import kernelize_im, kernelize_im_bipartite, partition_bound_violation
+from .kernel_irs import irs_thresholds, kernelize_irs
+from .kernel_is import independent_set_kernel_bound, kernelize_is
+from .matching import vclp_half_integral
 from .oracle import oracle_answer, validate_witness
-from .ramsey import saturated_threshold, unrestricted_threshold
-from .kernel_irs import irs_thresholds
 from .solver import solve_ds, solve_tds
 
 PROBLEMS = ("is", "ds", "tds", "bwtds", "im", "irs")
@@ -306,20 +310,17 @@ def _outcome_agrees(
 
 
 def _size_bound_holds(reduced: Instance, c: int) -> tuple[bool, str]:
+    """The size bound of the kernel that produced ``reduced``, each taken
+    from that kernel's module."""
     n, k = reduced.graph.n, reduced.k
-    if reduced.problem is Problem.IS:
-        if n > c * k * k:
-            return False, f"IS kernel has {n} > c*k^2 vertices"
+    if reduced.problem is Problem.IS and n > independent_set_kernel_bound(c, k):
+        return False, f"IS kernel has {n} > c*k^2 vertices"
     if reduced.problem is Problem.BW_TDS and reduced.r == 1 and reduced.bipartition is not None:
-        bound = c * k * k + c * comb(c * k * k, 2)
+        bound = bipartite_kernel_bound(c, k)
         if n > bound:
             return False, f"bipartite kernel has {n} > {bound} vertices"
-    if reduced.problem is Problem.BW_TDS:
-        from .kernel_ds import per_vertex_black_bound
-
-        bound = per_vertex_black_bound(c, k, reduced.r or 1)
-        if len(reduced.black_vertices()) > k * bound + k:
-            return False, "black-count bound violated"
+    if reduced.problem is Problem.BW_TDS and rr_black_count(reduced, c):
+        return False, "black-count bound violated"
     if reduced.problem is Problem.IRS:
         _, _, total = irs_thresholds(c, k)
         if n >= total:
@@ -327,16 +328,9 @@ def _size_bound_holds(reduced: Instance, c: int) -> tuple[bool, str]:
     if reduced.problem is Problem.IM and reduced.bipartition is None:
         # the LP partition bounds belong to the general pipeline; the
         # bipartite kernels only promise to sit below their size thresholds
-        from .matching import vclp_half_integral
-
-        p = vclp_half_integral(reduced.graph)
-        a = 4 * c * k + 1
-        if len(p.v_half) >= 3 * unrestricted_threshold(c, a, k):
-            return False, "V_half bound violated"
-        if len(p.v1) >= saturated_threshold(c, a, k):
-            return False, "V_1 bound violated"
-        if len(p.v0) > len(p.v1) + c * comb(len(p.v1), 2):
-            return False, "V_0 bound violated"
+        violation = partition_bound_violation(c, k, vclp_half_integral(reduced.graph))
+        if violation is not None:
+            return False, violation
     return True, ""
 
 
@@ -365,11 +359,9 @@ def shrink_instance(problem: str, inst: Instance, bipartite: bool) -> Instance:
         changed = False
         for v in list(inst.graph.vertex_ids):
             g = inst.graph.without_vertex(v)
-            candidate = Instance(
-                problem=inst.problem,
+            candidate = replace(
+                inst,
                 graph=g,
-                k=inst.k,
-                r=inst.r,
                 coloring=inst.coloring.restricted_to(g) if inst.coloring else None,
                 bipartition=inst.bipartition.restricted_to(g) if inst.bipartition else None,
             )

@@ -39,9 +39,9 @@ from cclose.kernel_ds import (
     rr_common_neighborhood,
 )
 from cclose.kernel_im import (
-    _assert_partition_bounds,
     _decide_cluster_im,
     lift_im_witness,
+    partition_bound_violation,
     rr_leaf_rules,
     rr_lp_thresholds,
 )
@@ -486,7 +486,7 @@ def restart_kernelize_im(inst, c, require_witness=False):
     else:
         raise ExtractionError("IM pipeline failed to reach a fixpoint")
 
-    _assert_partition_bounds(inst, c, p)
+    assert partition_bound_violation(c, inst.k, p) is None
     reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
     return Reduced(reduced, tuple(trace))
 

@@ -110,3 +110,32 @@ def test_equality_is_structural(g, seed):
     clone = Graph(g.vertex_ids, g.edges())
     assert clone == g
     assert random_graph(g.n, 0.0, seed) == Graph(range(g.n)) or g.n >= 0
+
+
+@given(st.integers(0, 2 ** 31), st.integers(0, 12), st.floats(0.0, 1.0))
+def test_between_matches_the_sorted_edge_construction(seed, n, p):
+    """``between`` equals the graph built from the sorted edges that cross
+    the two sides, on non-contiguous ids, with vertices left out of both."""
+    import random
+
+    rng = random.Random(seed)
+    ids = rng.sample(range(4 * n + 1), n)
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+    labels = {v: rng.choice("abx") for v in ids}
+    a = {v for v in ids if labels[v] == "a"}
+    b = {v for v in ids if labels[v] == "b"}
+    reference = Graph(
+        sorted(a | b),
+        [(u, v) for u, v in g.edges() if (u in a) != (v in a) and {u, v} <= (a | b)],
+    )
+    sub = g.between(a, b)
+    assert sub == reference
+    sub.validate()
+
+
+def test_between_rejects_unknown_vertices_and_overlapping_sides():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="unknown vertex 9"):
+        g.between({0}, {9})
+    with pytest.raises(ValueError, match="overlap"):
+        g.between({0, 1}, {1, 2})

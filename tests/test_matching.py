@@ -13,7 +13,6 @@ from cclose import (
     crown_from_vclp,
     cycle_graph,
     is_two_maximal,
-    max_matching_bipartite,
     max_matching_general,
     oracle_vc,
     path_graph,
@@ -47,20 +46,20 @@ def bipartition_of(g):
 class TestBipartiteMatching:
     def test_three_disjoint_edges(self):
         g = Graph(range(6), [(0, 1), (2, 3), (4, 5)])
-        assert len(max_matching_bipartite(g, bipartition_of(g))) == 3
+        assert len(bipartite_matching_with_cover(g, bipartition_of(g))[0]) == 3
 
     def test_star(self):
         g = star_graph(4)
-        assert len(max_matching_bipartite(g, bipartition_of(g))) == 1
+        assert len(bipartite_matching_with_cover(g, bipartition_of(g))[0]) == 1
 
     def test_c6(self):
         g = cycle_graph(6)
-        assert len(max_matching_bipartite(g, bipartition_of(g))) == 3
+        assert len(bipartite_matching_with_cover(g, bipartition_of(g))[0]) == 3
 
     def test_rejects_same_side_edge(self):
         g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(BipartitionError):
-            max_matching_bipartite(g, Bipartition(frozenset({0})))
+            bipartite_matching_with_cover(g, Bipartition(frozenset({0})))
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 10))
     def test_koenig_certificate(self, seed, n):

@@ -23,6 +23,8 @@ from cclose import (
     star_graph,
     validate_witness,
 )
+from cclose.errors import ExtractionError, PreconditionError
+from cclose.oracle import certified_witness
 
 from helpers import random_graph
 
@@ -138,3 +140,43 @@ class TestPredicates:
         inst = Instance(problem=Problem.IS, graph=cycle_graph(4), k=1)
         with pytest.raises(ValueError):
             validate_witness(inst, Witness.vertex_set({0}, Problem.DS))
+
+
+class TestCertifiedWitness:
+    """``certified_witness`` gives None in each failure mode, or re-raises
+    under ``require``."""
+
+    inst = Instance(problem=Problem.IS, graph=path_graph(3), k=2)
+
+    def test_valid_witness_passes_either_way(self):
+        w = Witness.vertex_set({0, 2}, Problem.IS)
+        for require in (False, True):
+            assert certified_witness(self.inst, require, lambda: w) == w
+
+    @pytest.mark.parametrize(
+        "error", [ExtractionError("no witness"), ValueError("bad input"), PreconditionError("small")]
+    )
+    def test_extractor_errors(self, error):
+        def extract():
+            raise error
+
+        assert certified_witness(self.inst, False, extract) is None
+        with pytest.raises(type(error)) as raised:
+            certified_witness(self.inst, True, extract)
+        assert raised.value is error
+
+    def test_failed_validation(self):
+        def extract():
+            return Witness.vertex_set({0, 1}, Problem.IS)
+
+        assert certified_witness(self.inst, False, extract) is None
+        with pytest.raises(ExtractionError, match="extracted IS witness fails validation"):
+            certified_witness(self.inst, True, extract)
+
+    def test_other_errors_pass_through(self):
+        def extract():
+            raise KeyError(0)
+
+        for require in (False, True):
+            with pytest.raises(KeyError):
+                certified_witness(self.inst, require, extract)

@@ -1,5 +1,6 @@
 import cclose.verify as verify_mod
-from cclose import Instance, Problem, complete_graph
+from cclose import Graph, Instance, Problem, complete_graph, vclp_half_integral
+from cclose.kernel_im import partition_bound_violation
 from cclose.verify import random_instance, run_verify, shrink_instance
 
 
@@ -54,3 +55,16 @@ def test_disagreement_reported_with_reproducer(monkeypatch):
     report = run_verify("is", n_max=5, trials=10, seed=1)
     assert not report.ok
     assert report.reproducer is not None and report.reproducer.startswith("p ")
+
+
+def test_size_bound_names_the_vhalf_bound_like_the_kernel():
+    """Nine disjoint edges at c = 2, k = 1 put all 18 vertices in V_half,
+    which reaches RR11's bound of 3 * 6 = 18."""
+    g = Graph(range(18), [(2 * i, 2 * i + 1) for i in range(9)])
+    reduced = Instance(problem=Problem.IM, graph=g, k=1)
+    p = vclp_half_integral(g)
+    assert len(p.v_half) == 18
+    assert partition_bound_violation(2, 1, p) == "V_half bound violated"
+    assert verify_mod._size_bound_holds(reduced, 2) == (False, "V_half bound violated")
+    smaller = Instance(problem=Problem.IM, graph=g.without_vertices([0, 1]), k=1)
+    assert verify_mod._size_bound_holds(smaller, 2) == (True, "")
