@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 from .cliques import maximal_cliques
 from .closure import compute_closure
@@ -31,6 +32,22 @@ from .oracle import oracle_ds, oracle_tds
 from .ramsey import Clique, clique_or_independent_set
 from .solver import solve_ds, solve_tds
 from .verify import PROBLEMS, run_verify
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type for a count: an integer of at least ``minimum``, so
+    that a count that checks nothing is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 @functools.cache
@@ -55,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kern = sub.add_parser("kernelize", help="run a kernelization pipeline")
     p_kern.add_argument("--problem", required=True, choices=["is", "ds", "tds", "im", "irs"])
-    p_kern.add_argument("-k", type=int, required=True)
+    p_kern.add_argument("-k", type=_int_at_least(0), required=True)
     p_kern.add_argument("-r", type=int, default=1)
     p_kern.add_argument("--bipartite", action="store_true")
     p_kern.add_argument("--mode", choices=list(BIPARTITE_MODES), default="delta")
@@ -66,17 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve (threshold) dominating set")
     p_solve.add_argument("--problem", required=True, choices=["ds", "tds"])
-    p_solve.add_argument("-k", type=int, required=True)
+    p_solve.add_argument("-k", type=_int_at_least(0), required=True)
     p_solve.add_argument("-r", type=int, default=1)
     p_solve.add_argument("--method", choices=["branch", "oracle"], default="branch")
     p_solve.add_argument("file")
 
     p_verify = sub.add_parser("verify", help="randomized agreement check vs. the oracle")
     p_verify.add_argument("--problem", required=True, choices=list(PROBLEMS))
-    p_verify.add_argument("--n-max", type=int, default=8)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--n-max", type=_int_at_least(0), default=8)
+    p_verify.add_argument("--trials", type=_int_at_least(1), default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--k-max", type=int, default=3)
+    p_verify.add_argument("--k-max", type=_int_at_least(0), default=3)
     p_verify.add_argument("--r", type=int, default=1)
     p_verify.add_argument("--bipartite", action="store_true")
     p_verify.add_argument("--json", action="store_true", dest="as_json")

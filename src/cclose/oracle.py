@@ -1,9 +1,14 @@
 """Exhaustive exact solvers used as ground truth for kernels and solvers.
 
-Everything here enumerates vertex subsets over bitmasks, practical up to
+Everything here works on bitmasks over the sorted vertex ids, practical up to
 roughly 16 vertices. Minimization problems scan subsets in size-ascending
-combinatorial order and stop at the first hit; maximization problems scan
-all masks. Both orders are deterministic.
+combinatorial order and stop at the first hit. The maximization problems
+(IS, IM, IRS) share one ordered-extension search: a set grows only by items
+above its largest, in ascending order, and only while it keeps its property,
+and a branch stops once its size plus the items left cannot beat the best
+size found. All three properties are hereditary, so the search is exact;
+``oracle_answer`` stops it at the first set of size k. Both orders are
+deterministic.
 """
 
 from __future__ import annotations
@@ -38,28 +43,108 @@ def _index(g: Graph) -> tuple[list[int], dict[int, int], list[int], list[int]]:
     return ids, pos, nbr, cnbr
 
 
-def oracle_is(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Maximum independent-set size."""
-    _check_size(g, limit)
-    _, _, nbr, _ = _index(g)
-    n = g.n
-    best = 0
-    for mask in range(1 << n):
-        if mask.bit_count() <= best:
+# A search space for ``_largest``: the root state, the bitmask of items a set
+# may start from, and the step that adds item i to a set. The step gets the
+# set's state and ``rest``, the candidates above i; it returns the grown
+# set's state and the items of ``rest`` the grown set can still take. Dropping
+# the others for good is exact only because the property is hereditary: an
+# item that a set cannot take, no superset of it can take either.
+Grow = Callable[[object, int, int], tuple[object, int]]
+Space = tuple[object, int, Grow]
+
+
+def _largest(space: Space, best: int = 0, goal: int | None = None) -> int:
+    """The size of the largest set the ordered extension reaches if it beats
+    ``best``, else ``best``; the search stops once a set reaches ``goal``
+    (by default, every item).
+
+    A frame is a set (its state and size) with the candidates it may still
+    take. It grows by its lowest candidate and stays on the stack with the
+    others for the sibling branches; it is cut once its size plus its
+    candidates is at most ``best``. The stack holds one frame per member of
+    the current set, plus one, so its size is bounded by the oracle's size
+    limit.
+    """
+    state, cands, grow = space
+    if goal is None:
+        goal = cands.bit_count()
+    stack = [(state, 0, cands)]
+    while stack:
+        state, size, cands = stack.pop()
+        if size + cands.bit_count() <= best:
             continue
-        if _is_independent_mask(mask, nbr):
-            best = mask.bit_count()
+        low = cands & -cands
+        rest = cands ^ low
+        stack.append((state, size, rest))
+        grown, grown_cands = grow(state, low.bit_length() - 1, rest)
+        size += 1
+        if size > best:
+            best = size
+            if best >= goal:
+                return best
+        stack.append((grown, size, grown_cands))
     return best
 
 
-def _is_independent_mask(mask: int, nbr: list[int]) -> bool:
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if nbr[i] & mask:
-            return False
-        m &= m - 1
-    return True
+def _pairwise_space(conflict: list[int]) -> Space:
+    """Sets of pairwise non-conflicting items: item i rules out ``conflict[i]``."""
+    return None, (1 << len(conflict)) - 1, lambda _, i, rest: (None, rest & ~conflict[i])
+
+
+def _is_space(g: Graph) -> Space:
+    _, _, _, cnbr = _index(g)
+    return _pairwise_space(cnbr)
+
+
+def _im_space(g: Graph) -> Space:
+    """Induced matchings as sets of edges, in (min, max) order: an edge rules
+    out every edge with an end in the closed neighbourhood of its ends."""
+    _, _, nbr, cnbr = _index(g)
+    edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if nbr[a] >> b & 1]
+    touching = [0] * g.n
+    for e, (a, b) in enumerate(edges):
+        touching[a] |= 1 << e
+        touching[b] |= 1 << e
+    conflict = []
+    for a, b in edges:
+        near = cnbr[a] | cnbr[b]
+        mask = 0
+        while near:
+            low = near & -near
+            mask |= touching[low.bit_length() - 1]
+            near ^= low
+        conflict.append(mask)
+    return _pairwise_space(conflict)
+
+
+def _irs_space(g: Graph, open_privacy: bool = False) -> Space:
+    """Irredundant sets. A set's state is each member's private candidates
+    (its closed neighbourhood outside every other member's ``other``
+    neighbourhood) and the union of the members' ``other`` neighbourhoods."""
+    _, _, nbr, cnbr = _index(g)
+    other = nbr if open_privacy else cnbr
+
+    def grow(state: tuple[list[int], int], i: int, rest: int) -> tuple[object, int]:
+        privates, blocked = state
+        privates = [p & ~other[i] for p in privates]
+        privates.append(cnbr[i] & ~blocked)
+        blocked |= other[i]
+        keep = 0
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if cnbr[j] & ~blocked and all(p & ~other[j] for p in privates):
+                keep |= low
+            rest ^= low
+        return (privates, blocked), keep
+
+    return ([], 0), (1 << g.n) - 1, grow
+
+
+def oracle_is(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
+    """Maximum independent-set size."""
+    _check_size(g, limit)
+    return _largest(_is_space(g))
 
 
 def oracle_vc(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
@@ -122,32 +207,9 @@ def oracle_tds(
 
 
 def oracle_im(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Maximum induced-matching size.
-
-    A vertex subset hosts an induced matching of size |S|/2 exactly when
-    every member has exactly one neighbor inside S.
-    """
+    """Maximum induced-matching size."""
     _check_size(g, limit)
-    _, _, nbr, _ = _index(g)
-    n = g.n
-    best = 0
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size <= 2 * best or size % 2:
-            continue
-        if _is_induced_matching_mask(mask, nbr):
-            best = size // 2
-    return best
-
-
-def _is_induced_matching_mask(mask: int, nbr: list[int]) -> bool:
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        if (nbr[i] & mask).bit_count() != 1:
-            return False
-        m &= m - 1
-    return True
+    return _largest(_im_space(g))
 
 
 def oracle_irs(g: Graph, open_privacy: bool = False, limit: int = DEFAULT_LIMIT) -> int:
@@ -159,32 +221,7 @@ def oracle_irs(g: Graph, open_privacy: bool = False, limit: int = DEFAULT_LIMIT)
     which a member itself can serve as another member's private neighbor.
     """
     _check_size(g, limit)
-    _, _, nbr, cnbr = _index(g)
-    other = nbr if open_privacy else cnbr
-    n = g.n
-    best = 0
-    for mask in range(1 << n):
-        if mask.bit_count() <= best:
-            continue
-        if _is_irredundant_mask(mask, nbr, cnbr, other):
-            best = mask.bit_count()
-    return best
-
-
-def _is_irredundant_mask(mask: int, nbr: list[int], cnbr: list[int], other: list[int]) -> bool:
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        blocked = 0
-        rest = mask & ~(1 << i)
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            blocked |= other[j]
-            rest &= rest - 1
-        if not cnbr[i] & ~blocked:
-            return False
-        m &= m - 1
-    return True
+    return _largest(_irs_space(g, open_privacy))
 
 
 # -- structural predicates ---------------------------------------------------
@@ -281,19 +318,25 @@ def certified_witness(
     return witness
 
 
+_MAXIMIZATION_SPACES: dict[Problem, Callable[[Graph], Space]] = {
+    Problem.IS: _is_space,
+    Problem.IM: _im_space,
+    Problem.IRS: _irs_space,
+}
+
+
 def oracle_answer(inst: Instance, limit: int = DEFAULT_LIMIT) -> bool:
-    """The yes/no answer for an instance, straight from the oracles."""
+    """The yes/no answer for an instance, straight from the oracles. IS, IM
+    and IRS stop at the first set of size k."""
     g, k = inst.graph, inst.k
-    if inst.problem is Problem.IS:
-        return oracle_is(g, limit) >= k
+    space = _MAXIMIZATION_SPACES.get(inst.problem)
+    if space is not None:
+        _check_size(g, limit)
+        return k == 0 or _largest(space(g), best=k - 1, goal=k) >= k
     if inst.problem is Problem.DS:
         return oracle_ds(g, limit) <= k
     if inst.problem in (Problem.TDS, Problem.BW_TDS):
         assert inst.r is not None
         opt = oracle_tds(g, inst.coloring, inst.r, limit)
         return opt is not None and opt <= k
-    if inst.problem is Problem.IM:
-        return oracle_im(g, limit) >= k
-    if inst.problem is Problem.IRS:
-        return oracle_irs(g, limit=limit) >= k
     raise AssertionError(f"unhandled problem {inst.problem}")

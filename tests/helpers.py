@@ -168,6 +168,87 @@ def kuhn_vclp(g: Graph) -> VclpPartition:
     return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost)
 
 
+def _neighbor_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """Open and closed neighbourhood bitmasks over the sorted vertex ids."""
+    pos = {v: i for i, v in enumerate(g.vertex_ids)}
+    nbr = [0] * g.n
+    for u, v in g.edges():
+        nbr[pos[u]] |= 1 << pos[v]
+        nbr[pos[v]] |= 1 << pos[u]
+    return nbr, [nb | (1 << i) for i, nb in enumerate(nbr)]
+
+
+def scan_is(g: Graph) -> int:
+    """Maximum independent-set size, by a scan of all 2^n vertex subsets."""
+    nbr, _ = _neighbor_masks(g)
+    best = 0
+    for mask in range(1 << g.n):
+        if mask.bit_count() > best and _is_independent_mask(mask, nbr):
+            best = mask.bit_count()
+    return best
+
+
+def _is_independent_mask(mask: int, nbr: list[int]) -> bool:
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        if nbr[i] & mask:
+            return False
+        m &= m - 1
+    return True
+
+
+def scan_im(g: Graph) -> int:
+    """Maximum induced-matching size, by a scan of all 2^n vertex subsets: a
+    subset hosts an induced matching of size |S|/2 exactly when every member
+    has exactly one neighbour inside S."""
+    nbr, _ = _neighbor_masks(g)
+    best = 0
+    for mask in range(1 << g.n):
+        size = mask.bit_count()
+        if size > 2 * best and not size % 2 and _is_induced_matching_mask(mask, nbr):
+            best = size // 2
+    return best
+
+
+def _is_induced_matching_mask(mask: int, nbr: list[int]) -> bool:
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        if (nbr[i] & mask).bit_count() != 1:
+            return False
+        m &= m - 1
+    return True
+
+
+def scan_irs(g: Graph, open_privacy: bool = False) -> int:
+    """Maximum irredundant-set size, by a scan of all 2^n vertex subsets,
+    with the privacy semantics of ``oracle.oracle_irs``."""
+    nbr, cnbr = _neighbor_masks(g)
+    other = nbr if open_privacy else cnbr
+    best = 0
+    for mask in range(1 << g.n):
+        if mask.bit_count() > best and _is_irredundant_mask(mask, cnbr, other):
+            best = mask.bit_count()
+    return best
+
+
+def _is_irredundant_mask(mask: int, cnbr: list[int], other: list[int]) -> bool:
+    m = mask
+    while m:
+        i = (m & -m).bit_length() - 1
+        blocked = 0
+        rest = mask & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            blocked |= other[j]
+            rest &= rest - 1
+        if not cnbr[i] & ~blocked:
+            return False
+        m &= m - 1
+    return True
+
+
 def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     """Subset enumeration; fine for n <= 14."""
     ids = list(g.vertex_ids)

@@ -185,6 +185,24 @@ def test_usage_error_exits_2(capsys):
     assert main(["kernelize", "--problem", "nope", "-k", "1", "a", "b"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--problem", "is", "--trials", "0"],
+        ["verify", "--problem", "is", "--n-max", "-1"],
+        ["verify", "--problem", "is", "--k-max", "-1"],
+        ["kernelize", "--problem", "is", "-k", "-1", "{c4}", "{out}"],
+        ["solve", "--problem", "ds", "-k", "-1", "--method", "oracle", "{c4}"],
+    ],
+    ids=["verify-trials", "verify-n-max", "verify-k-max", "kernelize-k", "solve-k"],
+)
+def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
+    paths = {"c4": c4_file(tmp_path), "out": str(tmp_path / "out.txt")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_resource_limit_exits_3(tmp_path, capsys):
     big = "p 30\n" + "".join(f"e {i} {i + 1}\n" for i in range(29))
     path = write(tmp_path, "big.txt", big)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from cclose import (
     cycle_graph,
     is_induced_matching,
     is_irredundant,
+    oracle_answer,
     oracle_ds,
     oracle_im,
     oracle_irs,
@@ -24,9 +27,9 @@ from cclose import (
     validate_witness,
 )
 from cclose.errors import ExtractionError, PreconditionError
-from cclose.oracle import certified_witness
+from cclose.oracle import DEFAULT_LIMIT, certified_witness
 
-from helpers import random_graph
+from helpers import atlas_graphs, random_graph, scan_im, scan_irs, scan_is
 
 
 def test_hand_values():
@@ -101,6 +104,63 @@ def test_irs_at_least_is(seed, n):
     # independent sets are irredundant, so IR >= alpha
     g = random_graph(n, 0.5, seed)
     assert oracle_irs(g) >= oracle_is(g)
+
+
+# -- the ordered-extension search against the subset-scan references ---------
+
+SCANS = {Problem.IS: scan_is, Problem.IM: scan_im, Problem.IRS: scan_irs}
+VALUES = {Problem.IS: oracle_is, Problem.IM: oracle_im, Problem.IRS: oracle_irs}
+
+
+def sparse_id_graph(seed: int, n: int, p: float) -> Graph:
+    """A G(n, p) graph on n distinct ids drawn from 0..99, not 0..n-1."""
+    rng = random.Random(seed)
+    ids = sorted(rng.sample(range(100), n))
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p]
+    return Graph(ids, edges)
+
+
+def assert_matches_scan(problem: Problem, g: Graph) -> None:
+    """The value equals the scan's, and ``oracle_answer`` says yes exactly for
+    the budgets up to it, for every k from 0 to n + 1."""
+    best = SCANS[problem](g)
+    assert VALUES[problem](g) == best
+    answers = [oracle_answer(Instance(problem=problem, graph=g, k=k)) for k in range(g.n + 2)]
+    assert answers == [best >= k for k in range(g.n + 2)]
+
+
+graph_params = (st.integers(0, 2 ** 31), st.integers(0, 14), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+
+
+@pytest.mark.parametrize("problem", list(SCANS))
+@given(*graph_params)
+def test_search_matches_scan(problem, seed, n, p):
+    assert_matches_scan(problem, sparse_id_graph(seed, n, p))
+
+
+@given(*graph_params)
+def test_open_privacy_search_matches_scan(seed, n, p):
+    g = sparse_id_graph(seed, n, p)
+    assert oracle_irs(g, open_privacy=True) == scan_irs(g, open_privacy=True)
+
+
+def test_search_matches_scan_on_atlas():
+    for g in atlas_graphs():
+        for problem in SCANS:
+            assert_matches_scan(problem, g)
+        assert oracle_irs(g, open_privacy=True) == scan_irs(g, open_privacy=True)
+
+
+@pytest.mark.parametrize("problem", list(SCANS))
+def test_size_limit_comes_before_any_answer(problem):
+    # verify counts ResourceLimitError as "too large to cross-check", so the
+    # limit must hold for every budget, k = 0 included
+    g = sparse_id_graph(7, DEFAULT_LIMIT + 1, 0.3)
+    for k in range(g.n + 2):
+        with pytest.raises(ResourceLimitError):
+            oracle_answer(Instance(problem=problem, graph=g, k=k))
+    with pytest.raises(ResourceLimitError):
+        VALUES[problem](g)
 
 
 class TestPredicates:
