@@ -9,15 +9,16 @@ import argparse
 import sys
 import time
 
+from cclose.cli import _int_at_least
 from cclose.verify import PROBLEMS, run_verify
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--n-max", type=_int_at_least(0), default=8)
+    parser.add_argument("--trials", type=_int_at_least(1), default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k-max", type=int, default=3)
+    parser.add_argument("--k-max", type=_int_at_least(0), default=3)
     args = parser.parse_args()
 
     jobs = [(p, 1, False) for p in PROBLEMS]

@@ -65,9 +65,7 @@ from .oracle import (
 from .ramsey import (
     Clique,
     IndependentSet,
-    Thresholds,
     ceil_sqrt,
-    ceil_three_halves,
     clique_or_im,
     clique_or_im_saturating,
     clique_or_independent_set,
@@ -79,7 +77,6 @@ from .ramsey import (
     matching_threshold,
     ramsey_threshold,
     saturated_threshold,
-    thresholds,
     unrestricted_threshold,
 )
 from .solver import solve_ds, solve_tds

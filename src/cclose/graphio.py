@@ -150,20 +150,8 @@ def _parse_lines(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]
         if tag == "e":
             if len(fields) != 3:
                 raise ParseError("e record takes exactly two fields", lineno)
-            if n is None:
-                raise ParseError("vertex record before p record", lineno)
-            try:
-                u = int(fields[1])
-            except ValueError:
-                raise ParseError("expected an integer in field 1", lineno) from None
-            if not 0 <= u < n:
-                raise ParseError(f"vertex {u} out of range [0, {n})", lineno)
-            try:
-                v = int(fields[2])
-            except ValueError:
-                raise ParseError("expected an integer in field 2", lineno) from None
-            if not 0 <= v < n:
-                raise ParseError(f"vertex {v} out of range [0, {n})", lineno)
+            u = _vertex_field(fields, 1, n, lineno)
+            v = _vertex_field(fields, 2, n, lineno)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", lineno)
             nbrs = adj[u]

@@ -54,8 +54,6 @@ class GadgetInfo:
     """
 
     clique: tuple[int, ...]
-    white_edges: tuple[tuple[int, int], ...]
-    r: int
     original: Instance
     gadget_instance: Instance
     record: RuleRecord
@@ -409,14 +407,7 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, GadgetInfo]:
         payload={"uncolor": True, "clique": list(clique), "declared_closure": closure},
     )
     gadget_inst = replay(inst, record)
-    info = GadgetInfo(
-        clique=clique,
-        white_edges=white_edges,
-        r=r,
-        original=inst,
-        gadget_instance=gadget_inst,
-        record=record,
-    )
+    info = GadgetInfo(clique=clique, original=inst, gadget_instance=gadget_inst, record=record)
     return gadget_inst, info
 
 

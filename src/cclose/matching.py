@@ -105,13 +105,20 @@ def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
     Right vertices that reach no free vertex are marked dead and skipped by
     every later walk. A finished subtree under right vertex w is dead when
     all it met outside itself was dead, that is, when its lowlink (the
-    least discovery index of a live vertex it met) is not below w's own; a
-    failed search marks all it reached. A dead set is closed under
-    alternating steps and holds no free vertex, so no augmenting path
-    enters it, no augmentation changes it, and it stays dead. Without the
-    pruning, a walk into a dead vertex would only wander inside that closed
-    set and come back, marking no live vertex as seen. Live vertices are
-    therefore visited in the same order, and the matching is the same.
+    least discovery index of a live vertex it met) is not below w's own. A
+    dead set is closed under alternating steps and holds no free vertex, so
+    no augmenting path enters it, no augmentation changes it, and it stays
+    dead. Without the pruning, a walk into a dead vertex would only wander
+    inside that closed set and come back, marking no live vertex as seen.
+    Live vertices are therefore visited in the same order, and the matching
+    is the same.
+
+    Two cases need no code. No root is matched before its own search, since
+    an augmentation matches only its root among the left vertices. And a
+    failed search has already marked all it reached: each child subtree of
+    the root meets no live vertex outside itself, because its earlier
+    siblings were cut when they finished, so it is cut in turn, and the live
+    list is empty once the path is.
     """
     nbrs = {u: sorted(g.neighbors(u)) for u in left}
     # stamp[w] is w's discovery index, which counts from the search's base,
@@ -121,8 +128,6 @@ def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
     match: dict[int, int] = {}
     base = 0
     for root in left:
-        if root in match:
-            continue
         base += stride
         # The live right vertices this search reached, in discovery order;
         # w sits at stamp[w] - base, and a dead subtree is always a suffix.
@@ -144,9 +149,7 @@ def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
             else:
                 todo.pop()
                 if not via:
-                    for x in live:
-                        stamp[x] = _DEAD
-                    continue
+                    break
                 w = via.pop()
                 if low >= stamp[w]:
                     cut = stamp[w] - base

@@ -1,14 +1,14 @@
 """Exhaustive exact solvers used as ground truth for kernels and solvers.
 
 Everything here works on bitmasks over the sorted vertex ids, practical up to
-roughly 16 vertices. Minimization problems scan subsets in size-ascending
+roughly 16 vertices. DS and TDS scan subsets in size-ascending
 combinatorial order and stop at the first hit. The maximization problems
 (IS, IM, IRS) share one ordered-extension search: a set grows only by items
 above its largest, in ascending order, and only while it keeps its property,
 and a branch stops once its size plus the items left cannot beat the best
 size found. All three properties are hereditary, so the search is exact;
-``oracle_answer`` stops it at the first set of size k. Both orders are
-deterministic.
+``oracle_answer`` stops it at the first set of size k. VC is n minus the
+largest independent set. Both orders are deterministic.
 """
 
 from __future__ import annotations
@@ -148,21 +148,9 @@ def oracle_is(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
 
 
 def oracle_vc(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Minimum vertex-cover size, by size-ascending subset scan."""
-    _check_size(g, limit)
-    ids, pos, _, _ = _index(g)
-    edges = [(pos[u], pos[v]) for u, v in g.edges()]
-    if not edges:
-        return 0
-    n = g.n
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if all(mask & ((1 << a) | (1 << b)) for a, b in edges):
-                return size
-    raise AssertionError("unreachable: V covers all edges")
+    """Minimum vertex-cover size, n - alpha(G) by Gallai's identity: the
+    complement of an independent set covers every edge, and conversely."""
+    return g.n - oracle_is(g, limit)
 
 
 def oracle_ds(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
@@ -327,16 +315,13 @@ _MAXIMIZATION_SPACES: dict[Problem, Callable[[Graph], Space]] = {
 
 def oracle_answer(inst: Instance, limit: int = DEFAULT_LIMIT) -> bool:
     """The yes/no answer for an instance, straight from the oracles. IS, IM
-    and IRS stop at the first set of size k."""
+    and IRS stop at the first set of size k; DS, TDS and BW-TDS compare the
+    least r-dominating set with k, where a DS instance has no coloring and
+    no r, which makes it TDS at r = 1."""
     g, k = inst.graph, inst.k
     space = _MAXIMIZATION_SPACES.get(inst.problem)
     if space is not None:
         _check_size(g, limit)
         return k == 0 or _largest(space(g), best=k - 1, goal=k) >= k
-    if inst.problem is Problem.DS:
-        return oracle_ds(g, limit) <= k
-    if inst.problem in (Problem.TDS, Problem.BW_TDS):
-        assert inst.r is not None
-        opt = oracle_tds(g, inst.coloring, inst.r, limit)
-        return opt is not None and opt <= k
-    raise AssertionError(f"unhandled problem {inst.problem}")
+    opt = oracle_tds(g, inst.coloring, inst.r or 1, limit)
+    return opt is not None and opt <= k

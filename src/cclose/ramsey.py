@@ -2,11 +2,11 @@
 graphs.
 
 The threshold formulas are exact integer arithmetic throughout; the only
-fractional quantity, x^(3/2), is evaluated as the least integer t with
-t^2 >= x^3 to keep thresholds platform-independent. Every extractor returns
-a witness that is verified before being handed back; a verification failure
-raises ExtractionError because the backing counting arguments say it cannot
-happen.
+fractional quantity, 6 * Delta^(3/2) * b, is evaluated as the least integer
+t with t^2 >= 36 * b^2 * Delta^3 to keep thresholds platform-independent.
+Every extractor returns a witness that is verified before being handed back;
+a verification failure raises ExtractionError because the backing counting
+arguments say it cannot happen.
 """
 
 from __future__ import annotations
@@ -37,30 +37,12 @@ class IndependentSet:
     vertices: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """The four bound formulas evaluated at (c, a, b)."""
-
-    c: int
-    a: int
-    b: int
-    r_c: int
-    q_c: int
-    q1_c: int
-    q2_c: int
-
-
 def ceil_sqrt(x: int) -> int:
     """Smallest integer t with t*t >= x."""
     if x < 0:
         raise ValueError("ceil_sqrt of a negative number")
     root = isqrt(x)
     return root if root * root == x else root + 1
-
-
-def ceil_three_halves(x: int) -> int:
-    """Exact ceil(x^(3/2)) via the comparison t^2 >= x^3."""
-    return ceil_sqrt(x ** 3)
 
 
 def ramsey_threshold(c: int, a: int, b: int) -> int:
@@ -92,18 +74,6 @@ def saturated_threshold(c: int, a: int, b: int) -> int:
 def unrestricted_threshold(c: int, a: int, b: int) -> int:
     """Matching size forcing a size-a clique or size-b induced matching."""
     return saturated_threshold(c, a, ramsey_threshold(c, a, b))
-
-
-def thresholds(c: int, a: int, b: int) -> Thresholds:
-    return Thresholds(
-        c=c,
-        a=a,
-        b=b,
-        r_c=ramsey_threshold(c, a, b),
-        q_c=matching_threshold(c, b),
-        q1_c=saturated_threshold(c, a, b),
-        q2_c=unrestricted_threshold(c, a, b),
-    )
 
 
 def dense_bipartite_threshold(max_degree: int, b: int) -> int:

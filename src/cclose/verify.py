@@ -40,7 +40,16 @@ from .matching import vclp_half_integral
 from .oracle import oracle_answer, validate_witness
 from .solver import solve_ds, solve_tds
 
-PROBLEMS = ("is", "ds", "tds", "bwtds", "im", "irs")
+# The instance each problem's trials draw; bipartite DS draws BW-TDS instead.
+_TAGS = {
+    "is": Problem.IS,
+    "ds": Problem.DS,
+    "tds": Problem.TDS,
+    "bwtds": Problem.BW_TDS,
+    "im": Problem.IM,
+    "irs": Problem.IRS,
+}
+PROBLEMS = tuple(_TAGS)
 
 
 @dataclass
@@ -114,10 +123,7 @@ def random_instance(problem: str, n_max: int, k_max: int, r: int, bipartite: boo
     tag = _instance_tag(problem, bipartite)
     coloring = None
     if tag is Problem.BW_TDS:
-        if problem == "ds" and bipartite or problem == "bwtds":
-            coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
-        else:
-            coloring = Coloring()
+        coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
     use_r = r
     if problem == "ds" and bipartite:
         use_r = 1  # the bipartite pipeline covers the r = 1 colored problem
@@ -133,21 +139,11 @@ def random_instance(problem: str, n_max: int, k_max: int, r: int, bipartite: boo
 
 
 def _instance_tag(problem: str, bipartite: bool) -> Problem:
-    if problem == "is":
-        return Problem.IS
     if problem == "ds" and bipartite:
         return Problem.BW_TDS
-    if problem == "ds":
-        return Problem.DS
-    if problem == "tds":
-        return Problem.TDS
-    if problem == "bwtds":
-        return Problem.BW_TDS
-    if problem == "im":
-        return Problem.IM
-    if problem == "irs":
-        return Problem.IRS
-    raise ValueError(f"unknown problem {problem!r}")
+    if problem not in _TAGS:
+        raise ValueError(f"unknown problem {problem!r}")
+    return _TAGS[problem]
 
 
 def _random_bipartite(n: int, p: float, rng: random.Random) -> Graph:

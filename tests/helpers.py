@@ -233,6 +233,19 @@ def scan_irs(g: Graph, open_privacy: bool = False) -> int:
     return best
 
 
+def scan_vc(g: Graph) -> int:
+    """Minimum vertex-cover size, by a size-ascending scan of vertex subsets
+    that stops at the first cover."""
+    pos = {v: i for i, v in enumerate(g.vertex_ids)}
+    edges = [(1 << pos[u]) | (1 << pos[v]) for u, v in g.edges()]
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            mask = sum(1 << i for i in combo)
+            if all(mask & edge for edge in edges):
+                return size
+    raise AssertionError("unreachable: V covers all edges")
+
+
 def _is_irredundant_mask(mask: int, cnbr: list[int], other: list[int]) -> bool:
     m = mask
     while m:

@@ -5,7 +5,20 @@ import json
 
 import pytest
 
-from cclose import Bipartition, Coloring, Graph, cli, graphio, parse_graph, serialize_graph
+from cclose import (
+    Bipartition,
+    Coloring,
+    Graph,
+    Instance,
+    Problem,
+    RuleRecord,
+    cli,
+    graphio,
+    normalize_ids,
+    parse_graph,
+    replay_trace,
+    serialize_graph,
+)
 from cclose.cli import main
 from cclose.errors import ExtractionError
 
@@ -82,6 +95,80 @@ def test_kernelize_bipartite_ds(tmp_path, capsys):
     )
     dst = str(tmp_path / "out.txt")
     assert main(["kernelize", "--problem", "ds", "--bipartite", "-k", "1", src, dst]) == 0
+
+
+def read_trace(path):
+    """The rule records of an ``--emit-trace`` file."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    return [
+        RuleRecord(
+            rule=rec["rule"],
+            vertices_added=tuple(rec["vertices_added"]),
+            edges_added=tuple(map(tuple, rec["edges_added"])),
+            recolored=tuple(map(tuple, rec["recolored"])),
+            vertices_removed=tuple(rec["vertices_removed"]),
+            k_delta=rec["k_delta"],
+            payload=rec["payload"],
+        )
+        for rec in payload["records"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "edges, whites, r",
+    [
+        (
+            [(0, 2), (0, 4), (0, 7), (0, 9), (1, 3), (1, 4), (1, 7), (2, 7), (3, 4), (3, 5),
+             (3, 8), (4, 8), (4, 9)],
+            [],
+            2,
+        ),
+        (
+            [(0, 1), (0, 2), (0, 3), (0, 6), (0, 7), (1, 3), (1, 4), (1, 6), (2, 3), (2, 5),
+             (3, 4), (3, 7), (4, 6), (4, 7), (5, 6), (6, 7)],
+            [1, 4, 5, 7],
+            1,
+        ),
+    ],
+    ids=["uncolored-r2", "colored"],
+)
+def test_kernelize_tds_trace_replays_to_the_written_instance(tmp_path, capsys, edges, whites, r):
+    g = Graph(range(max(map(max, edges)) + 1), edges)
+    coloring = Coloring(frozenset(whites))
+    src = write(tmp_path, "in.txt", serialize_graph(g, coloring if whites else None))
+    dst, trace = str(tmp_path / "out.txt"), str(tmp_path / "trace.json")
+    argv = ["kernelize", "--problem", "tds", "-r", str(r), "-k", "1", "--emit-trace", trace]
+    assert main([*argv, src, dst]) == 0
+    records = read_trace(trace)
+    assert records
+    inst = Instance(problem=Problem.BW_TDS, graph=g, k=1, r=r, coloring=coloring)
+    reduced = replay_trace(inst, records)
+    normalized, mapping = normalize_ids(reduced.graph)
+    white = Coloring(frozenset(mapping[v] for v in reduced.coloring.white_of(reduced.graph)))
+    assert open(dst).read() == serialize_graph(normalized, white)
+    assert capsys.readouterr().out == f"reduced: n={normalized.n} m={normalized.m} k={reduced.k}\n"
+
+
+@pytest.mark.parametrize("problem, k", [("ds", "3"), ("im", "2")])
+def test_bipartite_flag_two_colors_a_file_without_sides(tmp_path, capsys, problem, k):
+    g = Graph(range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (3, 7)])
+    outputs = []
+    for name, parts in (("sided", Bipartition(g.two_color())), ("plain", None)):
+        src = write(tmp_path, f"{name}.txt", serialize_graph(g, None, parts))
+        dst = tmp_path / f"{name}_out.txt"
+        assert main(["kernelize", "--problem", problem, "--bipartite", "-k", k, src, str(dst)]) == 0
+        outputs.append((capsys.readouterr().out, dst.read_text()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("problem", ["ds", "im"])
+def test_bipartite_flag_on_an_odd_cycle_fails(tmp_path, capsys, problem):
+    src = write(tmp_path, "c5.txt", "p 5\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\n")
+    dst = tmp_path / "out.txt"
+    assert main(["kernelize", "--problem", problem, "--bipartite", "-k", "1", src, str(dst)]) == 1
+    assert capsys.readouterr().err == "error: graph is not bipartite\n"
+    assert not dst.exists()
 
 
 def test_solve_command(tmp_path, capsys):

@@ -12,6 +12,7 @@ from cclose import (
     Instance,
     Problem,
     Reduced,
+    Witness,
     complete_graph,
     compute_closure,
     cycle_graph,
@@ -31,7 +32,12 @@ from cclose import kernel_im
 from cclose.errors import ExtractionError
 from cclose.generators import er_graph
 from cclose.instances import replay
-from cclose.kernel_im import rr_leaf_rules, rr_lp_thresholds, rr_neighborhood_matching
+from cclose.kernel_im import (
+    lift_im_witness,
+    rr_leaf_rules,
+    rr_lp_thresholds,
+    rr_neighborhood_matching,
+)
 
 from helpers import (
     random_c_closed_graph,
@@ -184,6 +190,23 @@ class TestLeafRules:
         if record is not None and record.rule == "RR14":
             post = replay(inst, record)
             assert (oracle_im(post.graph) >= 2) == (oracle_im(g) >= 2)
+
+    def test_rr14_leaf_edge_lifts_to_the_shadowed_vertex(self):
+        # N[1] = {0, 1, 3} lies inside N[0] and 0 has no leaf, so RR14 hangs
+        # the leaf 7 on the anchor 0 in place of the shadowed vertex 1.
+        g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 3), (2, 6), (3, 4), (3, 6), (5, 6)])
+        inst = make(g, 2)
+        record = rr_leaf_rules(inst, 3, vclp_half_integral(g))
+        assert record is not None and record.rule == "RR14"
+        assert record.edges_added == ((7, 0),) and record.payload == {"anchor": 0, "shadowed": 1}
+        post = replay(inst, record)
+        through_leaf = Witness.edge_set([(0, 7), (5, 6)], Problem.IM)
+        assert validate_witness(post, through_leaf)
+        lifted = lift_im_witness(inst, through_leaf, [record], require=True)
+        assert lifted == Witness.edge_set([(0, 1), (5, 6)], Problem.IM)
+        assert validate_witness(inst, lifted)
+        avoiding = Witness.edge_set([(5, 6)], Problem.IM)
+        assert lift_im_witness(make(g, 1), avoiding, [record], require=True) == avoiding
 
     def test_surrounded_zero_vertex_removed(self):
         # every neighbor of v0 has a leaf -> v0 goes

@@ -29,7 +29,7 @@ from cclose import (
 from cclose.errors import ExtractionError, PreconditionError
 from cclose.oracle import DEFAULT_LIMIT, certified_witness
 
-from helpers import atlas_graphs, random_graph, scan_im, scan_irs, scan_is
+from helpers import atlas_graphs, random_graph, scan_im, scan_irs, scan_is, scan_vc
 
 
 def test_hand_values():
@@ -83,6 +83,8 @@ def test_resource_limit():
     with pytest.raises(ResourceLimitError):
         oracle_is(big)
     assert oracle_is(big, limit=18) == 17
+    with pytest.raises(ResourceLimitError):
+        oracle_vc(big)
     with pytest.raises(ResourceLimitError):
         oracle_is(Graph(range(23)), limit=30)  # hard cap
 
@@ -149,6 +151,31 @@ def test_search_matches_scan_on_atlas():
         for problem in SCANS:
             assert_matches_scan(problem, g)
         assert oracle_irs(g, open_privacy=True) == scan_irs(g, open_privacy=True)
+        assert oracle_vc(g) == scan_vc(g)
+
+
+@given(*graph_params)
+def test_vc_from_the_search_matches_scan(seed, n, p):
+    g = sparse_id_graph(seed, n, p)
+    assert oracle_vc(g) == scan_vc(g)
+
+
+@pytest.mark.parametrize("problem", [Problem.DS, Problem.TDS, Problem.BW_TDS])
+@given(st.integers(0, 2 ** 31), st.integers(0, 10), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+def test_domination_answers_compare_the_optimum_with_k(problem, seed, n, p):
+    g = sparse_id_graph(seed, n, p)
+    rng = random.Random(seed)
+    r = coloring = None
+    if problem is Problem.DS:
+        opt = oracle_ds(g)
+    else:
+        r = rng.randint(1, 3)
+        if problem is Problem.BW_TDS:
+            coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
+        opt = oracle_tds(g, coloring, r)
+    for k in range(g.n + 2):
+        inst = Instance(problem=problem, graph=g, k=k, r=r, coloring=coloring)
+        assert oracle_answer(inst) == (opt is not None and opt <= k)
 
 
 @pytest.mark.parametrize("problem", list(SCANS))

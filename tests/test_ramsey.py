@@ -10,7 +10,6 @@ from cclose import (
     Matching,
     PreconditionError,
     ceil_sqrt,
-    ceil_three_halves,
     clique_or_im,
     clique_or_im_saturating,
     clique_or_independent_set,
@@ -27,9 +26,9 @@ from cclose import (
     oracle_im,
     ramsey_threshold,
     saturated_threshold,
-    thresholds,
     unrestricted_threshold,
 )
+from cclose import ramsey
 
 from helpers import random_c_closed_bipartite, random_c_closed_graph
 
@@ -41,10 +40,9 @@ class TestThresholds:
         assert ramsey_threshold(2, 3, 3) == 6
         assert ramsey_threshold(1, 2, 2) == 2
         assert matching_threshold(1, 2) == 12
-        t = thresholds(2, 3, 3)
-        assert (t.r_c, t.q_c) == (6, 2 * 2 * 9 + 6)
-        assert t.q1_c == matching_threshold(2, 6)
-        assert t.q2_c == matching_threshold(2, ramsey_threshold(2, 3, 6))
+        assert (ramsey_threshold(2, 3, 3), matching_threshold(2, 3)) == (6, 2 * 2 * 9 + 6)
+        assert saturated_threshold(2, 3, 3) == matching_threshold(2, 6)
+        assert unrestricted_threshold(2, 3, 3) == matching_threshold(2, ramsey_threshold(2, 3, 6))
 
     def test_unit_clique_clamp(self):
         assert ramsey_threshold(3, 1, 4) == 1
@@ -53,8 +51,9 @@ class TestThresholds:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             ramsey_threshold(0, 1, 1)
-        with pytest.raises(ValueError):
-            thresholds(1, 1, 0)
+        for threshold in (ramsey_threshold, saturated_threshold, unrestricted_threshold):
+            with pytest.raises(ValueError):
+                threshold(1, 1, 0)
 
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8))
     def test_monotone_in_each_argument(self, c, a, b):
@@ -65,14 +64,6 @@ class TestThresholds:
         assert matching_threshold(c, b) <= matching_threshold(c + 1, b)
         assert saturated_threshold(c, a, b) <= saturated_threshold(c, a + 1, b)
         assert unrestricted_threshold(c, a, b) >= saturated_threshold(c, a, b) or b == 0
-
-    @given(st.integers(0, 400))
-    def test_integer_three_halves_power(self, x):
-        assert ceil_three_halves(x) == -(-int((x ** 1.5) * 10 ** 6) // 10 ** 6) or True
-        # exact definition: smallest t with t*t >= x^3
-        t = ceil_three_halves(x)
-        assert t * t >= x ** 3
-        assert t == 0 or (t - 1) * (t - 1) < x ** 3
 
     @given(st.integers(0, 10 ** 6))
     def test_ceil_sqrt(self, x):
@@ -313,6 +304,26 @@ class TestDenseBipartite:
         b = 2
         g = Graph(range(8 * b), [(2 * i, 2 * i + 1) for i in range(4 * b)])
         parts = Bipartition(frozenset(2 * i for i in range(4 * b)))
+        out = im_dense_bipartite(g, parts, b)
+        assert len(out) == b and is_induced_matching(g, out.edges)
+
+    @pytest.mark.parametrize("centres_left", [True, False])
+    def test_small_konig_cover_peels_the_stars(self, monkeypatch, centres_left):
+        # 49 disjoint K_{1,16}: 833 vertices reach the threshold of 832 for
+        # b = 2, but the matching of 49 is below 2 * Delta * b = 64, so the
+        # cover branch runs; with the centres on either side, both
+        # (near, far) orders are taken.
+        b, delta, stars = 2, 16, 49
+        edges = [(17 * s, 17 * s + j) for s in range(stars) for j in range(1, delta + 1)]
+        g = Graph(range(17 * stars), edges)
+        assert g.n == dense_bipartite_threshold(delta, b) + 1
+        centres = frozenset(range(0, g.n, 17))
+        parts = Bipartition(centres if centres_left else frozenset(g.vertex_ids) - centres)
+
+        def bounded_degree(*args):
+            raise AssertionError("the matching branch ran")
+
+        monkeypatch.setattr(ramsey, "im_from_bounded_degree", bounded_degree)
         out = im_dense_bipartite(g, parts, b)
         assert len(out) == b and is_induced_matching(g, out.edges)
 

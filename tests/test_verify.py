@@ -1,7 +1,28 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
 import cclose.verify as verify_mod
-from cclose import Graph, Instance, Problem, complete_graph, vclp_half_integral
+from cclose import (
+    Decided,
+    Graph,
+    Instance,
+    Problem,
+    Reduced,
+    complete_graph,
+    oracle_answer,
+    parse_graph,
+    vclp_half_integral,
+)
+from cclose.cli import main
 from cclose.kernel_im import partition_bound_violation
-from cclose.verify import random_instance, run_verify, shrink_instance
+from cclose.verify import check_instance, random_instance, run_verify, shrink_instance
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_random_instance_deterministic():
@@ -68,3 +89,49 @@ def test_size_bound_names_the_vhalf_bound_like_the_kernel():
     assert verify_mod._size_bound_holds(reduced, 2) == (False, "V_half bound violated")
     smaller = Instance(problem=Problem.IM, graph=g.without_vertices([0, 1]), k=1)
     assert verify_mod._size_bound_holds(smaller, 2) == (True, "")
+
+
+def wrong_answer(inst, c):
+    return Decided(not oracle_answer(inst))
+
+
+def whole_graph(inst, c):
+    return Reduced(inst, ())
+
+
+def first_vertex_dropped(inst, c):
+    return Reduced(replace(inst, graph=inst.graph.without_vertices(inst.graph.vertex_ids[:1])), ())
+
+
+@pytest.mark.parametrize(
+    "pipeline, n, k, detail",
+    [
+        (wrong_answer, 4, 2, "kernelize_is: decided False, oracle says True"),
+        (whole_graph, 5, 1, "kernelize_is: IS kernel has 5 > c*k^2 vertices"),
+        (first_vertex_dropped, 3, 2, "kernelize_is: trace replay does not reproduce the reduced graph"),
+    ],
+    ids=["wrong-answer", "oversized-kernel", "trace-does-not-replay"],
+)
+def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, pipeline, n, k, detail):
+    monkeypatch.setattr(verify_mod, "kernelize_is", pipeline)
+    inst = Instance(problem=Problem.IS, graph=Graph(range(n)), k=k)
+    assert check_instance("is", inst, False) == (False, detail)
+    argv = ["verify", "--problem", "is", "--n-max", "8", "--k-max", "2", "--trials", "20"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "minimized reproducer:\n" in out
+    parse_graph(out.split("minimized reproducer:\n", 1)[1])
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--n-max", "-1"]])
+def test_sweep_rejects_a_count_below_its_minimum(argv):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "verify_sweep.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "must be at least" in done.stderr and "Traceback" not in done.stderr
