@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern = sub.add_parser("kernelize", help="run a kernelization pipeline")
     p_kern.add_argument("--problem", required=True, choices=["is", "ds", "tds", "im", "irs"])
     p_kern.add_argument("-k", type=_int_at_least(0), required=True)
-    p_kern.add_argument("-r", type=int, default=1)
+    p_kern.add_argument("-r", type=_int_at_least(1), default=1)
     p_kern.add_argument("--bipartite", action="store_true")
     p_kern.add_argument("--mode", choices=list(BIPARTITE_MODES), default="delta")
     p_kern.add_argument("--require-witness", action="store_true")
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve (threshold) dominating set")
     p_solve.add_argument("--problem", required=True, choices=["ds", "tds"])
     p_solve.add_argument("-k", type=_int_at_least(0), required=True)
-    p_solve.add_argument("-r", type=int, default=1)
+    p_solve.add_argument("-r", type=_int_at_least(1), default=1)
     p_solve.add_argument("--method", choices=["branch", "oracle"], default="branch")
     p_solve.add_argument("file")
 
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=_int_at_least(1), default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--k-max", type=_int_at_least(0), default=3)
-    p_verify.add_argument("--r", type=int, default=1)
+    p_verify.add_argument("--r", type=_int_at_least(1), default=1)
     p_verify.add_argument("--bipartite", action="store_true")
     p_verify.add_argument("--json", action="store_true", dest="as_json")
 

@@ -2,7 +2,11 @@
 
 Everything here works on bitmasks over the sorted vertex ids, practical up to
 roughly 16 vertices. DS and TDS scan subsets in size-ascending
-combinatorial order and stop at the first hit. The maximization problems
+combinatorial order and stop at the first hit. A candidate's mask is the sum
+of single-bit masks, and it is tested against the black vertices' closed
+neighbourhood masks with C-level ``map``/``all``, the demand with the fewest
+possible dominators first; the order and the answers are those of a scan
+that builds each mask bit by bit. The maximization problems
 (IS, IM, IRS) share one ordered-extension search: a set grows only by items
 above its largest, in ascending order, and only while it keeps its property,
 and a branch stops once its size plus the items left cannot beat the best
@@ -31,8 +35,9 @@ def _check_size(g: Graph, limit: int) -> None:
         )
 
 
-def _index(g: Graph) -> tuple[list[int], dict[int, int], list[int], list[int]]:
-    """Sorted ids, id->bit mapping, open and closed neighborhood bitmasks."""
+def _index(g: Graph) -> tuple[dict[int, int], list[int], list[int]]:
+    """The id->bit mapping over the sorted ids, and the open and closed
+    neighborhood bitmasks."""
     ids = list(g.vertex_ids)
     pos = {v: i for i, v in enumerate(ids)}
     nbr = [0] * len(ids)
@@ -40,7 +45,7 @@ def _index(g: Graph) -> tuple[list[int], dict[int, int], list[int], list[int]]:
         for w in g.neighbors(v):
             nbr[i] |= 1 << pos[w]
     cnbr = [nb | (1 << i) for i, nb in enumerate(nbr)]
-    return ids, pos, nbr, cnbr
+    return pos, nbr, cnbr
 
 
 # A search space for ``_largest``: the root state, the bitmask of items a set
@@ -92,14 +97,14 @@ def _pairwise_space(conflict: list[int]) -> Space:
 
 
 def _is_space(g: Graph) -> Space:
-    _, _, _, cnbr = _index(g)
+    _, _, cnbr = _index(g)
     return _pairwise_space(cnbr)
 
 
 def _im_space(g: Graph) -> Space:
     """Induced matchings as sets of edges, in (min, max) order: an edge rules
     out every edge with an end in the closed neighbourhood of its ends."""
-    _, _, nbr, cnbr = _index(g)
+    _, nbr, cnbr = _index(g)
     edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if nbr[a] >> b & 1]
     touching = [0] * g.n
     for e, (a, b) in enumerate(edges):
@@ -121,7 +126,7 @@ def _irs_space(g: Graph, open_privacy: bool = False) -> Space:
     """Irredundant sets. A set's state is each member's private candidates
     (its closed neighbourhood outside every other member's ``other``
     neighbourhood) and the union of the members' ``other`` neighbourhoods."""
-    _, _, nbr, cnbr = _index(g)
+    _, nbr, cnbr = _index(g)
     other = nbr if open_privacy else cnbr
 
     def grow(state: tuple[list[int], int], i: int, rest: int) -> tuple[object, int]:
@@ -170,26 +175,31 @@ def oracle_tds(
 
     With no coloring every vertex counts as black. Returns None when even
     D = V fails, i.e. some black vertex has a closed neighborhood smaller
-    than r.
+    than r. An r below 1 raises ``ValueError``, as in ``solve_tds``.
     """
+    if r < 1:
+        raise ValueError("r must be positive")
     _check_size(g, limit)
-    ids, pos, _, cnbr = _index(g)
+    pos, _, cnbr = _index(g)
     if coloring is None:
         black = list(range(g.n))
     else:
         black = [pos[v] for v in coloring.black_of(g)]
     if not black:
         return 0
-    full = (1 << g.n) - 1
-    if any((cnbr[b] & full).bit_count() < r for b in black):
+    if any(cnbr[b].bit_count() < r for b in black):
         return None
-    n = g.n
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if all((cnbr[b] & mask).bit_count() >= r for b in black):
+    # Hardest demand first: the black vertex with the fewest possible
+    # dominators rejects most candidates, and ``all`` ignores the order.
+    demands = sorted((cnbr[b] for b in black), key=int.bit_count)
+    bits = [1 << i for i in range(g.n)]
+    for size in range(g.n + 1):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            hits = map(mask.__and__, demands)
+            if r > 1:
+                hits = map(r.__le__, map(int.bit_count, hits))
+            if all(hits):
                 return size
     raise AssertionError("unreachable: D = V is feasible")
 

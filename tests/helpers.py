@@ -246,6 +246,32 @@ def scan_vc(g: Graph) -> int:
     raise AssertionError("unreachable: V covers all edges")
 
 
+def scan_tds(g: Graph, coloring: Coloring | None = None, r: int = 1) -> int | None:
+    """Minimum size of a set r-dominating every black vertex, or None, by a
+    size-ascending scan of vertex subsets that builds each mask bit by bit
+    and stops at the first hit. With no coloring every vertex is black."""
+    _, cnbr = _neighbor_masks(g)
+    pos = {v: i for i, v in enumerate(g.vertex_ids)}
+    if coloring is None:
+        black = list(range(g.n))
+    else:
+        black = [pos[v] for v in g.vertex_ids if v not in coloring.white]
+    if not black:
+        return 0
+    full = (1 << g.n) - 1
+    if any((cnbr[b] & full).bit_count() < r for b in black):
+        return None
+    n = g.n
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            if all((cnbr[b] & mask).bit_count() >= r for b in black):
+                return size
+    raise AssertionError("unreachable: D = V is feasible")
+
+
 def _is_irredundant_mask(mask: int, cnbr: list[int], other: list[int]) -> bool:
     m = mask
     while m:

@@ -280,8 +280,24 @@ def test_usage_error_exits_2(capsys):
         ["verify", "--problem", "is", "--k-max", "-1"],
         ["kernelize", "--problem", "is", "-k", "-1", "{c4}", "{out}"],
         ["solve", "--problem", "ds", "-k", "-1", "--method", "oracle", "{c4}"],
+        ["verify", "--problem", "tds", "--r", "0"],
+        ["kernelize", "--problem", "tds", "-r", "0", "-k", "1", "{c4}", "{out}"],
+        ["solve", "--problem", "tds", "-r", "0", "-k", "1", "{c4}"],
+        ["solve", "--problem", "tds", "-r", "0", "-k", "1", "--method", "oracle", "{c4}"],
+        ["solve", "--problem", "tds", "-r", "-1", "-k", "1", "{c4}"],
     ],
-    ids=["verify-trials", "verify-n-max", "verify-k-max", "kernelize-k", "solve-k"],
+    ids=[
+        "verify-trials",
+        "verify-n-max",
+        "verify-k-max",
+        "kernelize-k",
+        "solve-k",
+        "verify-r",
+        "kernelize-r",
+        "solve-r",
+        "solve-oracle-r",
+        "solve-negative-r",
+    ],
 )
 def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
     paths = {"c4": c4_file(tmp_path), "out": str(tmp_path / "out.txt")}

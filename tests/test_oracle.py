@@ -29,7 +29,7 @@ from cclose import (
 from cclose.errors import ExtractionError, PreconditionError
 from cclose.oracle import DEFAULT_LIMIT, certified_witness
 
-from helpers import atlas_graphs, random_graph, scan_im, scan_irs, scan_is, scan_vc
+from helpers import atlas_graphs, random_graph, scan_im, scan_irs, scan_is, scan_tds, scan_vc
 
 
 def test_hand_values():
@@ -160,22 +160,58 @@ def test_vc_from_the_search_matches_scan(seed, n, p):
     assert oracle_vc(g) == scan_vc(g)
 
 
-@pytest.mark.parametrize("problem", [Problem.DS, Problem.TDS, Problem.BW_TDS])
-@given(st.integers(0, 2 ** 31), st.integers(0, 10), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
-def test_domination_answers_compare_the_optimum_with_k(problem, seed, n, p):
-    g = sparse_id_graph(seed, n, p)
-    rng = random.Random(seed)
-    r = coloring = None
-    if problem is Problem.DS:
-        opt = oracle_ds(g)
+# -- the DS/TDS candidate test against the bit-by-bit scan -------------------
+
+
+def assert_domination_matches_scan(g: Graph, coloring: Coloring | None, r: int) -> None:
+    """``oracle_tds`` equals the scan's optimum, None included, and
+    ``oracle_answer`` says yes exactly for the budgets at or above it, for
+    every k from 0 to n + 1. Uncoloured graphs are TDS instances, and at
+    r = 1 also DS instances, where ``oracle_ds`` gives the same optimum;
+    coloured graphs are BW-TDS instances."""
+    best = scan_tds(g, coloring, r)
+    assert oracle_tds(g, coloring, r) == best
+    if coloring is not None:
+        kinds = [dict(problem=Problem.BW_TDS, r=r, coloring=coloring)]
     else:
-        r = rng.randint(1, 3)
-        if problem is Problem.BW_TDS:
-            coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
-        opt = oracle_tds(g, coloring, r)
-    for k in range(g.n + 2):
-        inst = Instance(problem=problem, graph=g, k=k, r=r, coloring=coloring)
-        assert oracle_answer(inst) == (opt is not None and opt <= k)
+        kinds = [dict(problem=Problem.TDS, r=r)]
+        if r == 1:
+            assert oracle_ds(g) == best
+            kinds.append(dict(problem=Problem.DS))
+    budgets = range(g.n + 2)
+    for fields in kinds:
+        answers = [oracle_answer(Instance(graph=g, k=k, **fields)) for k in budgets]
+        assert answers == [best is not None and best <= k for k in budgets]
+
+
+@given(
+    st.integers(0, 2 ** 31),
+    st.integers(0, 12),
+    st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+)
+def test_domination_matches_scan(seed, n, p, r, coloured):
+    g = sparse_id_graph(seed, n, p)
+    coloring = None
+    if coloured:
+        rng = random.Random(seed)
+        coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
+    assert_domination_matches_scan(g, coloring, r)
+
+
+def test_domination_matches_scan_on_atlas():
+    for g in atlas_graphs():
+        odd = Coloring(frozenset(g.vertex_ids[1::2]))
+        for r in (1, 2, 3):
+            assert_domination_matches_scan(g, None, r)
+            assert_domination_matches_scan(g, odd, r)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_tds_rejects_r_below_one(r):
+    with pytest.raises(ValueError, match="r must be positive"):
+        oracle_tds(path_graph(3), r=r)
 
 
 @pytest.mark.parametrize("problem", list(SCANS))

@@ -123,11 +123,10 @@ def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, pipeline
     parse_graph(out.split("minimized reproducer:\n", 1)[1])
 
 
-@pytest.mark.parametrize("argv", [["--trials", "0"], ["--n-max", "-1"]])
-def test_sweep_rejects_a_count_below_its_minimum(argv):
+def assert_script_rejects_count(script, argv):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     done = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "verify_sweep.py"), *argv],
+        [sys.executable, str(REPO / "scripts" / script), *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -135,3 +134,13 @@ def test_sweep_rejects_a_count_below_its_minimum(argv):
     )
     assert done.returncode == 2
     assert "must be at least" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--n-max", "-1"]])
+def test_sweep_rejects_a_count_below_its_minimum(argv):
+    assert_script_rejects_count("verify_sweep.py", argv)
+
+
+@pytest.mark.parametrize("argv", [["--samples", "0"], ["--sizes", "-3"]])
+def test_survey_rejects_a_count_below_its_minimum(argv):
+    assert_script_rejects_count("closure_survey.py", argv)
