@@ -160,6 +160,24 @@ def test_vc_from_the_search_matches_scan(seed, n, p):
     assert oracle_vc(g) == scan_vc(g)
 
 
+@pytest.mark.parametrize("problem", [Problem.DS, Problem.TDS, Problem.BW_TDS])
+@given(st.integers(0, 2 ** 31), st.integers(0, 10), st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+def test_domination_answers_compare_the_optimum_with_k(problem, seed, n, p):
+    g = sparse_id_graph(seed, n, p)
+    rng = random.Random(seed)
+    r = coloring = None
+    if problem is Problem.DS:
+        opt = oracle_ds(g)
+    else:
+        r = rng.randint(1, 3)
+        if problem is Problem.BW_TDS:
+            coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
+        opt = oracle_tds(g, coloring, r)
+    for k in range(g.n + 2):
+        inst = Instance(problem=problem, graph=g, k=k, r=r, coloring=coloring)
+        assert oracle_answer(inst) == (opt is not None and opt <= k)
+
+
 # -- the DS/TDS candidate test against the bit-by-bit scan -------------------
 
 
