@@ -22,16 +22,13 @@ from .cliques import maximal_cliques
 from .closure import compute_closure
 from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
 from .generators import MODEL_PARAMS, generate
-from .graphio import load_graph, normalize_ids, save_graph
+from .graphio import load_graph, renumber, save_graph
 from .instances import Bipartition, Coloring, Decided, Instance, Problem, Reduced
-from .kernel_ds import kernelize_bipartite_bwds, kernelize_bwtds, kernelize_ds
-from .kernel_im import BIPARTITE_MODES, kernelize_im, kernelize_im_bipartite
-from .kernel_irs import kernelize_irs
-from .kernel_is import kernelize_is
+from .kernel_im import BIPARTITE_MODES
 from .oracle import oracle_ds, oracle_tds
 from .ramsey import Clique, clique_or_independent_set
 from .solver import solve_ds, solve_tds
-from .verify import PROBLEMS, run_verify
+from .verify import PROBLEMS, kernelize, run_verify
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -224,47 +221,25 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_kernelize(args: argparse.Namespace) -> int:
     g, coloring, bipartition = load_graph(args.infile)
-    # Every pipeline reads c but the bipartite IM kernel's modes that do not.
-    reads_c = BIPARTITE_MODES[args.mode] if args.problem == "im" and args.bipartite else True
+    # Only DS and IM have bipartite kernels; --bipartite leaves the rest as is.
+    parts = None
+    if args.bipartite and args.problem in ("ds", "im"):
+        parts = _require_bipartition(g, bipartition)
+    # Every kernel reads c but the bipartite IM kernel's modes that do not.
+    reads_c = BIPARTITE_MODES[args.mode] if args.problem == "im" and parts is not None else True
     c = compute_closure(g).c if reads_c else None
-    if args.problem == "is":
-        inst = Instance(problem=Problem.IS, graph=g, k=args.k)
-        outcome = kernelize_is(inst, c)
-    elif args.problem == "im" and args.bipartite:
-        parts = _require_bipartition(g, bipartition)
-        inst = Instance(problem=Problem.IM, graph=g, k=args.k, bipartition=parts)
-        outcome = kernelize_im_bipartite(
-            inst, parts, mode=args.mode, c=c, require_witness=args.require_witness
-        )
-    elif args.problem == "im":
-        inst = Instance(problem=Problem.IM, graph=g, k=args.k)
-        outcome = kernelize_im(inst, c, require_witness=args.require_witness)
-    elif args.problem == "irs":
-        inst = Instance(problem=Problem.IRS, graph=g, k=args.k)
-        outcome = kernelize_irs(inst, c, require_witness=args.require_witness)
-    elif args.problem == "ds" and args.bipartite:
-        parts = _require_bipartition(g, bipartition)
-        inst = Instance(
-            problem=Problem.BW_TDS,
-            graph=g,
-            k=args.k,
-            r=1,
-            coloring=coloring or Coloring(),
-            bipartition=parts,
-        )
-        outcome = kernelize_bipartite_bwds(inst, parts, c)
-    elif args.problem == "ds":
-        inst = Instance(problem=Problem.DS, graph=g, k=args.k)
-        outcome = kernelize_ds(inst, c)
-    else:  # tds; a colored file means the BW variant
-        inst = Instance(
-            problem=Problem.BW_TDS,
-            graph=g,
-            k=args.k,
-            r=args.r,
-            coloring=coloring or Coloring(),
-        )
-        outcome = kernelize_bwtds(inst, c)
+    # TDS is BW-TDS, black where the file colors nothing; bipartite DS is
+    # BW-TDS with r = 1.
+    colored = args.problem == "tds" or args.problem == "ds" and parts is not None
+    inst = Instance(
+        problem=Problem.BW_TDS if colored else Problem[args.problem.upper()],
+        graph=g,
+        k=args.k,
+        r=(args.r if args.problem == "tds" else 1) if colored else None,
+        coloring=(coloring or Coloring()) if colored else None,
+        bipartition=parts,
+    )
+    outcome = kernelize(inst, c, args.mode, args.require_witness)
 
     if args.emit_trace is not None:
         trace = outcome.trace if isinstance(outcome, Reduced) else ()
@@ -282,19 +257,9 @@ def _run_kernelize(args: argparse.Namespace) -> int:
         return 0
 
     reduced = outcome.instance
-    normalized, mapping = normalize_ids(reduced.graph)
-    new_coloring = None
-    if reduced.coloring is not None:
-        new_coloring = Coloring(
-            frozenset(mapping[v] for v in reduced.coloring.white_of(reduced.graph))
-        )
-    new_parts = None
-    if reduced.bipartition is not None:
-        new_parts = Bipartition(
-            frozenset(mapping[v] for v in reduced.bipartition.left_of(reduced.graph))
-        )
-    save_graph(args.outfile, normalized, new_coloring, new_parts)
-    print(f"reduced: n={normalized.n} m={normalized.m} k={reduced.k}")
+    g, coloring, parts = renumber(reduced.graph, reduced.coloring, reduced.bipartition)
+    save_graph(args.outfile, g, coloring, parts)
+    print(f"reduced: n={g.n} m={g.m} k={reduced.k}")
     return 0
 
 

@@ -252,6 +252,19 @@ def normalize_ids(g: Graph) -> tuple[Graph, dict[int, int]]:
     return relabeled, mapping
 
 
+def renumber(
+    g: Graph, coloring: Coloring | None = None, bipartition: Bipartition | None = None
+) -> tuple[Graph, Coloring | None, Bipartition | None]:
+    """``normalize_ids`` for a graph with its coloring and bipartition, in the
+    shape ``serialize_graph`` takes them."""
+    normalized, mapping = normalize_ids(g)
+    if coloring is not None:
+        coloring = Coloring(frozenset(mapping[v] for v in coloring.white_of(g)))
+    if bipartition is not None:
+        bipartition = Bipartition(frozenset(mapping[v] for v in bipartition.left_of(g)))
+    return normalized, coloring, bipartition
+
+
 def load_graph(path) -> tuple[Graph, Coloring | None, Bipartition | None]:
     with open(path, encoding="utf-8") as fh:
         return parse_graph(fh.read())

@@ -440,13 +440,18 @@ def lift_witness(d_prime: Witness, gi: GadgetInfo) -> Witness:
     return lifted
 
 
+def all_black_twin(inst: Instance) -> Instance:
+    """The BW-TDS instance of a DS or TDS instance: every vertex black, r = 1
+    for DS. A kernel run on the twin has its trace replay from the twin."""
+    return replace(inst, problem=Problem.BW_TDS, r=inst.r or 1, coloring=Coloring())
+
+
 def kernelize_ds(inst: Instance, c: int) -> KernelOutcome:
     """Dominating Set: color everything black, run the colored pipeline with
     r = 1, then remove colors with the gadget."""
     if inst.problem is not Problem.DS:
         raise ValueError(f"expected a DS instance, got {inst.problem}")
-    colored = replace(inst, problem=Problem.BW_TDS, r=1, coloring=Coloring())
-    outcome = kernelize_bwtds(colored, c)
+    outcome = kernelize_bwtds(all_black_twin(inst), c)
     if isinstance(outcome, Decided):
         witness = outcome.witness
         if witness is not None:

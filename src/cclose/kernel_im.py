@@ -70,21 +70,16 @@ def rr_lp_thresholds(
     c: int,
     p: VclpPartition,
     require_witness: bool = False,
-    vhalf_threshold: int | None = None,
-    vone_threshold: int | None = None,
 ) -> Decided | None:
     """RR11/RR12: a huge half class or one class certifies a Yes.
 
-    The default thresholds are astronomically large for c, k >= 2; the
-    override parameters exist so tests can exercise the extraction paths on
-    desk-scale graphs. Witness extraction runs opportunistically and is
-    mandatory under ``require_witness``.
+    The thresholds are astronomically large for c, k >= 2. Witness
+    extraction runs opportunistically and is mandatory under
+    ``require_witness``.
     """
     g, k = inst.graph, inst.k
     a = 4 * c * k + 1
     half_bound, one_bound = _lp_bounds(c, k)
-    half_bound = half_bound if vhalf_threshold is None else vhalf_threshold
-    one_bound = one_bound if vone_threshold is None else vone_threshold
     if len(p.v_half) >= half_bound:
         def extract() -> Witness:
             m = max_matching_general(g.induced(p.v_half))

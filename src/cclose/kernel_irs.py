@@ -78,14 +78,7 @@ def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> Kern
     return Reduced(reduced, tuple(trace))
 
 
-def extract_irs_witness(
-    g: Graph,
-    c: int,
-    k: int,
-    alpha_prime: int | None = None,
-    alpha: int | None = None,
-    total: int | None = None,
-) -> Witness:
+def extract_irs_witness(g: Graph, c: int, k: int) -> Witness:
     """A size-k irredundant set in a twin-free c-closed graph at the threshold.
 
     The Ramsey dichotomy either hands over an independent set (independent
@@ -93,19 +86,12 @@ def extract_irs_witness(
     clique vertices with pairwise-unshared outside neighbors, and a second
     dichotomy plus the dense-bipartite extractor turn those into k members
     whose outside partners are private.
-
-    The threshold overrides let tests drive the clique branch on graphs far
-    below the real threshold; the final irredundance check still guards the
-    output.
     """
     if k == 0:
         return Witness.vertex_set((), Problem.IRS)
     if rr_simplicial_twin(Instance(problem=Problem.IRS, graph=g, k=k)) is not None:
         raise PreconditionError("simplicial twins remain; exhaust RR16 first")
-    real_alpha_prime, real_alpha, real_total = irs_thresholds(c, k)
-    alpha_prime = real_alpha_prime if alpha_prime is None else alpha_prime
-    alpha = real_alpha if alpha is None else alpha
-    total = real_total if total is None else total
+    alpha_prime, alpha, total = irs_thresholds(c, k)
     if g.n < total:
         raise PreconditionError(f"need at least {total} vertices, got {g.n}")
 

@@ -9,13 +9,14 @@ are shrunk by greedy vertex deletion before being reported.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .closure import compute_closure, is_c_closed
 from .errors import ResourceLimitError
 from .generators import er_graph
 from .graph import Graph
-from .graphio import normalize_ids, serialize_graph
+from .graphio import renumber, serialize_graph
 from .instances import (
     Bipartition,
     Coloring,
@@ -27,6 +28,7 @@ from .instances import (
     replay,
 )
 from .kernel_ds import (
+    all_black_twin,
     bipartite_kernel_bound,
     kernelize_bipartite_bwds,
     kernelize_bwtds,
@@ -120,30 +122,21 @@ def random_instance(problem: str, n_max: int, k_max: int, r: int, bipartite: boo
     else:
         g = er_graph(n, p, seed=rng.randrange(2 ** 32))
     k = rng.randrange(k_max + 1)
-    tag = _instance_tag(problem, bipartite)
+    # Only DS and IM have bipartite kernels, so only their draws carry the
+    # bipartition; bipartite DS is the r = 1 colored problem.
+    has_parts = bipartite and problem in ("ds", "im")
+    tag = Problem.BW_TDS if has_parts and problem == "ds" else _TAGS[problem]
     coloring = None
     if tag is Problem.BW_TDS:
         coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
-    use_r = r
-    if problem == "ds" and bipartite:
-        use_r = 1  # the bipartite pipeline covers the r = 1 colored problem
-    bip = Bipartition(g.two_color() or frozenset()) if bipartite else None
     return Instance(
         problem=tag,
         graph=g,
         k=k,
-        r=use_r if tag in (Problem.TDS, Problem.BW_TDS) else None,
+        r=(1 if problem == "ds" else r) if tag in (Problem.TDS, Problem.BW_TDS) else None,
         coloring=coloring,
-        bipartition=bip,
+        bipartition=Bipartition(g.two_color() or frozenset()) if has_parts else None,
     )
-
-
-def _instance_tag(problem: str, bipartite: bool) -> Problem:
-    if problem == "ds" and bipartite:
-        return Problem.BW_TDS
-    if problem not in _TAGS:
-        raise ValueError(f"unknown problem {problem!r}")
-    return _TAGS[problem]
 
 
 def _random_bipartite(n: int, p: float, rng: random.Random) -> Graph:
@@ -190,17 +183,21 @@ def run_verify(
     if bad:
         failing = random_instance(problem, n_max, k_max, r, bipartite, seed * 1_000_003 + bad[0].index)
         shrunk = shrink_instance(problem, failing, bipartite)
-        normalized, _ = normalize_ids(shrunk.graph)
-        report.reproducer = serialize_graph(normalized)
+        report.reproducer = serialize_graph(
+            *renumber(shrunk.graph, shrunk.coloring, shrunk.bipartition)
+        )
     return report
 
 
 def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool, str]:
-    """Run the pipeline(s) for one instance; empty detail means agreement."""
+    """Run the pipeline(s) for one instance; empty detail means agreement.
+
+    The pipelines follow from ``inst`` alone; ``problem`` and ``bipartite``
+    name the draw it came from."""
     expected = oracle_answer(inst)
     c = compute_closure(inst.graph).c
     try:
-        outcomes = _run_pipelines(problem, inst, c, bipartite)
+        outcomes = _run_pipelines(inst, c)
     except ResourceLimitError:
         raise
     except Exception as exc:  # pipeline crash counts as disagreement
@@ -212,59 +209,62 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
     return True, ""
 
 
-def _run_pipelines(
-    problem: str, inst: Instance, c: int, bipartite: bool
-) -> list[tuple[str, Instance, KernelOutcome]]:
-    out: list[tuple[str, Instance, KernelOutcome]] = []
-    if problem == "is":
-        out.append(("kernelize_is", inst, kernelize_is(inst, c)))
-    elif problem == "ds" and bipartite:
-        assert inst.bipartition is not None
-        out.append(
-            ("kernelize_bipartite_bwds", inst, kernelize_bipartite_bwds(inst, inst.bipartition, c))
+def kernelize(
+    inst: Instance, c: int | None, mode: str = "delta", require_witness: bool = False
+) -> KernelOutcome:
+    """Run the paper's kernel for ``inst``, picked from the instance alone.
+
+    IS, DS, IM and IRS each go to their own kernel, and TDS to the BW-TDS
+    kernel on its all-black twin. BW-TDS with a bipartition and r = 1 goes to
+    the bipartite BW-DS kernel, any other BW-TDS to the general one. IM with a
+    bipartition goes to the bipartite IM kernel in ``mode``; ``c`` may be None
+    only there, in a mode that does not read it. ``require_witness`` reaches
+    the IM and IRS kernels, the ones that extract witnesses.
+    """
+    return _kernel(inst, c, mode, require_witness)[1]()
+
+
+def _kernel(
+    inst: Instance, c: int | None, mode: str = "delta", require_witness: bool = False
+) -> tuple[str, Callable[[], KernelOutcome]]:
+    """The name of the kernel ``kernelize`` picks for ``inst``, as verify
+    reports it, and the call that runs it."""
+    problem, parts = inst.problem, inst.bipartition
+    if problem is Problem.IS:
+        return "kernelize_is", lambda: kernelize_is(inst, c)
+    if problem is Problem.DS:
+        return "kernelize_ds", lambda: kernelize_ds(inst, c)
+    if problem is Problem.TDS:
+        return "kernelize_bwtds", lambda: kernelize_bwtds(all_black_twin(inst), c)
+    if problem is Problem.BW_TDS and parts is not None and inst.r == 1:
+        return "kernelize_bipartite_bwds", lambda: kernelize_bipartite_bwds(inst, parts, c)
+    if problem is Problem.BW_TDS:
+        return "kernelize_bwtds", lambda: kernelize_bwtds(inst, c)
+    if problem is Problem.IM and parts is not None:
+        return (
+            f"kernelize_im_bipartite[{mode}]",
+            lambda: kernelize_im_bipartite(inst, parts, mode, c, require_witness),
         )
-    elif problem == "ds":
-        colored = Instance(
-            problem=Problem.BW_TDS, graph=inst.graph, k=inst.k, r=1, coloring=Coloring()
-        )
-        out.append(("kernelize_ds", colored, kernelize_ds(inst, c)))
-        answer, witness = solve_ds(inst.graph, c, inst.k)
-        out.append(("solve_ds", inst, Decided(answer, witness)))
-    elif problem == "tds":
-        assert inst.r is not None
-        colored = Instance(
-            problem=Problem.BW_TDS,
-            graph=inst.graph,
-            k=inst.k,
-            r=inst.r,
-            coloring=Coloring(),
-        )
-        out.append(("kernelize_bwtds", colored, kernelize_bwtds(colored, c)))
-        answer, witness = solve_tds(inst.graph, c, inst.r, inst.k)
-        out.append(("solve_tds", inst, Decided(answer, witness)))
-    elif problem == "bwtds":
-        out.append(("kernelize_bwtds", inst, kernelize_bwtds(inst, c)))
-    elif problem == "im" and bipartite:
-        assert inst.bipartition is not None
-        out.append(
-            (
-                "kernelize_im_bipartite[delta]",
-                inst,
-                kernelize_im_bipartite(inst, inst.bipartition, "delta"),
-            )
-        )
-        out.append(
-            (
-                "kernelize_im_bipartite[closure]",
-                inst,
-                kernelize_im_bipartite(inst, inst.bipartition, "closure", c=c),
-            )
-        )
+    if problem is Problem.IM:
+        return "kernelize_im", lambda: kernelize_im(inst, c, require_witness)
+    return "kernelize_irs", lambda: kernelize_irs(inst, c, require_witness)
+
+
+def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOutcome]]:
+    """The kernel ``kernelize`` picks, then the solver of DS and TDS, or the
+    closure mode and the general kernel of bipartite IM; each run with its
+    name and the instance its trace replays from."""
+    name, run = _kernel(inst, c)
+    base = all_black_twin(inst) if inst.problem in (Problem.DS, Problem.TDS) else inst
+    out = [(name, base, run())]
+    if inst.problem is Problem.DS:
+        out.append(("solve_ds", inst, Decided(*solve_ds(inst.graph, c, inst.k))))
+    elif inst.problem is Problem.TDS:
+        out.append(("solve_tds", inst, Decided(*solve_tds(inst.graph, c, inst.r, inst.k))))
+    elif inst.problem is Problem.IM and inst.bipartition is not None:
+        name, run = _kernel(inst, c, "closure")
+        out.append((name, inst, run()))
         out.append(("kernelize_im", inst, kernelize_im(inst, c)))
-    elif problem == "im":
-        out.append(("kernelize_im", inst, kernelize_im(inst, c)))
-    elif problem == "irs":
-        out.append(("kernelize_irs", inst, kernelize_irs(inst, c)))
     return out
 
 

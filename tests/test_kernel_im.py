@@ -126,21 +126,25 @@ class TestLpThresholdRules:
         p = vclp_half_integral(g)
         assert rr_lp_thresholds(inst, c, p) is None
 
-    def test_vhalf_override_extracts_witness(self):
+    def test_vhalf_override_extracts_witness(self, monkeypatch):
         # seven disjoint edges sit below the real threshold (18 at c=2, k=1)
         # but the lowered one still leaves enough matching for extraction
         b = 7
+        real = kernel_im._lp_bounds
+        monkeypatch.setattr(kernel_im, "_lp_bounds", lambda c, k: (2 * b, real(c, k)[1]))
         g = Graph(range(2 * b), [(2 * i, 2 * i + 1) for i in range(b)])
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert len(p.v_half) == 2 * b
-        decided = rr_lp_thresholds(inst, 2, p, require_witness=True, vhalf_threshold=2 * b)
+        decided = rr_lp_thresholds(inst, 2, p, require_witness=True)
         assert decided is not None and decided.answer
         assert validate_witness(inst, decided.witness)
 
-    def test_vone_override_extracts_witness(self):
+    def test_vone_override_extracts_witness(self, monkeypatch):
         # stars make V_1 the centers; crown matching feeds the saturated chain
         centers = 6
+        real = kernel_im._lp_bounds
+        monkeypatch.setattr(kernel_im, "_lp_bounds", lambda c, k: (real(c, k)[0], centers))
         edges = []
         nxt = centers
         for hub in range(centers):
@@ -151,7 +155,7 @@ class TestLpThresholdRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert len(p.v1) == centers
-        decided = rr_lp_thresholds(inst, 2, p, require_witness=True, vone_threshold=centers)
+        decided = rr_lp_thresholds(inst, 2, p, require_witness=True)
         assert decided is not None and decided.answer
         assert validate_witness(inst, decided.witness)
 

@@ -22,6 +22,7 @@ from cclose import (
     ramsey_threshold,
     validate_witness,
 )
+from cclose import kernel_irs
 from cclose.instances import replay
 from cclose.kernel_irs import rr_simplicial_twin
 
@@ -141,7 +142,7 @@ class TestExtraction:
         w = extract_irs_witness(g, 1, 2)
         assert len(w.elements) == 2
 
-    def test_clique_branch_via_overrides(self):
+    def test_clique_branch_via_overrides(self, monkeypatch):
         # two big cliques joined by a perfect matching: 3-closed, twin-free,
         # no independent 3-set; forces the boundary-walk construction
         half = 83
@@ -150,7 +151,8 @@ class TestExtraction:
         edges += [(i, half + i) for i in range(half)]
         g = Graph(range(2 * half), edges)
         assert compute_closure(g).c == 3
-        w = extract_irs_witness(g, 3, 3, alpha_prime=13, alpha=27, total=2 * half)
+        monkeypatch.setattr(kernel_irs, "irs_thresholds", lambda c, k: (13, 27, 2 * half))
+        w = extract_irs_witness(g, 3, 3)
         assert len(w.elements) == 3
         assert is_irredundant(g, w.elements)
 

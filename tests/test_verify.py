@@ -8,12 +8,22 @@ import pytest
 
 import cclose.verify as verify_mod
 from cclose import (
+    Bipartition,
+    Coloring,
     Decided,
     Graph,
     Instance,
     Problem,
     Reduced,
     complete_graph,
+    compute_closure,
+    kernelize_bipartite_bwds,
+    kernelize_bwtds,
+    kernelize_ds,
+    kernelize_im,
+    kernelize_im_bipartite,
+    kernelize_irs,
+    kernelize_is,
     oracle_answer,
     parse_graph,
     vclp_half_integral,
@@ -121,6 +131,75 @@ def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, pipeline
     out = capsys.readouterr().out
     assert "minimized reproducer:\n" in out
     parse_graph(out.split("minimized reproducer:\n", 1)[1])
+
+
+# A 6-cycle with a pendant path and a pendant edge: bipartite, 2-closed, and
+# small enough that every kernel below runs at k = 2.
+SHAPE_GRAPH = Graph(range(9), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (6, 7), (3, 8)])
+SHAPE_PARTS = Bipartition(SHAPE_GRAPH.two_color())
+SHAPE_WHITE = Coloring(frozenset({1, 4, 7}))
+
+
+def _shape(problem, **fields):
+    return Instance(problem=problem, graph=SHAPE_GRAPH, k=2, **fields)
+
+
+@pytest.mark.parametrize(
+    "inst, mode, direct",
+    [
+        (_shape(Problem.IS), "delta", kernelize_is),
+        (_shape(Problem.DS), "delta", kernelize_ds),
+        (
+            _shape(Problem.TDS, r=2),
+            "delta",
+            lambda i, c: kernelize_bwtds(_shape(Problem.BW_TDS, r=2, coloring=Coloring()), c),
+        ),
+        (_shape(Problem.BW_TDS, r=2, coloring=SHAPE_WHITE), "delta", kernelize_bwtds),
+        (
+            _shape(Problem.BW_TDS, r=1, coloring=SHAPE_WHITE, bipartition=SHAPE_PARTS),
+            "delta",
+            lambda i, c: kernelize_bipartite_bwds(i, SHAPE_PARTS, c),
+        ),
+        (
+            _shape(Problem.IM, bipartition=SHAPE_PARTS),
+            "delta",
+            lambda i, c: kernelize_im_bipartite(i, SHAPE_PARTS, "delta"),
+        ),
+        (
+            _shape(Problem.IM, bipartition=SHAPE_PARTS),
+            "closure",
+            lambda i, c: kernelize_im_bipartite(i, SHAPE_PARTS, "closure", c=c),
+        ),
+        (_shape(Problem.IM), "delta", kernelize_im),
+        (_shape(Problem.IRS), "delta", kernelize_irs),
+    ],
+    ids=["is", "ds", "tds", "bwtds", "bipartite-bwds", "im-bipartite-delta", "im-bipartite-closure", "im", "irs"],
+)
+def test_kernelize_runs_the_kernel_of_each_instance_shape(inst, mode, direct):
+    c = compute_closure(inst.graph).c
+    assert verify_mod.kernelize(inst, c, mode) == direct(inst, c)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bipartite_bwtds_draws_agree(r):
+    """Bipartite BW-TDS draws carry no bipartition, so RR2's fresh vertex may
+    close an odd cycle without a false ``BipartitionError``."""
+    assert run_verify("bwtds", n_max=12, trials=200, seed=1, r=r, bipartite=True).ok
+
+
+def test_reproducer_keeps_the_coloring(monkeypatch):
+    """A BW-TDS kernel that errs only when a white vertex exists shrinks to
+    one white vertex, and the reproducer writes it white, renumbered to 0."""
+
+    def wrong_with_whites(inst, c):
+        if inst.white_vertices():
+            return Decided(not oracle_answer(inst))
+        return kernelize_bwtds(inst, c)
+
+    monkeypatch.setattr(verify_mod, "kernelize_bwtds", wrong_with_whites)
+    report = run_verify("bwtds", n_max=6, trials=10, seed=1)
+    assert not report.ok
+    assert report.reproducer == "p 1\nc 0 white\n"
 
 
 def assert_script_rejects_count(script, argv):
