@@ -9,8 +9,9 @@ from .closure import compute_closure
 from .graph import Graph
 
 
-def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, each sorted, in sorted order.
+def maximal_cliques(g: Graph, min_size: int = 0) -> list[tuple[int, ...]]:
+    """All inclusion-maximal cliques with at least ``min_size`` vertices, each
+    sorted, in sorted order.
 
     Bron-Kerbosch with pivoting on an explicit stack, so the depth is bounded
     by memory rather than by the recursion limit: a complete graph, which is
@@ -19,6 +20,12 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     ascending id and the first to reach the most any could have is taken, so
     a near-complete P costs one intersection rather than |P|. The output is
     canonicalized so callers can rely on a deterministic order.
+
+    Every clique found below a frame (R, P, X) is R plus part of P, so a child
+    frame with |R| + |P| < ``min_size`` is dropped (the size bound of Tomita &
+    Seki's branch and bound). Its vertex still moves from P to X, so the
+    maximality test of every other frame is the unbounded one, and the output
+    is the full listing filtered to cliques of at least ``min_size`` vertices.
     """
     out: list[tuple[int, ...]] = []
     adj = {v: g.neighbors(v) for v in g.vertex_ids}
@@ -47,6 +54,8 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
         grown, p_v, x_v = r + (v,), p & adj[v], x & adj[v]
         p.remove(v)
         x.add(v)
+        if len(grown) + len(p_v) < min_size:
+            continue
         if p_v:
             stack.append((grown, p_v, x_v, branches(p_v, x_v)))
         elif not x_v:

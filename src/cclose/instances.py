@@ -182,6 +182,21 @@ class RuleRecord:
             "payload": _jsonable(self.payload),
         }
 
+    @classmethod
+    def from_json(cls, obj: dict[str, Any]) -> "RuleRecord":
+        """The record whose ``to_json`` is ``obj``, as read back by
+        ``json.load``: id lists become tuples again, and the payload is kept
+        as decoded, with lists where the record had sets or tuples."""
+        return cls(
+            rule=obj["rule"],
+            vertices_added=tuple(obj["vertices_added"]),
+            edges_added=tuple(map(tuple, obj["edges_added"])),
+            recolored=tuple(map(tuple, obj["recolored"])),
+            vertices_removed=tuple(obj["vertices_removed"]),
+            k_delta=obj["k_delta"],
+            payload=dict(obj["payload"]),
+        )
+
 
 def _jsonable(obj: Any) -> Any:
     """``obj`` with sets as sorted lists, tuples as lists and keys as strings.

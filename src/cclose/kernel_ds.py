@@ -90,8 +90,9 @@ def rr_clique(
     clique. No-op (None) when no clique qualifies.
 
     ``cliques`` stands in for the maximal cliques of ``inst.graph``: the
-    candidates left of an earlier listing. The rule takes them until one
-    fires, so the next call resumes after it (see ``sweep_black_rules``).
+    candidates left of an earlier listing, which may leave out those with
+    fewer than c*k vertices. The rule takes them until one fires, so the
+    next call resumes after it (see ``sweep_black_rules``).
     """
     g = inst.graph
     black = inst.black_vertices()
@@ -239,9 +240,18 @@ def sweep_black_rules(inst: Instance, c: int) -> tuple[Instance, list[RuleRecord
     the fresh u is the only black neighbor a member of Q gains, and only Q
     counts it, so the black neighbors of a member at listing time bound the
     common black neighborhood of each of its other cliques from then on.
+
+    RR2 lists only the maximal cliques with at least c*k vertices: it fires
+    only on a clique with c*k black vertices, so with c*k vertices at least.
+    A firing on Q attaches u to exactly Q, and any other maximal clique Q'
+    is not a subset of Q, so it cannot gain u; the maximal cliques change
+    only from Q to Q + u. The bounded listing therefore yields the same
+    firings in the same order as the full one.
     """
     assert inst.r is not None and c * inst.k >= 2
-    inst, trace = sweep(inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(inst.graph))
+    inst, trace = sweep(
+        inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(inst.graph, c * inst.k)
+    )
     for stage in range(1, c - inst.r + 1):
         bound = common_neighborhood_threshold(c, inst.k, stage)
         inst, records = sweep(

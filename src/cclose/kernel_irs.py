@@ -23,7 +23,7 @@ from .instances import (
     Reduced,
     RuleRecord,
     Witness,
-    exhaust,
+    replay_removals,
 )
 from .oracle import certified_witness, is_irredundant
 from .ramsey import (
@@ -37,19 +37,41 @@ from .ramsey import (
 
 def rr_simplicial_twin(inst: Instance) -> RuleRecord | None:
     """RR16: of two simplicial vertices with equal closed neighborhoods, the
-    larger-id one goes."""
+    larger-id one goes. The pair taken is the first record of
+    ``sweep_simplicial_twins``: the smallest vertex with a twin, and its
+    smallest twin."""
+    return next(iter(sweep_simplicial_twins(inst)), None)
+
+
+def sweep_simplicial_twins(inst: Instance) -> list[RuleRecord]:
+    """Exhaust RR16 in one pass: the records of a loop that, until no twins
+    are left, removes the smallest twin of the smallest simplicial vertex
+    with a larger twin, as the pairwise scan in tests/helpers.py does.
+
+    The simplicial vertices are found once and grouped by closed
+    neighborhood. For each group, in ascending order of its smallest member
+    u, one record removes each other member in ascending order and keeps u.
+
+    This is the restart loop's sequence, because deleting a twin v of u
+    changes no group but v's. It cannot make a vertex w simplicial: w would
+    be adjacent to v, hence to u, with a neighbor y not adjacent to v; once
+    N(w) - v is a clique, y is adjacent to u, so y lies in N[u] = N[v],
+    which it does not. Nor can it make two different closed neighborhoods
+    N[w] and N[x] equal: they would differ only in v, say v in N[w]; then u
+    is in N[w] - v = N[x], so x lies in N[u] = N[v], which it does not.
+    Deleting v keeps every simplicial vertex simplicial, and the members of
+    a group all lose v or none does, so they stay twins.
+    """
     g = inst.graph
-    simplicial = [v for v in g.vertex_ids if g.is_clique(g.neighbors(v))]
-    closed = {v: g.closed_neighborhood(v) for v in simplicial}
-    for i, u in enumerate(simplicial):
-        for v in simplicial[i + 1:]:
-            if closed[u] == closed[v]:
-                return RuleRecord(
-                    rule="RR16",
-                    vertices_removed=(v,),
-                    payload={"kept": u, "removed": v},
-                )
-    return None
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in g.vertex_ids:
+        if g.is_clique(g.neighbors(v)):
+            groups.setdefault(g.closed_neighborhood(v), []).append(v)
+    return [
+        RuleRecord(rule="RR16", vertices_removed=(v,), payload={"kept": u, "removed": v})
+        for u, *twins in groups.values()
+        for v in twins
+    ]
 
 
 def irs_thresholds(c: int, k: int) -> tuple[int, int, int]:
@@ -62,14 +84,19 @@ def irs_thresholds(c: int, k: int) -> tuple[int, int, int]:
 
 
 def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> KernelOutcome:
-    """Exhaust twin removal; any graph at the global threshold is a Yes."""
+    """Exhaust twin removal with ``sweep_simplicial_twins``, whose one
+    grouping of the simplicial vertices gives the records of restarting RR16
+    after every removal (deleting a twin makes no vertex simplicial and no
+    two closed neighborhoods equal), and apply them with one
+    ``replay_removals``; any graph at the global threshold is a Yes."""
     if inst.problem is not Problem.IRS:
         raise ValueError(f"expected an IRS instance, got {inst.problem}")
     if not is_c_closed(inst.graph, c):
         raise ValueError("graph is not c-closed")
     if inst.k == 0:
         return Decided(True, Witness.vertex_set((), Problem.IRS))
-    inst, trace, _ = exhaust(inst, [rr_simplicial_twin])
+    trace = sweep_simplicial_twins(inst)
+    inst = replay_removals(inst, trace)
     _, _, total = irs_thresholds(c, inst.k)
     if inst.graph.n >= total:
         extract = partial(extract_irs_witness, inst.graph, c, inst.k)

@@ -32,7 +32,10 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     cliques: a firing whitens its clique Q and attaches a fresh black vertex
     to it, so black counts only fall and Q + u, which takes Q's place in the
     listing, holds one black vertex, below c*k. The records are those of
-    restarting the rule after every firing. The recursion then follows the
+    restarting the rule after every firing. Only maximal cliques with at
+    least c*k vertices are listed: a clique with fewer cannot hold c*k black
+    vertices, and no firing makes one (it grows only Q, to Q + u, as
+    ``kernel_ds.sweep_black_rules`` shows). The recursion then follows the
     branch/brute-force scheme. The returned witness is validated against the
     original graph.
     """
@@ -45,7 +48,9 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     inst = Instance(problem=Problem.BW_TDS, graph=g, k=k, r=r, coloring=Coloring())
     rr2_trace = []
     if c * k >= 2:
-        inst, rr2_trace = sweep(inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(g))
+        inst, rr2_trace = sweep(
+            inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(g, c * k)
+        )
 
     solution = _branch(inst, c, r, k, set(), ds_mode=False)
     if solution is None:

@@ -528,6 +528,23 @@ def restart_kernelize_bipartite_bwds(inst, c):
     return Reduced(reduced, tuple(trace))
 
 
+def restart_rr_simplicial_twin(inst):
+    """RR16 by a pairwise scan of the simplicial vertices: the first pair
+    (u, v), u < v, with equal closed neighborhoods loses v."""
+    g = inst.graph
+    simplicial = [v for v in g.vertex_ids if g.is_clique(g.neighbors(v))]
+    closed = {v: g.closed_neighborhood(v) for v in simplicial}
+    for i, u in enumerate(simplicial):
+        for v in simplicial[i + 1:]:
+            if closed[u] == closed[v]:
+                return RuleRecord(
+                    rule="RR16",
+                    vertices_removed=(v,),
+                    payload={"kept": u, "removed": v},
+                )
+    return None
+
+
 def restart_kernelize_is(inst, c):
     k = inst.k
     if k == 0:

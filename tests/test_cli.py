@@ -101,19 +101,7 @@ def test_kernelize_bipartite_ds(tmp_path, capsys):
 def read_trace(path):
     """The rule records of an ``--emit-trace`` file."""
     with open(path) as fh:
-        payload = json.load(fh)
-    return [
-        RuleRecord(
-            rule=rec["rule"],
-            vertices_added=tuple(rec["vertices_added"]),
-            edges_added=tuple(map(tuple, rec["edges_added"])),
-            recolored=tuple(map(tuple, rec["recolored"])),
-            vertices_removed=tuple(rec["vertices_removed"]),
-            k_delta=rec["k_delta"],
-            payload=rec["payload"],
-        )
-        for rec in payload["records"]
-    ]
+        return [RuleRecord.from_json(rec) for rec in json.load(fh)["records"]]
 
 
 @pytest.mark.parametrize(

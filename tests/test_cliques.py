@@ -60,6 +60,23 @@ def test_complete_graph_needs_no_deep_recursion():
     assert maximal_cliques(complete_graph(2000)) == [tuple(range(2000))]
 
 
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 31), st.integers(0, 12), st.floats(0.1, 0.95))
+def test_size_bound_filters_the_full_listing(seed, n, p):
+    # Scattered ids, so the bound is not read off a vertex id.
+    g = random_graph(n, p, seed)
+    ids = random.Random(seed).sample(range(100), n)
+    g = Graph(ids, [(ids[u], ids[v]) for u, v in g.edges()])
+    full = brute_maximal_cliques(g)
+    for m in range(n + 2):
+        assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
+
+
+def test_size_bound_on_a_complete_graph_needs_no_deep_recursion():
+    assert maximal_cliques(complete_graph(2000), 2000) == [tuple(range(2000))]
+    assert maximal_cliques(complete_graph(2000), 2001) == []
+
+
 def test_cliques_of_size_needs_no_deep_recursion():
     # The listing goes one level deeper per clique vertex; a recursive
     # version hits the recursion limit long before size 1500.

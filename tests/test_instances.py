@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,11 +16,16 @@ from cclose import (
     Problem,
     RuleRecord,
     Witness,
+    compute_closure,
+    cycle_graph,
     path_graph,
     replay,
     replay_trace,
+    star_graph,
 )
 from cclose.instances import exhaust, replay_removals, sweep
+from cclose.kernel_ds import all_black_twin
+from cclose.verify import kernelize, random_instance
 
 from helpers import random_graph
 
@@ -156,6 +162,110 @@ def test_rule_record_json():
     assert blob["rule"] == "RR3.1"
     assert blob["payload"]["common_black"] == [2, 3]
     assert blob["edges_added"] == [[9, 1]]
+
+
+def _stars(*leaves):
+    """Disjoint stars with ``leaves`` leaves each, on consecutive ids."""
+    edges, centre = [], 0
+    for count in leaves:
+        edges += [(centre, centre + i) for i in range(1, count + 1)]
+        centre += count + 1
+    return Graph(range(centre), edges)
+
+
+def _windmill(blades):
+    """Triangles sharing the vertex 0."""
+    edges = [e for i in range(1, 2 * blades, 2) for e in ((0, i), (0, i + 1), (i, i + 1))]
+    return Graph(range(2 * blades + 1), edges)
+
+
+def _bw(g, k, white=(), bipartite=False):
+    parts = Bipartition(g.two_color()) if bipartite else None
+    return Instance(
+        problem=Problem.BW_TDS, graph=g, k=k, r=1, coloring=Coloring(frozenset(white)),
+        bipartition=parts,
+    )
+
+
+# (c, instance) per kernel shape; together their traces use every rule.
+RULE_CASES = {
+    # RR1 takes the centre.
+    "is": (3, Instance(problem=Problem.IS, graph=star_graph(5), k=2)),
+    # RR2 and RR3.1 on each star; RR6 drops the whites of the path.
+    "bwtds-c2": (
+        2, _bw(Graph(range(21), _stars(7, 9).edges() + [(18, 19), (19, 20)]), 1, {18, 19})
+    ),
+    # RR3.2 on each star.
+    "bwtds-c3": (3, _bw(_stars(6, 6, 6), 1)),
+    # The color-removal gadget.
+    "ds": (2, Instance(problem=Problem.DS, graph=cycle_graph(6), k=2)),
+    # RR7 takes the centre 0 of a star whose leaves carry whites; RR9 drops
+    # the whites.
+    "bipartite-ds": (2, _bw(
+        Graph(range(12), _stars(4).edges() + [(1, 5), (2, 6), (3, 7), (4, 8), (9, 10), (9, 11)]),
+        2, {5, 6, 7, 8, 11}, bipartite=True,
+    )),
+    # RR10 removes the shared vertex.
+    "im-windmill": (2, Instance(problem=Problem.IM, graph=_windmill(4), k=1)),
+    # RR14, then RR15.
+    "im-leaves": (3, Instance(problem=Problem.IM, graph=Graph(
+        range(7), [(0, 1), (0, 2), (0, 3), (1, 3), (2, 6), (3, 4), (3, 6), (5, 6)]), k=2)),
+    # RR13, then isolated-vertex removal.
+    "im-isolated": (2, Instance(
+        problem=Problem.IM, graph=Graph(range(6), [(0, 1), (1, 4), (1, 5), (2, 4)]), k=2)),
+    # RR16 in each triangle.
+    "irs": (2, Instance(problem=Problem.IRS, graph=Graph(
+        range(7), [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (5, 6)]), k=2)),
+}
+EVERY_RULE = {
+    "RR1", "RR2", "RR3.1", "RR3.2", "RR6", "gadget", "RR7", "RR9", "RR10", "RR13", "RR14",
+    "RR15", "drop-isolated", "RR16",
+}
+
+
+def assert_records_round_trip(inst, trace):
+    """Each record, read back from its JSON text, encodes to the same JSON,
+    equals the record and replays to the same instance. DS and TDS traces
+    start from the all-black BW-TDS twin, as their kernel does."""
+    if inst.problem in (Problem.DS, Problem.TDS):
+        inst = all_black_twin(inst)
+    for record in trace:
+        blob = json.loads(json.dumps(record.to_json()))
+        back = RuleRecord.from_json(blob)
+        assert back.to_json() == record.to_json() == blob
+        assert back == record
+        post = replay(inst, record)
+        assert replay(inst, back) == post
+        inst = post
+
+
+def test_rule_cases_fire_every_rule():
+    fired = set()
+    for c, inst in RULE_CASES.values():
+        assert compute_closure(inst.graph).c <= c
+        fired |= {record.rule for record in kernelize(inst, c).trace}
+    assert fired == EVERY_RULE
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_rule_record_from_json_inverts_to_json(name):
+    c, inst = RULE_CASES[name]
+    assert_records_round_trip(inst, kernelize(inst, c).trace)
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(
+        [("is", 1, False), ("ds", 1, False), ("ds", 1, True), ("tds", 2, False),
+         ("bwtds", 2, False), ("im", 1, False), ("im", 1, True), ("irs", 1, False)]
+    ),
+    st.integers(0, 10 ** 6),
+)
+def test_random_kernel_traces_round_trip(shape, seed):
+    problem, r, bipartite = shape
+    inst = random_instance(problem, 10, 3, r, bipartite, seed)
+    outcome = kernelize(inst, compute_closure(inst.graph).c)
+    assert_records_round_trip(inst, getattr(outcome, "trace", ()))
 
 
 def test_witness_constructors():

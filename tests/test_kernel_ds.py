@@ -526,7 +526,8 @@ class TestCliqueSweeps:
         c, make, fired = SWEEP_CASES["book-and-star-c3"]
         out = kernelize_bwtds(make(), c)
         assert Counter(r.rule for r in out.trace if r.rule != "RR6") == fired
-        assert listings == {("maximal_cliques",): 1, ("cliques_of_size", 2): 1, ("cliques_of_size", 1): 1}
+        # RR2 lists the maximal cliques with at least c*k = 3 vertices.
+        assert listings == {("maximal_cliques", 3): 1, ("cliques_of_size", 2): 1, ("cliques_of_size", 1): 1}
 
         listings.clear()
         fires = []
@@ -540,7 +541,7 @@ class TestCliqueSweeps:
         monkeypatch.setattr(solver, "rr_clique", counted_rule)
         solve_tds(disjoint_union(complete_graph(3), complete_graph(4), complete_graph(3)), 2, 1, 1)
         assert fires.count(True) == 3
-        assert listings == {("maximal_cliques",): 1}
+        assert listings == {("maximal_cliques", 2): 1}
 
     def test_threshold_filter_skips_common_neighborhoods(self, monkeypatch):
         # Only the star center has more black neighbors than a stage needs

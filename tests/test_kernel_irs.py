@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclose import (
+    Coloring,
     Decided,
     Graph,
     Instance,
     PreconditionError,
     Problem,
     Reduced,
+    RuleRecord,
     complete_graph,
     compute_closure,
     cycle_graph,
@@ -23,10 +27,10 @@ from cclose import (
     validate_witness,
 )
 from cclose import kernel_irs
-from cclose.instances import replay
-from cclose.kernel_irs import rr_simplicial_twin
+from cclose.instances import exhaust, replay, replay_removals
+from cclose.kernel_irs import rr_simplicial_twin, sweep_simplicial_twins
 
-from helpers import random_graph
+from helpers import random_graph, restart_rr_simplicial_twin
 
 
 def make(g, k):
@@ -67,6 +71,87 @@ class TestSimplicialTwin:
         post = replay(make(g, 1), record)
         for k in range(3):
             assert (oracle_irs(post.graph) >= k) == (oracle_irs(g) >= k)
+
+
+def twin_records(*pairs):
+    return [
+        RuleRecord(rule="RR16", vertices_removed=(v,), payload={"kept": u, "removed": v})
+        for u, v in pairs
+    ]
+
+
+def cliques_on(*vertex_sets):
+    return Graph(
+        sorted(set().union(*vertex_sets)),
+        [(u, v) for vs in vertex_sets for u in vs for v in vs if u < v],
+    )
+
+
+class TestSimplicialTwinSweep:
+    """One pass over the simplicial vertices gives the records of restarting
+    the pairwise RR16 scan after every removal."""
+
+    @pytest.mark.parametrize(
+        "g, pairs",
+        [
+            (complete_graph(5), [(0, 1), (0, 2), (0, 3), (0, 4)]),
+            (Graph(range(4)), []),
+            # disjoint cliques on interleaved ids: each keeps its smallest
+            (
+                cliques_on({1, 4, 9}, {0, 7}, {3, 5, 6, 8}),
+                [(0, 7), (1, 4), (1, 9), (3, 5), (3, 6), (3, 8)],
+            ),
+            # K4 on 0..3 with the twins 4, 5 hanging off 0: 0 is not
+            # simplicial, 1..3 and 4, 5 are two groups
+            (cliques_on({0, 1, 2, 3}, {0, 4, 5}), [(1, 2), (1, 3), (4, 5)]),
+            # the pendant leaves 4, 5 of 0 are not twins
+            (cliques_on({0, 1, 2, 3}, {0, 4}, {0, 5}), [(1, 2), (1, 3)]),
+        ],
+        ids=["K5", "edgeless", "disjoint-cliques", "clique-with-pendant-twins", "pendant-leaves"],
+    )
+    def test_named_graphs(self, g, pairs):
+        inst = make(g, 2)
+        expected = exhaust(inst, [restart_rr_simplicial_twin])[1]
+        assert expected == twin_records(*pairs)
+        assert sweep_simplicial_twins(inst) == expected
+        assert rr_simplicial_twin(inst) == (expected[0] if expected else None)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 13), st.floats(0.3, 0.97), st.booleans())
+    def test_sweep_matches_restarting(self, seed, n, p, colored):
+        # Dense graphs on scattered ids, as IRS or as BW-TDS with whites (the
+        # rule reads the graph only; replaying restricts the coloring).
+        rng = random.Random(seed)
+        ids = rng.sample(range(200), n)
+        g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+        if colored:
+            white = Coloring(frozenset(v for v in ids if rng.random() < 0.4))
+            inst = Instance(problem=Problem.BW_TDS, graph=g, k=2, r=1, coloring=white)
+        else:
+            inst = make(g, 2)
+        post, trace, _ = exhaust(inst, [restart_rr_simplicial_twin])
+        swept = sweep_simplicial_twins(inst)
+        assert swept == trace
+        assert replay_removals(inst, swept) == post
+        assert rr_simplicial_twin(inst) == restart_rr_simplicial_twin(inst)
+
+    def test_kernel_applies_the_sweep_in_one_removal(self, monkeypatch):
+        # Three K4s and k = 2 (1-closed): nine twins go, and the graph is
+        # copied once for all of them.
+        g = cliques_on(set(range(4)), set(range(4, 8)), set(range(8, 12)))
+        copies = []
+        original = Graph.without_vertices
+
+        def counted(self, vs):
+            copies.append(tuple(vs))
+            return original(self, vs)
+
+        monkeypatch.setattr(Graph, "without_vertices", counted)
+        out = kernelize_irs(make(g, 2), 1)
+        assert isinstance(out, Reduced)
+        assert out.trace == tuple(twin_records(*[(b, b + i) for b in (0, 4, 8) for i in (1, 2, 3)]))
+        assert out.instance.graph == Graph([0, 4, 8])
+        assert copies == [(1, 2, 3, 5, 6, 7, 9, 10, 11)]
 
 
 class TestThresholds:
