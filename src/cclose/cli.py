@@ -47,6 +47,18 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def _probability(text: str) -> float:
+    """An argparse type for an edge probability: a float in [0, 1], so that
+    one outside it is a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
@@ -62,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cliques.add_argument("--count-only", action="store_true")
 
     p_ramsey = sub.add_parser("ramsey", help="extract a clique or independent set")
-    p_ramsey.add_argument("--c", type=int, required=True)
-    p_ramsey.add_argument("--a", type=int, required=True)
-    p_ramsey.add_argument("--b", type=int, required=True)
+    p_ramsey.add_argument("--c", type=_int_at_least(1), required=True)
+    p_ramsey.add_argument("--a", type=_int_at_least(1), required=True)
+    p_ramsey.add_argument("--b", type=_int_at_least(1), required=True)
     p_ramsey.add_argument("file")
 
     p_kern = sub.add_parser("kernelize", help="run a kernelization pipeline")
@@ -97,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a graph")
     p_gen.add_argument("--model", required=True, choices=["cliques", "theta", "er", "closure-repair"])
-    p_gen.add_argument("--count", type=int)
-    p_gen.add_argument("--size", type=int)
-    p_gen.add_argument("--paths", type=int)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--p", type=float)
-    p_gen.add_argument("--c", type=int)
+    p_gen.add_argument("--count", type=_int_at_least(1))
+    p_gen.add_argument("--size", type=_int_at_least(1))
+    p_gen.add_argument("--paths", type=_int_at_least(1))
+    p_gen.add_argument("--n", type=_int_at_least(0))
+    p_gen.add_argument("--p", type=_probability)
+    p_gen.add_argument("--c", type=_int_at_least(1))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", required=True)
 

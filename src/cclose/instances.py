@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
@@ -298,6 +298,15 @@ def exhaust(
     """Apply the first rule that fires, replay its record and start again
     from the first rule, until no rule fires or one decides the instance.
 
+    A rule may draw its candidates from an iterator it keeps between calls,
+    as ``lambda i: rr_clique(i, c, rest)`` does, ``rest`` iterating over one
+    listing of the cliques: each call resumes after the candidate that fired
+    last, so each candidate is tried once, on the instance current when it
+    is drawn.
+    That gives the records of listing afresh after every change only where
+    no record can make a passed candidate, or one a fresh listing would add,
+    fire; the caller has to show that.
+
     Returns the final instance, the records applied, and the verdict of the
     deciding rule (None at a fixpoint). Running out of the 20*(n+k+10)
     applications allowed raises ExtractionError.
@@ -315,31 +324,6 @@ def exhaust(
         inst = replay(inst, outcome)
         trace.append(outcome)
     raise ExtractionError("the rules failed to reach a fixpoint")
-
-
-def sweep(
-    inst: Instance,
-    rule: Callable[[Instance, Iterator[Any]], RuleRecord | None],
-    candidates: Iterable[Any],
-) -> tuple[Instance, list[RuleRecord]]:
-    """Exhaust one rule in a single pass over one listing of its candidates.
-
-    ``rule(inst, rest)`` takes candidates from the shared iterator ``rest``
-    until one fires on ``inst`` and returns its record, or returns None once
-    ``rest`` runs dry. Each record is replayed and the rule called again on
-    the new instance with the candidates left, so each candidate is tried
-    once. This gives the records of restarting the rule on a fresh listing
-    after every change only where no record can make a passed candidate, or
-    one the fresh listing would add, fire; the caller has to show that.
-
-    Returns the final instance and the records applied.
-    """
-    rest = iter(candidates)
-    trace: list[RuleRecord] = []
-    while (record := rule(inst, rest)) is not None:
-        inst = replay(inst, record)
-        trace.append(record)
-    return inst, trace
 
 
 @dataclass(frozen=True)

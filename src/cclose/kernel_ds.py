@@ -3,14 +3,15 @@
 The colored pipeline bounds black vertices via clique and common-neighborhood
 rules, prunes redundant white vertices, and finally trades the coloring for a
 small clique gadget. The black-bounding rules, RR2 and then each stage
-RR3.i in increasing i, run as one ``instances.sweep`` each over a single
-clique listing: their records only whiten vertices and attach a fresh black
-vertex to the fired clique, so no clique the sweep has passed, nor any clique
-through the fresh vertex, can fire later, and no earlier rule fires again
-(``sweep_black_rules`` gives the argument). White removal runs after them as
-one ascending pass: dropping a white vertex changes no black set, clique
-black count or budget, so no earlier rule can fire again and a white vertex
-that fails the rule keeps failing it.
+RR3.i in increasing i, each run under ``instances.exhaust`` as one rule that
+draws from a single clique listing kept between calls: their records only
+whiten vertices and attach a fresh black vertex to the fired clique, so no
+clique the listing has passed, nor any clique through the fresh vertex, can
+fire later, and no earlier rule fires again (``sweep_black_rules`` gives the
+argument). White removal runs after them as one ascending pass: dropping a
+white vertex changes no black set, clique black count or budget, so no
+earlier rule can fire again and a white vertex that fails the rule keeps
+failing it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .instances import (
     exhaust,
     replay,
     replay_removals,
-    sweep,
 )
 from .oracle import validate_witness
 from .ramsey import ramsey_threshold
@@ -218,7 +218,8 @@ def rr_black_count(inst: Instance, c: int) -> bool:
 
 def sweep_black_rules(inst: Instance, c: int) -> tuple[Instance, list[RuleRecord]]:
     """Exhaust RR2 and then each stage RR3.1..RR3.(c-r) in increasing i, each
-    in one ``sweep`` over a single listing of its cliques (needs c*k >= 2).
+    with ``exhaust`` as one rule drawing from a single listing of its cliques
+    kept between calls (needs c*k >= 2).
 
     The records are those of restarting from RR2 after every change. A
     record on clique Q whitens vertices and adds a fresh black u with
@@ -234,8 +235,8 @@ def sweep_black_rules(inst: Instance, c: int) -> tuple[Instance, list[RuleRecord
       RR2 stays exhausted, and earlier stages, whose cliques are larger than
       Q, gain nothing either.
     So every record leaves the rules before its own exhausted, and the
-    candidates its sweep has passed short of firing. Every record also adds
-    a fresh black vertex, so black vertices never run out. The stage
+    candidates its listing has passed short of firing. Every record also
+    adds a fresh black vertex, so black vertices never run out. The stage
     candidates are filtered by ``_black_rich_cliques`` when they are listed:
     the fresh u is the only black neighbor a member of Q gains, and only Q
     counts it, so the black neighbors of a member at listing time bound the
@@ -247,17 +248,21 @@ def sweep_black_rules(inst: Instance, c: int) -> tuple[Instance, list[RuleRecord
     is not a subset of Q, so it cannot gain u; the maximal cliques change
     only from Q to Q + u. The bounded listing therefore yields the same
     firings in the same order as the full one.
+
+    ``exhaust``'s 20*(n+k+10) guard cannot trip, n counted when each run
+    starts: each RR2 firing whitens at least c*k >= 2 listed blacks, each
+    RR3.i firing whitens more than ``bound`` >= 1 blacks that were present
+    when the stage started, and a whitened vertex never turns black again,
+    so a run fires at most n/2 times.
     """
     assert inst.r is not None and c * inst.k >= 2
-    inst, trace = sweep(
-        inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(inst.graph, c * inst.k)
-    )
+    rest = iter(maximal_cliques(inst.graph, c * inst.k))
+    inst, trace, _ = exhaust(inst, [lambda i: rr_clique(i, c, rest)])
     for stage in range(1, c - inst.r + 1):
         bound = common_neighborhood_threshold(c, inst.k, stage)
-        inst, records = sweep(
-            inst,
-            lambda i, rest, stage=stage: rr_common_neighborhood(i, c, stage, rest),
-            _black_rich_cliques(inst, c - stage, bound),
+        rest = _black_rich_cliques(inst, c - stage, bound)
+        inst, records, _ = exhaust(
+            inst, [lambda i, stage=stage, rest=rest: rr_common_neighborhood(i, c, stage, rest)]
         )
         trace.extend(records)
     return inst, trace

@@ -26,7 +26,7 @@ from .instances import (
     RuleRecord,
     Witness,
     exhaust,
-    replay,
+    replay_removals,
 )
 from .matching import Matching, VclpPartition, crown_from_vclp, max_matching_general, vclp_half_integral
 from .oracle import certified_witness
@@ -317,17 +317,8 @@ def kernelize_im_bipartite(
 
 
 def _reduced_drop_isolated(inst: Instance, parts: Bipartition) -> Reduced:
-    g = inst.graph
-    isolated = g.isolated_vertices()
-    trace = []
-    if isolated:
-        record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
-        inst = replay(inst, record)
-        trace.append(record)
-    reduced = Instance(
-        problem=Problem.IM,
-        graph=inst.graph,
-        k=inst.k,
-        bipartition=Bipartition(parts.left_of(inst.graph)),
-    )
-    return Reduced(reduced, tuple(trace))
+    isolated = inst.graph.isolated_vertices()
+    trace = (RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated)),) if isolated else ()
+    g = replay_removals(inst, trace).graph
+    reduced = Instance(problem=Problem.IM, graph=g, k=inst.k, bipartition=Bipartition(parts.left_of(g)))
+    return Reduced(reduced, trace)

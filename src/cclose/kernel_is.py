@@ -4,7 +4,16 @@ from __future__ import annotations
 
 from .closure import is_c_closed
 from .graph import Graph
-from .instances import Decided, Instance, KernelOutcome, Problem, Reduced, RuleRecord, Witness
+from .instances import (
+    Decided,
+    Instance,
+    KernelOutcome,
+    Problem,
+    Reduced,
+    RuleRecord,
+    Witness,
+    replay_removals,
+)
 
 
 def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
@@ -35,8 +44,7 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
             trace.append(
                 RuleRecord(rule="RR1", vertices_removed=(v,), payload={"degree_threshold": threshold})
             )
-    if removed:
-        g = g.without_vertices(removed)
+    g = replay_removals(inst, trace).graph
     if g.n >= threshold * k:
         return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
     reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)

@@ -18,7 +18,7 @@ from .cliques import maximal_cliques
 from .closure import is_c_closed
 from .errors import ExtractionError
 from .graph import Graph
-from .instances import Coloring, Instance, Problem, Witness, sweep
+from .instances import Coloring, Instance, Problem, Witness, exhaust
 from .kernel_ds import rr_clique, sweep_white_removal
 from .matching import is_two_maximal, two_maximal_independent_set
 from .oracle import validate_witness
@@ -28,16 +28,17 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     """Decide whether k vertices can dominate every vertex r times.
 
     The clique preprocessing rule runs first (skipped at c*k <= 1, where it
-    would churn) as one ``sweep`` over a single listing of the maximal
-    cliques: a firing whitens its clique Q and attaches a fresh black vertex
-    to it, so black counts only fall and Q + u, which takes Q's place in the
-    listing, holds one black vertex, below c*k. The records are those of
-    restarting the rule after every firing. Only maximal cliques with at
-    least c*k vertices are listed: a clique with fewer cannot hold c*k black
-    vertices, and no firing makes one (it grows only Q, to Q + u, as
-    ``kernel_ds.sweep_black_rules`` shows). The recursion then follows the
-    branch/brute-force scheme. The returned witness is validated against the
-    original graph.
+    would churn) under ``exhaust``, drawing from a single listing of the
+    maximal cliques kept between calls: a firing whitens its clique Q and
+    attaches a fresh black vertex to it, so black counts only fall and Q + u,
+    which takes Q's place in the listing, holds one black vertex, below c*k.
+    The records are those of restarting the rule after every firing. Only
+    maximal cliques with at least c*k vertices are listed: a clique with
+    fewer cannot hold c*k black vertices, and no firing makes one (it grows
+    only Q, to Q + u, as ``kernel_ds.sweep_black_rules`` shows, which also
+    shows that ``exhaust``'s guard cannot trip). The recursion then follows
+    the branch/brute-force scheme. The returned witness is validated against
+    the original graph.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -48,9 +49,8 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     inst = Instance(problem=Problem.BW_TDS, graph=g, k=k, r=r, coloring=Coloring())
     rr2_trace = []
     if c * k >= 2:
-        inst, rr2_trace = sweep(
-            inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(g, c * k)
-        )
+        rest = iter(maximal_cliques(g, c * k))
+        inst, rr2_trace, _ = exhaust(inst, [lambda i: rr_clique(i, c, rest)])
 
     solution = _branch(inst, c, r, k, set(), ds_mode=False)
     if solution is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .closure import compute_closure, is_c_closed
 from .errors import ResourceLimitError
@@ -65,15 +65,7 @@ class TrialResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "c": self.c,
-            "agreed": self.agreed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -203,7 +195,7 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
     except Exception as exc:  # pipeline crash counts as disagreement
         return False, f"pipeline error: {exc!r}"
     for name, base, outcome in outcomes:
-        ok, why = _outcome_agrees(base, outcome, expected, c)
+        ok, why = _outcome_agrees(inst, base, outcome, expected, c)
         if not ok:
             return False, f"{name}: {why}"
     return True, ""
@@ -269,23 +261,18 @@ def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOu
 
 
 def _outcome_agrees(
-    inst: Instance, outcome: KernelOutcome, expected: bool, c: int
+    inst: Instance, base: Instance, outcome: KernelOutcome, expected: bool, c: int
 ) -> tuple[bool, str]:
+    """Whether one pipeline's ``outcome`` on the drawn ``inst`` agrees with
+    the oracle's ``expected`` answer; ``base`` is the instance its trace
+    replays from. A witness is validated against whichever of the two has
+    its problem: the DS kernel runs on the all-black twin but returns a DS
+    witness."""
     if isinstance(outcome, Decided):
         if outcome.answer != expected:
             return False, f"decided {outcome.answer}, oracle says {expected}"
         if outcome.witness is not None:
-            target = inst
-            if outcome.witness.problem is not inst.problem:
-                # e.g. a DS-tagged witness from the uncolored pipeline checked
-                # against its all-black colored twin
-                target = Instance(
-                    problem=outcome.witness.problem,
-                    graph=inst.graph,
-                    k=inst.k,
-                    r=inst.r if outcome.witness.problem in (Problem.TDS, Problem.BW_TDS) else None,
-                    coloring=Coloring() if outcome.witness.problem is Problem.BW_TDS else None,
-                )
+            target = base if outcome.witness.problem is base.problem else inst
             if not validate_witness(target, outcome.witness):
                 return False, "decided-yes witness fails validation"
         return True, ""
@@ -299,7 +286,7 @@ def _outcome_agrees(
     ok, why = _size_bound_holds(reduced, c)
     if not ok:
         return False, why
-    ok, why = _closure_preserved(inst, outcome, c)
+    ok, why = _closure_preserved(base, outcome, c)
     if not ok:
         return False, why
     return True, ""

@@ -274,6 +274,14 @@ def test_usage_error_exits_2(capsys):
         ["solve", "--problem", "tds", "-r", "0", "-k", "1", "{c4}"],
         ["solve", "--problem", "tds", "-r", "0", "-k", "1", "--method", "oracle", "{c4}"],
         ["solve", "--problem", "tds", "-r", "-1", "-k", "1", "{c4}"],
+        ["ramsey", "--c", "0", "--a", "3", "--b", "3", "{c4}"],
+        ["ramsey", "--c", "2", "--a", "0", "--b", "3", "{c4}"],
+        ["ramsey", "--c", "2", "--a", "3", "--b", "-1", "{c4}"],
+        ["gen", "--model", "cliques", "--count", "0", "--size", "3", "-o", "{out}"],
+        ["gen", "--model", "cliques", "--count", "2", "--size", "0", "-o", "{out}"],
+        ["gen", "--model", "theta", "--paths", "0", "-o", "{out}"],
+        ["gen", "--model", "er", "--n", "-1", "--p", "0.5", "-o", "{out}"],
+        ["gen", "--model", "closure-repair", "--n", "8", "--p", "0.5", "--c", "0", "-o", "{out}"],
     ],
     ids=[
         "verify-trials",
@@ -286,6 +294,14 @@ def test_usage_error_exits_2(capsys):
         "solve-r",
         "solve-oracle-r",
         "solve-negative-r",
+        "ramsey-c",
+        "ramsey-a",
+        "ramsey-b",
+        "gen-count",
+        "gen-size",
+        "gen-paths",
+        "gen-n",
+        "gen-c",
     ],
 )
 def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
@@ -293,6 +309,14 @@ def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert "must be at least" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_gen_p_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, p):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--model", "er", "--n", "5", "--p", p, "-o", str(out)]) == 2
+    assert f"must lie in [0, 1], got {p}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resource_limit_exits_3(tmp_path, capsys):

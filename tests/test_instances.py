@@ -23,7 +23,7 @@ from cclose import (
     replay_trace,
     star_graph,
 )
-from cclose.instances import exhaust, replay_removals, sweep
+from cclose.instances import exhaust, replay_removals
 from cclose.kernel_ds import all_black_twin
 from cclose.verify import kernelize, random_instance
 
@@ -279,7 +279,7 @@ def _remove(rule, v):
     return RuleRecord(rule=rule, vertices_removed=(v,))
 
 
-def test_sweep_tries_each_candidate_once_on_the_current_instance():
+def test_exhaust_tries_each_shared_candidate_once_on_the_current_instance():
     seen = []
 
     def drops_a_present_vertex(inst, rest):
@@ -290,7 +290,9 @@ def test_sweep_tries_each_candidate_once_on_the_current_instance():
         return None
 
     inst = Instance(problem=Problem.IS, graph=path_graph(6), k=1)
-    post, trace = sweep(inst, drops_a_present_vertex, [4, 1, 4, 9, 2])
+    rest = iter([4, 1, 4, 9, 2])
+    post, trace, decided = exhaust(inst, [lambda i: drops_a_present_vertex(i, rest)])
+    assert decided is None
     assert [r.vertices_removed for r in trace] == [(4,), (1,), (2,)]
     # Each record is replayed before the rule resumes after its candidate.
     assert seen == [(6, 4), (5, 1), (4, 4), (4, 9), (4, 2)]

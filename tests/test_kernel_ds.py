@@ -40,7 +40,7 @@ from cclose import (
 )
 from cclose import kernel_ds, solver
 from cclose.closure import common_neighborhood
-from cclose.instances import exhaust, replay, sweep
+from cclose.instances import exhaust, replay
 from cclose.kernel_ds import (
     common_neighborhood_threshold,
     rr_black_count,
@@ -492,8 +492,9 @@ class TestCliqueSweeps:
             if c * k < 2:
                 continue
             inst = bw(g, k=k, r=1 + seed % 3)
-            swept = sweep(inst, lambda i, rest: rr_clique(i, c, rest), maximal_cliques(g))
-            assert swept == exhaust(inst, [lambda i: rr_clique(i, c)])[:2]
+            rest = iter(maximal_cliques(g))
+            swept = exhaust(inst, [lambda i: rr_clique(i, c, rest)])
+            assert swept == exhaust(inst, [lambda i: rr_clique(i, c)])
 
     @settings(max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(0, 14), st.integers(2, 4), st.integers(1, 2))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -86,6 +87,73 @@ def test_disagreement_reported_with_reproducer(monkeypatch):
     report = run_verify("is", n_max=5, trials=10, seed=1)
     assert not report.ok
     assert report.reproducer is not None and report.reproducer.startswith("p ")
+
+
+def test_disagreeing_report_renders_each_disagreement(monkeypatch):
+    def fake_check(problem, inst, bipartite):
+        return inst.graph.n < 4, "big graph"
+
+    monkeypatch.setattr(verify_mod, "check_instance", fake_check)
+    report = run_verify("is", n_max=6, trials=8, seed=2)
+    blob = report.to_json()
+    assert blob["status"] == "disagreement" and blob["agreements"] == 8 - len(report.disagreements)
+    assert blob["disagreements"] and blob["disagreements"] == [
+        {"index": t.index, "n": t.n, "m": t.m, "k": t.k, "c": t.c, "agreed": False, "detail": "big graph"}
+        for t in report.disagreements
+    ]
+    assert [list(d) for d in blob["disagreements"]] == [
+        ["index", "n", "m", "k", "c", "agreed", "detail"]
+    ] * len(report.disagreements)
+    assert json.loads(json.dumps(blob)) == blob
+
+
+def test_bipartite_im_draws_run_both_modes_and_the_general_kernel(monkeypatch):
+    runs = []
+    pipelines = verify_mod._run_pipelines
+
+    def spy(inst, c):
+        out = pipelines(inst, c)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(verify_mod, "_run_pipelines", spy)
+    assert run_verify("im", n_max=8, trials=20, seed=1, bipartite=True).ok
+    assert len(runs) == 20
+    names = ["kernelize_im_bipartite[delta]", "kernelize_im_bipartite[closure]", "kernelize_im"]
+    assert all([name for name, _, _ in out] == names for out in runs)
+    closure = [out[1][2] for out in runs]
+    assert any(isinstance(o, Decided) for o in closure)
+    assert any(isinstance(o, Reduced) and [r.rule for r in o.trace] == ["drop-isolated"] for o in closure)
+
+
+def test_a_broken_general_im_kernel_is_caught_on_bipartite_draws(monkeypatch):
+    monkeypatch.setattr(verify_mod, "kernelize_im", lambda inst, c: Decided(not oracle_answer(inst)))
+    inst = _shape(Problem.IM, bipartition=SHAPE_PARTS)
+    agreed, detail = check_instance("im", inst, True)
+    assert not agreed and detail.startswith("kernelize_im: decided ")
+
+
+def test_bipartite_ds_draws_reach_the_kernel_size_bound(monkeypatch):
+    calls = []
+    bound = verify_mod.bipartite_kernel_bound
+
+    def spy(c, k):
+        calls.append((c, k))
+        return bound(c, k)
+
+    monkeypatch.setattr(verify_mod, "bipartite_kernel_bound", spy)
+    assert run_verify("ds", n_max=8, trials=20, seed=1, bipartite=True).ok
+    assert calls
+
+    monkeypatch.setattr(verify_mod, "bipartite_kernel_bound", lambda c, k: -1)
+    report = run_verify("ds", n_max=8, trials=20, seed=1, bipartite=True)
+    assert len(report.disagreements) == len(calls)
+    assert all(
+        t.detail.startswith("kernelize_bipartite_bwds: bipartite kernel has ")
+        and t.detail.endswith(" > -1 vertices")
+        for t in report.disagreements
+    )
+    assert report.reproducer is not None
 
 
 def test_size_bound_names_the_vhalf_bound_like_the_kernel():
