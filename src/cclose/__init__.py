@@ -27,7 +27,6 @@ from .instances import (
     replay_trace,
 )
 from .kernel_ds import (
-    GadgetInfo,
     HittingSetInstance,
     hitting_set_to_ds,
     kernelize_bipartite_bwds,

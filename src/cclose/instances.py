@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -263,13 +263,13 @@ def replay_trace(inst: Instance, trace: Iterable[RuleRecord]) -> Instance:
 def replay_removals(inst: Instance, records: Sequence[RuleRecord]) -> Instance:
     """``replay_trace`` for records that only remove vertices, in one step.
 
-    Such a record adds nothing, recolors nothing and keeps the budget, so
-    replaying it only deletes its vertices and restricts the coloring and
-    the bipartition to what is left. Deleting vertex sets one after another
-    leaves the same graph as deleting their union at once, and a restriction
-    depends only on the surviving vertices, so one ``without_vertices`` and
-    one restriction give the instance that replaying the records one by one
-    would, without a graph copy and a bipartition check per record.
+    Such a record adds nothing, recolors nothing and keeps the budget.
+    Deleting vertex sets one after another leaves the same graph as deleting
+    their union at once, and ``replay`` restricts the coloring and the
+    bipartition to the surviving vertices alone, so one ``replay`` of a
+    record removing the union gives the instance that replaying the records
+    one by one would, without a graph copy and a bipartition check per
+    record.
     """
     if not records:
         return inst
@@ -283,13 +283,7 @@ def replay_removals(inst: Instance, records: Sequence[RuleRecord]) -> Instance:
             or record.payload.get("uncolor")
         ), f"{record.rule} record does more than remove vertices"
         removed.extend(record.vertices_removed)
-    g = inst.graph.without_vertices(removed)
-    return replace(
-        inst,
-        graph=g,
-        coloring=inst.coloring.restricted_to(g) if inst.coloring is not None else None,
-        bipartition=inst.bipartition.restricted_to(g) if inst.bipartition is not None else None,
-    )
+    return replay(inst, RuleRecord(rule="removals", vertices_removed=tuple(removed)))
 
 
 def exhaust(

@@ -40,23 +40,8 @@ from .instances import (
     replay,
     replay_removals,
 )
-from .oracle import validate_witness
+from .oracle import certified_witness, validate_witness
 from .ramsey import ramsey_threshold
-
-
-@dataclass(frozen=True)
-class GadgetInfo:
-    """Bookkeeping for the color-removal gadget.
-
-    ``clique`` lists the r+1 fresh vertices; the first r of them are wired to
-    every white vertex of the colored instance. Lifting a witness back needs
-    both instances, so they ride along.
-    """
-
-    clique: tuple[int, ...]
-    original: Instance
-    gadget_instance: Instance
-    record: RuleRecord
 
 
 @dataclass(frozen=True)
@@ -209,10 +194,11 @@ def rr_black_count(inst: Instance, c: int) -> bool:
     Each solution vertex covers at most per_vertex_black_bound black
     neighbors plus itself. (The paper's k^c * rho cap forgets the self
     coverage and wrongly rejects boundary Yes-instances such as a 4-closed
-    wheel-like graph on five black vertices with k = 1.)
+    wheel-like graph on five black vertices with k = 1.) At k = 0, where
+    the Ramsey bound is undefined, any black vertex is a No.
     """
     assert inst.r is not None
-    bound = per_vertex_black_bound(c, inst.k, inst.r)
+    bound = per_vertex_black_bound(c, inst.k, inst.r) if inst.k else 0
     return len(inst.black_vertices()) > inst.k * bound + inst.k
 
 
@@ -393,8 +379,9 @@ def _decide_cluster_bwtds(inst: Instance) -> Decided:
 # -- color removal ----------------------------------------------------------------
 
 
-def uncolor_gadget(inst: Instance) -> tuple[Instance, GadgetInfo]:
-    """Replace the coloring with a clique gadget.
+def uncolor_gadget(inst: Instance) -> tuple[Instance, RuleRecord]:
+    """Replace the coloring with a clique gadget; returns the gadget instance
+    and the record whose ``replay`` on ``inst`` gives it.
 
     A fresh (r+1)-clique is added; its first r members are wired to every
     white vertex, and the budget grows by r. The last gadget vertex has
@@ -421,38 +408,33 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, GadgetInfo]:
         k_delta=r,
         payload={"uncolor": True, "clique": list(clique), "declared_closure": closure},
     )
-    gadget_inst = replay(inst, record)
-    info = GadgetInfo(clique=clique, original=inst, gadget_instance=gadget_inst, record=record)
-    return gadget_inst, info
+    return replay(inst, record), record
 
 
-def lift_witness(d_prime: Witness, gi: GadgetInfo) -> Witness:
-    """Turn a solution of the gadget instance into one of the colored instance.
+def lift_witness(d_prime: Witness, original: Instance, record: RuleRecord) -> Witness:
+    """Turn a solution of the gadget instance that ``record`` makes of the
+    colored ``original`` into one of ``original``.
 
     The last gadget vertex is simplicial with exactly r neighbors, so the
     standard swap pushes it out of the solution; its r dominators must then
     be the rest of the gadget clique, which peels off cleanly.
     """
-    gadget = gi.gadget_instance
+    gadget = replay(original, record)
     if not validate_witness(gadget, d_prime):
         raise ValueError("input witness does not solve the gadget instance")
     solution = set(d_prime.elements)
-    g = gadget.graph
-    last = gi.clique[-1]
+    clique = record.vertices_added
+    last = clique[-1]
     if last in solution:
-        outside = sorted(g.neighbors(last) - solution)
+        outside = sorted(gadget.graph.neighbors(last) - solution)
+        solution.remove(last)
         if outside:
-            solution.remove(last)
             solution.add(outside[0])
-        else:
-            solution.remove(last)
-    rest = set(gi.clique[:-1])
-    if not rest <= solution:
+    if not set(clique[:-1]) <= solution:
         raise ExtractionError("gadget clique not forced into the solution")
-    lifted = Witness.vertex_set(solution - set(gi.clique), Problem.BW_TDS)
-    if not validate_witness(gi.original, lifted):
-        raise ExtractionError("lifted witness fails validation")
-    return lifted
+    return certified_witness(
+        original, True, lambda: Witness.vertex_set(solution - set(clique), Problem.BW_TDS)
+    )
 
 
 def all_black_twin(inst: Instance) -> Instance:
@@ -472,8 +454,8 @@ def kernelize_ds(inst: Instance, c: int) -> KernelOutcome:
         if witness is not None:
             witness = Witness(witness.kind, witness.elements, Problem.DS)
         return Decided(outcome.answer, witness)
-    gadget_inst, info = uncolor_gadget(outcome.instance)
-    return Reduced(gadget_inst, outcome.trace + (info.record,))
+    gadget_inst, record = uncolor_gadget(outcome.instance)
+    return Reduced(gadget_inst, outcome.trace + (record,))
 
 
 # -- bipartite pipeline (r = 1) ----------------------------------------------------
@@ -502,10 +484,10 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     black = inst.black_vertices()
     if not black:
         forced = [record.vertices_removed[0] for record in trace]
-        witness = Witness.vertex_set(forced, Problem.BW_TDS)
-        if not validate_witness(original, witness):
-            raise ExtractionError("forced-vertex witness fails validation")
-        return Decided(True, witness)
+        return Decided(
+            True,
+            certified_witness(original, True, lambda: Witness.vertex_set(forced, Problem.BW_TDS)),
+        )
     if inst.k == 0:
         return Decided(False)
     # Strictly more than c*k^2 blacks: k vertices, each covering at most

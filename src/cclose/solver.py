@@ -19,9 +19,9 @@ from .closure import is_c_closed
 from .errors import ExtractionError
 from .graph import Graph
 from .instances import Coloring, Instance, Problem, Witness, exhaust
-from .kernel_ds import rr_clique, sweep_white_removal
+from .kernel_ds import all_black_twin, rr_clique, sweep_white_removal
 from .matching import is_two_maximal, two_maximal_independent_set
-from .oracle import validate_witness
+from .oracle import certified_witness
 
 
 def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
@@ -40,19 +40,29 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     the branch/brute-force scheme. The returned witness is validated against
     the original graph.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not is_c_closed(g, c):
+    return _solve(Instance(problem=Problem.TDS, graph=g, k=k, r=r), c)
+
+
+def solve_ds(g: Graph, c: int, k: int) -> tuple[bool, Witness | None]:
+    """Dominating Set fast path: no clique preprocessing, and a leaf whose
+    independent set fits the budget is an immediate Yes."""
+    return _solve(Instance(problem=Problem.DS, graph=g, k=k), c)
+
+
+def _solve(original: Instance, c: int) -> tuple[bool, Witness | None]:
+    """Search the all-black twin of a DS or TDS instance, running the clique
+    rule first for TDS only, and certify the witness against ``original``."""
+    if not is_c_closed(original.graph, c):
         raise ValueError("graph is not c-closed")
-    inst = Instance(problem=Problem.BW_TDS, graph=g, k=k, r=r, coloring=Coloring())
+    inst = all_black_twin(original)
+    k = inst.k
+    ds_mode = original.problem is Problem.DS
     rr2_trace = []
-    if c * k >= 2:
-        rest = iter(maximal_cliques(g, c * k))
+    if not ds_mode and c * k >= 2:
+        rest = iter(maximal_cliques(inst.graph, c * k))
         inst, rr2_trace, _ = exhaust(inst, [lambda i: rr_clique(i, c, rest)])
 
-    solution = _branch(inst, c, r, k, set(), ds_mode=False)
+    solution = _branch(inst, c, inst.r, k, set(), ds_mode)
     if solution is None:
         return False, None
     for record in reversed(rr2_trace):
@@ -63,29 +73,9 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
                 raise ExtractionError("no swap partner when lifting over the clique rule")
             solution.remove(added)
             solution.add(swap[0])
-    witness = Witness.vertex_set(solution, Problem.TDS)
-    original = Instance(problem=Problem.TDS, graph=g, k=k, r=r)
-    if not validate_witness(original, witness):
-        raise ExtractionError("solver witness fails validation")
-    return True, witness
-
-
-def solve_ds(g: Graph, c: int, k: int) -> tuple[bool, Witness | None]:
-    """Dominating Set fast path: no clique preprocessing, and a leaf whose
-    independent set fits the budget is an immediate Yes."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if not is_c_closed(g, c):
-        raise ValueError("graph is not c-closed")
-    inst = Instance(problem=Problem.BW_TDS, graph=g, k=k, r=1, coloring=Coloring())
-    solution = _branch(inst, c, 1, k, set(), ds_mode=True)
-    if solution is None:
-        return False, None
-    witness = Witness.vertex_set(solution, Problem.DS)
-    original = Instance(problem=Problem.DS, graph=g, k=k)
-    if not validate_witness(original, witness):
-        raise ExtractionError("solver witness fails validation")
-    return True, witness
+    return True, certified_witness(
+        original, True, lambda: Witness.vertex_set(solution, original.problem)
+    )
 
 
 def _branch(

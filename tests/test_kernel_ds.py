@@ -568,8 +568,8 @@ class TestGadget:
     def test_construction_single_white(self):
         g = path_graph(3)
         inst = bw(g, k=1, white=frozenset({1}))
-        gadget, info = uncolor_gadget(inst)
-        assert info.clique == (3, 4)
+        gadget, record = uncolor_gadget(inst)
+        assert record.vertices_added == (3, 4)
         assert gadget.graph.has_edge(3, 4)
         assert gadget.graph.has_edge(1, 3) and not gadget.graph.has_edge(1, 4)
         assert gadget.k == 2
@@ -578,9 +578,23 @@ class TestGadget:
 
     def test_no_whites_still_adds_clique(self):
         inst = bw(path_graph(2), k=1)
-        gadget, info = uncolor_gadget(inst)
+        gadget, record = uncolor_gadget(inst)
         assert gadget.graph.n == 4
         assert oracle_answer(inst) == oracle_answer(gadget)
+
+    @pytest.mark.parametrize(
+        "k, found, lifted",
+        [(1, {1, 4}, {1}), (2, {1, 3, 4}, {1})],
+        ids=["last-swapped-for-its-outside-neighbour", "last-dropped-beside-the-whole-clique"],
+    )
+    def test_lift_witness_pushes_out_the_last_gadget_vertex(self, k, found, lifted):
+        """On a path 0-1-2 with 1 white, the gadget adds the edge 3-4 and
+        wires 3 to 1; the last gadget vertex 4 leaves any solution."""
+        inst = bw(path_graph(3), k=k, white=frozenset({1}))
+        gadget, record = uncolor_gadget(inst)
+        witness = Witness.vertex_set(found, Problem.DS)
+        assert validate_witness(gadget, witness)
+        assert lift_witness(witness, inst, record) == Witness.vertex_set(lifted, Problem.BW_TDS)
 
     @settings(max_examples=80)
     @given(st.integers(0, 10 ** 6), st.integers(0, 8), st.integers(0, 2), st.integers(1, 2))
@@ -589,7 +603,7 @@ class TestGadget:
         g = random_graph(n, 0.4, seed)
         white = frozenset(v for v in g.vertex_ids if rng.random() < 0.5)
         inst = bw(g, k=k, r=r, white=white)
-        gadget, info = uncolor_gadget(inst)
+        gadget, record = uncolor_gadget(inst)
         assert oracle_answer(inst) == oracle_answer(gadget)
 
     @settings(max_examples=60)
@@ -599,7 +613,7 @@ class TestGadget:
         g = random_graph(n, 0.5, seed)
         white = frozenset(v for v in g.vertex_ids if rng.random() < 0.5)
         inst = bw(g, k=k, r=r, white=white)
-        gadget, info = uncolor_gadget(inst)
+        gadget, record = uncolor_gadget(inst)
         opt = oracle_tds(gadget.graph, None, r)
         if opt is None or opt > gadget.k:
             return  # gadget instance is a No; nothing to lift
@@ -618,7 +632,7 @@ class TestGadget:
             if found:
                 break
         assert found is not None
-        lifted = lift_witness(found, info)
+        lifted = lift_witness(found, inst, record)
         assert validate_witness(inst, lifted)
 
 

@@ -34,6 +34,7 @@ from cclose.generators import er_graph
 from cclose.instances import replay
 from cclose.kernel_im import (
     lift_im_witness,
+    partition_bound_violation,
     rr_leaf_rules,
     rr_lp_thresholds,
     rr_neighborhood_matching,
@@ -158,6 +159,16 @@ class TestLpThresholdRules:
         decided = rr_lp_thresholds(inst, 2, p, require_witness=True)
         assert decided is not None and decided.answer
         assert validate_witness(inst, decided.witness)
+
+    def test_partition_bound_violation_names_the_v1_and_v0_bounds(self):
+        # c = 2, k = 1: |V_1| may not reach 6, and |V_0| may not exceed
+        # |V_1| + 2 * C(|V_1|, 2). A star's center is V_1 and its leaves V_0.
+        stars = Graph(range(18), [(3 * i, 3 * i + j) for i in range(6) for j in (1, 2)])
+        assert kernel_im._lp_bounds(2, 1)[1] == 6
+        assert partition_bound_violation(2, 1, vclp_half_integral(stars)) == "V_1 bound violated"
+        cherry = path_graph(3)
+        assert partition_bound_violation(2, 1, vclp_half_integral(cherry)) == "V_0 bound violated"
+        assert partition_bound_violation(2, 1, vclp_half_integral(path_graph(2))) is None
 
     def test_real_thresholds_reachable_at_k1(self):
         # c=2, k=1: V_half threshold is 3 * q2 = 18

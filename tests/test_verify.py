@@ -16,6 +16,8 @@ from cclose import (
     Instance,
     Problem,
     Reduced,
+    RuleRecord,
+    Witness,
     complete_graph,
     compute_closure,
     kernelize_bipartite_bwds,
@@ -27,9 +29,12 @@ from cclose import (
     kernelize_is,
     oracle_answer,
     parse_graph,
+    replay,
+    uncolor_gadget,
     vclp_half_integral,
 )
 from cclose.cli import main
+from cclose.kernel_ds import all_black_twin
 from cclose.kernel_im import partition_bound_violation
 from cclose.verify import check_instance, random_instance, run_verify, shrink_instance
 
@@ -173,7 +178,15 @@ def wrong_answer(inst, c):
     return Decided(not oracle_answer(inst))
 
 
-def whole_graph(inst, c):
+def crashing(inst, c):
+    raise RuntimeError("boom")
+
+
+def empty_witness(inst, c):
+    return Decided(oracle_answer(inst), Witness.vertex_set((), inst.problem))
+
+
+def whole_graph(inst, *_):
     return Reduced(inst, ())
 
 
@@ -181,20 +194,72 @@ def first_vertex_dropped(inst, c):
     return Reduced(replace(inst, graph=inst.graph.without_vertices(inst.graph.vertex_ids[:1])), ())
 
 
+def padded_past_the_oracle(inst, c):
+    """A reduction to 17 vertices, one more than the oracle takes, that its
+    empty trace does not reproduce."""
+    return Reduced(replace(inst, graph=inst.graph.with_vertices(range(inst.graph.n, 17))), ())
+
+
+def path_added(inst, c):
+    record = RuleRecord(rule="path", edges_added=((0, 1), (1, 2)))
+    return Reduced(replay(inst, record), (record,))
+
+
+def gadget_on_every_black(inst, c):
+    gadget, record = uncolor_gadget(all_black_twin(inst))
+    return Reduced(gadget, (record,))
+
+
+def _edgeless(problem, n, k, **fields):
+    return Instance(problem=problem, graph=Graph(range(n)), k=k, **fields)
+
+
 @pytest.mark.parametrize(
-    "pipeline, n, k, detail",
+    "problem, pipeline, inst, detail",
     [
-        (wrong_answer, 4, 2, "kernelize_is: decided False, oracle says True"),
-        (whole_graph, 5, 1, "kernelize_is: IS kernel has 5 > c*k^2 vertices"),
-        (first_vertex_dropped, 3, 2, "kernelize_is: trace replay does not reproduce the reduced graph"),
+        ("is", wrong_answer, _edgeless(Problem.IS, 4, 2), "kernelize_is: decided False, oracle says True"),
+        ("is", crashing, _edgeless(Problem.IS, 4, 2), "pipeline error: RuntimeError('boom')"),
+        ("is", empty_witness, _edgeless(Problem.IS, 4, 2), "kernelize_is: decided-yes witness fails validation"),
+        ("is", whole_graph, _edgeless(Problem.IS, 5, 1), "kernelize_is: IS kernel has 5 > c*k^2 vertices"),
+        (
+            "is",
+            first_vertex_dropped,
+            _edgeless(Problem.IS, 3, 2),
+            "kernelize_is: trace replay does not reproduce the reduced graph",
+        ),
+        (
+            "is",
+            padded_past_the_oracle,
+            _edgeless(Problem.IS, 4, 5),
+            "kernelize_is: trace replay does not reproduce the reduced graph",
+        ),
+        ("is", path_added, _edgeless(Problem.IS, 4, 2), "kernelize_is: rule path broke c-closedness"),
+        (
+            "bwtds",
+            whole_graph,
+            _edgeless(Problem.BW_TDS, 3, 1, r=1, coloring=Coloring()),
+            "kernelize_bwtds: black-count bound violated",
+        ),
+        ("ds", gadget_on_every_black, _edgeless(Problem.DS, 3, 1), "kernelize_ds: black-count bound violated"),
+        ("irs", whole_graph, _edgeless(Problem.IRS, 3, 1), "kernelize_irs: IRS kernel has 3 >= 1 vertices"),
     ],
-    ids=["wrong-answer", "oversized-kernel", "trace-does-not-replay"],
+    ids=[
+        "wrong-answer",
+        "pipeline-error",
+        "witness-fails-validation",
+        "oversized-kernel",
+        "trace-does-not-replay",
+        "past-the-oracle-trace-does-not-replay",
+        "broke-closure",
+        "bwtds-black-count",
+        "ds-black-count-before-the-gadget",
+        "irs-bound",
+    ],
 )
-def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, pipeline, n, k, detail):
-    monkeypatch.setattr(verify_mod, "kernelize_is", pipeline)
-    inst = Instance(problem=Problem.IS, graph=Graph(range(n)), k=k)
-    assert check_instance("is", inst, False) == (False, detail)
-    argv = ["verify", "--problem", "is", "--n-max", "8", "--k-max", "2", "--trials", "20"]
+def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, problem, pipeline, inst, detail):
+    monkeypatch.setattr(verify_mod, f"kernelize_{problem}", pipeline)
+    assert check_instance(problem, inst, False) == (False, detail)
+    argv = ["verify", "--problem", problem, "--n-max", "8", "--k-max", "2", "--trials", "20"]
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert "minimized reproducer:\n" in out
