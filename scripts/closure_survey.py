@@ -12,13 +12,13 @@ import argparse
 import sys
 
 from cclose import compute_closure, er_graph, maximal_cliques
-from cclose.cli import _int_at_least
+from cclose.cli import _int_at_least, _probability
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=_int_at_least(0), nargs="+", default=[10, 15, 20, 25])
-    parser.add_argument("--densities", type=float, nargs="+", default=[0.1, 0.3, 0.5])
+    parser.add_argument("--densities", type=_probability, nargs="+", default=[0.1, 0.3, 0.5])
     parser.add_argument("--samples", type=_int_at_least(1), default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

@@ -27,13 +27,7 @@ class Graph:
         adj: dict[int, set[int]] = {}
         for v in vertices:
             adj.setdefault(v, set())
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-            adj[u].add(v)
-            adj[v].add(u)
+        _add_edges(adj, edges)
         self._adj = adj
         self._closure = None
 
@@ -144,13 +138,7 @@ class Graph:
 
     def with_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         adj = self._copy_adj()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-            adj[u].add(v)
-            adj[v].add(u)
+        _add_edges(adj, pairs)
         return Graph._from_adj(adj)
 
     def without_vertex(self, v: int) -> "Graph":
@@ -244,9 +232,6 @@ class Graph:
 
     # -- dunder --------------------------------------------------------------
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -254,6 +239,17 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _add_edges(adj: dict[int, set[int]], pairs: Iterable[tuple[int, int]]) -> None:
+    """Add each pair to ``adj`` as an edge between two of its vertices."""
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u not in adj or v not in adj:
+            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
+        adj[u].add(v)
+        adj[v].add(u)
 
 
 def complete_graph(n: int) -> Graph:

@@ -35,9 +35,6 @@ class Coloring:
 
     white: frozenset[int] = frozenset()
 
-    def color_of(self, v: int) -> str:
-        return WHITE if v in self.white else BLACK
-
     def black_of(self, g: Graph) -> frozenset[int]:
         return frozenset(v for v in g.vertex_ids if v not in self.white)
 
@@ -46,9 +43,6 @@ class Coloring:
 
     def whiten(self, vs: Iterable[int]) -> "Coloring":
         return Coloring(self.white | set(vs))
-
-    def blacken(self, vs: Iterable[int]) -> "Coloring":
-        return Coloring(self.white - set(vs))
 
     def restricted_to(self, g: Graph) -> "Coloring":
         return Coloring(frozenset(v for v in self.white if g.has_vertex(v)))
@@ -129,7 +123,6 @@ class Instance:
     r: int | None = None
     coloring: Coloring | None = None
     bipartition: Bipartition | None = None
-    declared_closure: int | None = None
 
     def __post_init__(self):
         if self.k < 0:
@@ -141,8 +134,6 @@ class Instance:
             raise ValueError("r must be positive")
         if (self.problem is Problem.BW_TDS) != (self.coloring is not None):
             raise ValueError("coloring must be present iff problem is BW-TDS")
-        if self.declared_closure is not None and self.declared_closure < 1:
-            raise ValueError("declared closure must be positive")
         if self.bipartition is not None:
             self.bipartition.validate(self.graph)
 
@@ -159,8 +150,9 @@ class Instance:
 class RuleRecord:
     """One replayable reduction-rule application.
 
-    Replay order: add vertices, add edges, apply recolorings, remove
-    vertices, then shift the budget by ``k_delta``.
+    Replay order: add vertices, add edges, whiten the recolored vertices
+    (rules only ever whiten), remove vertices, then shift the budget by
+    ``k_delta``.
     """
 
     rule: str
@@ -227,9 +219,10 @@ def replay(inst: Instance, record: RuleRecord) -> Instance:
     if record.edges_added:
         g = g.with_edges(record.edges_added)
     coloring = inst.coloring
-    for v, color in record.recolored:
-        assert coloring is not None, "recoloring requires a colored instance"
-        coloring = coloring.whiten([v]) if color == WHITE else coloring.blacken([v])
+    if record.recolored:
+        if coloring is None or any(color != WHITE for _, color in record.recolored):
+            raise ValueError(f"{record.rule} record recolors a vertex black or an uncolored instance")
+        coloring = coloring.whiten(v for v, _ in record.recolored)
     if record.vertices_removed:
         g = g.without_vertices(record.vertices_removed)
     if coloring is not None:
@@ -237,12 +230,10 @@ def replay(inst: Instance, record: RuleRecord) -> Instance:
     bip = inst.bipartition.restricted_to(g) if inst.bipartition is not None else None
     problem = inst.problem
     r = inst.r
-    declared = inst.declared_closure
     if record.payload.get("uncolor"):
         problem = Problem.DS if inst.r == 1 else Problem.TDS
         r = None if problem is Problem.DS else inst.r
         coloring = None
-        declared = record.payload.get("declared_closure")
     return Instance(
         problem=problem,
         graph=g,
@@ -250,7 +241,6 @@ def replay(inst: Instance, record: RuleRecord) -> Instance:
         r=r,
         coloring=coloring,
         bipartition=bip,
-        declared_closure=declared,
     )
 
 

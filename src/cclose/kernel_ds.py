@@ -352,7 +352,7 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
     inst, removals = sweep_white_removal(inst)
     trace.extend(removals)
     assert not rr_black_count(inst, c)
-    return Reduced(replace(inst, declared_closure=c), tuple(trace))
+    return Reduced(inst, tuple(trace))
 
 
 def _decide_cluster_bwtds(inst: Instance) -> Decided:
@@ -504,8 +504,7 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     inst = replay_removals(inst, leaves)
     trace.extend(leaves)
     assert inst.graph.n <= bipartite_kernel_bound(c, inst.k), "bipartite kernel bound"
-    bip = inst.bipartition.restricted_to(inst.graph) if inst.bipartition else None
-    return Reduced(replace(inst, bipartition=bip, declared_closure=c), tuple(trace))
+    return Reduced(inst, tuple(trace))
 
 
 def bipartite_kernel_bound(c: int, k: int) -> int:
@@ -575,4 +574,4 @@ def hitting_set_to_ds(hs: HittingSetInstance) -> Instance:
     for sid, members in zip(set_ids, hs.sets):
         edges.extend((u, sid) for u in sorted(members))
     g = Graph(universe + set_ids, edges)
-    return Instance(problem=Problem.DS, graph=g, k=hs.k, declared_closure=hs.set_size + 1)
+    return Instance(problem=Problem.DS, graph=g, k=hs.k)

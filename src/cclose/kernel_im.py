@@ -97,7 +97,10 @@ def rr_lp_thresholds(
 
 def _lp_bounds(c: int, k: int) -> tuple[int, int]:
     """RR11's bound on |V_half| and RR12's on |V_1|: a partition reaching
-    either holds a size-k induced matching."""
+    either holds a size-k induced matching. Both are 0 at k = 0, where the
+    empty matching is one."""
+    if k == 0:
+        return 0, 0
     a = 4 * c * k + 1
     return 3 * unrestricted_threshold(c, a, k), saturated_threshold(c, a, k)
 
@@ -215,7 +218,7 @@ def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> Kerne
         if witness is not None:
             witness = lift_im_witness(original, witness, trace, require_witness)
         return Decided(decided.answer, witness)
-    reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
+    reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k)
     return Reduced(reduced, tuple(trace))
 
 

@@ -1,10 +1,9 @@
 """Irredundant Set kernelization: simplicial-twin removal plus a Ramsey-type
 size threshold whose proof doubles as a witness extractor.
 
-Privacy is checked against closed neighborhoods of the other members (the
-open-neighborhood reading would make any adjacent pair in a clique vacuously
-irredundant); the oracle exposes the literal open variant behind a flag for
-comparison.
+Privacy is checked against closed neighborhoods of the other members, as
+everywhere in the library: the literal open-neighborhood reading would make
+any adjacent pair in a clique vacuously irredundant.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> Kern
     if inst.graph.n >= total:
         extract = partial(extract_irs_witness, inst.graph, c, inst.k)
         return Decided(True, certified_witness(inst, require_witness, extract))
-    reduced = Instance(problem=Problem.IRS, graph=inst.graph, k=inst.k, declared_closure=c)
+    reduced = Instance(problem=Problem.IRS, graph=inst.graph, k=inst.k)
     return Reduced(reduced, tuple(trace))
 
 

@@ -47,7 +47,7 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
     g = replay_removals(inst, trace).graph
     if g.n >= threshold * k:
         return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
-    reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)
+    reduced = Instance(problem=Problem.IS, graph=g, k=k)
     assert g.n <= independent_set_kernel_bound(c, k), "kernel exceeds the c*k^2 bound"
     return Reduced(reduced, tuple(trace))
 

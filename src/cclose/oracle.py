@@ -122,23 +122,22 @@ def _im_space(g: Graph) -> Space:
     return _pairwise_space(conflict)
 
 
-def _irs_space(g: Graph, open_privacy: bool = False) -> Space:
+def _irs_space(g: Graph) -> Space:
     """Irredundant sets. A set's state is each member's private candidates
-    (its closed neighbourhood outside every other member's ``other``
-    neighbourhood) and the union of the members' ``other`` neighbourhoods."""
-    _, nbr, cnbr = _index(g)
-    other = nbr if open_privacy else cnbr
+    (its closed neighbourhood outside every other member's closed
+    neighbourhood) and the union of the members' closed neighbourhoods."""
+    _, _, cnbr = _index(g)
 
     def grow(state: tuple[list[int], int], i: int, rest: int) -> tuple[object, int]:
         privates, blocked = state
-        privates = [p & ~other[i] for p in privates]
+        privates = [p & ~cnbr[i] for p in privates]
         privates.append(cnbr[i] & ~blocked)
-        blocked |= other[i]
+        blocked |= cnbr[i]
         keep = 0
         while rest:
             low = rest & -rest
             j = low.bit_length() - 1
-            if cnbr[j] & ~blocked and all(p & ~other[j] for p in privates):
+            if cnbr[j] & ~blocked and all(p & ~cnbr[j] for p in privates):
                 keep |= low
             rest ^= low
         return (privates, blocked), keep
@@ -210,16 +209,11 @@ def oracle_im(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
     return _largest(_im_space(g))
 
 
-def oracle_irs(g: Graph, open_privacy: bool = False, limit: int = DEFAULT_LIMIT) -> int:
-    """Maximum irredundant-set size.
-
-    Default semantics: every member v needs a private neighbor v' in N[v]
-    with v' outside N[u] (closed) for every other member u. Pass
-    ``open_privacy=True`` for the literal open-neighborhood variant, under
-    which a member itself can serve as another member's private neighbor.
-    """
+def oracle_irs(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
+    """Maximum irredundant-set size: every member v needs a private neighbor
+    v' in N[v] with v' outside N[u] (closed) for every other member u."""
     _check_size(g, limit)
-    return _largest(_irs_space(g, open_privacy))
+    return _largest(_irs_space(g))
 
 
 # -- structural predicates ---------------------------------------------------
@@ -255,7 +249,7 @@ def is_induced_matching(g: Graph, edges) -> bool:
     return True
 
 
-def is_irredundant(g: Graph, vs, open_privacy: bool = False) -> bool:
+def is_irredundant(g: Graph, vs) -> bool:
     members = set(vs)
     if not members <= set(g.vertex_ids):
         return False
@@ -263,8 +257,7 @@ def is_irredundant(g: Graph, vs, open_privacy: bool = False) -> bool:
         blocked: set[int] = set()
         for u in members - {v}:
             blocked |= g.neighbors(u)
-            if not open_privacy:
-                blocked.add(u)
+            blocked.add(u)
         if not g.closed_neighborhood(v) - blocked:
             return False
     return True

@@ -10,7 +10,6 @@ Disagreements are shrunk by greedy vertex deletion before being reported.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from .closure import compute_closure, is_c_closed
@@ -215,49 +214,49 @@ def kernelize(
     only there, in a mode that does not read it. ``require_witness`` reaches
     the IM and IRS kernels, the ones that extract witnesses.
     """
-    return _kernel(inst, c, mode, require_witness)[1]()
+    return _kernel(inst, c, mode, require_witness)[1]
 
 
 def _kernel(
     inst: Instance, c: int | None, mode: str = "delta", require_witness: bool = False
-) -> tuple[str, Callable[[], KernelOutcome]]:
+) -> tuple[str, KernelOutcome]:
     """The name of the kernel ``kernelize`` picks for ``inst``, as verify
-    reports it, and the call that runs it."""
+    reports it, and its outcome."""
     problem, parts = inst.problem, inst.bipartition
     if problem is Problem.IS:
-        return "kernelize_is", lambda: kernelize_is(inst, c)
+        return "kernelize_is", kernelize_is(inst, c)
     if problem is Problem.DS:
-        return "kernelize_ds", lambda: kernelize_ds(inst, c)
+        return "kernelize_ds", kernelize_ds(inst, c)
     if problem is Problem.TDS:
-        return "kernelize_bwtds", lambda: kernelize_bwtds(all_black_twin(inst), c)
+        return "kernelize_bwtds", kernelize_bwtds(all_black_twin(inst), c)
     if problem is Problem.BW_TDS and parts is not None and inst.r == 1:
-        return "kernelize_bipartite_bwds", lambda: kernelize_bipartite_bwds(inst, parts, c)
+        return "kernelize_bipartite_bwds", kernelize_bipartite_bwds(inst, parts, c)
     if problem is Problem.BW_TDS:
-        return "kernelize_bwtds", lambda: kernelize_bwtds(inst, c)
+        return "kernelize_bwtds", kernelize_bwtds(inst, c)
     if problem is Problem.IM and parts is not None:
         return (
             f"kernelize_im_bipartite[{mode}]",
-            lambda: kernelize_im_bipartite(inst, parts, mode, c, require_witness),
+            kernelize_im_bipartite(inst, parts, mode, c, require_witness),
         )
     if problem is Problem.IM:
-        return "kernelize_im", lambda: kernelize_im(inst, c, require_witness)
-    return "kernelize_irs", lambda: kernelize_irs(inst, c, require_witness)
+        return "kernelize_im", kernelize_im(inst, c, require_witness)
+    return "kernelize_irs", kernelize_irs(inst, c, require_witness)
 
 
 def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOutcome]]:
     """The kernel ``kernelize`` picks, then the solver of DS and TDS, or the
     closure mode and the general kernel of bipartite IM; each run with its
     name and the instance its trace replays from."""
-    name, run = _kernel(inst, c)
+    name, outcome = _kernel(inst, c)
     base = all_black_twin(inst) if inst.problem in (Problem.DS, Problem.TDS) else inst
-    out = [(name, base, run())]
+    out = [(name, base, outcome)]
     if inst.problem is Problem.DS:
         out.append(("solve_ds", inst, Decided(*solve_ds(inst.graph, c, inst.k))))
     elif inst.problem is Problem.TDS:
         out.append(("solve_tds", inst, Decided(*solve_tds(inst.graph, c, inst.r, inst.k))))
     elif inst.problem is Problem.IM and inst.bipartition is not None:
-        name, run = _kernel(inst, c, "closure")
-        out.append((name, inst, run()))
+        name, outcome = _kernel(inst, c, "closure")
+        out.append((name, inst, outcome))
         out.append(("kernelize_im", inst, kernelize_im(inst, c)))
     return out
 

@@ -223,7 +223,9 @@ def _is_induced_matching_mask(mask: int, nbr: list[int]) -> bool:
 
 def scan_irs(g: Graph, open_privacy: bool = False) -> int:
     """Maximum irredundant-set size, by a scan of all 2^n vertex subsets,
-    with the privacy semantics of ``oracle.oracle_irs``."""
+    with the closed privacy of ``oracle.oracle_irs``; ``open_privacy`` gives
+    the literal open-neighbourhood reading, under which a member itself can
+    serve as another member's private neighbour."""
     nbr, cnbr = _neighbor_masks(g)
     other = nbr if open_privacy else cnbr
     best = 0
@@ -469,7 +471,6 @@ def restart_kernelize_bwtds(inst, c):
         r=r,
         coloring=inst.coloring,
         bipartition=inst.bipartition,
-        declared_closure=c,
     )
     return Reduced(reduced, tuple(trace))
 
@@ -523,7 +524,6 @@ def restart_kernelize_bipartite_bwds(inst, c):
         r=1,
         coloring=inst.coloring,
         bipartition=inst.bipartition.restricted_to(inst.graph) if inst.bipartition else None,
-        declared_closure=c,
     )
     return Reduced(reduced, tuple(trace))
 
@@ -562,7 +562,7 @@ def restart_kernelize_is(inst, c):
         )
     if g.n >= threshold * k:
         return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
-    reduced = Instance(problem=Problem.IS, graph=g, k=k, declared_closure=c)
+    reduced = Instance(problem=Problem.IS, graph=g, k=k)
     return Reduced(reduced, tuple(trace))
 
 
@@ -624,7 +624,7 @@ def restart_kernelize_im(inst, c, require_witness=False):
         raise ExtractionError("IM pipeline failed to reach a fixpoint")
 
     assert partition_bound_violation(c, inst.k, p) is None
-    reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k, declared_closure=c)
+    reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k)
     return Reduced(reduced, tuple(trace))
 
 

@@ -297,7 +297,7 @@ def test_criterion_5_closure_preserved_by_every_rule():
             for record in out.trace:
                 state = replay(state, record)
                 if record.payload.get("uncolor"):
-                    assert state.declared_closure == compute_closure(state.graph).c
+                    assert record.payload["declared_closure"] == compute_closure(state.graph).c
                     continue
                 assert is_c_closed(state.graph, c), record.rule
                 steps += 1

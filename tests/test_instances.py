@@ -47,8 +47,7 @@ def test_instance_validation():
 def test_coloring_defaults_black():
     g = path_graph(3)
     coloring = Coloring(frozenset({1}))
-    assert coloring.color_of(0) == "black"
-    assert coloring.color_of(1) == "white"
+    assert coloring.white_of(g) == {1}
     assert coloring.black_of(g) == {0, 2}
 
 
@@ -75,6 +74,19 @@ def test_replay_add_recolor_remove():
     assert post2.white_vertices() == {1}
 
 
+@pytest.mark.parametrize(
+    "inst, recolored",
+    [
+        (Instance(problem=Problem.BW_TDS, graph=path_graph(2), k=1, r=1, coloring=Coloring()), ((0, "black"),)),
+        (Instance(problem=Problem.IS, graph=path_graph(2), k=1), ((0, "white"),)),
+    ],
+    ids=["black", "uncolored-instance"],
+)
+def test_replay_rejects_a_recoloring_that_is_not_a_whitening(inst, recolored):
+    with pytest.raises(ValueError, match="record recolors a vertex black or an uncolored instance"):
+        replay(inst, RuleRecord(rule="RR2", recolored=recolored))
+
+
 def test_replay_uncolor_gadget_record():
     g = path_graph(2)
     inst = Instance(
@@ -94,7 +106,7 @@ def test_replay_uncolor_gadget_record():
     post = replay(inst, record)
     assert post.problem is Problem.DS
     assert post.coloring is None and post.r is None
-    assert post.k == 2 and post.declared_closure == 2
+    assert post.k == 2
 
 
 def test_replay_trace_composes():
@@ -131,7 +143,7 @@ def removal_cases(draw):
             problem=Problem.BW_TDS, graph=g, k=2, r=1, coloring=Coloring(white), bipartition=parts
         )
     else:
-        inst = Instance(problem=Problem.IM, graph=g, k=2, bipartition=parts, declared_closure=3)
+        inst = Instance(problem=Problem.IM, graph=g, k=2, bipartition=parts)
     order = draw(st.permutations(ids))
     removed = order[: draw(st.integers(0, len(ids)))]
     records = []

@@ -25,6 +25,9 @@ from cclose import (
     kernelize_bipartite_bwds,
     kernelize_bwtds,
     kernelize_ds,
+    kernelize_im,
+    kernelize_im_bipartite,
+    kernelize_irs,
     lift_witness,
     maximal_cliques,
     oracle_answer,
@@ -574,7 +577,7 @@ class TestGadget:
         assert gadget.graph.has_edge(1, 3) and not gadget.graph.has_edge(1, 4)
         assert gadget.k == 2
         assert gadget.problem is Problem.DS
-        assert gadget.declared_closure == compute_closure(gadget.graph).c
+        assert record.payload["declared_closure"] == compute_closure(gadget.graph).c
 
     def test_no_whites_still_adds_clique(self):
         inst = bw(path_graph(2), k=1)
@@ -806,3 +809,35 @@ class TestHittingSetReduction:
         hit = brute_hitting_set(universe, sets)
         assert (hit is not None and hit <= k) == (oracle_ds(inst.graph) <= k)
         assert compute_closure(inst.graph).c <= lam + 1
+
+
+# An instance of a problem none of the kernels below takes; each one names
+# the problem it expected.
+IS_PATH = Instance(problem=Problem.IS, graph=path_graph(2), k=1)
+IS_PARTS = Bipartition(frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda: kernelize_bwtds(IS_PATH, 2),
+        lambda: uncolor_gadget(IS_PATH),
+        lambda: kernelize_ds(IS_PATH, 2),
+        lambda: kernelize_bipartite_bwds(IS_PATH, IS_PARTS, 2),
+        lambda: kernelize_im(IS_PATH, 2),
+        lambda: kernelize_im_bipartite(IS_PATH, IS_PARTS, "delta", 2),
+        lambda: kernelize_irs(IS_PATH, 2),
+    ],
+    ids=[
+        "kernelize_bwtds",
+        "uncolor_gadget",
+        "kernelize_ds",
+        "kernelize_bipartite_bwds",
+        "kernelize_im",
+        "kernelize_im_bipartite",
+        "kernelize_irs",
+    ],
+)
+def test_a_kernel_rejects_an_instance_of_another_problem(kernel):
+    with pytest.raises(ValueError, match="expected a"):
+        kernel()

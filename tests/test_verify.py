@@ -242,6 +242,7 @@ def _edgeless(problem, n, k, **fields):
         ),
         ("ds", gadget_on_every_black, _edgeless(Problem.DS, 3, 1), "kernelize_ds: black-count bound violated"),
         ("irs", whole_graph, _edgeless(Problem.IRS, 3, 1), "kernelize_irs: IRS kernel has 3 >= 1 vertices"),
+        ("im", whole_graph, _edgeless(Problem.IM, 2, 0), "kernelize_im: V_half bound violated"),
     ],
     ids=[
         "wrong-answer",
@@ -254,6 +255,7 @@ def _edgeless(problem, n, k, **fields):
         "bwtds-black-count",
         "ds-black-count-before-the-gadget",
         "irs-bound",
+        "im-bound-at-k-0",
     ],
 )
 def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, problem, pipeline, inst, detail):
@@ -335,7 +337,7 @@ def test_reproducer_keeps_the_coloring(monkeypatch):
     assert report.reproducer == "p 1\nc 0 white\n"
 
 
-def assert_script_rejects_count(script, argv):
+def assert_script_rejects(script, argv, message="must be at least"):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *argv],
@@ -345,14 +347,19 @@ def assert_script_rejects_count(script, argv):
         timeout=60,
     )
     assert done.returncode == 2
-    assert "must be at least" in done.stderr and "Traceback" not in done.stderr
+    assert message in done.stderr and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--n-max", "-1"]])
 def test_sweep_rejects_a_count_below_its_minimum(argv):
-    assert_script_rejects_count("verify_sweep.py", argv)
+    assert_script_rejects("verify_sweep.py", argv)
 
 
 @pytest.mark.parametrize("argv", [["--samples", "0"], ["--sizes", "-3"]])
 def test_survey_rejects_a_count_below_its_minimum(argv):
-    assert_script_rejects_count("closure_survey.py", argv)
+    assert_script_rejects("closure_survey.py", argv)
+
+
+@pytest.mark.parametrize("density", ["1.5", "nan"])
+def test_survey_rejects_a_density_outside_the_unit_interval(density):
+    assert_script_rejects("closure_survey.py", ["--densities", density], "must lie in [0, 1]")
