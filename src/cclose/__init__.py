@@ -1,8 +1,8 @@
 """Kernelization pipelines, Ramsey-type extractors, and exact solvers for
 graph problems parameterized by solution size and closure."""
 
-from .closure import ClosureReport, attach_simplicial, compute_closure, is_c_closed
-from .cliques import clique_count_bound_holds, cliques_of_size, maximal_cliques
+from .closure import ClosureReport, compute_closure, is_c_closed
+from .cliques import cliques_of_size, maximal_cliques
 from .errors import (
     BipartitionError,
     ExtractionError,
@@ -11,7 +11,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .generators import closure_repair, disjoint_cliques, er_graph, generate, theta_graph
-from .graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from .graph import Graph, path_graph
 from .graphio import load_graph, normalize_ids, parse_graph, save_graph, serialize_graph
 from .instances import (
     Bipartition,
@@ -54,11 +54,7 @@ from .oracle import (
     is_irredundant,
     oracle_answer,
     oracle_ds,
-    oracle_im,
-    oracle_irs,
-    oracle_is,
     oracle_tds,
-    oracle_vc,
     validate_witness,
 )
 from .ramsey import (

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .closure import compute_closure
 from .graph import Graph
 
 
@@ -98,13 +97,3 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
             stack.append((clique, candidates, i + 1))
             stack.append((clique + (v,), [w for w in candidates[i + 1:] if w in nbrs], 0))
     return out
-
-
-def clique_count_bound_holds(g: Graph) -> bool:
-    """Check the clique-count bound 3^((c-1)/3) * n^2 for c-closed graphs.
-
-    Compared exactly by cubing both sides, so no floating point is involved.
-    """
-    count = len(maximal_cliques(g))
-    c = compute_closure(g).c
-    return count ** 3 <= 3 ** (c - 1) * g.n ** 6

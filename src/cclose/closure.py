@@ -22,7 +22,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 
-from .errors import PreconditionError
 from .graph import Graph
 
 
@@ -156,34 +155,3 @@ def _head_tallies(adj: dict[int, set[int]], u: int) -> Iterator[Counter]:
         stop = bisect_right(reached, last, start)
         yield Counter(reached[start:stop])
         start = stop
-
-
-def attach_simplicial(g: Graph, c: int, clique: frozenset[int] | set[int]) -> Graph:
-    """Attach a fresh vertex whose neighborhood is exactly ``clique``.
-
-    Closure-safe by construction: the clique must be maximal in ``g`` or have
-    at most c - 1 vertices, and ``g`` itself must be c-closed; the result is
-    then c-closed as well.
-    """
-    cset = set(clique)
-    if not g.is_clique(cset):
-        raise ValueError("attachment target is not a clique")
-    if len(cset) > c - 1 and not _is_maximal_clique(g, cset):
-        raise PreconditionError(
-            "clique must be maximal or have at most c - 1 vertices"
-        )
-    if not is_c_closed(g, c):
-        raise PreconditionError("host graph is not c-closed")
-    v = g.fresh_id()
-    return g.with_vertex(v).with_edges((v, u) for u in cset)
-
-
-def _is_maximal_clique(g: Graph, clique: set[int]) -> bool:
-    return not (common_neighborhood(g, clique) - clique)
-
-
-def nonadjacent_pairs(g: Graph):
-    """All nonadjacent vertex pairs, lexicographically."""
-    for u, v in combinations(g.vertex_ids, 2):
-        if not g.has_edge(u, v):
-            yield u, v

@@ -8,8 +8,9 @@ sets on every platform.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from .closure import is_c_closed, nonadjacent_pairs
+from .closure import is_c_closed
 from .graph import Graph
 
 
@@ -76,13 +77,13 @@ def closure_repair(n: int, p: float, c: int, seed: int) -> Graph:
     g = er_graph(n, p, seed)
     while True:
         violation = None
-        for u, v in nonadjacent_pairs(g):
-            if len(g.neighbors(u) & g.neighbors(v)) >= c:
+        for u, v in combinations(g.vertex_ids, 2):
+            if not g.has_edge(u, v) and len(g.neighbors(u) & g.neighbors(v)) >= c:
                 violation = (u, v)
                 break
         if violation is None:
             break
-        g = g.with_edge(*violation)
+        g = g.with_edges([violation])
     assert is_c_closed(g, c)
     return g
 

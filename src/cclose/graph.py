@@ -133,19 +133,10 @@ class Graph:
             adj[v] = set()
         return Graph._from_adj(adj)
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return self.with_edges([(u, v)])
-
     def with_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         adj = self._copy_adj()
         _add_edges(adj, pairs)
         return Graph._from_adj(adj)
-
-    def without_vertex(self, v: int) -> "Graph":
-        """The graph minus ``v`` and all its incident edges."""
-        if v not in self._adj:
-            raise ValueError(f"unknown vertex {v}")
-        return self.without_vertices([v])
 
     def without_vertices(self, vs: Iterable[int]) -> "Graph":
         drop = set(vs)
@@ -219,17 +210,6 @@ class Graph:
                         return None
         return frozenset(v for v, s in side.items() if s == 0)
 
-    def validate(self) -> None:
-        """Check structural invariants (symmetry, no loops, known endpoints)."""
-        for v, nbrs in self._adj.items():
-            if v in nbrs:
-                raise AssertionError(f"self-loop at {v}")
-            for w in nbrs:
-                if w not in self._adj:
-                    raise AssertionError(f"dangling endpoint {w}")
-                if v not in self._adj[w]:
-                    raise AssertionError(f"asymmetric edge ({v}, {w})")
-
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -252,21 +232,5 @@ def _add_edges(adj: dict[int, set[int]], pairs: Iterable[tuple[int, int]]) -> No
         adj[v].add(u)
 
 
-def complete_graph(n: int) -> Graph:
-    vs = range(n)
-    return Graph(vs, [(i, j) for i in vs for j in range(i + 1, n)])
-
-
 def path_graph(n: int) -> Graph:
     return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """A star with center 0 and the given number of leaves."""
-    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ExtractionError
 from .graph import Graph
@@ -59,32 +58,22 @@ class VclpPartition:
     v0: frozenset[int]
     v1: frozenset[int]
     v_half: frozenset[int]
-    lp_cost: Fraction
     # The maximum matching of the double cover the split was read from, as
     # u -> w for its edges u'w''. Many matchings give the same split, so it
     # takes no part in equality.
     matching: Mapping[int, int] = field(default_factory=dict, compare=False, repr=False)
 
-    def value_of(self, v: int) -> Fraction:
-        if v in self.v0:
-            return Fraction(0)
-        if v in self.v1:
-            return Fraction(1)
-        if v in self.v_half:
-            return Fraction(1, 2)
-        raise ValueError(f"vertex {v} not covered by the partition")
-
 
 @dataclass(frozen=True)
 class CrownDecomposition:
-    """An independent set I, its neighborhood H, and a matching saturating H.
+    """An independent set I and a matching that saturates its neighborhood H
+    (the head, which is the partition's V1).
 
     ``independent`` may be empty (the degenerate marker when V0 is empty);
     rules treat that as "not applicable" rather than an error.
     """
 
     independent: frozenset[int]
-    head: frozenset[int]
     saturating_matching: Matching
 
 
@@ -423,8 +412,7 @@ def vclp_half_integral(g: Graph, start: Mapping[int, int] | None = None) -> Vclp
     v0, v1, v_half = set(), set(), set()
     for v in adj:
         (v0, v_half, v1)[(v in cover_left) + (v in cover_right)].add(v)
-    cost = Fraction(2 * len(v1) + len(v_half), 2)
-    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost, ml)
+    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), ml)
 
 
 def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
@@ -438,7 +426,7 @@ def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
     if p.v0 | p.v1 | p.v_half != set(g.vertex_ids):
         raise ValueError("partition does not cover the graph")
     if not p.v0:
-        return CrownDecomposition(frozenset(), frozenset(), Matching(frozenset()))
+        return CrownDecomposition(frozenset(), Matching(frozenset()))
     neighborhood: set[int] = set()
     for v in p.v0:
         neighborhood |= g.neighbors(v)
@@ -451,7 +439,7 @@ def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
     matching, _ = bipartite_matching_with_cover(sub, Bipartition(frozenset(p.v0)))
     if not matching.saturates(p.v1):
         raise ExtractionError("crown matching fails to saturate V1")
-    return CrownDecomposition(frozenset(p.v0), frozenset(p.v1), matching)
+    return CrownDecomposition(frozenset(p.v0), matching)
 
 
 # -- swap-stable independent sets ----------------------------------------------

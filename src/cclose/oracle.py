@@ -1,7 +1,8 @@
 """Exhaustive exact solvers used as ground truth for kernels and solvers.
 
-Everything here works on bitmasks over the sorted vertex ids, practical up to
-roughly 16 vertices. DS and TDS scan subsets in size-ascending
+Everything here works on bitmasks over the sorted vertex ids, and every
+oracle refuses a graph of more than ``LIMIT`` = 16 vertices with
+``ResourceLimitError``. DS and TDS scan subsets in size-ascending
 combinatorial order and stop at the first hit. A candidate's mask is the sum
 of single-bit masks, and it is tested against the black vertices' closed
 neighbourhood masks with C-level ``map``/``all``, the demand with the fewest
@@ -11,8 +12,8 @@ that builds each mask bit by bit. The maximization problems
 above its largest, in ascending order, and only while it keeps its property,
 and a branch stops once its size plus the items left cannot beat the best
 size found. All three properties are hereditary, so the search is exact;
-``oracle_answer`` stops it at the first set of size k. VC is n minus the
-largest independent set. Both orders are deterministic.
+``oracle_answer`` stops it at the first set of size k. Both orders are
+deterministic.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ from .errors import ExtractionError, ResourceLimitError
 from .graph import Graph
 from .instances import EDGE_SET, VERTEX_SET, Coloring, Instance, Problem, Witness
 
-DEFAULT_LIMIT = 16
-HARD_LIMIT = 22
+# The most vertices any oracle takes: every scan is exponential in n.
+LIMIT = 16
 
 
-def _check_size(g: Graph, limit: int) -> None:
-    if g.n > min(limit, HARD_LIMIT):
-        raise ResourceLimitError(
-            f"oracle limit is {min(limit, HARD_LIMIT)} vertices, got {g.n}"
-        )
+def _check_size(g: Graph) -> None:
+    if g.n > LIMIT:
+        raise ResourceLimitError(f"oracle limit is {LIMIT} vertices, got {g.n}")
 
 
 def _index(g: Graph) -> tuple[dict[int, int], list[int], list[int]]:
@@ -48,7 +47,7 @@ def _index(g: Graph) -> tuple[dict[int, int], list[int], list[int]]:
     return pos, nbr, cnbr
 
 
-# A search space for ``_largest``: the root state, the bitmask of items a set
+# A search space for ``_reaches``: the root state, the bitmask of items a set
 # may start from, and the step that adds item i to a set. The step gets the
 # set's state and ``rest``, the candidates above i; it returns the grown
 # set's state and the items of ``rest`` the grown set can still take. Dropping
@@ -58,37 +57,30 @@ Grow = Callable[[object, int, int], tuple[object, int]]
 Space = tuple[object, int, Grow]
 
 
-def _largest(space: Space, best: int = 0, goal: int | None = None) -> int:
-    """The size of the largest set the ordered extension reaches if it beats
-    ``best``, else ``best``; the search stops once a set reaches ``goal``
-    (by default, every item).
+def _reaches(space: Space, k: int) -> bool:
+    """Whether the ordered extension reaches a set of ``k`` items, k >= 1.
 
     A frame is a set (its state and size) with the candidates it may still
     take. It grows by its lowest candidate and stays on the stack with the
     others for the sibling branches; it is cut once its size plus its
-    candidates is at most ``best``. The stack holds one frame per member of
+    candidates falls short of k. The stack holds one frame per member of
     the current set, plus one, so its size is bounded by the oracle's size
     limit.
     """
     state, cands, grow = space
-    if goal is None:
-        goal = cands.bit_count()
     stack = [(state, 0, cands)]
     while stack:
         state, size, cands = stack.pop()
-        if size + cands.bit_count() <= best:
+        if size + cands.bit_count() < k:
             continue
+        if size + 1 == k:
+            return True  # any candidate completes the set
         low = cands & -cands
         rest = cands ^ low
         stack.append((state, size, rest))
         grown, grown_cands = grow(state, low.bit_length() - 1, rest)
-        size += 1
-        if size > best:
-            best = size
-            if best >= goal:
-                return best
-        stack.append((grown, size, grown_cands))
-    return best
+        stack.append((grown, size + 1, grown_cands))
+    return False
 
 
 def _pairwise_space(conflict: list[int]) -> Space:
@@ -145,31 +137,14 @@ def _irs_space(g: Graph) -> Space:
     return ([], 0), (1 << g.n) - 1, grow
 
 
-def oracle_is(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Maximum independent-set size."""
-    _check_size(g, limit)
-    return _largest(_is_space(g))
-
-
-def oracle_vc(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Minimum vertex-cover size, n - alpha(G) by Gallai's identity: the
-    complement of an independent set covers every edge, and conversely."""
-    return g.n - oracle_is(g, limit)
-
-
-def oracle_ds(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
+def oracle_ds(g: Graph) -> int:
     """Minimum dominating-set size."""
-    result = oracle_tds(g, coloring=None, r=1, limit=limit)
+    result = oracle_tds(g)
     assert result is not None, "DS is always feasible (take all vertices)"
     return result
 
 
-def oracle_tds(
-    g: Graph,
-    coloring: Coloring | None = None,
-    r: int = 1,
-    limit: int = DEFAULT_LIMIT,
-) -> int | None:
+def oracle_tds(g: Graph, coloring: Coloring | None = None, r: int = 1) -> int | None:
     """Minimum size of a set r-dominating every black vertex, or None.
 
     With no coloring every vertex counts as black. Returns None when even
@@ -178,7 +153,7 @@ def oracle_tds(
     """
     if r < 1:
         raise ValueError("r must be positive")
-    _check_size(g, limit)
+    _check_size(g)
     pos, _, cnbr = _index(g)
     if coloring is None:
         black = list(range(g.n))
@@ -201,19 +176,6 @@ def oracle_tds(
             if all(hits):
                 return size
     raise AssertionError("unreachable: D = V is feasible")
-
-
-def oracle_im(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Maximum induced-matching size."""
-    _check_size(g, limit)
-    return _largest(_im_space(g))
-
-
-def oracle_irs(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
-    """Maximum irredundant-set size: every member v needs a private neighbor
-    v' in N[v] with v' outside N[u] (closed) for every other member u."""
-    _check_size(g, limit)
-    return _largest(_irs_space(g))
 
 
 # -- structural predicates ---------------------------------------------------
@@ -316,7 +278,7 @@ _MAXIMIZATION_SPACES: dict[Problem, Callable[[Graph], Space]] = {
 }
 
 
-def oracle_answer(inst: Instance, limit: int = DEFAULT_LIMIT) -> bool:
+def oracle_answer(inst: Instance) -> bool:
     """The yes/no answer for an instance, straight from the oracles. IS, IM
     and IRS stop at the first set of size k; DS, TDS and BW-TDS compare the
     least r-dominating set with k, where a DS instance has no coloring and
@@ -324,7 +286,7 @@ def oracle_answer(inst: Instance, limit: int = DEFAULT_LIMIT) -> bool:
     g, k = inst.graph, inst.k
     space = _MAXIMIZATION_SPACES.get(inst.problem)
     if space is not None:
-        _check_size(g, limit)
-        return k == 0 or _largest(space(g), best=k - 1, goal=k) >= k
-    opt = oracle_tds(g, inst.coloring, inst.r or 1, limit)
+        _check_size(g)
+        return k == 0 or _reaches(space(g), k)
+    opt = oracle_tds(g, inst.coloring, inst.r or 1)
     return opt is not None and opt <= k

@@ -186,9 +186,7 @@ def im_from_high_degree(g: Graph, parts: Bipartition, c: int, b: int) -> Matchin
             return _assign_private_neighbors(g, picked)
         except ExtractionError as exc:  # possible only off the c-closed contract
             last_error = exc
-    raise last_error if last_error is not None else ExtractionError(
-        "no side holds enough high-degree vertices"
-    )
+    raise last_error
 
 
 def _assign_private_neighbors(g: Graph, picked: list[int]) -> Matching:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from cclose import Graph, is_c_closed
+from cclose import Graph, compute_closure, is_c_closed, maximal_cliques
 from cclose.errors import ExtractionError, ParseError
 from cclose.instances import (
     BLACK,
@@ -52,7 +52,67 @@ from cclose.matching import (
     max_matching_general,
     vclp_half_integral,
 )
-from cclose.oracle import validate_witness
+from cclose.oracle import oracle_answer, validate_witness
+
+
+def complete_graph(n: int) -> Graph:
+    vs = range(n)
+    return Graph(vs, [(i, j) for i in vs for j in range(i + 1, n)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """A star with center 0 and the given number of leaves."""
+    return Graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
+
+
+def validate_graph(g: Graph) -> None:
+    """Check structural invariants (symmetry, no loops, known endpoints)."""
+    for v, nbrs in g._adj.items():
+        if v in nbrs:
+            raise AssertionError(f"self-loop at {v}")
+        for w in nbrs:
+            if w not in g._adj:
+                raise AssertionError(f"dangling endpoint {w}")
+            if v not in g._adj[w]:
+                raise AssertionError(f"asymmetric edge ({v}, {w})")
+
+
+def clique_count_bound_holds(g: Graph) -> bool:
+    """Check the clique-count bound 3^((c-1)/3) * n^2 for c-closed graphs.
+
+    Compared exactly by cubing both sides, so no floating point is involved.
+    """
+    count = len(maximal_cliques(g))
+    c = compute_closure(g).c
+    return count ** 3 <= 3 ** (c - 1) * g.n ** 6
+
+
+def lp_value(p: VclpPartition, v: int) -> Fraction:
+    """The LP value of ``v`` under the partition: 0, 1 or 1/2."""
+    if v in p.v0:
+        return Fraction(0)
+    if v in p.v1:
+        return Fraction(1)
+    if v in p.v_half:
+        return Fraction(1, 2)
+    raise ValueError(f"vertex {v} not covered by the partition")
+
+
+def lp_cost(p: VclpPartition) -> Fraction:
+    """The LP objective of the partition: |V1| + |V1/2| / 2."""
+    return Fraction(2 * len(p.v1) + len(p.v_half), 2)
+
+
+def oracle_yes(problem: Problem, g: Graph, k: int) -> bool:
+    """``oracle_answer`` for the instance of ``problem`` (IS, IM or IRS) on
+    ``g`` with budget ``k``."""
+    return oracle_answer(Instance(problem=problem, graph=g, k=k))
 
 
 def closure_by_matrix(g: Graph) -> int:
@@ -164,8 +224,7 @@ def kuhn_vclp(g: Graph) -> VclpPartition:
     v0, v1, v_half = set(), set(), set()
     for v in g.vertex_ids:
         (v0, v_half, v1)[(2 * v in cover) + (2 * v + 1 in cover)].add(v)
-    cost = Fraction(2 * len(v1) + len(v_half), 2)
-    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), cost)
+    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half))
 
 
 def _neighbor_masks(g: Graph) -> tuple[list[int], list[int]]:
@@ -223,7 +282,7 @@ def _is_induced_matching_mask(mask: int, nbr: list[int]) -> bool:
 
 def scan_irs(g: Graph, open_privacy: bool = False) -> int:
     """Maximum irredundant-set size, by a scan of all 2^n vertex subsets,
-    with the closed privacy of ``oracle.oracle_irs``; ``open_privacy`` gives
+    with the closed privacy of ``oracle.oracle_answer``; ``open_privacy`` gives
     the literal open-neighbourhood reading, under which a member itself can
     serve as another member's private neighbour."""
     nbr, cnbr = _neighbor_masks(g)
@@ -233,19 +292,6 @@ def scan_irs(g: Graph, open_privacy: bool = False) -> int:
         if mask.bit_count() > best and _is_irredundant_mask(mask, cnbr, other):
             best = mask.bit_count()
     return best
-
-
-def scan_vc(g: Graph) -> int:
-    """Minimum vertex-cover size, by a size-ascending scan of vertex subsets
-    that stops at the first cover."""
-    pos = {v: i for i, v in enumerate(g.vertex_ids)}
-    edges = [(1 << pos[u]) | (1 << pos[v]) for u, v in g.edges()]
-    for size in range(g.n + 1):
-        for combo in combinations(range(g.n), size):
-            mask = sum(1 << i for i in combo)
-            if all(mask & edge for edge in edges):
-                return size
-    raise AssertionError("unreachable: V covers all edges")
 
 
 def scan_tds(g: Graph, coloring: Coloring | None = None, r: int = 1) -> int | None:
@@ -368,7 +414,7 @@ def random_c_closed_graph(
         if key in forbidden_pairs or rng.random() >= p:
             continue
         if edge_keeps_closure(g, u, v, c):
-            g = g.with_edge(u, v)
+            g = g.with_edges([(u, v)])
     return g
 
 
@@ -384,7 +430,7 @@ def random_c_closed_bipartite(
     rng.shuffle(pairs)
     for u, v in pairs:
         if rng.random() < p and edge_keeps_closure(g, u, v, c):
-            g = g.with_edge(u, v)
+            g = g.with_edges([(u, v)])
     return g, Bipartition(frozenset(left))
 
 
@@ -556,7 +602,7 @@ def restart_kernelize_is(inst, c):
         target = next((v for v in g.vertex_ids if g.degree(v) >= threshold), None)
         if target is None:
             break
-        g = g.without_vertex(target)
+        g = g.without_vertices([target])
         trace.append(
             RuleRecord(rule="RR1", vertices_removed=(target,), payload={"degree_threshold": threshold})
         )

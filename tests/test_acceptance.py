@@ -24,7 +24,6 @@ from cclose import (
     clique_or_im_saturating,
     clique_or_independent_set,
     compute_closure,
-    cycle_graph,
     im_bipartite_from_matching,
     im_dense_bipartite,
     im_from_bounded_degree,
@@ -43,11 +42,7 @@ from cclose import (
     maximal_cliques,
     oracle_answer,
     oracle_ds,
-    oracle_im,
-    oracle_irs,
-    oracle_is,
     oracle_tds,
-    oracle_vc,
     ramsey_threshold,
     saturated_threshold,
     solve_tds,
@@ -64,11 +59,16 @@ from helpers import (
     atlas_graphs,
     brute_hitting_set,
     brute_max_matching,
+    clique_count_bound_holds,
     closure_by_matrix,
+    cycle_graph,
     double_cover,
+    lp_cost,
+    lp_value,
     random_c_closed_bipartite,
     random_c_closed_graph,
     random_graph,
+    scan_is,
 )
 
 
@@ -105,7 +105,7 @@ def test_criterion_2_ramsey_extraction():
     # R_2(3, 3) = 6 is tight: C_5 is 2-closed with no K_3 and no I_3
     c5 = cycle_graph(5)
     assert compute_closure(c5).c == 2
-    assert oracle_is(c5) == 2
+    assert scan_is(c5) == 2
     assert max(len(q) for q in maximal_cliques(c5)) == 2
     assert ramsey_threshold(2, 3, 3) == 6
     try:
@@ -143,27 +143,18 @@ def test_criterion_3_kernel_equivalence_exhaustive():
         for k in range(4):
             # RR1 pipeline
             inst = Instance(problem=Problem.IS, graph=g, k=k)
-            expected = oracle_is(g) >= k
-            _check_outcome(
-                inst, kernelize_is(inst, c), expected, c,
-                lambda s: oracle_is(s.graph) >= s.k,
-            )
+            expected = oracle_answer(inst)
+            _check_outcome(inst, kernelize_is(inst, c), expected, c, oracle_answer)
             checks += 1
             # RR10-RR15 pipeline
             inst = Instance(problem=Problem.IM, graph=g, k=k)
-            expected = oracle_im(g) >= k
-            _check_outcome(
-                inst, kernelize_im(inst, c), expected, c,
-                lambda s: oracle_im(s.graph) >= s.k,
-            )
+            expected = oracle_answer(inst)
+            _check_outcome(inst, kernelize_im(inst, c), expected, c, oracle_answer)
             checks += 1
             # RR16 pipeline
             inst = Instance(problem=Problem.IRS, graph=g, k=k)
-            expected = oracle_irs(g) >= k
-            _check_outcome(
-                inst, kernelize_irs(inst, c), expected, c,
-                lambda s: oracle_irs(s.graph) >= s.k,
-            )
+            expected = oracle_answer(inst)
+            _check_outcome(inst, kernelize_irs(inst, c), expected, c, oracle_answer)
             checks += 1
             # RR2-RR6 pipeline plus the gadget
             for r in (1, 2):
@@ -324,8 +315,6 @@ def test_criterion_6_solver_vs_oracle():
 
 
 def test_criterion_7_clique_count_bound():
-    from cclose import clique_count_bound_holds
-
     rng = random.Random(70_001)
     for trial in range(500):
         n = rng.randrange(15)
@@ -343,13 +332,13 @@ def _lp_certified(g):
     for u, v in dg.edges():
         assert u in cover or v in cover
     assert len(cover) == len(matching)  # König equality proves both optimal
-    assert 2 * p.lp_cost == len(cover)
+    assert 2 * lp_cost(p) == len(cover)
     for u, v in g.edges():
-        assert p.value_of(u) + p.value_of(v) >= 1
-    vc = oracle_vc(g)
+        assert lp_value(p, u) + lp_value(p, v) >= 1
+    vc = g.n - scan_is(g)  # Gallai: a cover is the complement of an independent set
     mm = brute_max_matching(g)
-    assert vc + mm >= 2 * p.lp_cost
-    assert p.lp_cost <= vc
+    assert vc + mm >= 2 * lp_cost(p)
+    assert lp_cost(p) <= vc
 
 
 def test_criterion_8_lp_machinery():
@@ -406,7 +395,7 @@ def test_criterion_10_induced_matching_chain():
         for _ in range(rng.randrange(10)):
             u, v = rng.randrange(2 * pairs), rng.randrange(2 * pairs)
             if u != v and not g.has_edge(u, v) and g.degree(u) < 4 and g.degree(v) < 4:
-                g = g.with_edge(u, v)
+                g = g.with_edges([(u, v)])
         m = Matching.of([(2 * i, 2 * i + 1) for i in range(pairs)])
         if len(m) >= 2 * g.max_degree() * b:
             out = im_from_bounded_degree(g, m, b)

@@ -192,6 +192,28 @@ def test_gen_er_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
 
 
+# sha256 of (stdout, written file) for `cclose gen ... -o gen.txt`, run in an
+# empty directory; they pin the generators' bytes across rewrites.
+GEN_GOLDEN = {
+    "--model closure-repair --n 40 --p 0.2 --c 3 --seed 1": (
+        "1eb0bc15ad0eac0f2dcf8b7a816cd02c8197cdaab21bf0e29e5253da59fed33c",
+        "ec1dd592f27c506b6d861c66c8571fe98e5941e109494ecfe8d184bf088ff552",
+    ),
+    "--model theta --paths 5": (
+        "c538a429a93b7d5f7d548ef7cf2a1688596e156dda142b3651dfc97874c3ba7e",
+        "58ecc94e9e2a131c583be9aac5d9a9042337c26692e0e7df2afa43ad9a885f25",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(GEN_GOLDEN))
+def test_gen_bytes_match_golden(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", *args.split(), "-o", "gen.txt"]) == 0
+    written = (tmp_path / "gen.txt").read_text()
+    assert (_sha(capsys.readouterr().out), _sha(written)) == GEN_GOLDEN[args]
+
+
 @pytest.mark.parametrize(
     "model, given, missing",
     [

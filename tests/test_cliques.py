@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cclose import (
-    Graph,
+from cclose import Graph, cliques_of_size, maximal_cliques
+
+from helpers import (
+    brute_cliques_of_size,
+    brute_maximal_cliques,
     clique_count_bound_holds,
-    cliques_of_size,
     complete_graph,
     cycle_graph,
-    maximal_cliques,
+    random_graph,
 )
-
-from helpers import brute_cliques_of_size, brute_maximal_cliques, random_graph
 
 
 def test_examples():

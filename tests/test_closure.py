@@ -7,12 +7,8 @@ from cclose import (
     Coloring,
     Graph,
     Instance,
-    PreconditionError,
     Problem,
-    attach_simplicial,
-    complete_graph,
     compute_closure,
-    cycle_graph,
     disjoint_cliques,
     is_c_closed,
     kernelize_bipartite_bwds,
@@ -27,7 +23,14 @@ from cclose import (
 )
 from cclose.closure import common_neighborhood
 
-from helpers import closure_by_matrix, pair_scan_closure, random_graph
+from helpers import (
+    closure_by_matrix,
+    complete_graph,
+    cycle_graph,
+    pair_scan_closure,
+    random_graph,
+    star_graph,
+)
 
 
 def test_common_neighbors_examples():
@@ -43,7 +46,7 @@ def test_common_neighborhood_examples():
     assert common_neighborhood(c4, [0, 2]) == {1, 3}
     assert common_neighborhood(c4, [0, 1]) == frozenset()
     assert common_neighborhood(c4, [1]) == {0, 2}
-    assert common_neighborhood(c4.without_vertex(3), []) == {0, 1, 2}
+    assert common_neighborhood(c4.without_vertices([3]), []) == {0, 1, 2}
     assert common_neighborhood(Graph(), []) == frozenset()
 
 
@@ -138,7 +141,7 @@ def test_vertex_removal_never_raises_closure(seed, n):
     g = random_graph(n, 0.45, seed)
     c = compute_closure(g).c
     for v in g.vertex_ids:
-        assert compute_closure(g.without_vertex(v)).c <= c
+        assert compute_closure(g.without_vertices([v])).c <= c
 
 
 @given(st.integers(0, 2 ** 31), st.integers(2, 10))
@@ -150,41 +153,6 @@ def test_clique_outside_intersection_observation(seed, n):
         for v in g.vertex_ids:
             if v not in members:
                 assert len(members & g.neighbors(v)) < c
-
-
-class TestAttachSimplicial:
-    def test_attach_to_maximal_clique(self):
-        g = attach_simplicial(complete_graph(3), 2, frozenset({0, 1, 2}))
-        assert g.n == 4 and g.neighbors(3) == {0, 1, 2}
-        assert is_c_closed(g, 2)
-
-    def test_attach_to_small_clique(self):
-        g = Graph(range(2), [(0, 1)])
-        h = attach_simplicial(g, 3, frozenset({0}))
-        assert h.edges() == [(0, 1), (0, 2)]
-        assert is_c_closed(h, 3)
-
-    def test_attach_to_empty_clique_adds_isolated_vertex(self):
-        g = attach_simplicial(cycle_graph(4), 3, frozenset())
-        assert g.degree(4) == 0
-        assert compute_closure(g).c == 3
-
-    def test_non_clique_rejected(self):
-        with pytest.raises(ValueError):
-            attach_simplicial(path_graph(3), 2, frozenset({0, 2}))
-
-    def test_nonmaximal_large_clique_rejected(self):
-        # {0, 1} is not maximal in K_4 and exceeds c - 1 = 1
-        with pytest.raises(PreconditionError):
-            attach_simplicial(complete_graph(4), 2, frozenset({0, 1}))
-
-    @given(st.integers(0, 2 ** 31), st.integers(1, 9))
-    def test_preserves_closure_on_random_graphs(self, seed, n):
-        g = random_graph(n, 0.45, seed)
-        c = compute_closure(g).c
-        for clique in maximal_cliques(g):
-            h = attach_simplicial(g, c, frozenset(clique))
-            assert is_c_closed(h, c)
 
 
 class TestClosureMemo:
@@ -226,7 +194,7 @@ class TestClosureMemo:
         assert calls == []
         monkeypatch.undo()
         g = graphs[0]
-        derived = [g.with_vertex(100), g.without_vertex(0), g.induced([0, 1, 2, 3])]
+        derived = [g.with_vertex(100), g.without_vertices([0]), g.induced([0, 1, 2, 3])]
         assert all(h._closure is None for h in derived)
 
     def test_derived_graphs_carry_no_memo(self):
@@ -239,9 +207,7 @@ class TestClosureMemo:
         derived = [
             g.with_vertex(100),
             g.with_vertices([100, 101]),
-            g.with_edge(u, v),
             g.with_edges([(u, v)]),
-            g.without_vertex(0),
             g.without_vertices([0, 1]),
             g.induced([0, 1, 2, 3]),
         ]
@@ -371,7 +337,7 @@ class TestWedgeTally:
         # count every other vertex has too small a degree to beat it.
         from collections import Counter
 
-        from cclose import closure, star_graph, theta_graph
+        from cclose import closure, theta_graph
 
         g = theta_graph(2000) if shape == "theta" else star_graph(3000)
         visited = []

@@ -7,11 +7,10 @@ from cclose import (
     er_graph,
     generate,
     is_c_closed,
-    oracle_is,
     theta_graph,
 )
 
-from helpers import brute_maximal_cliques
+from helpers import brute_maximal_cliques, scan_is
 
 
 def test_disjoint_cliques_tight_family():
@@ -19,7 +18,7 @@ def test_disjoint_cliques_tight_family():
     g = disjoint_cliques(2, 3)
     assert g.n == 6
     assert max(len(c) for c in brute_maximal_cliques(g)) == 3
-    assert oracle_is(g) == 2
+    assert scan_is(g) == 2
     assert compute_closure(g).c == 1
 
 

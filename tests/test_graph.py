@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cclose import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from cclose import Graph, path_graph
 
-from helpers import random_graph
+from helpers import complete_graph, cycle_graph, random_graph, star_graph, validate_graph
 
 
 @st.composite
@@ -37,30 +37,30 @@ def test_edge_to_unknown_vertex_rejected():
 
 
 def test_remove_vertex_drops_incident_edges():
-    g = complete_graph(3).without_vertex(0)
+    g = complete_graph(3).without_vertices([0])
     assert g.vertex_ids == (1, 2)
     assert g.edges() == [(1, 2)]
 
 
 def test_remove_isolated_vertex_keeps_edges():
-    g = Graph(range(4), [(0, 1), (2, 3)]).without_vertex(1)
+    g = Graph(range(4), [(0, 1), (2, 3)]).without_vertices([1])
     assert g.edges() == [(2, 3)]
 
 
 def test_remove_unknown_vertex_errors():
     with pytest.raises(ValueError):
-        path_graph(3).without_vertex(7)
+        path_graph(3).without_vertices([7])
 
 
 def test_vertex_ids_stable_across_deletions():
-    g = path_graph(5).without_vertex(2)
+    g = path_graph(5).without_vertices([2])
     assert g.vertex_ids == (0, 1, 3, 4)
     assert g.has_edge(3, 4)
 
 
 def test_mutations_return_new_values():
     g = path_graph(3)
-    h = g.with_edge(0, 2)
+    h = g.with_edges([(0, 2)])
     assert not g.has_edge(0, 2)
     assert h.has_edge(0, 2)
 
@@ -92,17 +92,17 @@ def test_clique_and_independent_predicates():
 def test_fresh_id():
     assert Graph().fresh_id() == 0
     assert path_graph(3).fresh_id() == 3
-    assert path_graph(5).without_vertex(4).fresh_id() == 4
+    assert path_graph(5).without_vertices([4]).fresh_id() == 4
 
 
 @given(graphs())
 def test_adjacency_symmetric_after_mutations(g):
-    g.validate()
+    validate_graph(g)
     if g.n:
         v = g.vertex_ids[0]
-        g.without_vertex(v).validate()
+        validate_graph(g.without_vertices([v]))
     h = g.with_vertex(g.fresh_id())
-    h.validate()
+    validate_graph(h)
 
 
 @given(graphs(max_n=6), st.integers(0, 100))
@@ -130,7 +130,7 @@ def test_between_matches_the_sorted_edge_construction(seed, n, p):
     )
     sub = g.between(a, b)
     assert sub == reference
-    sub.validate()
+    validate_graph(sub)
 
 
 def test_between_rejects_unknown_vertices_and_overlapping_sides():

@@ -111,7 +111,7 @@ def test_bipartition_serializes_every_vertex():
 
 
 def test_normalize_ids_after_deletion():
-    g = Graph(range(4), [(1, 3)]).without_vertex(0)
+    g = Graph(range(4), [(1, 3)]).without_vertices([0])
     with pytest.raises(ValueError):
         serialize_graph(g)
     normal, mapping = normalize_ids(g)
@@ -196,7 +196,7 @@ def test_parse_graph_matches_reference(text):
 def test_normalize_ids_matches_rebuilt_graph(n, seed, dropped):
     g = random_graph(n, 0.4, seed)
     for v in sorted(dropped & set(g.vertex_ids))[: n - 1]:
-        g = g.without_vertex(v)
+        g = g.without_vertices([v])
     normal, mapping = normalize_ids(g)
     rebuilt = Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in g.edges()])
     assert normal == rebuilt

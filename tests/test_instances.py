@@ -17,17 +17,15 @@ from cclose import (
     RuleRecord,
     Witness,
     compute_closure,
-    cycle_graph,
     path_graph,
     replay,
     replay_trace,
-    star_graph,
 )
 from cclose.instances import exhaust, replay_removals
 from cclose.kernel_ds import all_black_twin
 from cclose.verify import kernelize, random_instance
 
-from helpers import random_graph
+from helpers import cycle_graph, random_graph, star_graph
 
 
 def test_instance_validation():

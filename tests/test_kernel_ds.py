@@ -17,9 +17,7 @@ from cclose import (
     Reduced,
     Witness,
     cliques_of_size,
-    complete_graph,
     compute_closure,
-    cycle_graph,
     hitting_set_to_ds,
     is_c_closed,
     kernelize_bipartite_bwds,
@@ -37,7 +35,6 @@ from cclose import (
     ramsey_threshold,
     replay_trace,
     solve_tds,
-    star_graph,
     uncolor_gadget,
     validate_witness,
 )
@@ -56,12 +53,15 @@ from cclose.kernel_ds import (
 
 from helpers import (
     brute_hitting_set,
+    complete_graph,
+    cycle_graph,
     random_c_closed_bipartite,
     random_c_closed_graph,
     random_graph,
     restart_kernelize_bipartite_bwds,
     restart_kernelize_bwtds,
     restart_rr_white_removal,
+    star_graph,
 )
 
 

@@ -13,15 +13,13 @@ from cclose import (
     Problem,
     Reduced,
     Witness,
-    complete_graph,
     compute_closure,
-    cycle_graph,
     disjoint_cliques,
     is_c_closed,
     kernelize_im,
     kernelize_im_bipartite,
     maximal_cliques,
-    oracle_im,
+    oracle_answer,
     path_graph,
     saturated_threshold,
     unrestricted_threshold,
@@ -41,6 +39,10 @@ from cclose.kernel_im import (
 )
 
 from helpers import (
+    complete_graph,
+    cycle_graph,
+    lp_cost,
+    oracle_yes,
     random_c_closed_graph,
     random_graph,
     restart_kernelize_im,
@@ -59,7 +61,7 @@ class TestRuleNeighborhoodMatching:
         record = rr_neighborhood_matching(make(g, 1), 1)
         assert record is not None and record.vertices_removed == (4,)
         post = replay(make(g, 1), record)
-        assert (oracle_im(post.graph) >= 1) == (oracle_im(g) >= 1)
+        assert oracle_yes(Problem.IM, post.graph, 1) == oracle_yes(Problem.IM, g, 1)
 
     def test_triangle_free_no_op(self):
         assert rr_neighborhood_matching(make(cycle_graph(5), 1), 2) is None
@@ -193,7 +195,7 @@ class TestLeafRules:
         assert record is not None and record.rule == "RR13"
         assert record.vertices_removed == (2, 3, 4)[:len(record.vertices_removed)]
         post = replay(inst, record)
-        assert (oracle_im(post.graph) >= 1) == (oracle_im(g) >= 1)
+        assert oracle_yes(Problem.IM, post.graph, 1) == oracle_yes(Problem.IM, g, 1)
 
     def test_shadowed_vertex_gets_leaf(self):
         # v0 = 2 with N[2] inside N[1]; 1 leafless -> attach leaf
@@ -204,7 +206,7 @@ class TestLeafRules:
         record = rr_leaf_rules(inst, 3, p)
         if record is not None and record.rule == "RR14":
             post = replay(inst, record)
-            assert (oracle_im(post.graph) >= 2) == (oracle_im(g) >= 2)
+            assert oracle_yes(Problem.IM, post.graph, 2) == oracle_yes(Problem.IM, g, 2)
 
     def test_rr14_leaf_edge_lifts_to_the_shadowed_vertex(self):
         # N[1] = {0, 1, 3} lies inside N[0] and 0 has no leaf, so RR14 hangs
@@ -234,7 +236,7 @@ class TestLeafRules:
             record = rr_leaf_rules(inst, 2, p)
             assert record is not None
             post = replay(inst, record)
-            assert (oracle_im(post.graph) >= 1) == (oracle_im(g) >= 1)
+            assert oracle_yes(Problem.IM, post.graph, 1) == oracle_yes(Problem.IM, g, 1)
 
 
 class TestKernelizeIm:
@@ -248,16 +250,16 @@ class TestKernelizeIm:
 
     def test_p5_yes(self):
         out = kernelize_im(make(path_graph(5), 2), 2)
-        expected = oracle_im(path_graph(5)) >= 2
+        expected = oracle_yes(Problem.IM, path_graph(5), 2)
         answer = out.answer if isinstance(out, Decided) else (
-            oracle_im(out.instance.graph) >= out.instance.k
+            oracle_answer(out.instance)
         )
         assert answer == expected
 
     def test_p4_no(self):
         out = kernelize_im(make(path_graph(4), 2), 2)
         answer = out.answer if isinstance(out, Decided) else (
-            oracle_im(out.instance.graph) >= out.instance.k
+            oracle_answer(out.instance)
         )
         assert not answer
 
@@ -271,19 +273,19 @@ class TestKernelizeIm:
         g = random_graph(n, 0.4, seed)
         c = compute_closure(g).c
         inst = make(g, k)
-        expected = oracle_im(g) >= k
+        expected = oracle_answer(inst)
         out = kernelize_im(inst, c)
         if isinstance(out, Decided):
             assert out.answer == expected
             if out.witness is not None:
                 assert validate_witness(inst, out.witness)
         else:
-            assert (oracle_im(out.instance.graph) >= out.instance.k) == expected
+            assert oracle_answer(out.instance) == expected
             state = inst
             for record in out.trace:
                 state = replay(state, record)
                 assert is_c_closed(state.graph, c)
-                assert (oracle_im(state.graph) >= state.k) == expected
+                assert oracle_answer(state) == expected
             assert state.graph == out.instance.graph
             p = vclp_half_integral(out.instance.graph)
             a = 4 * c * k + 1
@@ -418,11 +420,11 @@ class TestOptimumIndependence:
             [(mapping[u], mapping[v]) for u, v in g.edges()],
         )
         c = compute_closure(g).c
-        expected = oracle_im(g) >= k
+        expected = oracle_yes(Problem.IM, g, k)
         for graph in (g, relabeled):
             out = kernelize_im(Instance(problem=Problem.IM, graph=graph, k=k), c)
             answer = out.answer if isinstance(out, Decided) else (
-                oracle_im(out.instance.graph) >= out.instance.k
+                oracle_answer(out.instance)
             )
             assert answer == expected
 
@@ -435,7 +437,7 @@ class TestOptimumIndependence:
             [mapping[v] for v in g.vertex_ids],
             [(mapping[u], mapping[v]) for u, v in g.edges()],
         )
-        assert vclp_half_integral(g).lp_cost == vclp_half_integral(relabeled).lp_cost
+        assert lp_cost(vclp_half_integral(g)) == lp_cost(vclp_half_integral(relabeled))
 
 
 class TestBipartiteKernels:
@@ -505,7 +507,7 @@ class TestBipartiteKernels:
         )
         parts = Bipartition(frozenset(range(left)))
         inst = Instance(problem=Problem.IM, graph=g, k=k, bipartition=parts)
-        expected = oracle_im(g) >= k
+        expected = oracle_answer(inst)
         c = compute_closure(g).c
         for mode, extra in (("delta", {}), ("closure", {"c": c})):
             out = kernelize_im_bipartite(inst, parts, mode, **extra)
@@ -514,4 +516,4 @@ class TestBipartiteKernels:
                 if out.witness is not None:
                     assert validate_witness(inst, out.witness)
             else:
-                assert (oracle_im(out.instance.graph) >= out.instance.k) == expected
+                assert oracle_answer(out.instance) == expected

@@ -13,15 +13,13 @@ from cclose import (
     Problem,
     Reduced,
     RuleRecord,
-    complete_graph,
     compute_closure,
-    cycle_graph,
     extract_irs_witness,
     irs_thresholds,
     is_c_closed,
     is_irredundant,
     kernelize_irs,
-    oracle_irs,
+    oracle_answer,
     path_graph,
     ramsey_threshold,
     validate_witness,
@@ -30,7 +28,14 @@ from cclose import kernel_irs
 from cclose.instances import exhaust, replay, replay_removals
 from cclose.kernel_irs import rr_simplicial_twin, sweep_simplicial_twins
 
-from helpers import random_graph, restart_rr_simplicial_twin, scan_irs
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    oracle_yes,
+    random_graph,
+    restart_rr_simplicial_twin,
+    scan_irs,
+)
 
 
 def make(g, k):
@@ -48,7 +53,7 @@ class TestSimplicialTwin:
             removed.append(record.vertices_removed[0])
             inst = replay(inst, record)
         assert inst.graph.n == 1
-        assert (oracle_irs(inst.graph) >= 1) == (oracle_irs(complete_graph(3)) >= 1)
+        assert oracle_answer(inst) == oracle_yes(Problem.IRS, complete_graph(3), 1)
 
     def test_p4_endpoints_not_twins(self):
         assert rr_simplicial_twin(make(path_graph(4), 1)) is None
@@ -58,8 +63,8 @@ class TestSimplicialTwin:
         # change the answer: the two leaves are an irredundant pair, but the
         # single survivor plus the center is not.
         g = Graph(range(3), [(0, 1), (0, 2)])
-        assert oracle_irs(g) == 2
-        assert oracle_irs(g.without_vertex(2)) == 1
+        assert scan_irs(g) == 2
+        assert scan_irs(g.without_vertices([2])) == 1
         assert rr_simplicial_twin(make(g, 2)) is None
 
     def test_true_twins_with_shared_leaf(self):
@@ -70,7 +75,7 @@ class TestSimplicialTwin:
         assert record is not None
         post = replay(make(g, 1), record)
         for k in range(3):
-            assert (oracle_irs(post.graph) >= k) == (oracle_irs(g) >= k)
+            assert oracle_yes(Problem.IRS, post.graph, k) == oracle_yes(Problem.IRS, g, k)
 
 
 def twin_records(*pairs):
@@ -175,7 +180,7 @@ class TestKernelizeIrs:
     def test_c4_below_threshold_reduced(self):
         out = kernelize_irs(make(cycle_graph(4), 2), 3)
         assert isinstance(out, Reduced)
-        assert oracle_irs(out.instance.graph) >= 2  # equivalent Yes survives
+        assert oracle_yes(Problem.IRS, out.instance.graph, 2)  # equivalent Yes survives
 
     def test_k0(self):
         out = kernelize_irs(make(path_graph(2), 0), 2)
@@ -194,21 +199,21 @@ class TestKernelizeIrs:
         g = random_graph(n, 0.5, seed)
         c = compute_closure(g).c
         inst = make(g, k)
-        expected = oracle_irs(g) >= k
+        expected = oracle_answer(inst)
         out = kernelize_irs(inst, c)
         if isinstance(out, Decided):
             assert out.answer == expected
             if out.witness is not None:
                 assert validate_witness(inst, out.witness)
         else:
-            assert (oracle_irs(out.instance.graph) >= out.instance.k) == expected
+            assert oracle_answer(out.instance) == expected
             _, _, total = irs_thresholds(c, k)
             assert out.instance.graph.n < total
             state = inst
             for record in out.trace:
                 state = replay(state, record)
                 assert is_c_closed(state.graph, c)
-                assert (oracle_irs(state.graph) >= state.k) == expected
+                assert oracle_answer(state) == expected
             assert state.graph == out.instance.graph
 
 
@@ -256,16 +261,16 @@ class TestExtraction:
         if isinstance(out, Decided) and out.witness is not None:
             assert validate_witness(inst, out.witness)
         if isinstance(out, Decided):
-            assert out.answer == (oracle_irs(g) >= k if g.n <= 16 else True)
+            assert out.answer == (oracle_yes(Problem.IRS, g, k) if g.n <= 16 else True)
 
 
 class TestPrivacySemantics:
     def test_closed_vs_open_on_cliques(self):
         k5 = complete_graph(5)
-        assert oracle_irs(k5) == 1
+        assert oracle_yes(Problem.IRS, k5, 1) and not oracle_yes(Problem.IRS, k5, 2)
         assert scan_irs(k5, open_privacy=True) == 2
 
     @given(st.integers(0, 10 ** 6), st.integers(0, 8))
     def test_open_at_least_closed(self, seed, n):
         g = random_graph(n, 0.5, seed)
-        assert scan_irs(g, open_privacy=True) >= oracle_irs(g)
+        assert not oracle_yes(Problem.IRS, g, scan_irs(g, open_privacy=True) + 1)

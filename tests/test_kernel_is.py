@@ -7,17 +7,22 @@ from cclose import (
     Instance,
     Problem,
     Reduced,
-    complete_graph,
     compute_closure,
     is_c_closed,
     kernelize_is,
-    oracle_is,
+    oracle_answer,
     replay_trace,
-    star_graph,
     validate_witness,
 )
 
-from helpers import random_graph, restart_kernelize_is
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    oracle_yes,
+    random_graph,
+    restart_kernelize_is,
+    star_graph,
+)
 
 
 def make(g, k, problem=Problem.IS):
@@ -28,8 +33,7 @@ def test_k5_strips_to_single_vertex():
     out = kernelize_is(make(complete_graph(5), 2), 1)
     assert isinstance(out, Reduced)
     assert out.instance.graph.n == 1
-    assert oracle_is(out.instance.graph) >= 2 or True  # equivalent answer is No
-    assert (oracle_is(complete_graph(5)) >= 2) == (oracle_is(out.instance.graph) >= 2)
+    assert oracle_answer(out.instance) == oracle_yes(Problem.IS, complete_graph(5), 2)
 
 
 def test_star_decides_yes_with_witness():
@@ -49,8 +53,6 @@ def test_wrong_problem_rejected():
 
 
 def test_not_c_closed_rejected():
-    from cclose import cycle_graph
-
     with pytest.raises(ValueError):
         kernelize_is(make(cycle_graph(4), 1), 2)
 
@@ -61,14 +63,14 @@ def test_equivalence_and_size_bound(seed, n, k):
     g = random_graph(n, 0.45, seed)
     c = compute_closure(g).c
     inst = make(g, k)
-    expected = oracle_is(g) >= k
+    expected = oracle_answer(inst)
     out = kernelize_is(inst, c)
     if isinstance(out, Decided):
         assert out.answer == expected
         if out.witness is not None:
             assert validate_witness(inst, out.witness)
     else:
-        assert (oracle_is(out.instance.graph) >= out.instance.k) == expected
+        assert oracle_answer(out.instance) == expected
         assert out.instance.graph.n <= c * k * k
         # every intermediate state stays c-closed and equivalent
         state = inst
@@ -77,7 +79,7 @@ def test_equivalence_and_size_bound(seed, n, k):
 
             state = replay(state, record)
             assert is_c_closed(state.graph, c)
-            assert (oracle_is(state.graph) >= state.k) == expected
+            assert oracle_answer(state) == expected
         assert replay_trace(inst, out.trace).graph == out.instance.graph
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,21 +7,28 @@ from cclose import (
     BipartitionError,
     Graph,
     bipartite_matching_with_cover,
-    complete_graph,
     crown_from_vclp,
-    cycle_graph,
     is_two_maximal,
     max_matching_general,
-    oracle_vc,
     path_graph,
-    star_graph,
     two_maximal_independent_set,
     vclp_half_integral,
 )
 from cclose.errors import ExtractionError
 from cclose.matching import _hopcroft_karp, _konig_cover, _kuhn
 
-from helpers import brute_max_matching, kuhn_vclp, random_graph, recursive_kuhn
+from helpers import (
+    brute_max_matching,
+    complete_graph,
+    cycle_graph,
+    kuhn_vclp,
+    lp_cost,
+    lp_value,
+    random_graph,
+    recursive_kuhn,
+    scan_is,
+    star_graph,
+)
 
 
 def random_bipartite(seed, n, p):
@@ -169,7 +174,7 @@ class TestBipartiteMatching:
         g = make(size)
         matching, cover = bipartite_matching_with_cover(g, bipartition_of(g))
         assert len(matching) == len(cover) == expected
-        assert vclp_half_integral(g).lp_cost == expected
+        assert lp_cost(vclp_half_integral(g)) == expected
 
 
 class TestGeneralMatching:
@@ -209,26 +214,26 @@ class TestGeneralMatching:
 class TestVclp:
     def test_single_edge(self):
         p = vclp_half_integral(Graph(range(2), [(0, 1)]))
-        assert p.v_half == {0, 1} and p.lp_cost == 1
+        assert p.v_half == {0, 1} and lp_cost(p) == 1
 
     def test_star(self):
         p = vclp_half_integral(star_graph(3))
-        assert p.v1 == {0} and p.v0 == {1, 2, 3} and p.lp_cost == 1
+        assert p.v1 == {0} and p.v0 == {1, 2, 3} and lp_cost(p) == 1
 
     def test_empty(self):
         p = vclp_half_integral(Graph(range(3)))
-        assert p.v0 == {0, 1, 2} and p.lp_cost == 0
+        assert p.v0 == {0, 1, 2} and lp_cost(p) == 0
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 9))
     def test_feasible_and_at_most_vc(self, seed, n):
         g = random_graph(n, 0.5, seed)
         p = vclp_half_integral(g)
         for u, v in g.edges():
-            assert p.value_of(u) + p.value_of(v) >= 1
-        vc = oracle_vc(g)
-        assert p.lp_cost <= vc
+            assert lp_value(p, u) + lp_value(p, v) >= 1
+        vc = g.n - scan_is(g)  # Gallai: a cover is the complement of an independent set
+        assert lp_cost(p) <= vc
         mm = len(max_matching_general(g))
-        assert vc + mm >= 2 * p.lp_cost
+        assert vc + mm >= 2 * lp_cost(p)
 
     @given(
         st.integers(0, 2 ** 31),
@@ -274,7 +279,7 @@ class TestVclp:
                     taken.add(pairs[u])
         warm = vclp_half_integral(g, pairs)
         assert warm == cold == kuhn_vclp(g)
-        assert len(warm.matching) == len(cold.matching) == 2 * cold.lp_cost
+        assert len(warm.matching) == len(cold.matching) == 2 * lp_cost(cold)
         for u, w in warm.matching.items():
             assert g.has_edge(u, w)
         assert len(set(warm.matching.values())) == len(warm.matching)
@@ -283,33 +288,37 @@ class TestVclp:
     def test_cost_is_half_integral(self, seed, n):
         g = random_graph(n, 0.5, seed)
         p = vclp_half_integral(g)
-        assert (2 * p.lp_cost).denominator == 1
-        assert p.lp_cost == Fraction(2 * len(p.v1) + len(p.v_half), 2)
+        assert (2 * lp_cost(p)).denominator == 1
+        assert 2 * lp_cost(p) == len(p.matching)  # König: the cover is as large as the matching
 
 
 class TestCrown:
     def test_star(self):
         g = star_graph(3)
-        crown = crown_from_vclp(g, vclp_half_integral(g))
+        p = vclp_half_integral(g)
+        crown = crown_from_vclp(g, p)
         assert crown.independent == {1, 2, 3}
-        assert crown.head == {0}
+        assert p.v1 == {0}
         assert len(crown.saturating_matching) == 1
 
     def test_two_disjoint_stars(self):
         g = Graph(range(6), [(0, 1), (0, 2), (3, 4), (3, 5)])
-        crown = crown_from_vclp(g, vclp_half_integral(g))
-        assert crown.head == {0, 3}
+        p = vclp_half_integral(g)
+        crown = crown_from_vclp(g, p)
+        assert p.v1 == {0, 3}
         assert len(crown.saturating_matching) == 2
 
     def test_degenerate_empty_v0(self):
         g = Graph(range(2), [(0, 1)])  # both endpoints end up half
         crown = crown_from_vclp(g, vclp_half_integral(g))
-        assert crown.independent == frozenset() and crown.head == frozenset()
+        assert crown.independent == frozenset() and not crown.saturating_matching
 
     def test_isolated_vertices_degenerate_head(self):
         g = Graph(range(3))
-        crown = crown_from_vclp(g, vclp_half_integral(g))
-        assert crown.independent == {0, 1, 2} and crown.head == frozenset()
+        p = vclp_half_integral(g)
+        crown = crown_from_vclp(g, p)
+        assert crown.independent == {0, 1, 2} and p.v1 == frozenset()
+        assert not crown.saturating_matching
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 9))
     def test_crown_properties_random(self, seed, n):
@@ -322,8 +331,8 @@ class TestCrown:
         neighborhood = set()
         for v in crown.independent:
             neighborhood |= g.neighbors(v)
-        assert neighborhood == set(crown.head)
-        assert crown.saturating_matching.saturates(crown.head)
+        assert neighborhood == p.v1
+        assert crown.saturating_matching.saturates(p.v1)
         for u, v in crown.saturating_matching.edges:
             assert g.has_edge(u, v)
             assert (u in crown.independent) != (v in crown.independent)

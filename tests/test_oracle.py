@@ -11,42 +11,54 @@ from cclose import (
     Problem,
     ResourceLimitError,
     Witness,
-    complete_graph,
-    cycle_graph,
     is_induced_matching,
     is_irredundant,
     oracle_answer,
     oracle_ds,
-    oracle_im,
-    oracle_irs,
-    oracle_is,
     oracle_tds,
-    oracle_vc,
     path_graph,
-    star_graph,
     validate_witness,
 )
 from cclose.errors import ExtractionError, PreconditionError
-from cclose.oracle import DEFAULT_LIMIT, certified_witness, r_dominates_blacks
+from cclose.oracle import LIMIT, certified_witness, r_dominates_blacks
 
-from helpers import atlas_graphs, random_graph, scan_im, scan_irs, scan_is, scan_tds, scan_vc
+from helpers import (
+    atlas_graphs,
+    complete_graph,
+    cycle_graph,
+    random_graph,
+    scan_im,
+    scan_irs,
+    scan_is,
+    scan_tds,
+    star_graph,
+)
+
+
+def optimum(problem: Problem, g: Graph) -> int:
+    """The largest k at which ``oracle_answer`` says yes for an IS, IM or
+    IRS instance on ``g``."""
+    k = 0
+    while oracle_answer(Instance(problem=problem, graph=g, k=k + 1)):
+        k += 1
+    return k
 
 
 def test_hand_values():
     c5 = cycle_graph(5)
-    assert oracle_is(c5) == 2
+    assert optimum(Problem.IS, c5) == 2
     assert oracle_ds(c5) == 2
-    assert oracle_im(c5) == 1
+    assert optimum(Problem.IM, c5) == 1
     assert oracle_tds(complete_graph(3), r=2) == 2
-    assert oracle_irs(complete_graph(7)) == 1
-    assert oracle_irs(Graph(range(6))) == 6
+    assert optimum(Problem.IRS, complete_graph(7)) == 1
+    assert optimum(Problem.IRS, Graph(range(6))) == 6
 
 
 def test_more_hand_values():
-    assert oracle_is(path_graph(4)) == 2
+    assert optimum(Problem.IS, path_graph(4)) == 2
     assert oracle_ds(path_graph(4)) == 2
-    assert oracle_im(path_graph(5)) == 2
-    assert oracle_im(path_graph(4)) == 1
+    assert optimum(Problem.IM, path_graph(5)) == 2
+    assert optimum(Problem.IM, path_graph(4)) == 1
     assert oracle_ds(star_graph(5)) == 1
     assert oracle_ds(cycle_graph(6)) == 2
 
@@ -65,34 +77,42 @@ def test_tds_black_only_demand():
 
 def test_empty_graph():
     empty = Graph()
-    assert oracle_is(empty) == 0
+    assert optimum(Problem.IS, empty) == 0
     assert oracle_ds(empty) == 0
-    assert oracle_im(empty) == 0
-    assert oracle_irs(empty) == 0
+    assert optimum(Problem.IM, empty) == 0
+    assert optimum(Problem.IRS, empty) == 0
 
 
 def test_open_privacy_variant():
     # under open privacy, an adjacent pair certifies each other in a clique
     k4 = complete_graph(4)
     assert scan_irs(k4, open_privacy=True) == 2
-    assert oracle_irs(k4) == 1
+    assert optimum(Problem.IRS, k4) == 1
 
 
 def test_resource_limit():
-    big = Graph(range(17))
-    with pytest.raises(ResourceLimitError):
-        oracle_is(big)
-    assert oracle_is(big, limit=18) == 17
-    with pytest.raises(ResourceLimitError):
-        oracle_vc(big)
-    with pytest.raises(ResourceLimitError):
-        oracle_is(Graph(range(23)), limit=30)  # hard cap
-
-
-@given(st.integers(0, 2 ** 31), st.integers(0, 9))
-def test_gallai_identity(seed, n):
-    g = random_graph(n, 0.5, seed)
-    assert oracle_is(g) + oracle_vc(g) == g.n
+    # One limit for every oracle: a path on LIMIT = 16 vertices is answered,
+    # and one on 17 is refused.
+    assert LIMIT == 16
+    for n in (LIMIT, LIMIT + 1):
+        g = path_graph(n)
+        black_odd = Coloring(frozenset(range(0, n, 2)))
+        instances = [
+            Instance(problem=Problem.IS, graph=g, k=8),
+            Instance(problem=Problem.IM, graph=g, k=6),
+            Instance(problem=Problem.IRS, graph=g, k=8),
+            Instance(problem=Problem.DS, graph=g, k=6),
+            Instance(problem=Problem.TDS, graph=g, k=11, r=2),
+            Instance(problem=Problem.BW_TDS, graph=g, k=8, r=1, coloring=black_odd),
+        ]
+        calls = [lambda: oracle_ds(g), lambda: oracle_tds(g, black_odd, 2)]
+        calls += [lambda inst=inst: oracle_answer(inst) for inst in instances]
+        for call in calls:
+            if n > LIMIT:
+                with pytest.raises(ResourceLimitError, match="oracle limit is 16 vertices, got 17"):
+                    call()
+            else:
+                assert call() is not None
 
 
 @given(st.integers(0, 2 ** 31), st.integers(0, 9))
@@ -105,13 +125,13 @@ def test_ds_equals_tds_r1_all_black(seed, n):
 def test_irs_at_least_is(seed, n):
     # independent sets are irredundant, so IR >= alpha
     g = random_graph(n, 0.5, seed)
-    assert oracle_irs(g) >= oracle_is(g)
+    alpha = optimum(Problem.IS, g)
+    assert oracle_answer(Instance(problem=Problem.IRS, graph=g, k=alpha))
 
 
 # -- the ordered-extension search against the subset-scan references ---------
 
 SCANS = {Problem.IS: scan_is, Problem.IM: scan_im, Problem.IRS: scan_irs}
-VALUES = {Problem.IS: oracle_is, Problem.IM: oracle_im, Problem.IRS: oracle_irs}
 
 
 def sparse_id_graph(seed: int, n: int, p: float) -> Graph:
@@ -123,10 +143,9 @@ def sparse_id_graph(seed: int, n: int, p: float) -> Graph:
 
 
 def assert_matches_scan(problem: Problem, g: Graph) -> None:
-    """The value equals the scan's, and ``oracle_answer`` says yes exactly for
-    the budgets up to it, for every k from 0 to n + 1."""
+    """``oracle_answer`` says yes exactly for the budgets up to the scan's
+    value, for every k from 0 to n + 1."""
     best = SCANS[problem](g)
-    assert VALUES[problem](g) == best
     answers = [oracle_answer(Instance(problem=problem, graph=g, k=k)) for k in range(g.n + 2)]
     assert answers == [best >= k for k in range(g.n + 2)]
 
@@ -144,13 +163,6 @@ def test_search_matches_scan_on_atlas():
     for g in atlas_graphs():
         for problem in SCANS:
             assert_matches_scan(problem, g)
-        assert oracle_vc(g) == scan_vc(g)
-
-
-@given(*graph_params)
-def test_vc_from_the_search_matches_scan(seed, n, p):
-    g = sparse_id_graph(seed, n, p)
-    assert oracle_vc(g) == scan_vc(g)
 
 
 @pytest.mark.parametrize("problem", [Problem.DS, Problem.TDS, Problem.BW_TDS])
@@ -229,12 +241,10 @@ def test_tds_rejects_r_below_one(r):
 def test_size_limit_comes_before_any_answer(problem):
     # verify counts ResourceLimitError as "too large to cross-check", so the
     # limit must hold for every budget, k = 0 included
-    g = sparse_id_graph(7, DEFAULT_LIMIT + 1, 0.3)
+    g = sparse_id_graph(7, LIMIT + 1, 0.3)
     for k in range(g.n + 2):
         with pytest.raises(ResourceLimitError):
             oracle_answer(Instance(problem=problem, graph=g, k=k))
-    with pytest.raises(ResourceLimitError):
-        VALUES[problem](g)
 
 
 class TestPredicates:

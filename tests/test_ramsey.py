@@ -9,11 +9,11 @@ from cclose import (
     IndependentSet,
     Matching,
     PreconditionError,
+    Problem,
     ceil_sqrt,
     clique_or_im,
     clique_or_im_saturating,
     clique_or_independent_set,
-    cycle_graph,
     dense_bipartite_threshold,
     disjoint_cliques,
     im_bipartite_from_matching,
@@ -23,14 +23,19 @@ from cclose import (
     is_induced_matching,
     matching_threshold,
     max_matching_general,
-    oracle_im,
     ramsey_threshold,
     saturated_threshold,
     unrestricted_threshold,
 )
 from cclose import ramsey
 
-from helpers import random_c_closed_bipartite, random_c_closed_graph
+from helpers import (
+    cycle_graph,
+    oracle_yes,
+    random_c_closed_bipartite,
+    random_c_closed_graph,
+    star_graph,
+)
 
 import random
 
@@ -158,7 +163,7 @@ class TestBoundedDegreePeeling:
         for _ in range(extra):  # add noise but keep max degree low
             u, v = rng.randrange(2 * pairs), rng.randrange(2 * pairs)
             if u != v and not g.has_edge(u, v) and g.degree(u) < 3 and g.degree(v) < 3:
-                g = g.with_edge(u, v)
+                g = g.with_edges([(u, v)])
         m = Matching.of(base)
         if len(m) >= 2 * g.max_degree() * b:
             out = im_from_bounded_degree(g, m, b)
@@ -167,8 +172,6 @@ class TestBoundedDegreePeeling:
 
 class TestHighDegree:
     def test_single_high_degree_vertex(self):
-        from cclose import star_graph
-
         g = star_graph(4)
         out = im_from_high_degree(g, Bipartition(frozenset({0})), 2, 1)
         assert len(out) == 1
@@ -186,7 +189,7 @@ class TestHighDegree:
         parts = Bipartition(frozenset({0, 1}))
         out = im_from_high_degree(g, parts, 2, 2)
         assert len(out) == 2 and is_induced_matching(g, out.edges)
-        assert oracle_im(g) >= 2
+        assert oracle_yes(Problem.IM, g, 2)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 2))
@@ -230,7 +233,7 @@ class TestBipartiteFromMatching:
         out = im_bipartite_from_matching(g, parts, c, Matching.of(base), b)
         assert len(out) == b and is_induced_matching(g, out.edges)
         if g.n <= 16:
-            assert oracle_im(g) >= b
+            assert oracle_yes(Problem.IM, g, b)
 
 
 class TestSaturatingChain:
@@ -360,4 +363,4 @@ class TestDenseBipartite:
             out = im_dense_bipartite(g, parts, b)
             assert len(out) == b and is_induced_matching(g, out.edges)
             if g.n <= 16:
-                assert oracle_im(g) >= b
+                assert oracle_yes(Problem.IM, g, b)

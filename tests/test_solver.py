@@ -6,19 +6,16 @@ from cclose import (
     Graph,
     Instance,
     Problem,
-    complete_graph,
     compute_closure,
-    cycle_graph,
     oracle_ds,
     oracle_tds,
     path_graph,
     solve_ds,
     solve_tds,
-    star_graph,
     validate_witness,
 )
 
-from helpers import random_graph
+from helpers import complete_graph, cycle_graph, random_graph, star_graph
 
 
 def test_star_yes_with_center():
