@@ -70,11 +70,13 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     Ordered neighbourhood extension (Chiba & Nishizeki; kClist): a partial
     clique carries its common neighbours with larger ids, in ascending order,
     and grows by each of them in turn, so the output comes out sorted without
-    a sort. A branch stops once too few candidates remain to reach ``size``.
-    The search runs on an explicit stack of (clique, candidates, next index)
-    frames, depth first, so a clique of any size costs memory, not recursion
-    depth. Every clique is certified with ``Graph.is_clique`` before it is
-    listed.
+    a sort. A branch from vertex v starts from v's larger neighbours, sorted,
+    so the first level costs deg(v), not a scan of every later vertex; a
+    branch stops once too few candidates remain to reach ``size``. The search
+    runs on an explicit stack of (clique, candidates, next index) frames,
+    depth first, so a clique of any size costs memory, not recursion depth.
+    The whole graph is listed, and every clique is certified with
+    ``Graph.is_clique`` before it is listed.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -95,5 +97,9 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
             v = candidates[i]
             nbrs = adj[v]
             stack.append((clique, candidates, i + 1))
-            stack.append((clique + (v,), [w for w in candidates[i + 1:] if w in nbrs], 0))
+            if clique:
+                larger = [w for w in candidates[i + 1:] if w in nbrs]
+            else:
+                larger = sorted(w for w in nbrs if w > v)
+            stack.append((clique + (v,), larger, 0))
     return out

@@ -117,7 +117,7 @@ def is_c_closed(g: Graph, c: int) -> bool:
 
 
 def _top_free_pair(
-    counts: Counter, adj: dict[int, set[int]]
+    counts: Counter, adj: dict[int, frozenset[int]]
 ) -> tuple[int, tuple[int, int] | None]:
     """The highest count among the nonadjacent pairs in ``counts`` with the
     smallest pair that has it, or (0, None) if there is none.
@@ -134,7 +134,7 @@ def _top_free_pair(
     return (0, None) if rest is None else (rest[0], (-rest[1], -rest[2]))
 
 
-def _head_tallies(adj: dict[int, set[int]], u: int) -> Iterator[Counter]:
+def _head_tallies(adj: dict[int, frozenset[int]], u: int) -> Iterator[Counter]:
     """The common-neighbour counts of u with the vertices at distance at
     most two, keyed by vertex, in Counters of at most ``TALLY_BATCH`` keys.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable
 
 
@@ -14,6 +15,14 @@ class Graph:
     after construction: every mutating operation returns a new graph, so
     values can be shared freely between threads.
 
+    Each neighbourhood is a frozenset, frozen once when the graph is built
+    from vertex and edge lists or from a parser's sets. ``neighbors`` hands
+    out that row itself, and a derived graph (``with_vertex``,
+    ``with_vertices``, ``with_edges``, ``without_vertices``) copies only the
+    dict of rows: it rebuilds the rows it changes and shares every other row
+    with the graph it came from (structural sharing, as in the persistent
+    data structures of Driscoll, Sarnak, Sleator & Tarjan, 1989).
+
     Because the adjacency is fixed, a graph also memoizes its closure report
     (``_closure``): ``closure.compute_closure`` fills it and
     ``closure.is_c_closed`` answers from it. Every graph starts without one,
@@ -24,24 +33,26 @@ class Graph:
     __slots__ = ("_adj", "_closure")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        adj: dict[int, set[int]] = {}
-        for v in vertices:
-            adj.setdefault(v, set())
-        _add_edges(adj, edges)
-        self._adj = adj
+        adj = {v: set() for v in vertices}
+        _add_edges(adj, adj, edges)
+        self._adj = _freeze_rows(adj)
         self._closure = None
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def _from_adj(cls, adj: dict[int, set[int]]) -> "Graph":
+    def _from_adj(cls, adj: dict[int, frozenset[int]]) -> "Graph":
+        """A graph on ``adj`` as it is: its rows are frozensets, shared."""
         g = cls.__new__(cls)
         g._adj = adj
         g._closure = None
         return g
 
-    def _copy_adj(self) -> dict[int, set[int]]:
-        return {v: set(nbrs) for v, nbrs in self._adj.items()}
+    @classmethod
+    def _from_sets(cls, adj: dict[int, set[int]]) -> "Graph":
+        """A graph on a parser's adjacency of sets, frozen row by row in
+        place, so that no second copy of the adjacency is ever held."""
+        return cls._from_adj(_freeze_rows(adj))
 
     # -- basic queries -------------------------------------------------------
 
@@ -64,9 +75,11 @@ class Graph:
         return u in self._adj and v in self._adj[u]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self._adj:
-            raise ValueError(f"unknown vertex {v}")
-        return frozenset(self._adj[v])
+        """The row of ``v`` itself, not a copy."""
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise ValueError(f"unknown vertex {v}") from None
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.neighbors(v) | {v}
@@ -95,14 +108,18 @@ class Graph:
     # -- predicates ----------------------------------------------------------
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
+        """Whether ``vertices`` are distinct vertices of the graph, pairwise
+        adjacent; each member's row is checked against the later members in
+        one ``issuperset`` call."""
+        vs = tuple(vertices)
+        later = set(vs)
+        if len(later) < len(vs):
+            return False
         for v in vs:
-            if v not in self._adj:
+            later.remove(v)
+            row = self._adj.get(v)
+            if row is None or not row.issuperset(later):
                 return False
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                if v not in self._adj[u]:
-                    return False
         return True
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
@@ -119,31 +136,31 @@ class Graph:
     # -- value-style mutations -----------------------------------------------
 
     def with_vertex(self, v: int) -> "Graph":
-        if v in self._adj:
-            raise ValueError(f"vertex {v} already present")
-        adj = self._copy_adj()
-        adj[v] = set()
-        return Graph._from_adj(adj)
+        return self.with_vertices((v,))
 
     def with_vertices(self, vs: Iterable[int]) -> "Graph":
-        adj = self._copy_adj()
+        adj = dict(self._adj)
         for v in vs:
             if v in adj:
                 raise ValueError(f"vertex {v} already present")
-            adj[v] = set()
+            adj[v] = frozenset()
         return Graph._from_adj(adj)
 
     def with_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        adj = self._copy_adj()
-        _add_edges(adj, pairs)
+        adj = dict(self._adj)
+        gained: defaultdict[int, set[int]] = defaultdict(set)
+        _add_edges(gained, adj, pairs)
+        adj.update((v, adj[v] | nbrs) for v, nbrs in gained.items())
         return Graph._from_adj(adj)
 
     def without_vertices(self, vs: Iterable[int]) -> "Graph":
         drop = set(vs)
+        adj = dict(self._adj)
         for v in drop:
-            if v not in self._adj:
+            if v not in adj:
                 raise ValueError(f"unknown vertex {v}")
-        adj = {v: nbrs - drop for v, nbrs in self._adj.items() if v not in drop}
+        for v in set().union(*map(adj.pop, drop)) - drop:
+            adj[v] = adj[v] - drop
         return Graph._from_adj(adj)
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
@@ -221,15 +238,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _add_edges(adj: dict[int, set[int]], pairs: Iterable[tuple[int, int]]) -> None:
-    """Add each pair to ``adj`` as an edge between two of its vertices."""
+def _add_edges(rows: dict[int, set[int]], adj: dict, pairs: Iterable[tuple[int, int]]) -> None:
+    """Add each pair to ``rows`` as an edge between two vertices of ``adj``."""
     for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if u not in adj or v not in adj:
             raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        adj[u].add(v)
-        adj[v].add(u)
+        rows[u].add(v)
+        rows[v].add(u)
+
+
+def _freeze_rows(adj: dict[int, set[int]]) -> dict[int, frozenset[int]]:
+    """``adj`` with each row replaced, in place, by a frozenset of it."""
+    for v, nbrs in adj.items():
+        adj[v] = frozenset(nbrs)
+    return adj
 
 
 def path_graph(n: int) -> Graph:

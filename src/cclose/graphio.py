@@ -111,7 +111,7 @@ def _parse_canonical(text: str) -> tuple[Graph, Coloring | None, Bipartition | N
         return None
     coloring = Coloring(white) if whites else None
     bipartition = Bipartition(frozenset(left)) if sided else None
-    return Graph._from_adj(adj), coloring, bipartition
+    return Graph._from_sets(adj), coloring, bipartition
 
 
 def _block_start(text: str, tag: str, start: int, end: int) -> int:
@@ -191,7 +191,7 @@ def _parse_lines(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]
 
     if n is None:
         raise ParseError("missing p record", None)
-    g = Graph._from_adj(adj)
+    g = Graph._from_sets(adj)
 
     coloring = None
     if colors:
@@ -248,7 +248,7 @@ def normalize_ids(g: Graph) -> tuple[Graph, dict[int, int]]:
     """
     mapping = {v: i for i, v in enumerate(g.vertex_ids)}
     adj = g._adj
-    relabeled = Graph._from_adj({i: {mapping[w] for w in adj[v]} for v, i in mapping.items()})
+    relabeled = Graph._from_sets({i: {mapping[w] for w in adj[v]} for v, i in mapping.items()})
     return relabeled, mapping
 
 

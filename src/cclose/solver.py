@@ -96,14 +96,13 @@ def _branch(
         return set(partial)
     if budget == 0:
         return None
-    independent = two_maximal_independent_set(g.induced(unsatisfied))
-    assert is_two_maximal(g.induced(unsatisfied), independent)
+    demanding = g.induced(unsatisfied)
+    independent = two_maximal_independent_set(demanding)
+    assert is_two_maximal(demanding, independent)
 
     if len(independent) >= budget + 1:
-        chosen = sorted(independent)[: budget + 1]
-        pool = [
-            v for v in g.vertex_ids if len(g.neighbors(v) & set(chosen)) >= 2
-        ]
+        chosen = set(sorted(independent)[: budget + 1])
+        pool = [v for v in g.vertex_ids if len(g.neighbors(v) & chosen) >= 2]
         if len(pool) > (c - 1) * comb(budget + 1, 2):
             raise ExtractionError(
                 "branching width exceeds the (c-1)*C(k'+1,2) bound"

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -137,3 +138,17 @@ def test_bound_examples():
 @given(st.integers(0, 2 ** 31))
 def test_bound_on_random_graphs(seed):
     assert clique_count_bound_holds(random_graph(12, 0.5, seed))
+
+
+@given(
+    st.integers(0, 2 ** 31),
+    st.integers(0, 10),
+    st.sampled_from([0.2, 0.5, 0.8, 1.0]),
+)
+def test_cliques_of_size_agrees_with_the_subset_scan_on_scattered_ids(seed, n, p):
+    rng = random.Random(seed)
+    ids = rng.sample(range(3 * n + 1), n)
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+    for size in range(n + 2):
+        expected = [combo for combo in combinations(sorted(ids), size) if g.is_clique(combo)]
+        assert cliques_of_size(g, size) == expected

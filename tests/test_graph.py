@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cclose import Graph, path_graph
+from cclose import Graph, graphio, path_graph
 
 from helpers import complete_graph, cycle_graph, random_graph, star_graph, validate_graph
 
@@ -139,3 +139,64 @@ def test_between_rejects_unknown_vertices_and_overlapping_sides():
         g.between({0}, {9})
     with pytest.raises(ValueError, match="overlap"):
         g.between({0, 1}, {1, 2})
+
+
+def test_neighbors_returns_the_stored_row_itself():
+    g = path_graph(4)
+    row = g.neighbors(1)
+    assert isinstance(row, frozenset) and row == {0, 2}
+    assert g.neighbors(1) is row
+    assert g.closed_neighborhood(1) == {0, 1, 2} and g.neighbors(1) == {0, 2}
+    with pytest.raises(ValueError, match="unknown vertex 9"):
+        g.neighbors(9)
+
+
+def test_every_constructor_freezes_its_rows():
+    built = [
+        Graph(range(4), [(0, 1), (1, 2)]),
+        graphio.parse_graph("p 3\ne 0 1\ne 1 2\n")[0],
+        graphio.parse_graph("p 3\ne 1 0\n# not canonical\ne 2 1\n")[0],
+        graphio.normalize_ids(Graph([5, 9], [(5, 9)]))[0],
+    ]
+    for g in built:
+        assert all(type(row) is frozenset for row in g._adj.values())
+
+
+def test_derived_graphs_share_untouched_rows():
+    g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (4, 5)])
+    derived = {
+        "with_vertices": (g.with_vertices([6, 7]), set()),
+        "with_edges": (g.with_edges([(0, 2), (3, 0)]), {0, 2, 3}),
+        "without_vertices": (g.without_vertices([1]), {0, 2}),
+    }
+    for name, (h, touched) in derived.items():
+        for v in h.vertex_ids:
+            assert type(h.neighbors(v)) is frozenset
+            if g.has_vertex(v):
+                shared = h.neighbors(v) is g.neighbors(v)
+                assert shared == (v not in touched), (name, v)
+        validate_graph(h)
+    assert g == Graph(range(6), [(0, 1), (1, 2), (2, 3), (4, 5)])
+    assert derived["with_edges"][0].neighbors(0) == {1, 2, 3}
+    assert derived["without_vertices"][0].neighbors(2) == {3}
+    assert g.with_vertex(9).neighbors(9) == frozenset()
+
+
+def test_is_clique_edge_cases():
+    g = Graph([2, 5, 7, 11], [(2, 5), (2, 7), (5, 7), (7, 11)])
+    assert g.is_clique([]) and g.is_clique(iter(()))
+    assert g.is_clique([7]) and g.is_clique(iter([7, 2, 5]))
+    assert not g.is_clique([4])
+    assert not g.is_clique([2, 5, 4]) and not g.is_clique([4, 2, 5])
+    assert not g.is_clique([2, 2]) and not g.is_clique([7, 11, 7])
+    assert not g.is_clique([2, 5, 11])
+
+
+@given(graphs(max_n=7), st.lists(st.integers(0, 8), max_size=5))
+def test_is_clique_agrees_with_the_pairwise_definition(g, vs):
+    expected = (
+        len(set(vs)) == len(vs)
+        and all(g.has_vertex(v) for v in vs)
+        and all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+    )
+    assert g.is_clique(vs) == expected
