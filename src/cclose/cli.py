@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("-r", type=_int_at_least(1), default=1)
     p_kern.add_argument("--bipartite", action="store_true")
     p_kern.add_argument("--mode", choices=list(BIPARTITE_MODES), default="delta")
-    p_kern.add_argument("--require-witness", action="store_true")
     p_kern.add_argument("--emit-trace")
     p_kern.add_argument("infile")
     p_kern.add_argument("outfile")
@@ -251,7 +250,7 @@ def _run_kernelize(args: argparse.Namespace) -> int:
         coloring=(coloring or Coloring()) if colored else None,
         bipartition=parts,
     )
-    outcome = kernelize(inst, c, args.mode, args.require_witness)
+    outcome = kernelize(inst, c, args.mode)
 
     if args.emit_trace is not None:
         trace = outcome.trace if isinstance(outcome, Reduced) else ()

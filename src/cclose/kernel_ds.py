@@ -432,9 +432,7 @@ def lift_witness(d_prime: Witness, original: Instance, record: RuleRecord) -> Wi
             solution.add(outside[0])
     if not set(clique[:-1]) <= solution:
         raise ExtractionError("gadget clique not forced into the solution")
-    return certified_witness(
-        original, True, lambda: Witness.vertex_set(solution - set(clique), Problem.BW_TDS)
-    )
+    return certified_witness(original, Witness.vertex_set(solution - set(clique), Problem.BW_TDS))
 
 
 def all_black_twin(inst: Instance) -> Instance:
@@ -484,10 +482,7 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     black = inst.black_vertices()
     if not black:
         forced = [record.vertices_removed[0] for record in trace]
-        return Decided(
-            True,
-            certified_witness(original, True, lambda: Witness.vertex_set(forced, Problem.BW_TDS)),
-        )
+        return Decided(True, certified_witness(original, Witness.vertex_set(forced, Problem.BW_TDS)))
     if inst.k == 0:
         return Decided(False)
     # Strictly more than c*k^2 blacks: k vertices, each covering at most

@@ -11,7 +11,6 @@ solution, which makes refreshing safe.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import partial
 from math import comb
 
 from .closure import is_c_closed
@@ -65,34 +64,26 @@ def rr_neighborhood_matching(inst: Instance, c: int) -> RuleRecord | None:
     return None
 
 
-def rr_lp_thresholds(
-    inst: Instance,
-    c: int,
-    p: VclpPartition,
-    require_witness: bool = False,
-) -> Decided | None:
+def rr_lp_thresholds(inst: Instance, c: int, p: VclpPartition) -> Decided | None:
     """RR11/RR12: a huge half class or one class certifies a Yes.
 
-    The thresholds are astronomically large for c, k >= 2. Witness
-    extraction runs opportunistically and is mandatory under
-    ``require_witness``.
+    The thresholds are astronomically large for c, k >= 2. The extracted
+    witness is validated.
     """
     g, k = inst.graph, inst.k
     a = 4 * c * k + 1
     half_bound, one_bound = _lp_bounds(c, k)
     if len(p.v_half) >= half_bound:
-        def extract() -> Witness:
-            m = max_matching_general(g.induced(p.v_half))
-            return _im_witness(clique_or_im(g, c, m, a, k))
+        m = max_matching_general(g.induced(p.v_half))
+        witness = _im_witness(clique_or_im(g, c, m, a, k))
     elif len(p.v1) >= one_bound:
-        def extract() -> Witness:
-            crown = crown_from_vclp(g, p)
-            m = crown.saturating_matching
-            independent = frozenset(crown.independent & m.vertices)
-            return _im_witness(clique_or_im_saturating(g, c, independent, m, a, k))
+        crown = crown_from_vclp(g, p)
+        m = crown.saturating_matching
+        independent = frozenset(crown.independent & m.vertices)
+        witness = _im_witness(clique_or_im_saturating(g, c, independent, m, a, k))
     else:
         return None
-    return Decided(True, certified_witness(inst, require_witness, extract))
+    return Decided(True, certified_witness(inst, witness))
 
 
 def _lp_bounds(c: int, k: int) -> tuple[int, int]:
@@ -118,8 +109,7 @@ def lift_im_witness(
     original: Instance,
     witness: Witness,
     trace: list[RuleRecord],
-    require: bool,
-) -> Witness | None:
+) -> Witness:
     """Map a matching found mid-pipeline back to the input graph.
 
     Vertex removals lift for free (inducedness only concerns the matched
@@ -138,7 +128,7 @@ def lift_im_witness(
         if leaf_edge in edges:
             edges.remove(leaf_edge)
             edges.add((min(shadowed, anchor), max(shadowed, anchor)))
-    return certified_witness(original, require, lambda: Witness.edge_set(edges, Problem.IM))
+    return certified_witness(original, Witness.edge_set(edges, Problem.IM))
 
 
 def rr_leaf_rules(inst: Instance, c: int, p: VclpPartition) -> RuleRecord | None:
@@ -182,7 +172,7 @@ def rr_leaf_rules(inst: Instance, c: int, p: VclpPartition) -> RuleRecord | None
     return None
 
 
-def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> KernelOutcome:
+def kernelize_im(inst: Instance, c: int) -> KernelOutcome:
     """The full pipeline: RR10, then the LP rules on a fresh LP solve, to a
     fixpoint. 1-closed graphs are decided outright by counting non-trivial
     clique components.
@@ -209,26 +199,21 @@ def kernelize_im(inst: Instance, c: int, require_witness: bool = False) -> Kerne
         nonlocal matching
         p = vclp_half_integral(i.graph, matching)
         matching = p.matching
-        return _lp_stage(i, c, p, require_witness)
+        return _lp_stage(i, c, p)
 
     rules = [lambda i: rr_neighborhood_matching(i, c), lp_stage]
     inst, trace, decided = exhaust(inst, rules)
     if decided is not None:
-        witness = decided.witness
-        if witness is not None:
-            witness = lift_im_witness(original, witness, trace, require_witness)
-        return Decided(decided.answer, witness)
+        return Decided(True, lift_im_witness(original, decided.witness, trace))
     reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k)
     return Reduced(reduced, tuple(trace))
 
 
-def _lp_stage(
-    inst: Instance, c: int, p: VclpPartition, require_witness: bool
-) -> Decided | RuleRecord | None:
+def _lp_stage(inst: Instance, c: int, p: VclpPartition) -> Decided | RuleRecord | None:
     """The round's LP solve ``p`` feeds RR11/RR12, then the leaf rules, then
     the removal of isolated vertices. When none fires, the instance is
     reduced and the same solve checks the partition bounds."""
-    decided = rr_lp_thresholds(inst, c, p, require_witness)
+    decided = rr_lp_thresholds(inst, c, p)
     if decided is not None:
         return decided
     record = rr_leaf_rules(inst, c, p)
@@ -278,7 +263,6 @@ def kernelize_im_bipartite(
     parts: Bipartition,
     mode: str = "delta",
     c: int | None = None,
-    require_witness: bool = False,
 ) -> KernelOutcome:
     """Size-threshold kernels for bipartite graphs.
 
@@ -299,7 +283,7 @@ def kernelize_im_bipartite(
         live = [v for v in g.vertex_ids if g.degree(v) > 0]
         if delta == 0 or len(live) < dense_bipartite_threshold(delta, k):
             return _reduced_drop_isolated(inst, parts)
-        extract = partial(im_dense_bipartite, g, parts, k)
+        matching = im_dense_bipartite(g, parts, k)
     elif mode == "closure":
         if c is None:
             raise ValueError("closure mode needs c")
@@ -307,16 +291,16 @@ def kernelize_im_bipartite(
             raise ValueError("graph is not c-closed")
         high = frozenset(v for v in g.vertex_ids if g.degree(v) >= c * k)
         if len(high) >= 2 * k:
-            extract = partial(im_from_high_degree, g, parts, c, k)
+            matching = im_from_high_degree(g, parts, c, k)
         else:
             rest = g.without_vertices(high)
             live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
             if rest.max_degree() == 0 or len(live) < dense_bipartite_threshold(c * k, k):
                 return _reduced_drop_isolated(inst, parts)
-            extract = partial(im_dense_bipartite, rest, Bipartition(parts.left_of(rest)), k)
+            matching = im_dense_bipartite(rest, Bipartition(parts.left_of(rest)), k)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
-    return Decided(True, certified_witness(inst, require_witness, lambda: _im_witness(extract())))
+    return Decided(True, certified_witness(inst, _im_witness(matching)))
 
 
 def _reduced_drop_isolated(inst: Instance, parts: Bipartition) -> Reduced:

@@ -8,8 +8,6 @@ any adjacent pair in a clique vacuously irredundant.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .closure import common_neighborhood, is_c_closed
 from .errors import ExtractionError, PreconditionError
 from .graph import Graph
@@ -82,7 +80,7 @@ def irs_thresholds(c: int, k: int) -> tuple[int, int, int]:
     return alpha_prime, alpha, total
 
 
-def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> KernelOutcome:
+def kernelize_irs(inst: Instance, c: int) -> KernelOutcome:
     """Exhaust twin removal with ``sweep_simplicial_twins``, whose one
     grouping of the simplicial vertices gives the records of restarting RR16
     after every removal (deleting a twin makes no vertex simplicial and no
@@ -98,8 +96,7 @@ def kernelize_irs(inst: Instance, c: int, require_witness: bool = False) -> Kern
     inst = replay_removals(inst, trace)
     _, _, total = irs_thresholds(c, inst.k)
     if inst.graph.n >= total:
-        extract = partial(extract_irs_witness, inst.graph, c, inst.k)
-        return Decided(True, certified_witness(inst, require_witness, extract))
+        return Decided(True, certified_witness(inst, extract_irs_witness(inst.graph, c, inst.k)))
     reduced = Instance(problem=Problem.IRS, graph=inst.graph, k=inst.k)
     return Reduced(reduced, tuple(trace))
 

@@ -249,25 +249,11 @@ def validate_witness(inst: Instance, w: Witness) -> bool:
     raise AssertionError(f"unhandled problem {inst.problem}")
 
 
-def certified_witness(
-    inst: Instance, require: bool, extract: Callable[[], Witness]
-) -> Witness | None:
-    """The witness ``extract()`` builds, once ``validate_witness`` accepts it
-    for ``inst``.
-
-    An extractor that raises ``ExtractionError`` or ``ValueError``, or a
-    witness that fails validation, gives None; with ``require`` set, the
-    extractor's error is raised as it is, and a failed validation as an
-    ``ExtractionError``.
-    """
-    try:
-        witness = extract()
-        if not validate_witness(inst, witness):
-            raise ExtractionError(f"extracted {inst.problem.value} witness fails validation")
-    except (ExtractionError, ValueError):
-        if require:
-            raise
-        return None
+def certified_witness(inst: Instance, witness: Witness) -> Witness:
+    """``witness``, once ``validate_witness`` accepts it for ``inst``; a
+    witness that fails validation raises ``ExtractionError``."""
+    if not validate_witness(inst, witness):
+        raise ExtractionError(f"extracted {inst.problem.value} witness fails validation")
     return witness
 
 

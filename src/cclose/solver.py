@@ -73,9 +73,7 @@ def _solve(original: Instance, c: int) -> tuple[bool, Witness | None]:
                 raise ExtractionError("no swap partner when lifting over the clique rule")
             solution.remove(added)
             solution.add(swap[0])
-    return True, certified_witness(
-        original, True, lambda: Witness.vertex_set(solution, original.problem)
-    )
+    return True, certified_witness(original, Witness.vertex_set(solution, original.problem))
 
 
 def _branch(

@@ -202,24 +202,19 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
     return True, ""
 
 
-def kernelize(
-    inst: Instance, c: int | None, mode: str = "delta", require_witness: bool = False
-) -> KernelOutcome:
+def kernelize(inst: Instance, c: int | None, mode: str = "delta") -> KernelOutcome:
     """Run the paper's kernel for ``inst``, picked from the instance alone.
 
     IS, DS, IM and IRS each go to their own kernel, and TDS to the BW-TDS
     kernel on its all-black twin. BW-TDS with a bipartition and r = 1 goes to
     the bipartite BW-DS kernel, any other BW-TDS to the general one. IM with a
     bipartition goes to the bipartite IM kernel in ``mode``; ``c`` may be None
-    only there, in a mode that does not read it. ``require_witness`` reaches
-    the IM and IRS kernels, the ones that extract witnesses.
+    only there, in a mode that does not read it.
     """
-    return _kernel(inst, c, mode, require_witness)[1]
+    return _kernel(inst, c, mode)[1]
 
 
-def _kernel(
-    inst: Instance, c: int | None, mode: str = "delta", require_witness: bool = False
-) -> tuple[str, KernelOutcome]:
+def _kernel(inst: Instance, c: int | None, mode: str = "delta") -> tuple[str, KernelOutcome]:
     """The name of the kernel ``kernelize`` picks for ``inst``, as verify
     reports it, and its outcome."""
     problem, parts = inst.problem, inst.bipartition
@@ -234,13 +229,10 @@ def _kernel(
     if problem is Problem.BW_TDS:
         return "kernelize_bwtds", kernelize_bwtds(inst, c)
     if problem is Problem.IM and parts is not None:
-        return (
-            f"kernelize_im_bipartite[{mode}]",
-            kernelize_im_bipartite(inst, parts, mode, c, require_witness),
-        )
+        return f"kernelize_im_bipartite[{mode}]", kernelize_im_bipartite(inst, parts, mode, c)
     if problem is Problem.IM:
-        return "kernelize_im", kernelize_im(inst, c, require_witness)
-    return "kernelize_irs", kernelize_irs(inst, c, require_witness)
+        return "kernelize_im", kernelize_im(inst, c)
+    return "kernelize_irs", kernelize_irs(inst, c)
 
 
 def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOutcome]]:
@@ -272,6 +264,8 @@ def _outcome_agrees(
     if isinstance(outcome, Decided):
         if outcome.answer != expected:
             return False, f"decided {outcome.answer}, oracle says {expected}"
+        if outcome.answer and outcome.witness is None:
+            return False, "decided yes without a witness"
         if outcome.witness is not None:
             target = base if outcome.witness.problem is base.problem else inst
             if not validate_witness(target, outcome.witness):

@@ -628,7 +628,7 @@ def unpruned_rr_neighborhood_matching(inst, c):
     return None
 
 
-def restart_kernelize_im(inst, c, require_witness=False):
+def restart_kernelize_im(inst, c):
     """The Induced Matching pipeline with its rounds written out: RR10 first,
     then the LP thresholds, the leaf rules and isolated-vertex removal on one
     LP solve per round."""
@@ -651,12 +651,9 @@ def restart_kernelize_im(inst, c, require_witness=False):
             trace.append(record)
             continue
         p = vclp_half_integral(inst.graph)
-        decided = rr_lp_thresholds(inst, c, p, require_witness)
+        decided = rr_lp_thresholds(inst, c, p)
         if decided is not None:
-            witness = decided.witness
-            if witness is not None:
-                witness = lift_im_witness(original, witness, trace, require_witness)
-            return Decided(decided.answer, witness)
+            return Decided(True, lift_im_witness(original, decided.witness, trace))
         record = rr_leaf_rules(inst, c, p)
         if record is None:
             isolated = inst.graph.isolated_vertices()

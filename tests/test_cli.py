@@ -12,8 +12,11 @@ from cclose import (
     Instance,
     Problem,
     RuleRecord,
+    Witness,
     cli,
     graphio,
+    irs_thresholds,
+    kernel_irs,
     normalize_ids,
     parse_graph,
     replay_trace,
@@ -368,6 +371,21 @@ def test_pipeline_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error,
     assert "Traceback" not in captured.err
 
 
+def test_an_invalid_extracted_witness_exits_1(tmp_path, capsys, monkeypatch):
+    """An edgeless graph at the IRS threshold decides yes through the
+    extractor; a witness too small for k is an error, not a bare yes."""
+    monkeypatch.setattr(
+        kernel_irs, "extract_irs_witness", lambda g, c, k: Witness.vertex_set({0}, Problem.IRS)
+    )
+    _, _, total = irs_thresholds(1, 2)
+    src = write(tmp_path, "g.txt", f"p {total}\n")
+    dst = str(tmp_path / "out.txt")
+    assert main(["kernelize", "--problem", "irs", "-k", "2", src, dst]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: extracted IRS witness fails validation\n"
+
+
 def test_serialize_parse_roundtrip_canonical(tmp_path):
     text = "p 3\ne 0 1\ne 1 2\nc 2 white\n"
     g, coloring, parts = parse_graph(text)
@@ -399,7 +417,7 @@ def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
     src = c4_file(tmp_path)
     trace = tmp_path / "trace.json"
     dst = str(tmp_path / "out.txt")
-    argv = ["kernelize", "--problem", "im", "-k", "1", "--require-witness", "--emit-trace"]
+    argv = ["kernelize", "--problem", "im", "-k", "1", "--emit-trace"]
     assert main([*argv, str(trace), src, dst]) == 0
     assert trace.exists()
     trace.unlink()
@@ -411,8 +429,7 @@ def test_main_is_reentrant(tmp_path, capsys, monkeypatch):
     assert main(["gen", "--model", "er", "--n", "4", "--p", "0.5", "-o", dst]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "4" and out[3:7] == ["0 1", "0 3", "1 2", "2 3"]
-    assert seen[0]["emit_trace"] == str(trace) and seen[0]["require_witness"]
-    assert seen[2]["emit_trace"] is None and not seen[2]["require_witness"]
+    assert seen[0]["emit_trace"] == str(trace) and seen[2]["emit_trace"] is None
     assert seen[1]["count_only"] and not seen[3]["count_only"]
     assert seen[4]["count"] == 2 and seen[5]["count"] is None and seen[5]["seed"] == 0
     commands = [args["command"] for args in seen]

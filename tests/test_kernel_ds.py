@@ -302,8 +302,8 @@ class TestBwtdsPipeline:
         out = kernelize_bwtds(inst, c)
         if isinstance(out, Decided):
             assert out.answer == expected
-            if out.answer and out.witness is not None:
-                assert validate_witness(inst, out.witness)
+            if out.answer:
+                assert out.witness is not None and validate_witness(inst, out.witness)
         else:
             assert oracle_answer(out.instance) == expected
             from cclose.kernel_ds import per_vertex_black_bound
@@ -757,8 +757,8 @@ class TestBipartitePipeline:
         out = kernelize_bipartite_bwds(inst, inst.bipartition, c)
         if isinstance(out, Decided):
             assert out.answer == expected
-            if out.answer and out.witness is not None:
-                assert validate_witness(inst, out.witness)
+            if out.answer:
+                assert out.witness is not None and validate_witness(inst, out.witness)
         else:
             assert oracle_answer(out.instance) == expected
             kk = out.instance.k

@@ -139,7 +139,7 @@ class TestLpThresholdRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert len(p.v_half) == 2 * b
-        decided = rr_lp_thresholds(inst, 2, p, require_witness=True)
+        decided = rr_lp_thresholds(inst, 2, p)
         assert decided is not None and decided.answer
         assert validate_witness(inst, decided.witness)
 
@@ -158,7 +158,7 @@ class TestLpThresholdRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert len(p.v1) == centers
-        decided = rr_lp_thresholds(inst, 2, p, require_witness=True)
+        decided = rr_lp_thresholds(inst, 2, p)
         assert decided is not None and decided.answer
         assert validate_witness(inst, decided.witness)
 
@@ -219,11 +219,11 @@ class TestLeafRules:
         post = replay(inst, record)
         through_leaf = Witness.edge_set([(0, 7), (5, 6)], Problem.IM)
         assert validate_witness(post, through_leaf)
-        lifted = lift_im_witness(inst, through_leaf, [record], require=True)
+        lifted = lift_im_witness(inst, through_leaf, [record])
         assert lifted == Witness.edge_set([(0, 1), (5, 6)], Problem.IM)
         assert validate_witness(inst, lifted)
         avoiding = Witness.edge_set([(5, 6)], Problem.IM)
-        assert lift_im_witness(make(g, 1), avoiding, [record], require=True) == avoiding
+        assert lift_im_witness(make(g, 1), avoiding, [record]) == avoiding
 
     def test_surrounded_zero_vertex_removed(self):
         # every neighbor of v0 has a leaf -> v0 goes
@@ -277,8 +277,8 @@ class TestKernelizeIm:
         out = kernelize_im(inst, c)
         if isinstance(out, Decided):
             assert out.answer == expected
-            if out.witness is not None:
-                assert validate_witness(inst, out.witness)
+            if out.answer:
+                assert out.witness is not None and validate_witness(inst, out.witness)
         else:
             assert oracle_answer(out.instance) == expected
             state = inst
@@ -341,9 +341,9 @@ class TestKernelizeIm:
         assert warm > 0
 
 
-def _outcome(kernelize, inst, c, require_witness):
+def _outcome(kernelize, inst, c):
     try:
-        return kernelize(inst, c, require_witness)
+        return kernelize(inst, c)
     except ExtractionError as exc:
         return ExtractionError, str(exc)
 
@@ -360,9 +360,8 @@ class TestRestartReference:
         st.integers(2, 3),
         st.integers(0, 2),
         st.floats(0.0, 0.3),
-        st.booleans(),
     )
-    def test_matches_restarting_pipeline(self, seed, parts, extra, c, k, p, require_witness):
+    def test_matches_restarting_pipeline(self, seed, parts, extra, c, k, p):
         # Planted edges and cherries (paths on three vertices) give the LP
         # half-integral classes and leaf rules to work on.
         base, v = [], 0
@@ -371,9 +370,7 @@ class TestRestartReference:
             v += size
         g = random_c_closed_graph(v + extra, c, p, seed, base_edges=base)
         inst = make(g, k)
-        assert _outcome(kernelize_im, inst, c, require_witness) == _outcome(
-            restart_kernelize_im, inst, c, require_witness
-        )
+        assert _outcome(kernelize_im, inst, c) == _outcome(restart_kernelize_im, inst, c)
 
     @pytest.mark.parametrize("c", [2, 3])
     def test_matches_restarting_pipeline_over_many_warm_rounds(self, c):
@@ -389,8 +386,8 @@ class TestRestartReference:
             g = random_c_closed_graph(v + 15, c, 0.02, seed, base_edges=base)
             for k in (1, 3):
                 inst = make(g, k)
-                out = _outcome(kernelize_im, inst, c, False)
-                assert out == _outcome(restart_kernelize_im, inst, c, False)
+                out = _outcome(kernelize_im, inst, c)
+                assert out == _outcome(restart_kernelize_im, inst, c)
                 if isinstance(out, Reduced):
                     rounds.append(sum(r.rule != "RR10" for r in out.trace) + 1)
         assert max(rounds) >= 4
@@ -401,8 +398,8 @@ class TestRestartReference:
         edges = [(2 * i, 2 * i + 1) for i in range(8)] + [(16, 17), (17, 18)]
         inst = make(Graph(range(19), edges), 1)
         assert len(vclp_half_integral(inst.graph).v_half) < 3 * unrestricted_threshold(2, 9, 1)
-        out = kernelize_im(inst, 2, require_witness=True)
-        assert out == restart_kernelize_im(inst, 2, require_witness=True)
+        out = kernelize_im(inst, 2)
+        assert out == restart_kernelize_im(inst, 2)
         assert isinstance(out, Decided) and out.answer
         assert validate_witness(inst, out.witness)
 
@@ -513,7 +510,7 @@ class TestBipartiteKernels:
             out = kernelize_im_bipartite(inst, parts, mode, **extra)
             if isinstance(out, Decided):
                 assert out.answer == expected
-                if out.witness is not None:
-                    assert validate_witness(inst, out.witness)
+                if out.answer:
+                    assert out.witness is not None and validate_witness(inst, out.witness)
             else:
                 assert oracle_answer(out.instance) == expected

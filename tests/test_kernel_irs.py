@@ -189,7 +189,7 @@ class TestKernelizeIrs:
     def test_big_independent_set_decides_yes_with_witness(self):
         _, _, total = irs_thresholds(1, 2)
         g = Graph(range(total))
-        out = kernelize_irs(make(g, 2), 1, require_witness=True)
+        out = kernelize_irs(make(g, 2), 1)
         assert isinstance(out, Decided) and out.answer
         assert validate_witness(make(g, 2), out.witness)
 
@@ -203,8 +203,8 @@ class TestKernelizeIrs:
         out = kernelize_irs(inst, c)
         if isinstance(out, Decided):
             assert out.answer == expected
-            if out.witness is not None:
-                assert validate_witness(inst, out.witness)
+            if out.answer:
+                assert out.witness is not None and validate_witness(inst, out.witness)
         else:
             assert oracle_answer(out.instance) == expected
             _, _, total = irs_thresholds(c, k)
@@ -257,11 +257,10 @@ class TestExtraction:
         n = total + seed % 4
         g = random_c_closed_graph(n, c, 0.1, seed)
         inst = make(g, k)
-        out = kernelize_irs(inst, c, require_witness=False)
-        if isinstance(out, Decided) and out.witness is not None:
-            assert validate_witness(inst, out.witness)
+        out = kernelize_irs(inst, c)
         if isinstance(out, Decided):
             assert out.answer == (oracle_yes(Problem.IRS, g, k) if g.n <= 16 else True)
+            assert out.witness is not None and validate_witness(inst, out.witness)
 
 
 class TestPrivacySemantics:

@@ -19,7 +19,7 @@ from cclose import (
     path_graph,
     validate_witness,
 )
-from cclose.errors import ExtractionError, PreconditionError
+from cclose.errors import ExtractionError
 from cclose.oracle import LIMIT, certified_witness, r_dominates_blacks
 
 from helpers import (
@@ -309,40 +309,15 @@ class TestPredicates:
 
 
 class TestCertifiedWitness:
-    """``certified_witness`` gives None in each failure mode, or re-raises
-    under ``require``."""
+    """``certified_witness`` returns a valid witness and raises on an invalid
+    one."""
 
     inst = Instance(problem=Problem.IS, graph=path_graph(3), k=2)
 
     def test_valid_witness_passes_either_way(self):
         w = Witness.vertex_set({0, 2}, Problem.IS)
-        for require in (False, True):
-            assert certified_witness(self.inst, require, lambda: w) == w
-
-    @pytest.mark.parametrize(
-        "error", [ExtractionError("no witness"), ValueError("bad input"), PreconditionError("small")]
-    )
-    def test_extractor_errors(self, error):
-        def extract():
-            raise error
-
-        assert certified_witness(self.inst, False, extract) is None
-        with pytest.raises(type(error)) as raised:
-            certified_witness(self.inst, True, extract)
-        assert raised.value is error
+        assert certified_witness(self.inst, w) is w
 
     def test_failed_validation(self):
-        def extract():
-            return Witness.vertex_set({0, 1}, Problem.IS)
-
-        assert certified_witness(self.inst, False, extract) is None
         with pytest.raises(ExtractionError, match="extracted IS witness fails validation"):
-            certified_witness(self.inst, True, extract)
-
-    def test_other_errors_pass_through(self):
-        def extract():
-            raise KeyError(0)
-
-        for require in (False, True):
-            with pytest.raises(KeyError):
-                certified_witness(self.inst, require, extract)
+            certified_witness(self.inst, Witness.vertex_set({0, 1}, Problem.IS))

@@ -183,6 +183,10 @@ def crashing(inst, c):
     raise RuntimeError("boom")
 
 
+def witnessless(inst, c):
+    return Decided(oracle_answer(inst))
+
+
 def empty_witness(inst, c):
     return Decided(oracle_answer(inst), Witness.vertex_set((), inst.problem))
 
@@ -220,6 +224,7 @@ def _edgeless(problem, n, k, **fields):
     [
         ("is", wrong_answer, _edgeless(Problem.IS, 4, 2), "kernelize_is: decided False, oracle says True"),
         ("is", crashing, _edgeless(Problem.IS, 4, 2), "pipeline error: RuntimeError('boom')"),
+        ("is", witnessless, _edgeless(Problem.IS, 4, 2), "kernelize_is: decided yes without a witness"),
         ("is", empty_witness, _edgeless(Problem.IS, 4, 2), "kernelize_is: decided-yes witness fails validation"),
         ("is", whole_graph, _edgeless(Problem.IS, 5, 1), "kernelize_is: IS kernel has 5 > c*k^2 vertices"),
         (
@@ -248,6 +253,7 @@ def _edgeless(problem, n, k, **fields):
     ids=[
         "wrong-answer",
         "pipeline-error",
+        "yes-without-witness",
         "witness-fails-validation",
         "oversized-kernel",
         "trace-does-not-replay",
