@@ -320,7 +320,12 @@ class Decided:
 
 @dataclass(frozen=True)
 class Reduced:
-    """An equivalent smaller instance plus the trace that produced it."""
+    """An equivalent smaller instance plus the trace that produced it.
+
+    ``instance == replay_trace(base, trace)``, whole, where ``base`` is the
+    instance the kernel ran on (the all-black twin for the DS and TDS
+    kernels): every kernel returns the instance its records replay to.
+    """
 
     instance: Instance
     trace: tuple[RuleRecord, ...]

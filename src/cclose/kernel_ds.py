@@ -67,9 +67,7 @@ class HittingSetInstance:
 # -- individual rules ----------------------------------------------------------
 
 
-def rr_clique(
-    inst: Instance, c: int, cliques: Iterator[tuple[int, ...]] | None = None
-) -> RuleRecord | None:
+def rr_clique(inst: Instance, c: int, cliques: Iterator[tuple[int, ...]]) -> RuleRecord | None:
     """A maximal clique holding at least c*k black vertices pins r solution
     vertices inside it: attach a fresh black simplicial vertex and whiten the
     clique. No-op (None) when no clique qualifies.
@@ -82,7 +80,7 @@ def rr_clique(
     g = inst.graph
     black = inst.black_vertices()
     need = c * inst.k
-    for clique in maximal_cliques(g) if cliques is None else cliques:
+    for clique in cliques:
         in_black = [v for v in clique if v in black]
         if len(in_black) >= need:
             u = g.fresh_id()
@@ -113,7 +111,7 @@ def common_neighborhood_threshold(c: int, k: int, i: int) -> int:
 
 
 def rr_common_neighborhood(
-    inst: Instance, c: int, i: int, cliques: Iterator[tuple[int, ...]] | None = None
+    inst: Instance, c: int, i: int, cliques: Iterator[tuple[int, ...]]
 ) -> RuleRecord | None:
     """Stage i of the common-neighborhood rule (applies when r <= c - 1).
 
@@ -126,7 +124,7 @@ def rr_common_neighborhood(
     g = inst.graph
     black = inst.black_vertices()
     bound = common_neighborhood_threshold(c, inst.k, i)
-    for clique in cliques_of_size(g, c - i) if cliques is None else cliques:
+    for clique in cliques:
         common = common_neighborhood(g, clique) & black
         if len(common) > bound:
             u = g.fresh_id()
@@ -373,7 +371,7 @@ def _decide_cluster_bwtds(inst: Instance) -> Decided:
             witness.extend(sorted(comp)[:r])
     if len(witness) > inst.k:
         return Decided(False)
-    return Decided(True, Witness.vertex_set(witness, Problem.BW_TDS))
+    return Decided(True, certified_witness(inst, Witness.vertex_set(witness, Problem.BW_TDS)))
 
 
 # -- color removal ----------------------------------------------------------------

@@ -205,8 +205,7 @@ def kernelize_im(inst: Instance, c: int) -> KernelOutcome:
     inst, trace, decided = exhaust(inst, rules)
     if decided is not None:
         return Decided(True, lift_im_witness(original, decided.witness, trace))
-    reduced = Instance(problem=Problem.IM, graph=inst.graph, k=inst.k)
-    return Reduced(reduced, tuple(trace))
+    return Reduced(inst, tuple(trace))
 
 
 def _lp_stage(inst: Instance, c: int, p: VclpPartition) -> Decided | RuleRecord | None:
@@ -247,7 +246,7 @@ def _decide_cluster_im(inst: Instance) -> Decided:
             members = sorted(comp)
             chosen.append((members[0], members[1]))
     if len(chosen) >= inst.k:
-        return Decided(True, Witness.edge_set(chosen, Problem.IM))
+        return Decided(True, certified_witness(inst, Witness.edge_set(chosen, Problem.IM)))
     return Decided(False)
 
 
@@ -269,7 +268,8 @@ def kernelize_im_bipartite(
     delta mode: enough non-isolated vertices relative to the maximum degree
     force a Yes. closure mode: either many high-degree vertices exist (private
     neighbors give the matching directly) or the low-degree remainder is
-    large enough for the dense-bipartite bound with Delta <= c*k.
+    large enough for the dense-bipartite bound with Delta <= c*k. A
+    reduction is ``inst`` without its isolated vertices, bipartition and all.
     """
     if inst.problem is not Problem.IM:
         raise ValueError(f"expected an IM instance, got {inst.problem}")
@@ -282,7 +282,7 @@ def kernelize_im_bipartite(
         delta = g.max_degree()
         live = [v for v in g.vertex_ids if g.degree(v) > 0]
         if delta == 0 or len(live) < dense_bipartite_threshold(delta, k):
-            return _reduced_drop_isolated(inst, parts)
+            return _reduced_drop_isolated(inst)
         matching = im_dense_bipartite(g, parts, k)
     elif mode == "closure":
         if c is None:
@@ -296,16 +296,14 @@ def kernelize_im_bipartite(
             rest = g.without_vertices(high)
             live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
             if rest.max_degree() == 0 or len(live) < dense_bipartite_threshold(c * k, k):
-                return _reduced_drop_isolated(inst, parts)
+                return _reduced_drop_isolated(inst)
             matching = im_dense_bipartite(rest, Bipartition(parts.left_of(rest)), k)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
     return Decided(True, certified_witness(inst, _im_witness(matching)))
 
 
-def _reduced_drop_isolated(inst: Instance, parts: Bipartition) -> Reduced:
+def _reduced_drop_isolated(inst: Instance) -> Reduced:
     isolated = inst.graph.isolated_vertices()
     trace = (RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated)),) if isolated else ()
-    g = replay_removals(inst, trace).graph
-    reduced = Instance(problem=Problem.IM, graph=g, k=inst.k, bipartition=Bipartition(parts.left_of(g)))
-    return Reduced(reduced, trace)
+    return Reduced(replay_removals(inst, trace), trace)

@@ -97,8 +97,7 @@ def kernelize_irs(inst: Instance, c: int) -> KernelOutcome:
     _, _, total = irs_thresholds(c, inst.k)
     if inst.graph.n >= total:
         return Decided(True, certified_witness(inst, extract_irs_witness(inst.graph, c, inst.k)))
-    reduced = Instance(problem=Problem.IRS, graph=inst.graph, k=inst.k)
-    return Reduced(reduced, tuple(trace))
+    return Reduced(inst, tuple(trace))
 
 
 def extract_irs_witness(g: Graph, c: int, k: int) -> Witness:

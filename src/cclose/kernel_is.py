@@ -14,6 +14,7 @@ from .instances import (
     Witness,
     replay_removals,
 )
+from .oracle import certified_witness
 
 
 def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
@@ -44,10 +45,11 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
             trace.append(
                 RuleRecord(rule="RR1", vertices_removed=(v,), payload={"degree_threshold": threshold})
             )
-    g = replay_removals(inst, trace).graph
+    reduced = replay_removals(inst, trace)
+    g = reduced.graph
     if g.n >= threshold * k:
-        return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
-    reduced = Instance(problem=Problem.IS, graph=g, k=k)
+        witness = Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS)
+        return Decided(True, certified_witness(inst, witness))
     assert g.n <= independent_set_kernel_bound(c, k), "kernel exceeds the c*k^2 bound"
     return Reduced(reduced, tuple(trace))
 

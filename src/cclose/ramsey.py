@@ -25,6 +25,7 @@ from .matching import (
     two_maximal_independent_set,
     validate_matching,
 )
+from .oracle import is_induced_matching
 
 
 @dataclass(frozen=True)
@@ -365,8 +366,6 @@ def im_dense_bipartite(g: Graph, parts: Bipartition, b: int) -> Matching:
 
 
 def _verified_im(g: Graph, edges) -> Matching:
-    from .oracle import is_induced_matching
-
     if not is_induced_matching(g, edges):
         raise ExtractionError("constructed edge set is not an induced matching")
     return Matching.of(edges)

@@ -196,7 +196,7 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
     except Exception as exc:  # pipeline crash counts as disagreement
         return False, f"pipeline error: {exc!r}"
     for name, base, outcome in outcomes:
-        ok, why = _outcome_agrees(inst, base, outcome, expected, c)
+        ok, why = _outcome_agrees(name, inst, base, outcome, expected, c)
         if not ok:
             return False, f"{name}: {why}"
     return True, ""
@@ -254,13 +254,13 @@ def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOu
 
 
 def _outcome_agrees(
-    inst: Instance, base: Instance, outcome: KernelOutcome, expected: bool, c: int
+    name: str, inst: Instance, base: Instance, outcome: KernelOutcome, expected: bool, c: int
 ) -> tuple[bool, str]:
-    """Whether one pipeline's ``outcome`` on the drawn ``inst`` agrees with
-    the oracle's ``expected`` answer; ``base`` is the instance its trace
-    replays from. A witness is validated against whichever of the two has
-    its problem: the DS kernel runs on the all-black twin but returns a DS
-    witness."""
+    """Whether the ``outcome`` of the pipeline ``name`` on the drawn ``inst``
+    agrees with the oracle's ``expected`` answer; ``base`` is the instance
+    its trace replays from. A witness is validated against whichever of the
+    two has its problem: the DS kernel runs on the all-black twin but
+    returns a DS witness."""
     if isinstance(outcome, Decided):
         if outcome.answer != expected:
             return False, f"decided {outcome.answer}, oracle says {expected}"
@@ -277,7 +277,7 @@ def _outcome_agrees(
             return False, f"reduced instance answers {not expected}, oracle says {expected}"
     except ResourceLimitError:
         pass  # too large to cross-check; the structural checks still run
-    ok, why = _size_bound_holds(reduced, c)
+    ok, why = _size_bound_holds(name, reduced, c)
     if not ok:
         return False, why
     ok, why = _closure_preserved(base, outcome, c)
@@ -286,26 +286,23 @@ def _outcome_agrees(
     return True, ""
 
 
-def _size_bound_holds(reduced: Instance, c: int) -> tuple[bool, str]:
-    """The size bound of the kernel that produced ``reduced``, each taken
-    from that kernel's module."""
+def _size_bound_holds(name: str, reduced: Instance, c: int) -> tuple[bool, str]:
+    """The size bound of the kernel ``name`` on its output ``reduced``, each
+    taken from that kernel's module. The bipartite IM kernels only promise
+    to sit below their size thresholds, so they have none."""
     n, k = reduced.graph.n, reduced.k
-    if reduced.problem is Problem.IS and n > independent_set_kernel_bound(c, k):
+    if name == "kernelize_is" and n > independent_set_kernel_bound(c, k):
         return False, f"IS kernel has {n} > c*k^2 vertices"
-    if reduced.problem is Problem.BW_TDS and reduced.r == 1 and reduced.bipartition is not None:
-        bound = bipartite_kernel_bound(c, k)
-        if n > bound:
-            return False, f"bipartite kernel has {n} > {bound} vertices"
+    if name == "kernelize_bipartite_bwds" and n > (bound := bipartite_kernel_bound(c, k)):
+        return False, f"bipartite kernel has {n} > {bound} vertices"
     if reduced.problem is Problem.BW_TDS and rr_black_count(reduced, c):
         return False, "black-count bound violated"
-    if reduced.problem is Problem.IRS:
+    if name == "kernelize_irs":
         # the kernel decides every instance at k = 0, where the bound is undefined
         total = irs_thresholds(c, k)[2] if k else 0
         if n >= total:
             return False, f"IRS kernel has {n} >= {total} vertices"
-    if reduced.problem is Problem.IM and reduced.bipartition is None:
-        # the LP partition bounds belong to the general pipeline; the
-        # bipartite kernels only promise to sit below their size thresholds
+    if name == "kernelize_im":
         violation = partition_bound_violation(c, k, vclp_half_integral(reduced.graph))
         if violation is not None:
             return False, violation
@@ -323,8 +320,8 @@ def _closure_preserved(inst: Instance, outcome: Reduced, c: int) -> tuple[bool, 
         state = replay(state, record)
         if not gadget and not is_c_closed(state.graph, c):
             return False, f"rule {record.rule} broke c-closedness"
-    if state.graph != outcome.instance.graph:
-        return False, "trace replay does not reproduce the reduced graph"
+    if state != outcome.instance:
+        return False, "trace replay does not reproduce the reduced instance"
     return True, ""
 
 

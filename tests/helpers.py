@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from cclose import Graph, compute_closure, is_c_closed, maximal_cliques
+from cclose import Graph, cliques_of_size, compute_closure, is_c_closed, maximal_cliques
 from cclose.errors import ExtractionError, ParseError
 from cclose.instances import (
     BLACK,
@@ -489,10 +489,11 @@ def restart_kernelize_bwtds(inst, c):
     for _ in range(guard):
         if not inst.black_vertices():
             return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
-        record = rr_clique(inst, c)
+        record = rr_clique(inst, c, iter(maximal_cliques(inst.graph)))
         if record is None and r <= c - 1:
             for i in range(1, c - r + 1):
-                record = rr_common_neighborhood(inst, c, i)
+                cliques = iter(cliques_of_size(inst.graph, c - i))
+                record = rr_common_neighborhood(inst, c, i, cliques)
                 if record is not None:
                     break
         if record is None and r >= c and rr_clique_no(inst, c):

@@ -336,6 +336,21 @@ def test_count_below_its_minimum_is_a_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernelize", "--problem", "is", "-k", "abc", "{c4}", "{out}"], "invalid int value: 'abc'"),
+        (["gen", "--model", "er", "--n", "5", "--p", "abc", "-o", "{out}"], "invalid float value: 'abc'"),
+    ],
+    ids=["kernelize-k", "gen-p"],
+)
+def test_a_non_numeric_value_is_a_usage_error(tmp_path, capsys, argv, message):
+    paths = {"c4": c4_file(tmp_path), "out": str(tmp_path / "out.txt")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
 def test_gen_p_outside_the_unit_interval_is_a_usage_error(tmp_path, capsys, p):
     out = tmp_path / "g.txt"

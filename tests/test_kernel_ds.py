@@ -40,6 +40,7 @@ from cclose import (
 )
 from cclose import kernel_ds, solver
 from cclose.closure import common_neighborhood
+from cclose.errors import ExtractionError
 from cclose.instances import exhaust, replay
 from cclose.kernel_ds import (
     common_neighborhood_threshold,
@@ -75,7 +76,7 @@ class TestRuleClique:
     def test_fires_on_black_clique(self):
         # c=2, k=1: K_2 all black is a maximal clique with 2 >= ck black vertices
         inst = bw(Graph(range(2), [(0, 1)]), k=1)
-        record = rr_clique(inst, 2)
+        record = rr_clique(inst, 2, iter(maximal_cliques(inst.graph)))
         assert record is not None
         post = replay(inst, record)
         assert post.graph.n == 3 and post.graph.neighbors(2) == {0, 1}
@@ -84,13 +85,14 @@ class TestRuleClique:
 
     def test_no_op_when_cliques_have_few_blacks(self):
         inst = bw(complete_graph(3), k=2, white=frozenset({0, 1, 2}))
-        assert rr_clique(inst, 2) is None
+        assert rr_clique(inst, 2, iter(maximal_cliques(inst.graph))) is None
 
     def test_no_refire_when_ck_at_least_two(self):
         inst = bw(Graph(range(2), [(0, 1)]), k=1)
-        record = rr_clique(inst, 2)
+        record = rr_clique(inst, 2, iter(maximal_cliques(inst.graph)))
         post = replay(inst, record)
-        assert rr_clique(post, 2) is None  # new clique holds one black < ck
+        # the new clique holds one black < ck
+        assert rr_clique(post, 2, iter(maximal_cliques(post.graph))) is None
 
 
 class TestRuleCommonNeighborhood:
@@ -102,7 +104,7 @@ class TestRuleCommonNeighborhood:
         # common neighbors
         g = star_graph(3)
         inst = bw(g, k=1, white=frozenset({0}))
-        record = rr_common_neighborhood(inst, 2, 1)
+        record = rr_common_neighborhood(inst, 2, 1, iter(cliques_of_size(inst.graph, 1)))
         assert record is not None
         assert record.rule == "RR3.1"
         post = replay(inst, record)
@@ -112,7 +114,7 @@ class TestRuleCommonNeighborhood:
 
     def test_no_op_on_small_neighborhoods(self):
         inst = bw(path_graph(4), k=1)
-        assert rr_common_neighborhood(inst, 2, 1) is None
+        assert rr_common_neighborhood(inst, 2, 1, iter(cliques_of_size(inst.graph, 1))) is None
 
 
 class TestRuleBlackCount:
@@ -271,6 +273,14 @@ class TestBwtdsPipeline:
         assert isinstance(out, Decided) and out.answer
         assert out.witness.elements == frozenset()
 
+    def test_a_corrupted_cluster_witness_raises(self, monkeypatch):
+        # One merged component makes the decision take vertex 0 alone, which
+        # dominates neither 2 nor 3.
+        g = Graph(range(4), [(0, 1), (2, 3)])
+        monkeypatch.setattr(Graph, "components", lambda self: [frozenset(range(4))])
+        with pytest.raises(ExtractionError):
+            kernelize_bwtds(bw(g, k=2), 1)
+
     def test_cluster_fast_path(self):
         # c = 1: disjoint cliques decided exactly
         from cclose import disjoint_cliques
@@ -406,8 +416,10 @@ def book(pages):
 def restarting_black_rules(inst, c):
     """RR2 and RR3.1..RR3.(c-r), restarted from RR2 after every change, each
     listing the cliques of the instance it is given."""
-    rules = [lambda i: rr_clique(i, c)] + [
-        lambda i, stage=stage: rr_common_neighborhood(i, c, stage)
+    rules = [lambda i: rr_clique(i, c, iter(maximal_cliques(i.graph)))] + [
+        lambda i, stage=stage: rr_common_neighborhood(
+            i, c, stage, iter(cliques_of_size(i.graph, c - stage))
+        )
         for stage in range(1, c - inst.r + 1)
     ]
     inst, trace, _ = exhaust(inst, rules)
@@ -497,7 +509,7 @@ class TestCliqueSweeps:
             inst = bw(g, k=k, r=1 + seed % 3)
             rest = iter(maximal_cliques(g))
             swept = exhaust(inst, [lambda i: rr_clique(i, c, rest)])
-            assert swept == exhaust(inst, [lambda i: rr_clique(i, c)])
+            assert swept == exhaust(inst, [lambda i: rr_clique(i, c, iter(maximal_cliques(i.graph)))])
 
     @settings(max_examples=100)
     @given(st.integers(0, 10 ** 6), st.integers(0, 14), st.integers(2, 4), st.integers(1, 2))

@@ -248,6 +248,14 @@ class TestKernelizeIm:
         out = kernelize_im(make(g, 4), 1)
         assert out == Decided(False)
 
+    def test_a_corrupted_cluster_witness_raises(self, monkeypatch):
+        # Merging the two edges' components makes the counting pick 0-2,
+        # which is not an edge.
+        g = disjoint_cliques(2, 2)
+        monkeypatch.setattr(Graph, "components", lambda self: [frozenset({0, 2}), frozenset({1, 3})])
+        with pytest.raises(ExtractionError):
+            kernelize_im(make(g, 1), 1)
+
     def test_p5_yes(self):
         out = kernelize_im(make(path_graph(5), 2), 2)
         expected = oracle_yes(Problem.IM, path_graph(5), 2)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cclose import (
     Decided,
+    Graph,
     Instance,
     Problem,
     Reduced,
@@ -14,6 +15,8 @@ from cclose import (
     replay_trace,
     validate_witness,
 )
+from cclose import kernel_is
+from cclose.errors import ExtractionError
 
 from helpers import (
     complete_graph,
@@ -108,3 +111,13 @@ def test_single_pass_matches_restarting_rr1(seed, n, p, k, slack):
     c = compute_closure(g).c + slack
     inst = make(g, k)
     assert kernelize_is(inst, c) == restart_kernelize_is(inst, c)
+
+
+def test_a_corrupted_greedy_witness_raises(monkeypatch):
+    # On the path 0-...-5 at c = 2, k = 2, RR1 drops 1 and 3 and leaves four
+    # vertices, enough for the greedy pick, which here returns an edge.
+    inst = make(Graph(range(6), [(i, i + 1) for i in range(5)]), 2)
+    assert isinstance(kernelize_is(inst, 2), Decided)
+    monkeypatch.setattr(kernel_is, "_greedy_low_degree_is", lambda g, k: [4, 5])
+    with pytest.raises(ExtractionError):
+        kernelize_is(inst, 2)

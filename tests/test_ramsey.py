@@ -191,6 +191,19 @@ class TestHighDegree:
         assert len(out) == 2 and is_induced_matching(g, out.edges)
         assert oracle_yes(Problem.IM, g, 2)
 
+    def test_no_side_with_b_high_degree_vertices(self):
+        # 0 and 2 have degree 2 = c * b, one on each side.
+        g = Graph(range(4), [(0, 2), (0, 3), (1, 2)])
+        with pytest.raises(PreconditionError, match="no side holds 2 vertices of degree >= 2"):
+            im_from_high_degree(g, Bipartition(frozenset({0, 1})), 1, 2)
+
+    def test_falls_back_to_the_other_side(self):
+        # Left picks 0 and 1 share both their neighbours; right picks 4 and 5
+        # keep 2 and 3 private.
+        g = Graph(range(6), [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (3, 5)])
+        out = im_from_high_degree(g, Bipartition(frozenset({0, 1, 2, 3})), 1, 2)
+        assert out.edges == {(2, 4), (3, 5)}
+
     @settings(max_examples=40)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 2))
     def test_randomized(self, seed, c, b):

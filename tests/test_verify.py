@@ -29,6 +29,7 @@ from cclose import (
     oracle_answer,
     parse_graph,
     replay,
+    replay_trace,
     uncolor_gadget,
     vclp_half_integral,
 )
@@ -170,9 +171,42 @@ def test_size_bound_names_the_vhalf_bound_like_the_kernel():
     p = vclp_half_integral(g)
     assert len(p.v_half) == 18
     assert partition_bound_violation(2, 1, p) == "V_half bound violated"
-    assert verify_mod._size_bound_holds(reduced, 2) == (False, "V_half bound violated")
+    assert verify_mod._size_bound_holds("kernelize_im", reduced, 2) == (False, "V_half bound violated")
     smaller = Instance(problem=Problem.IM, graph=g.without_vertices([0, 1]), k=1)
-    assert verify_mod._size_bound_holds(smaller, 2) == (True, "")
+    assert verify_mod._size_bound_holds("kernelize_im", smaller, 2) == (True, "")
+
+
+@pytest.mark.parametrize(
+    "problem, r, bipartite, names",
+    [
+        ("is", 1, False, {"kernelize_is"}),
+        ("ds", 1, False, {"kernelize_ds"}),
+        ("tds", 2, False, {"kernelize_bwtds"}),
+        ("bwtds", 2, False, {"kernelize_bwtds"}),
+        ("ds", 1, True, {"kernelize_bipartite_bwds"}),
+        ("im", 1, False, {"kernelize_im"}),
+        (
+            "im",
+            1,
+            True,
+            {"kernelize_im_bipartite[delta]", "kernelize_im_bipartite[closure]", "kernelize_im"},
+        ),
+        ("irs", 1, False, {"kernelize_irs"}),
+    ],
+    ids=["is", "ds", "tds", "bwtds", "bipartite-bwds", "im", "bipartite-im", "irs"],
+)
+def test_every_reduction_is_its_replayed_trace(problem, r, bipartite, names):
+    """Each kernel verify runs returns, as its reduced instance, the whole
+    instance its trace replays to from the instance it ran on: graph,
+    budget, r, coloring and bipartition."""
+    reduced = set()
+    for seed in range(300):
+        inst = random_instance(problem, 14, 3, r, bipartite, seed)
+        for name, base, out in verify_mod._run_pipelines(inst, compute_closure(inst.graph).c):
+            if isinstance(out, Reduced):
+                assert out.instance == replay_trace(base, out.trace), (name, seed)
+                reduced.add(name)
+    assert reduced == names
 
 
 def wrong_answer(inst, c):
@@ -197,6 +231,10 @@ def whole_graph(inst, *_):
 
 def first_vertex_dropped(inst, c):
     return Reduced(replace(inst, graph=inst.graph.without_vertices(inst.graph.vertex_ids[:1])), ())
+
+
+def budget_raised(inst, c):
+    return Reduced(replace(inst, k=inst.k + 1), ())
 
 
 def padded_past_the_oracle(inst, c):
@@ -231,13 +269,19 @@ def _edgeless(problem, n, k, **fields):
             "is",
             first_vertex_dropped,
             _edgeless(Problem.IS, 3, 2),
-            "kernelize_is: trace replay does not reproduce the reduced graph",
+            "kernelize_is: trace replay does not reproduce the reduced instance",
         ),
         (
             "is",
             padded_past_the_oracle,
             _edgeless(Problem.IS, 4, 5),
-            "kernelize_is: trace replay does not reproduce the reduced graph",
+            "kernelize_is: trace replay does not reproduce the reduced instance",
+        ),
+        (
+            "is",
+            budget_raised,
+            _edgeless(Problem.IS, 4, 2),
+            "kernelize_is: trace replay does not reproduce the reduced instance",
         ),
         ("is", path_added, _edgeless(Problem.IS, 4, 2), "kernelize_is: rule path broke c-closedness"),
         (
@@ -258,6 +302,7 @@ def _edgeless(problem, n, k, **fields):
         "oversized-kernel",
         "trace-does-not-replay",
         "past-the-oracle-trace-does-not-replay",
+        "budget-raised",
         "broke-closure",
         "bwtds-black-count",
         "ds-black-count-before-the-gadget",
