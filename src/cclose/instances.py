@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
@@ -144,6 +144,17 @@ class Instance:
     def white_vertices(self) -> frozenset[int]:
         assert self.coloring is not None
         return self.coloring.white_of(self.graph)
+
+    def on_sides(self, parts: Bipartition) -> "Instance":
+        """This instance carrying the bipartition ``parts``, which is
+        validated; a bipartite kernel runs on it, so its reduction carries
+        the sides it read. Raises ``ValueError`` when the instance already
+        carries a different bipartition."""
+        if self.bipartition is None:
+            return replace(self, bipartition=parts)
+        if self.bipartition != parts:
+            raise ValueError("parts differ from the instance's bipartition")
+        return self
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,8 @@ def rr_common_neighborhood(
 def rr_clique_no(inst: Instance, c: int) -> bool:
     """With r >= c, a (c-1)-clique with more than rho common black neighbors
     certifies a No-instance. Only cliques whose members each have more than
-    rho black neighbors are checked (``_black_rich_cliques``)."""
+    rho black neighbors are checked (``_black_rich_cliques``, which lists
+    none when there are at most rho black vertices)."""
     assert inst.r is not None and inst.r >= c
     g = inst.graph
     black = inst.black_vertices()
@@ -159,10 +160,15 @@ def _black_rich_cliques(inst: Instance, size: int, bound: int) -> Iterator[tuple
 
     The common black neighborhood of a clique lies in the black neighborhood
     of each member, so no other clique can have more than ``bound`` common
-    black neighbors. The whole graph is listed, then filtered.
+    black neighbors. The whole graph is listed, then filtered, unless the
+    instance has at most ``bound`` black vertices: a common black
+    neighborhood is a set of black vertices, so no clique can then have more
+    than ``bound`` of them, and nothing is listed.
     """
     g = inst.graph
     black = inst.black_vertices()
+    if len(black) <= bound:
+        return iter(())
     rich = {v for v in g.vertex_ids if len(g.neighbors(v) & black) > bound}
     return (clique for clique in cliques_of_size(g, size) if rich.issuperset(clique))
 
@@ -225,6 +231,9 @@ def sweep_black_rules(inst: Instance, c: int) -> tuple[Instance, list[RuleRecord
     the fresh u is the only black neighbor a member of Q gains, and only Q
     counts it, so the black neighbors of a member at listing time bound the
     common black neighborhood of each of its other cliques from then on.
+
+    A stage lists nothing when the instance has at most ``bound`` black
+    vertices (``_black_rich_cliques``), as no clique can then fire it.
 
     RR2 lists only the maximal cliques with at least c*k vertices: it fires
     only on a clique with c*k black vertices, so with c*k vertices at least.
@@ -468,10 +477,12 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     white on the instance RR7 left and applies all the removals with one
     ``replay_removals``. RR7 fires on no vertex once the blacks are gone or
     the budget is spent, so both verdicts can wait until it is exhausted.
+    The kernel runs on ``inst.on_sides(parts)``, so ``inst.bipartition``
+    must be None or ``parts``, and a reduction carries ``parts``.
     """
     if inst.problem is not Problem.BW_TDS or inst.r != 1:
         raise ValueError("expected a BW-TDS instance with r = 1")
-    parts.validate(inst.graph)
+    inst = inst.on_sides(parts)
     if not is_c_closed(inst.graph, c):
         raise ValueError("graph is not c-closed")
 

@@ -268,12 +268,14 @@ def kernelize_im_bipartite(
     delta mode: enough non-isolated vertices relative to the maximum degree
     force a Yes. closure mode: either many high-degree vertices exist (private
     neighbors give the matching directly) or the low-degree remainder is
-    large enough for the dense-bipartite bound with Delta <= c*k. A
-    reduction is ``inst`` without its isolated vertices, bipartition and all.
+    large enough for the dense-bipartite bound with Delta <= c*k. The kernel
+    runs on ``inst.on_sides(parts)``, so ``inst.bipartition`` must be None or
+    ``parts``; a reduction is that instance without its isolated vertices,
+    bipartition and all.
     """
     if inst.problem is not Problem.IM:
         raise ValueError(f"expected an IM instance, got {inst.problem}")
-    parts.validate(inst.graph)
+    inst = inst.on_sides(parts)
     g, k = inst.graph, inst.k
     if k == 0:
         return Decided(True, Witness.edge_set((), Problem.IM))

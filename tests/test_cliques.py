@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,6 +14,7 @@ from helpers import (
     clique_count_bound_holds,
     complete_graph,
     cycle_graph,
+    random_c_closed_graph,
     random_graph,
 )
 
@@ -73,9 +75,68 @@ def test_size_bound_filters_the_full_listing(seed, n, p):
         assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
 
 
+def networkx_maximal_cliques(g, min_size=0):
+    """The maximal cliques with at least ``min_size`` vertices, listed by
+    networkx, each sorted, in sorted order."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(g.vertex_ids)
+    h.add_edges_from(g.edges())
+    return sorted(tuple(sorted(q)) for q in nx.find_cliques(h) if len(q) >= min_size)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 31), st.integers(0, 80), st.sampled_from([0.05, 0.15, 0.3, 0.5]))
+def test_agrees_with_networkx_on_scattered_ids(seed, n, p):
+    # Far past brute_maximal_cliques' reach; every bound from none to n + 1.
+    rng = random.Random(seed)
+    ids = rng.sample(range(10 * n + 1), n)
+    g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+    full = networkx_maximal_cliques(g)
+    for m in range(n + 2):
+        assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
+
+
+def community_graphs(seed, count):
+    """Graphs shaped like the social_kernel benchmark's: 50 vertices, planted
+    cliques of 10, 9, 8, 7, 6, 5, 5 vertices and sparse cross edges, kept
+    4-closed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        order = rng.sample(range(50), 50)
+        planted, start = [], 0
+        for size in (10, 9, 8, 7, 6, 5, 5):
+            planted += combinations(sorted(order[start:start + size]), 2)
+            start += size
+        yield random_c_closed_graph(50, 4, 0.06, rng.randrange(2 ** 31), base_edges=planted)
+
+
+def test_agrees_with_networkx_on_community_graphs():
+    # RR2 lists the maximal cliques with at least c*k = 8 vertices there.
+    for g in community_graphs(5, 40):
+        assert maximal_cliques(g, 8) == networkx_maximal_cliques(g, 8)
+
+
 def test_size_bound_on_a_complete_graph_needs_no_deep_recursion():
     assert maximal_cliques(complete_graph(2000), 2000) == [tuple(range(2000))]
     assert maximal_cliques(complete_graph(2000), 2001) == []
+
+
+def test_listing_a_sparse_graph_takes_memory_linear_in_its_size():
+    # A perfect matching on 50,000 vertices: about 8 MiB at peak. Sets or
+    # masks as wide as the whole graph per vertex would take n^2 bits,
+    # over 300 MiB.
+    n = 50_000
+    g = Graph(range(n), [(v, v + 1) for v in range(0, n, 2)])
+    tracemalloc.start()
+    try:
+        listed = maximal_cliques(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listed == [(v, v + 1) for v in range(0, n, 2)]
+    assert peak < 320 * n
 
 
 def test_cliques_of_size_needs_no_deep_recursion():

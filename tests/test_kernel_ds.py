@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -43,6 +44,7 @@ from cclose.closure import common_neighborhood
 from cclose.errors import ExtractionError
 from cclose.instances import exhaust, replay
 from cclose.kernel_ds import (
+    all_black_twin,
     common_neighborhood_threshold,
     rr_black_count,
     rr_clique,
@@ -448,6 +450,9 @@ SWEEP_CASES = {
     "stars-c2": (2, lambda: bw(disjoint_union(star_graph(7), star_graph(9)), k=1),
                  {"RR2": 2, "RR3.1": 2}),
     "stars-c3": (3, lambda: bw(disjoint_union(*[star_graph(6)] * 3), k=1), {"RR3.2": 3}),
+    # 20 blacks against T_1 = 8; after the first firing 11 are left.
+    "stars-c2-k2": (2, lambda: bw(disjoint_union(star_graph(9), star_graph(9)), k=2),
+                    {"RR3.1": 2}),
     "books-c3": (3, lambda: bw(disjoint_union(book(5), book(6)), k=1), {"RR2": 2, "RR3.1": 2}),
     "book-and-star-c3": (3, lambda: bw(disjoint_union(book(5), star_graph(7)), k=1),
                          {"RR2": 1, "RR3.1": 1, "RR3.2": 1}),
@@ -577,6 +582,86 @@ class TestCliqueSweeps:
         monkeypatch.undo()
         assert swept == restarting_black_rules(inst, 3)
         assert calls == [(0,)]
+
+
+def restart_kernelize_ds(inst, c):
+    """``kernelize_ds`` through the restarting BW-TDS reference."""
+    outcome = restart_kernelize_bwtds(all_black_twin(inst), c)
+    if isinstance(outcome, Decided):
+        witness = outcome.witness
+        if witness is not None:
+            witness = Witness(witness.kind, witness.elements, Problem.DS)
+        return Decided(outcome.answer, witness)
+    gadget, record = uncolor_gadget(outcome.instance)
+    return Reduced(gadget, outcome.trace + (record,))
+
+
+class TestBlackCountSkip:
+    """A stage RR3.i lists no clique, and the r >= c No-check scans none, when
+    the instance has at most the threshold's number of black vertices: a
+    common black neighborhood is a set of black vertices."""
+
+    @pytest.mark.parametrize("c, k", [(2, 2), (3, 1), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_a_stage_lists_only_above_its_threshold(self, monkeypatch, c, k, above):
+        sizes = []
+        original = kernel_ds.cliques_of_size
+
+        def counted(g, size):
+            sizes.append(size)
+            return original(g, size)
+
+        monkeypatch.setattr(kernel_ds, "cliques_of_size", counted)
+        for stage in range(1, c):
+            blacks = common_neighborhood_threshold(c, k, stage) + above
+            inst = bw(Graph(range(blacks + 1)), k=k, white={blacks})
+            sizes.clear()
+            assert sweep_black_rules(inst, c) == (inst, [])
+            # Every earlier stage lists; this one only with T_i + 1 blacks.
+            assert sizes == [c - i for i in range(1, stage + above)]
+        rho = common_neighborhood_threshold(c, k, 1)
+        sizes.clear()
+        assert not rr_clique_no(bw(Graph(range(rho + above)), k=k, r=c), c)
+        assert sizes == [c - 1] * above
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 10 ** 6),
+        st.lists(st.tuples(st.sampled_from("scb"), st.integers(1, 10)), min_size=1, max_size=4),
+        st.integers(0, 1),
+        st.integers(1, 2),
+        st.integers(1, 5),
+        st.integers(-1, 1),
+    )
+    def test_boundary_black_counts_match_restarting(self, seed, parts, lift, k, r, offset):
+        # The black count lands on T_i - 1, T_i or T_i + 1 for a stage i the
+        # instance runs (T_1 = rho when r >= c). The blacks are the neighbors
+        # of a white vertex of top degree first, so at T_i + 1 a stage can
+        # fire on it; isolated vertices make up any shortfall.
+        make = {"s": star_graph, "c": lambda n: complete_graph(min(n, 8)), "b": book}
+        g = disjoint_union(*(make[kind](size) for kind, size in parts))
+        c = max(2, compute_closure(g).c) + lift
+        rng = random.Random(seed)
+        stage = rng.randint(1, c - r) if r < c else 1
+        bound = common_neighborhood_threshold(c, k, stage)
+        blacks = bound + offset
+        if g.n <= blacks:
+            g = disjoint_union(g, Graph(range(blacks + 1 - g.n)))
+        hub = max(g.vertex_ids, key=g.degree)
+        order = sorted(g.vertex_ids, key=lambda v: (v != hub, v not in g.neighbors(hub), rng.random()))
+        inst = bw(g, k=k, r=r, white=frozenset(order[:1] + order[blacks + 1:]))
+        assert len(inst.black_vertices()) == blacks
+        assert sweep_black_rules(inst, c) == restarting_black_rules(inst, c)
+        assert kernelize_bwtds(inst, c) == restart_kernelize_bwtds(inst, c)
+        if r >= c:
+            black = inst.black_vertices()
+            unfiltered = any(
+                len(common_neighborhood(g, q) & black) > bound
+                for q in cliques_of_size(g, c - 1)
+            )
+            assert rr_clique_no(inst, c) == unfiltered
+        ds = Instance(problem=Problem.DS, graph=g.induced(order[:blacks]), k=k)
+        assert kernelize_ds(ds, c) == restart_kernelize_ds(ds, c)
 
 
 class TestGadget:
@@ -853,3 +938,31 @@ IS_PARTS = Bipartition(frozenset({0}))
 def test_a_kernel_rejects_an_instance_of_another_problem(kernel):
     with pytest.raises(ValueError, match="expected a"):
         kernel()
+
+
+# Two disjoint edges and two isolated vertices, the sides passed apart from
+# the instance: each bipartite kernel reduces it, keeping vertices 0, 2 and 3
+# (IM drops the isolated vertices; BW-DS drops the whites 1, 4 and 5).
+TWO_EDGES = Graph(range(6), [(0, 1), (2, 3)])
+TWO_EDGES_PARTS = Bipartition(frozenset({0, 2, 4}))
+
+
+@pytest.mark.parametrize(
+    "inst, kernel",
+    [
+        (Instance(problem=Problem.IM, graph=TWO_EDGES, k=2),
+         lambda inst, parts: kernelize_im_bipartite(inst, parts, "delta")),
+        (bw(TWO_EDGES, k=2, white={1, 4, 5}),
+         lambda inst, parts: kernelize_bipartite_bwds(inst, parts, 1)),
+    ],
+    ids=["kernelize_im_bipartite", "kernelize_bipartite_bwds"],
+)
+def test_a_bipartite_kernel_reduces_on_the_sides_it_is_given(inst, kernel):
+    out = kernel(inst, TWO_EDGES_PARTS)
+    sided = replace(inst, bipartition=TWO_EDGES_PARTS)
+    assert isinstance(out, Reduced)
+    assert out.instance.bipartition == Bipartition(frozenset({0, 2}))
+    assert out.instance == replay_trace(sided, out.trace)
+    assert kernel(sided, TWO_EDGES_PARTS) == out
+    with pytest.raises(ValueError, match="differ"):
+        kernel(replace(inst, bipartition=Bipartition(frozenset({1, 2, 4}))), TWO_EDGES_PARTS)
