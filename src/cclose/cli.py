@@ -23,7 +23,7 @@ from .closure import compute_closure
 from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
 from .generators import MODEL_PARAMS, generate
 from .graphio import load_graph, renumber, save_graph
-from .instances import Bipartition, Coloring, Decided, Instance, Problem, Reduced
+from .instances import Bipartition, Coloring, Decided, Instance, Problem
 from .kernel_im import BIPARTITE_MODES
 from .oracle import oracle_ds, oracle_tds
 from .ramsey import Clique, clique_or_independent_set
@@ -253,9 +253,8 @@ def _run_kernelize(args: argparse.Namespace) -> int:
     outcome = kernelize(inst, c, args.mode)
 
     if args.emit_trace is not None:
-        trace = outcome.trace if isinstance(outcome, Reduced) else ()
         with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            json.dump({"schema": 1, "records": [r.to_json() for r in trace]}, fh, indent=2)
+            json.dump({"schema": 1, "records": [r.to_json() for r in outcome.trace]}, fh, indent=2)
 
     if isinstance(outcome, Decided):
         print(f"decided: {'yes' if outcome.answer else 'no'}")

@@ -123,15 +123,12 @@ class Graph:
         return True
 
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        for v in vs:
-            if v not in self._adj:
-                return False
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                if v in self._adj[u]:
-                    return False
-        return True
+        """Whether ``vertices`` are vertices of the graph, no two adjacent;
+        each member's row is checked against the whole set in one
+        ``isdisjoint`` call. A repeated member counts once: no vertex is its
+        own neighbour."""
+        vs = set(vertices)
+        return all((row := self._adj.get(v)) is not None and row.isdisjoint(vs) for v in vs)
 
     # -- value-style mutations -----------------------------------------------
 

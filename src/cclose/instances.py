@@ -288,8 +288,8 @@ def replay_removals(inst: Instance, records: Sequence[RuleRecord]) -> Instance:
 
 
 def exhaust(
-    inst: Instance, rules: Sequence[Callable[[Instance], RuleRecord | Decided | None]]
-) -> tuple[Instance, list[RuleRecord], Decided | None]:
+    inst: Instance, rules: Sequence[Callable[[Instance], RuleRecord | Witness | None]]
+) -> tuple[Instance, list[RuleRecord], Witness | None]:
     """Apply the first rule that fires, replay its record and start again
     from the first rule, until no rule fires or one decides the instance.
 
@@ -302,9 +302,10 @@ def exhaust(
     no record can make a passed candidate, or one a fresh listing would add,
     fire; the caller has to show that.
 
-    Returns the final instance, the records applied, and the verdict of the
-    deciding rule (None at a fixpoint). Running out of the 20*(n+k+10)
-    applications allowed raises ExtractionError.
+    A rule decides by returning the certified witness of a Yes. Returns the
+    instance and the records applied when the run stopped, and that witness
+    (None at a fixpoint). Running out of the 20*(n+k+10) applications
+    allowed raises ExtractionError.
     """
     trace: list[RuleRecord] = []
     for _ in range(20 * (inst.graph.n + inst.k + 10)):
@@ -314,7 +315,7 @@ def exhaust(
                 break
         else:
             return inst, trace, None
-        if isinstance(outcome, Decided):
+        if isinstance(outcome, Witness):
             return inst, trace, outcome
         inst = replay(inst, outcome)
         trace.append(outcome)
@@ -322,24 +323,30 @@ def exhaust(
 
 
 @dataclass(frozen=True)
-class Decided:
-    """The pipeline solved the instance outright."""
-
-    answer: bool
-    witness: Witness | None = None
-
-
-@dataclass(frozen=True)
-class Reduced:
-    """An equivalent smaller instance plus the trace that produced it.
+class KernelOutcome:
+    """What a kernel returns: an instance and the rule trace that produced it.
 
     ``instance == replay_trace(base, trace)``, whole, where ``base`` is the
     instance the kernel ran on (the all-black twin for the DS and TDS
-    kernels): every kernel returns the instance its records replay to.
+    kernels). Each rule is safe by its own lemma, so the trace certifies the
+    run, whether it ends decided or reduced.
     """
 
     instance: Instance
     trace: tuple[RuleRecord, ...]
 
 
-KernelOutcome = Decided | Reduced
+@dataclass(frozen=True)
+class Reduced(KernelOutcome):
+    """An equivalent smaller instance: ``instance`` is the kernel."""
+
+
+@dataclass(frozen=True)
+class Decided(KernelOutcome):
+    """The kernel solved its input outright; ``instance`` and ``trace`` are
+    those at the point of decision, ``(base, ())`` for a decision taken
+    before any rule ran. A Yes carries its certified witness, a solution of
+    the input rather than of ``instance``."""
+
+    answer: bool
+    witness: Witness | None = None

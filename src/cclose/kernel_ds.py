@@ -345,17 +345,15 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
         raise ValueError("graph is not c-closed")
     r = inst.r
     if not inst.black_vertices():
-        return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
+        return Decided(inst, (), True, Witness.vertex_set((), Problem.BW_TDS))
     if inst.k == 0:
-        return Decided(False)
+        return Decided(inst, (), False)
     if c == 1:
         return _decide_cluster_bwtds(inst)
 
     inst, trace = sweep_black_rules(inst, c)
-    if r >= c and rr_clique_no(inst, c):
-        return Decided(False)
-    if rr_black_count(inst, c):
-        return Decided(False)
+    if r >= c and rr_clique_no(inst, c) or rr_black_count(inst, c):
+        return Decided(inst, tuple(trace), False)
     inst, removals = sweep_white_removal(inst)
     trace.extend(removals)
     assert not rr_black_count(inst, c)
@@ -376,11 +374,11 @@ def _decide_cluster_bwtds(inst: Instance) -> Decided:
     for comp in g.components():
         if comp & black:
             if len(comp) < r:
-                return Decided(False)
+                return Decided(inst, (), False)
             witness.extend(sorted(comp)[:r])
     if len(witness) > inst.k:
-        return Decided(False)
-    return Decided(True, certified_witness(inst, Witness.vertex_set(witness, Problem.BW_TDS)))
+        return Decided(inst, (), False)
+    return Decided(inst, (), True, certified_witness(inst, Witness.vertex_set(witness, Problem.BW_TDS)))
 
 
 # -- color removal ----------------------------------------------------------------
@@ -455,10 +453,7 @@ def kernelize_ds(inst: Instance, c: int) -> KernelOutcome:
         raise ValueError(f"expected a DS instance, got {inst.problem}")
     outcome = kernelize_bwtds(all_black_twin(inst), c)
     if isinstance(outcome, Decided):
-        witness = outcome.witness
-        if witness is not None:
-            witness = Witness(witness.kind, witness.elements, Problem.DS)
-        return Decided(outcome.answer, witness)
+        return replace(outcome, witness=outcome.witness and replace(outcome.witness, problem=Problem.DS))
     gadget_inst, record = uncolor_gadget(outcome.instance)
     return Reduced(gadget_inst, outcome.trace + (record,))
 
@@ -490,16 +485,14 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     inst, trace, _ = exhaust(inst, [lambda i: _rr_high_degree(i, c)])
     black = inst.black_vertices()
     if not black:
-        forced = [record.vertices_removed[0] for record in trace]
-        return Decided(True, certified_witness(original, Witness.vertex_set(forced, Problem.BW_TDS)))
-    if inst.k == 0:
-        return Decided(False)
+        forced = Witness.vertex_set((record.vertices_removed[0] for record in trace), Problem.BW_TDS)
+        return Decided(inst, tuple(trace), True, certified_witness(original, forced))
     # Strictly more than c*k^2 blacks: k vertices, each covering at most
-    # c*k - 1 black neighbors plus themselves, cannot dominate them all.
-    # (Exactly c*k^2 can still be a Yes: one isolated black vertex at
-    # c = k = 1.)
+    # c*k - 1 black neighbors plus themselves, cannot dominate them all; at
+    # k = 0 that is any black. (Exactly c*k^2 can still be a Yes: one
+    # isolated black vertex at c = k = 1.)
     if len(black) > c * inst.k * inst.k:
-        return Decided(False)
+        return Decided(inst, tuple(trace), False)
     leaves = [
         record
         for w in sorted(inst.white_vertices())

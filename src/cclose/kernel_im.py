@@ -64,11 +64,11 @@ def rr_neighborhood_matching(inst: Instance, c: int) -> RuleRecord | None:
     return None
 
 
-def rr_lp_thresholds(inst: Instance, c: int, p: VclpPartition) -> Decided | None:
-    """RR11/RR12: a huge half class or one class certifies a Yes.
+def rr_lp_thresholds(inst: Instance, c: int, p: VclpPartition) -> Witness | None:
+    """RR11/RR12: a huge half class or one class certifies a Yes, whose
+    extracted witness is returned validated on ``inst``.
 
-    The thresholds are astronomically large for c, k >= 2. The extracted
-    witness is validated.
+    The thresholds are astronomically large for c, k >= 2.
     """
     g, k = inst.graph, inst.k
     a = 4 * c * k + 1
@@ -83,7 +83,7 @@ def rr_lp_thresholds(inst: Instance, c: int, p: VclpPartition) -> Decided | None
         witness = _im_witness(clique_or_im_saturating(g, c, independent, m, a, k))
     else:
         return None
-    return Decided(True, certified_witness(inst, witness))
+    return certified_witness(inst, witness)
 
 
 def _lp_bounds(c: int, k: int) -> tuple[int, int]:
@@ -188,33 +188,33 @@ def kernelize_im(inst: Instance, c: int) -> KernelOutcome:
     if not is_c_closed(inst.graph, c):
         raise ValueError("graph is not c-closed")
     if inst.k == 0:
-        return Decided(True, Witness.edge_set((), Problem.IM))
+        return Decided(inst, (), True, Witness.edge_set((), Problem.IM))
     if c == 1:
         return _decide_cluster_im(inst)
 
     original = inst
     matching: Mapping[int, int] = {}
 
-    def lp_stage(i: Instance) -> Decided | RuleRecord | None:
+    def lp_stage(i: Instance) -> Witness | RuleRecord | None:
         nonlocal matching
         p = vclp_half_integral(i.graph, matching)
         matching = p.matching
         return _lp_stage(i, c, p)
 
     rules = [lambda i: rr_neighborhood_matching(i, c), lp_stage]
-    inst, trace, decided = exhaust(inst, rules)
-    if decided is not None:
-        return Decided(True, lift_im_witness(original, decided.witness, trace))
+    inst, trace, witness = exhaust(inst, rules)
+    if witness is not None:
+        return Decided(inst, tuple(trace), True, lift_im_witness(original, witness, trace))
     return Reduced(inst, tuple(trace))
 
 
-def _lp_stage(inst: Instance, c: int, p: VclpPartition) -> Decided | RuleRecord | None:
+def _lp_stage(inst: Instance, c: int, p: VclpPartition) -> Witness | RuleRecord | None:
     """The round's LP solve ``p`` feeds RR11/RR12, then the leaf rules, then
     the removal of isolated vertices. When none fires, the instance is
     reduced and the same solve checks the partition bounds."""
-    decided = rr_lp_thresholds(inst, c, p)
-    if decided is not None:
-        return decided
+    witness = rr_lp_thresholds(inst, c, p)
+    if witness is not None:
+        return witness
     record = rr_leaf_rules(inst, c, p)
     if record is None and (isolated := inst.graph.isolated_vertices()):
         record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
@@ -246,8 +246,8 @@ def _decide_cluster_im(inst: Instance) -> Decided:
             members = sorted(comp)
             chosen.append((members[0], members[1]))
     if len(chosen) >= inst.k:
-        return Decided(True, certified_witness(inst, Witness.edge_set(chosen, Problem.IM)))
-    return Decided(False)
+        return Decided(inst, (), True, certified_witness(inst, Witness.edge_set(chosen, Problem.IM)))
+    return Decided(inst, (), False)
 
 
 # -- bipartite kernels ------------------------------------------------------------
@@ -278,7 +278,7 @@ def kernelize_im_bipartite(
     inst = inst.on_sides(parts)
     g, k = inst.graph, inst.k
     if k == 0:
-        return Decided(True, Witness.edge_set((), Problem.IM))
+        return Decided(inst, (), True, Witness.edge_set((), Problem.IM))
 
     if mode == "delta":
         delta = g.max_degree()
@@ -302,7 +302,7 @@ def kernelize_im_bipartite(
             matching = im_dense_bipartite(rest, Bipartition(parts.left_of(rest)), k)
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
-    return Decided(True, certified_witness(inst, _im_witness(matching)))
+    return Decided(inst, (), True, certified_witness(inst, _im_witness(matching)))
 
 
 def _reduced_drop_isolated(inst: Instance) -> Reduced:

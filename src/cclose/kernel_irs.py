@@ -91,13 +91,14 @@ def kernelize_irs(inst: Instance, c: int) -> KernelOutcome:
     if not is_c_closed(inst.graph, c):
         raise ValueError("graph is not c-closed")
     if inst.k == 0:
-        return Decided(True, Witness.vertex_set((), Problem.IRS))
-    trace = sweep_simplicial_twins(inst)
+        return Decided(inst, (), True, Witness.vertex_set((), Problem.IRS))
+    trace = tuple(sweep_simplicial_twins(inst))
     inst = replay_removals(inst, trace)
     _, _, total = irs_thresholds(c, inst.k)
     if inst.graph.n >= total:
-        return Decided(True, certified_witness(inst, extract_irs_witness(inst.graph, c, inst.k)))
-    return Reduced(inst, tuple(trace))
+        witness = certified_witness(inst, extract_irs_witness(inst.graph, c, inst.k))
+        return Decided(inst, trace, True, witness)
+    return Reduced(inst, trace)
 
 
 def extract_irs_witness(g: Graph, c: int, k: int) -> Witness:

@@ -34,7 +34,7 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
         raise ValueError("graph is not c-closed")
     k = inst.k
     if k == 0:
-        return Decided(True, Witness.vertex_set((), Problem.IS))
+        return Decided(inst, (), True, Witness.vertex_set((), Problem.IS))
     g = inst.graph
     threshold = (c - 1) * (k - 1) + 1
     trace: list[RuleRecord] = []
@@ -49,7 +49,7 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
     g = reduced.graph
     if g.n >= threshold * k:
         witness = Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS)
-        return Decided(True, certified_witness(inst, witness))
+        return Decided(reduced, tuple(trace), True, certified_witness(inst, witness))
     assert g.n <= independent_set_kernel_bound(c, k), "kernel exceeds the c*k^2 bound"
     return Reduced(reduced, tuple(trace))
 

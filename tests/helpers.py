@@ -478,9 +478,9 @@ def restart_rr_white_removal(inst, keep=frozenset()):
 def restart_kernelize_bwtds(inst, c):
     r = inst.r
     if not inst.black_vertices():
-        return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
+        return Decided(inst, (), True, Witness.vertex_set((), Problem.BW_TDS))
     if inst.k == 0:
-        return Decided(False)
+        return Decided(inst, (), False)
     if c == 1:
         return _decide_cluster_bwtds(inst)
 
@@ -488,7 +488,7 @@ def restart_kernelize_bwtds(inst, c):
     guard = 8 * (inst.graph.n + inst.k + 10)
     for _ in range(guard):
         if not inst.black_vertices():
-            return Decided(True, Witness.vertex_set((), Problem.BW_TDS))
+            return Decided(inst, tuple(trace), True, Witness.vertex_set((), Problem.BW_TDS))
         record = rr_clique(inst, c, iter(maximal_cliques(inst.graph)))
         if record is None and r <= c - 1:
             for i in range(1, c - r + 1):
@@ -497,9 +497,9 @@ def restart_kernelize_bwtds(inst, c):
                 if record is not None:
                     break
         if record is None and r >= c and rr_clique_no(inst, c):
-            return Decided(False)
+            return Decided(inst, tuple(trace), False)
         if record is None and rr_black_count(inst, c):
-            return Decided(False)
+            return Decided(inst, tuple(trace), False)
         if record is None:
             record = restart_rr_white_removal(inst)
         if record is None:
@@ -546,9 +546,9 @@ def restart_kernelize_bipartite_bwds(inst, c):
             witness = Witness.vertex_set(forced, Problem.BW_TDS)
             if not validate_witness(original, witness):
                 raise ExtractionError("forced-vertex witness fails validation")
-            return Decided(True, witness)
+            return Decided(inst, tuple(trace), True, witness)
         if inst.k == 0:
-            return Decided(False)
+            return Decided(inst, tuple(trace), False)
         record = _rr_high_degree(inst, c)
         if record is not None:
             forced.append(record.vertices_removed[0])
@@ -556,7 +556,7 @@ def restart_kernelize_bipartite_bwds(inst, c):
             trace.append(record)
             continue
         if len(black) > c * inst.k * inst.k:
-            return Decided(False)
+            return Decided(inst, tuple(trace), False)
         record = restart_rr_white_leaf(inst)
         if record is not None:
             inst = replay(inst, record)
@@ -595,7 +595,7 @@ def restart_rr_simplicial_twin(inst):
 def restart_kernelize_is(inst, c):
     k = inst.k
     if k == 0:
-        return Decided(True, Witness.vertex_set((), Problem.IS))
+        return Decided(inst, (), True, Witness.vertex_set((), Problem.IS))
     g = inst.graph
     threshold = (c - 1) * (k - 1) + 1
     trace = []
@@ -607,9 +607,10 @@ def restart_kernelize_is(inst, c):
         trace.append(
             RuleRecord(rule="RR1", vertices_removed=(target,), payload={"degree_threshold": threshold})
         )
-    if g.n >= threshold * k:
-        return Decided(True, Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS))
     reduced = Instance(problem=Problem.IS, graph=g, k=k)
+    if g.n >= threshold * k:
+        witness = Witness.vertex_set(_greedy_low_degree_is(g, k), Problem.IS)
+        return Decided(reduced, tuple(trace), True, witness)
     return Reduced(reduced, tuple(trace))
 
 
@@ -638,7 +639,7 @@ def restart_kernelize_im(inst, c):
     if not is_c_closed(inst.graph, c):
         raise ValueError("graph is not c-closed")
     if inst.k == 0:
-        return Decided(True, Witness.edge_set((), Problem.IM))
+        return Decided(inst, (), True, Witness.edge_set((), Problem.IM))
     if c == 1:
         return _decide_cluster_im(inst)
 
@@ -652,9 +653,9 @@ def restart_kernelize_im(inst, c):
             trace.append(record)
             continue
         p = vclp_half_integral(inst.graph)
-        decided = rr_lp_thresholds(inst, c, p)
-        if decided is not None:
-            return Decided(True, lift_im_witness(original, decided.witness, trace))
+        witness = rr_lp_thresholds(inst, c, p)
+        if witness is not None:
+            return Decided(inst, tuple(trace), True, lift_im_witness(original, witness, trace))
         record = rr_leaf_rules(inst, c, p)
         if record is None:
             isolated = inst.graph.isolated_vertices()

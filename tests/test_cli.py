@@ -25,6 +25,7 @@ from cclose import (
 )
 from cclose.cli import main
 from cclose.errors import ExtractionError
+from cclose.kernel_ds import all_black_twin
 
 
 def write(tmp_path, name, text):
@@ -79,7 +80,7 @@ def test_kernelize_roundtrip(tmp_path, capsys):
     assert "decided: yes" in out
     payload = json.loads(open(trace).read())
     assert payload["schema"] == 1
-    assert all("rule" in record for record in payload["records"])
+    assert [record["rule"] for record in payload["records"]] == ["RR1"]
 
 
 def test_kernelize_reduced_writes_file(tmp_path, capsys):
@@ -140,6 +141,35 @@ def test_kernelize_tds_trace_replays_to_the_written_instance(tmp_path, capsys, e
     white = Coloring(frozenset(mapping[v] for v in reduced.coloring.white_of(reduced.graph)))
     assert open(dst).read() == serialize_graph(normalized, white)
     assert capsys.readouterr().out == f"reduced: n={normalized.n} m={normalized.m} k={reduced.k}\n"
+
+
+# The draw of trial 63 of `cclose verify --problem ds --n-max 16 --seed 1`:
+# 2-closed, and decided No at k = 1 after RR2 fires three times and RR3.1
+# once.
+TRIAL_63 = "p 9\ne 0 6\ne 1 3\ne 2 5\ne 2 7\ne 3 4\ne 3 8\ne 6 7\n"
+
+
+def test_a_decided_run_emits_the_records_it_applied(tmp_path, capsys):
+    src = write(tmp_path, "in.txt", TRIAL_63)
+    dst, trace = tmp_path / "out.txt", str(tmp_path / "trace.json")
+    assert main(["kernelize", "--problem", "ds", "-k", "1", "--emit-trace", trace, src, str(dst)]) == 0
+    assert capsys.readouterr().out == "decided: no\n" and not dst.exists()
+    records = read_trace(trace)
+    assert [record.rule for record in records] == ["RR2", "RR2", "RR2", "RR3.1"]
+    with open(trace) as fh:
+        assert [record.to_json() for record in records] == json.load(fh)["records"]
+    g, _, _ = parse_graph(TRIAL_63)
+    state = replay_trace(all_black_twin(Instance(problem=Problem.DS, graph=g, k=1)), records)
+    assert (state.problem, state.graph.n, state.k) == (Problem.BW_TDS, 13, 1)
+
+
+def test_a_run_decided_before_any_rule_emits_no_records(tmp_path, capsys):
+    trace = str(tmp_path / "trace.json")
+    argv = ["kernelize", "--problem", "ds", "-k", "0", "--emit-trace", trace]
+    assert main([*argv, c4_file(tmp_path), str(tmp_path / "out.txt")]) == 0
+    assert capsys.readouterr().out == "decided: no\n"
+    with open(trace) as fh:
+        assert json.load(fh) == {"schema": 1, "records": []}
 
 
 @pytest.mark.parametrize("problem, k", [("ds", "3"), ("im", "2")])
@@ -469,10 +499,11 @@ GOLDEN = {
         None,
         None,
     ),
+    # decided yes; the trace holds the RR1 records applied before the decision
     ("gnp.txt", "kernelize --problem is -k 2"): (
         "e0ee4c6de380432986776f9df01c7f52747d93c77697c7c3a26c68f5b7287b7e",
         None,
-        "7ac815bfabffcaa9fa85f179313cbcbc80acaa1b16d2e1598d07542c98365c69",
+        "5d73ad24f984beb760da5696d32ed7387111c0e3d89920e9911eab79263a5cc3",
     ),
     ("gnp.txt", "kernelize --problem is -k 30"): (
         "dc63aab396fd14b52f1be0629748489206d042b4138101950a511d067f89e71b",

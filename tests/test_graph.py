@@ -200,3 +200,34 @@ def test_is_clique_agrees_with_the_pairwise_definition(g, vs):
         and all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
     )
     assert g.is_clique(vs) == expected
+
+
+def test_is_independent_set_edge_cases():
+    g = Graph([2, 5, 7, 11], [(2, 5), (2, 7), (5, 7), (7, 11)])
+    assert g.is_independent_set([]) and g.is_independent_set(iter(()))
+    assert g.is_independent_set([11, 2]) and g.is_independent_set(iter([5, 11]))
+    assert g.is_independent_set([11, 11]) and g.is_independent_set([2, 11, 2])
+    assert not g.is_independent_set([4]) and not g.is_independent_set([2, 4])
+    assert not g.is_independent_set([2, 5]) and not g.is_independent_set([11, 7, 11])
+
+
+@st.composite
+def scattered_graphs(draw):
+    """A graph on up to 8 ids drawn from 0..20, and a list of up to 6
+    members drawn from 0..21, repeats and ids outside the graph allowed."""
+    ids = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(ids, [pair for pair, flag in zip(pairs, flags) if flag])
+    members = st.sampled_from(ids) | st.integers(0, 21) if ids else st.integers(0, 21)
+    return g, draw(st.lists(members, max_size=6))
+
+
+@given(scattered_graphs())
+def test_is_independent_set_agrees_with_the_pairwise_definition(case):
+    g, vs = case
+    expected = all(g.has_vertex(v) for v in vs) and not any(
+        g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+    )
+    assert g.is_independent_set(vs) == expected
+    assert g.is_independent_set(iter(vs)) == expected

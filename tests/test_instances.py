@@ -341,7 +341,7 @@ def test_exhaust_stops_at_a_verdict():
         raise AssertionError("a rule after the verdict ran")
 
     inst = Instance(problem=Problem.IS, graph=path_graph(5), k=1)
-    verdict = Decided(False)
+    verdict = Witness.vertex_set((0,), Problem.IS)
     post, trace, decided = exhaust(inst, [drops_max, lambda i: verdict, never_reached])
     assert decided is verdict
     assert [r.vertices_removed for r in trace] == [(4,), (3,), (2,)]

@@ -268,7 +268,8 @@ class TestBwtdsPipeline:
             assert oracle_answer(out.instance)
 
     def test_k0_with_black_vertex_is_no(self):
-        assert kernelize_bwtds(bw(Graph(range(1)), k=0), 1) == Decided(False)
+        inst = bw(Graph(range(1)), k=0)
+        assert kernelize_bwtds(inst, 1) == Decided(inst, (), False)
 
     def test_no_black_vertices_is_yes(self):
         out = kernelize_bwtds(bw(Graph(range(2), [(0, 1)]), k=0, white=frozenset({0, 1})), 1)
@@ -589,9 +590,7 @@ def restart_kernelize_ds(inst, c):
     outcome = restart_kernelize_bwtds(all_black_twin(inst), c)
     if isinstance(outcome, Decided):
         witness = outcome.witness
-        if witness is not None:
-            witness = Witness(witness.kind, witness.elements, Problem.DS)
-        return Decided(outcome.answer, witness)
+        return replace(outcome, witness=witness and replace(witness, problem=Problem.DS))
     gadget, record = uncolor_gadget(outcome.instance)
     return Reduced(gadget, outcome.trace + (record,))
 
@@ -819,7 +818,7 @@ class TestBipartitePipeline:
             bipartition=Bipartition(frozenset({0, 1})),
         )
         out = kernelize_bipartite_bwds(inst, inst.bipartition, 1)
-        assert out == Decided(False)
+        assert out == Decided(inst, (), False)
 
     def test_white_leaf_removed(self):
         g = path_graph(2)

@@ -139,9 +139,8 @@ class TestLpThresholdRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert len(p.v_half) == 2 * b
-        decided = rr_lp_thresholds(inst, 2, p)
-        assert decided is not None and decided.answer
-        assert validate_witness(inst, decided.witness)
+        witness = rr_lp_thresholds(inst, 2, p)
+        assert witness is not None and validate_witness(inst, witness)
 
     def test_vone_override_extracts_witness(self, monkeypatch):
         # stars make V_1 the centers; crown matching feeds the saturated chain
@@ -158,9 +157,8 @@ class TestLpThresholdRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert len(p.v1) == centers
-        decided = rr_lp_thresholds(inst, 2, p)
-        assert decided is not None and decided.answer
-        assert validate_witness(inst, decided.witness)
+        witness = rr_lp_thresholds(inst, 2, p)
+        assert witness is not None and validate_witness(inst, witness)
 
     def test_partition_bound_violation_names_the_v1_and_v0_bounds(self):
         # c = 2, k = 1: |V_1| may not reach 6, and |V_0| may not exceed
@@ -245,8 +243,8 @@ class TestKernelizeIm:
         out = kernelize_im(make(g, 3), 1)
         assert isinstance(out, Decided) and out.answer
         assert len(out.witness.elements) == 3
-        out = kernelize_im(make(g, 4), 1)
-        assert out == Decided(False)
+        inst = make(g, 4)
+        assert kernelize_im(inst, 1) == Decided(inst, (), False)
 
     def test_a_corrupted_cluster_witness_raises(self, monkeypatch):
         # Merging the two edges' components makes the counting pick 0-2,

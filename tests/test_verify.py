@@ -18,6 +18,7 @@ from cclose import (
     Reduced,
     RuleRecord,
     Witness,
+    closure,
     compute_closure,
     kernelize_bipartite_bwds,
     kernelize_bwtds,
@@ -134,7 +135,7 @@ def test_bipartite_im_draws_run_both_modes_and_the_general_kernel(monkeypatch):
 
 
 def test_a_broken_general_im_kernel_is_caught_on_bipartite_draws(monkeypatch):
-    monkeypatch.setattr(verify_mod, "kernelize_im", lambda inst, c: Decided(not oracle_answer(inst)))
+    monkeypatch.setattr(verify_mod, "kernelize_im", lambda inst, c: Decided(inst, (), not oracle_answer(inst)))
     inst = _shape(Problem.IM, bipartition=SHAPE_PARTS)
     agreed, detail = check_instance("im", inst, True)
     assert not agreed and detail.startswith("kernelize_im: decided ")
@@ -176,41 +177,69 @@ def test_size_bound_names_the_vhalf_bound_like_the_kernel():
     assert verify_mod._size_bound_holds("kernelize_im", smaller, 2) == (True, "")
 
 
+BIPARTITE_IM = {"kernelize_im_bipartite[delta]", "kernelize_im_bipartite[closure]", "kernelize_im"}
+
+
 @pytest.mark.parametrize(
-    "problem, r, bipartite, names",
+    "problem, r, bipartite, reducing, deciding",
     [
-        ("is", 1, False, {"kernelize_is"}),
-        ("ds", 1, False, {"kernelize_ds"}),
-        ("tds", 2, False, {"kernelize_bwtds"}),
-        ("bwtds", 2, False, {"kernelize_bwtds"}),
-        ("ds", 1, True, {"kernelize_bipartite_bwds"}),
-        ("im", 1, False, {"kernelize_im"}),
-        (
-            "im",
-            1,
-            True,
-            {"kernelize_im_bipartite[delta]", "kernelize_im_bipartite[closure]", "kernelize_im"},
-        ),
-        ("irs", 1, False, {"kernelize_irs"}),
+        ("is", 1, False, {"kernelize_is"}, {"kernelize_is"}),
+        ("ds", 1, False, {"kernelize_ds"}, {"kernelize_ds"}),
+        ("tds", 2, False, {"kernelize_bwtds"}, {"kernelize_bwtds"}),
+        ("tds", 1, False, {"kernelize_bwtds"}, {"kernelize_bwtds"}),
+        ("bwtds", 2, False, {"kernelize_bwtds"}, {"kernelize_bwtds"}),
+        ("bwtds", 1, False, {"kernelize_bwtds"}, {"kernelize_bwtds"}),
+        ("bwtds", 1, True, {"kernelize_bwtds"}, {"kernelize_bwtds"}),
+        ("ds", 1, True, {"kernelize_bipartite_bwds"}, {"kernelize_bipartite_bwds"}),
+        ("im", 1, False, {"kernelize_im"}, set()),
+        ("im", 1, True, BIPARTITE_IM, set()),
+        ("irs", 1, False, {"kernelize_irs"}, {"kernelize_irs"}),
     ],
-    ids=["is", "ds", "tds", "bwtds", "bipartite-bwds", "im", "bipartite-im", "irs"],
+    ids=["is", "ds", "tds", "tds-r1", "bwtds", "bwtds-r1", "bipartite-bwtds", "bipartite-bwds", "im",
+         "bipartite-im", "irs"],
 )
-def test_every_reduction_is_its_replayed_trace(problem, r, bipartite, names):
-    """Each kernel verify runs returns, as its reduced instance, the whole
-    instance its trace replays to from the instance it ran on: graph,
-    budget, r, coloring and bipartition."""
-    reduced = set()
-    for seed in range(300):
-        inst = random_instance(problem, 14, 3, r, bipartite, seed)
+def test_every_reduction_is_its_replayed_trace(problem, r, bipartite, reducing, deciding):
+    """On the draws of each verify job at n <= 16 and seed 1, every outcome,
+    decided or reduced, carries the whole instance its trace replays to from
+    the instance it ran on: graph, budget, r, coloring and bipartition.
+    ``deciding`` names the kernels that decide after applying records; the
+    thresholds of the IM kernels are far out of reach at this size."""
+    reduced, decided = set(), set()
+    for idx in range(200):
+        inst = random_instance(problem, 16, 3, r, bipartite, 1_000_003 + idx)
         for name, base, out in verify_mod._run_pipelines(inst, compute_closure(inst.graph).c):
+            assert out.instance == replay_trace(base, out.trace), (name, idx)
             if isinstance(out, Reduced):
-                assert out.instance == replay_trace(base, out.trace), (name, seed)
                 reduced.add(name)
-    assert reduced == names
+            elif out.trace:
+                decided.add(name)
+    assert reduced == reducing and decided == deciding
+
+
+def test_a_removal_only_trace_scans_no_closure(monkeypatch):
+    """Removing vertices keeps a graph c-closed, so verify rescans the
+    closure only after a record that adds a vertex or an edge."""
+    inst = Instance(problem=Problem.IS, graph=complete_graph(5), k=2)
+    out = kernelize_is(inst, 1)
+    assert isinstance(out, Reduced) and [r.rule for r in out.trace] == ["RR1"] * 4
+    edgeless = _edgeless(Problem.IS, 4, 2)
+    grown = path_added(edgeless, 1)
+    scans = []
+    original = closure.compute_closure
+
+    def counted(g):
+        scans.append(g.n)
+        return original(g)
+
+    monkeypatch.setattr(closure, "compute_closure", counted)
+    assert verify_mod._closure_preserved(inst, out, 1) == (True, "")
+    assert scans == []
+    assert verify_mod._closure_preserved(edgeless, grown, 1) == (False, "rule path broke c-closedness")
+    assert scans == [4]
 
 
 def wrong_answer(inst, c):
-    return Decided(not oracle_answer(inst))
+    return Decided(inst, (), not oracle_answer(inst))
 
 
 def crashing(inst, c):
@@ -218,11 +247,16 @@ def crashing(inst, c):
 
 
 def witnessless(inst, c):
-    return Decided(oracle_answer(inst))
+    return Decided(inst, (), oracle_answer(inst))
 
 
 def empty_witness(inst, c):
-    return Decided(oracle_answer(inst), Witness.vertex_set((), inst.problem))
+    return Decided(inst, (), oracle_answer(inst), Witness.vertex_set((), inst.problem))
+
+
+def decided_off_its_trace(inst, c):
+    """A right No whose instance its empty trace does not reproduce."""
+    return Decided(replace(inst, k=inst.k + 1), (), oracle_answer(inst))
 
 
 def whole_graph(inst, *_):
@@ -269,21 +303,27 @@ def _edgeless(problem, n, k, **fields):
             "is",
             first_vertex_dropped,
             _edgeless(Problem.IS, 3, 2),
-            "kernelize_is: trace replay does not reproduce the reduced instance",
+            "kernelize_is: trace replay does not reproduce the outcome's instance",
         ),
         (
             "is",
             padded_past_the_oracle,
             _edgeless(Problem.IS, 4, 5),
-            "kernelize_is: trace replay does not reproduce the reduced instance",
+            "kernelize_is: trace replay does not reproduce the outcome's instance",
         ),
         (
             "is",
             budget_raised,
             _edgeless(Problem.IS, 4, 2),
-            "kernelize_is: trace replay does not reproduce the reduced instance",
+            "kernelize_is: trace replay does not reproduce the outcome's instance",
         ),
         ("is", path_added, _edgeless(Problem.IS, 4, 2), "kernelize_is: rule path broke c-closedness"),
+        (
+            "is",
+            decided_off_its_trace,
+            _edgeless(Problem.IS, 4, 5),
+            "kernelize_is: trace replay does not reproduce the outcome's instance",
+        ),
         (
             "bwtds",
             whole_graph,
@@ -304,6 +344,7 @@ def _edgeless(problem, n, k, **fields):
         "past-the-oracle-trace-does-not-replay",
         "budget-raised",
         "broke-closure",
+        "decided-off-its-trace",
         "bwtds-black-count",
         "ds-black-count-before-the-gadget",
         "irs-bound",
@@ -380,7 +421,7 @@ def test_reproducer_keeps_the_coloring(monkeypatch):
 
     def wrong_with_whites(inst, c):
         if inst.white_vertices():
-            return Decided(not oracle_answer(inst))
+            return Decided(inst, (), not oracle_answer(inst))
         return kernelize_bwtds(inst, c)
 
     monkeypatch.setattr(verify_mod, "kernelize_bwtds", wrong_with_whites)
