@@ -12,7 +12,7 @@ from .errors import (
 )
 from .generators import closure_repair, disjoint_cliques, er_graph, generate, theta_graph
 from .graph import Graph, path_graph
-from .graphio import load_graph, normalize_ids, parse_graph, save_graph, serialize_graph
+from .graphio import load_graph, parse_graph, save_graph, serialize_graph
 from .instances import (
     Bipartition,
     Coloring,

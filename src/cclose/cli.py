@@ -22,7 +22,7 @@ from .cliques import maximal_cliques
 from .closure import compute_closure
 from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
 from .generators import MODEL_PARAMS, generate
-from .graphio import load_graph, renumber, save_graph
+from .graphio import load_graph, save_graph
 from .instances import Bipartition, Coloring, Decided, Instance, Problem
 from .kernel_im import BIPARTITE_MODES
 from .oracle import oracle_ds, oracle_tds
@@ -267,9 +267,8 @@ def _run_kernelize(args: argparse.Namespace) -> int:
         return 0
 
     reduced = outcome.instance
-    g, coloring, parts = renumber(reduced.graph, reduced.coloring, reduced.bipartition)
-    save_graph(args.outfile, g, coloring, parts)
-    print(f"reduced: n={g.n} m={g.m} k={reduced.k}")
+    save_graph(args.outfile, reduced.graph, reduced.coloring, reduced.bipartition)
+    print(f"reduced: n={reduced.graph.n} m={reduced.graph.m} k={reduced.k}")
     return 0
 
 

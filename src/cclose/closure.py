@@ -116,6 +116,13 @@ def is_c_closed(g: Graph, c: int) -> bool:
     return report.c <= c
 
 
+def require_c_closed(g: Graph, c: int) -> None:
+    """Raise ``ValueError`` unless ``g`` is c-closed: the precondition of every
+    kernel, extractor and solver that takes c."""
+    if not is_c_closed(g, c):
+        raise ValueError("graph is not c-closed")
+
+
 def _top_free_pair(
     counts: Counter, adj: dict[int, frozenset[int]]
 ) -> tuple[int, tuple[int, int] | None]:

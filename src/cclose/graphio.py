@@ -7,9 +7,13 @@ One record per line, whitespace-separated, ``#`` starts a comment:
     c <u> black|white  optional color (default black)
     b <u> left|right   optional bipartition side
 
-Canonical serialization emits ``p`` first, edges sorted by (min, max), then
-colors (white vertices only, since black is the default), then sides for
-every vertex. Parsing a canonical file and re-serializing is the identity.
+Canonical serialization writes each vertex as its rank in id order, so a
+graph whose ids have gaps (a kernel deleted vertices) is written on 0..n-1,
+and a graph already on 0..n-1 keeps its ids. The renumbering is monotone, so
+sorted orders survive it. It emits ``p`` first, edges sorted by (min, max),
+then colors (white vertices only, since black is the default), then sides
+for every vertex. Parsing a canonical file and re-serializing is the
+identity.
 
 A file in the shape ``serialize_graph`` writes is parsed in bulk: a ``p``
 line, then blocks of ``e``, ``c <u> white`` and ``b`` lines, with single
@@ -228,41 +232,16 @@ def serialize_graph(
     coloring: Coloring | None = None,
     bipartition: Bipartition | None = None,
 ) -> str:
-    """Canonical text form; vertices must be 0..n-1."""
+    """Canonical text form, each vertex written as its rank in ``g.vertex_ids``."""
     ids = g.vertex_ids
-    if ids and (ids[0] != 0 or ids[-1] != len(ids) - 1):
-        raise ValueError("serialization requires contiguous vertex ids 0..n-1")
+    rank = {v: i for i, v in enumerate(ids)}
     lines = [f"p {g.n}"]
-    lines.extend(f"e {u} {v}" for u, v in g.edges())
+    lines.extend(f"e {rank[u]} {rank[v]}" for u, v in g.edges())
     if coloring is not None:
-        lines.extend(f"c {v} {WHITE}" for v in sorted(coloring.white_of(g)))
+        lines.extend(f"c {rank[v]} {WHITE}" for v in sorted(coloring.white_of(g)))
     if bipartition is not None:
-        lines.extend(f"b {v} {bipartition.side_of(v)}" for v in ids)
+        lines.extend(f"b {i} {bipartition.side_of(v)}" for i, v in enumerate(ids))
     return "\n".join(lines) + "\n"
-
-
-def normalize_ids(g: Graph) -> tuple[Graph, dict[int, int]]:
-    """Relabel vertices to 0..n-1 (needed before serialization after deletions).
-
-    Returns the relabeled graph and the old-id -> new-id mapping.
-    """
-    mapping = {v: i for i, v in enumerate(g.vertex_ids)}
-    adj = g._adj
-    relabeled = Graph._from_sets({i: {mapping[w] for w in adj[v]} for v, i in mapping.items()})
-    return relabeled, mapping
-
-
-def renumber(
-    g: Graph, coloring: Coloring | None = None, bipartition: Bipartition | None = None
-) -> tuple[Graph, Coloring | None, Bipartition | None]:
-    """``normalize_ids`` for a graph with its coloring and bipartition, in the
-    shape ``serialize_graph`` takes them."""
-    normalized, mapping = normalize_ids(g)
-    if coloring is not None:
-        coloring = Coloring(frozenset(mapping[v] for v in coloring.white_of(g)))
-    if bipartition is not None:
-        bipartition = Bipartition(frozenset(mapping[v] for v in bipartition.left_of(g)))
-    return normalized, coloring, bipartition
 
 
 def load_graph(path) -> tuple[Graph, Coloring | None, Bipartition | None]:

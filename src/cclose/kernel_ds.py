@@ -21,7 +21,7 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, replace
 from math import comb
 
-from .closure import common_neighborhood, compute_closure, is_c_closed
+from .closure import common_neighborhood, compute_closure, require_c_closed
 from .cliques import cliques_of_size, maximal_cliques
 from .errors import ExtractionError
 from .graph import Graph
@@ -341,8 +341,7 @@ def kernelize_bwtds(inst: Instance, c: int) -> KernelOutcome:
     if inst.problem is not Problem.BW_TDS:
         raise ValueError(f"expected a BW-TDS instance, got {inst.problem}")
     assert inst.r is not None
-    if not is_c_closed(inst.graph, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(inst.graph, c)
     r = inst.r
     if not inst.black_vertices():
         return Decided(inst, (), True, Witness.vertex_set((), Problem.BW_TDS))
@@ -478,8 +477,7 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     if inst.problem is not Problem.BW_TDS or inst.r != 1:
         raise ValueError("expected a BW-TDS instance with r = 1")
     inst = inst.on_sides(parts)
-    if not is_c_closed(inst.graph, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(inst.graph, c)
 
     original = inst
     inst, trace, _ = exhaust(inst, [lambda i: _rr_high_degree(i, c)])

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from math import comb
 
-from .closure import is_c_closed
+from .closure import require_c_closed
 from .errors import ExtractionError
 from .instances import (
     Bipartition,
@@ -185,8 +185,7 @@ def kernelize_im(inst: Instance, c: int) -> KernelOutcome:
     removal costs about one search phase instead of a whole solve."""
     if inst.problem is not Problem.IM:
         raise ValueError(f"expected an IM instance, got {inst.problem}")
-    if not is_c_closed(inst.graph, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(inst.graph, c)
     if inst.k == 0:
         return Decided(inst, (), True, Witness.edge_set((), Problem.IM))
     if c == 1:
@@ -289,8 +288,7 @@ def kernelize_im_bipartite(
     elif mode == "closure":
         if c is None:
             raise ValueError("closure mode needs c")
-        if not is_c_closed(g, c):
-            raise ValueError("graph is not c-closed")
+        require_c_closed(g, c)
         high = frozenset(v for v in g.vertex_ids if g.degree(v) >= c * k)
         if len(high) >= 2 * k:
             matching = im_from_high_degree(g, parts, c, k)

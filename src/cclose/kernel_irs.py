@@ -8,7 +8,7 @@ any adjacent pair in a clique vacuously irredundant.
 
 from __future__ import annotations
 
-from .closure import common_neighborhood, is_c_closed
+from .closure import common_neighborhood, require_c_closed
 from .errors import ExtractionError, PreconditionError
 from .graph import Graph
 from .instances import (
@@ -88,8 +88,7 @@ def kernelize_irs(inst: Instance, c: int) -> KernelOutcome:
     ``replay_removals``; any graph at the global threshold is a Yes."""
     if inst.problem is not Problem.IRS:
         raise ValueError(f"expected an IRS instance, got {inst.problem}")
-    if not is_c_closed(inst.graph, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(inst.graph, c)
     if inst.k == 0:
         return Decided(inst, (), True, Witness.vertex_set((), Problem.IRS))
     trace = tuple(sweep_simplicial_twins(inst))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .closure import is_c_closed
+from .closure import require_c_closed
 from .graph import Graph
 from .instances import (
     Decided,
@@ -30,8 +30,7 @@ def kernelize_is(inst: Instance, c: int) -> KernelOutcome:
     """
     if inst.problem is not Problem.IS:
         raise ValueError(f"expected an IS instance, got {inst.problem}")
-    if not is_c_closed(inst.graph, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(inst.graph, c)
     k = inst.k
     if k == 0:
         return Decided(inst, (), True, Witness.vertex_set((), Problem.IS))

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .closure import is_c_closed
+from .closure import require_c_closed
 from .errors import ExtractionError, PreconditionError
 from .graph import Graph
 from .instances import Bipartition
@@ -99,8 +99,7 @@ def clique_or_independent_set(g: Graph, c: int, a: int, b: int) -> Clique | Inde
     """
     if c < 1 or a < 1 or b < 1:
         raise ValueError("c, a, b must be positive")
-    if not is_c_closed(g, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(g, c)
     if g.n < ramsey_threshold(c, a, b):
         raise PreconditionError(
             f"need at least {ramsey_threshold(c, a, b)} vertices, got {g.n}"

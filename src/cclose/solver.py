@@ -15,7 +15,7 @@ from itertools import combinations
 from math import comb
 
 from .cliques import maximal_cliques
-from .closure import is_c_closed
+from .closure import require_c_closed
 from .errors import ExtractionError
 from .graph import Graph
 from .instances import Coloring, Instance, Problem, Witness, exhaust
@@ -52,8 +52,7 @@ def solve_ds(g: Graph, c: int, k: int) -> tuple[bool, Witness | None]:
 def _solve(original: Instance, c: int) -> tuple[bool, Witness | None]:
     """Search the all-black twin of a DS or TDS instance, running the clique
     rule first for TDS only, and certify the witness against ``original``."""
-    if not is_c_closed(original.graph, c):
-        raise ValueError("graph is not c-closed")
+    require_c_closed(original.graph, c)
     inst = all_black_twin(original)
     k = inst.k
     ds_mode = original.problem is Problem.DS

@@ -16,7 +16,7 @@ from .closure import compute_closure, is_c_closed
 from .errors import ResourceLimitError
 from .generators import er_graph
 from .graph import Graph
-from .graphio import renumber, serialize_graph
+from .graphio import serialize_graph
 from .instances import (
     Bipartition,
     Coloring,
@@ -175,9 +175,7 @@ def run_verify(
     if bad:
         failing = random_instance(problem, n_max, k_max, r, bipartite, seed * 1_000_003 + bad[0].index)
         shrunk = shrink_instance(problem, failing, bipartite)
-        report.reproducer = serialize_graph(
-            *renumber(shrunk.graph, shrunk.coloring, shrunk.bipartition)
-        )
+        report.reproducer = serialize_graph(shrunk.graph, shrunk.coloring, shrunk.bipartition)
     return report
 
 

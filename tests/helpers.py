@@ -673,6 +673,20 @@ def restart_kernelize_im(inst, c):
     return Reduced(reduced, tuple(trace))
 
 
+def renumbered(
+    g: Graph, coloring: Coloring | None = None, bipartition: Bipartition | None = None
+) -> tuple[Graph, Coloring | None, Bipartition | None]:
+    """``g`` rebuilt on 0..n-1 by sorted id, with the white vertices and the
+    left side of ``g`` mapped along: the numbering ``serialize_graph`` writes."""
+    rank = {v: i for i, v in enumerate(sorted(g.vertex_ids))}
+    graph = Graph(rank.values(), [(rank[u], rank[v]) for u, v in g.edges()])
+    if coloring is not None:
+        coloring = Coloring(frozenset(rank[v] for v in coloring.white if v in rank))
+    if bipartition is not None:
+        bipartition = Bipartition(frozenset(rank[v] for v in bipartition.left if v in rank))
+    return graph, coloring, bipartition
+
+
 def reference_parse_graph(text: str) -> tuple[Graph, Coloring | None, Bipartition | None]:
     """The two-pass parser that ``graphio.parse_graph`` replaced: each
     endpoint through the field helpers, duplicates found in a set of edge

@@ -17,7 +17,6 @@ from cclose import (
     graphio,
     irs_thresholds,
     kernel_irs,
-    normalize_ids,
     parse_graph,
     replay_trace,
     serialize_graph,
@@ -26,6 +25,8 @@ from cclose import (
 from cclose.cli import main
 from cclose.errors import ExtractionError
 from cclose.kernel_ds import all_black_twin
+
+from helpers import renumbered
 
 
 def write(tmp_path, name, text):
@@ -137,10 +138,9 @@ def test_kernelize_tds_trace_replays_to_the_written_instance(tmp_path, capsys, e
     assert records
     inst = Instance(problem=Problem.BW_TDS, graph=g, k=1, r=r, coloring=coloring)
     reduced = replay_trace(inst, records)
-    normalized, mapping = normalize_ids(reduced.graph)
-    white = Coloring(frozenset(mapping[v] for v in reduced.coloring.white_of(reduced.graph)))
-    assert open(dst).read() == serialize_graph(normalized, white)
-    assert capsys.readouterr().out == f"reduced: n={normalized.n} m={normalized.m} k={reduced.k}\n"
+    expected, white, _ = renumbered(reduced.graph, reduced.coloring)
+    assert open(dst).read() == serialize_graph(expected, white)
+    assert capsys.readouterr().out == f"reduced: n={expected.n} m={expected.m} k={reduced.k}\n"
 
 
 # The draw of trial 63 of `cclose verify --problem ds --n-max 16 --seed 1`:

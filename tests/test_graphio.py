@@ -11,13 +11,12 @@ from cclose import (
     Graph,
     ParseError,
     graphio,
-    normalize_ids,
     parse_graph,
     serialize_graph,
 )
 from cclose.errors import ResourceLimitError
 
-from helpers import random_graph, reference_parse_graph
+from helpers import random_graph, reference_parse_graph, renumbered
 
 
 def test_parse_basic():
@@ -110,14 +109,9 @@ def test_bipartition_serializes_every_vertex():
     assert "b 0 left" in text and "b 1 right" in text
 
 
-def test_normalize_ids_after_deletion():
+def test_serialize_numbers_ids_after_deletion():
     g = Graph(range(4), [(1, 3)]).without_vertices([0])
-    with pytest.raises(ValueError):
-        serialize_graph(g)
-    normal, mapping = normalize_ids(g)
-    assert normal.vertex_ids == (0, 1, 2)
-    assert mapping == {1: 0, 2: 1, 3: 2}
-    assert normal.edges() == [(0, 2)]
+    assert serialize_graph(g) == "p 3\ne 0 2\n"
 
 
 def test_p_above_vertex_limit_is_a_resource_error(monkeypatch):
@@ -192,16 +186,31 @@ def test_parse_graph_matches_reference(text):
     assert _parse_outcome(parse_graph, text) == _parse_outcome(reference_parse_graph, text)
 
 
-@given(st.integers(1, 12), st.integers(0, 2 ** 31), st.sets(st.integers(0, 11)))
-def test_normalize_ids_matches_rebuilt_graph(n, seed, dropped):
-    g = random_graph(n, 0.4, seed)
-    for v in sorted(dropped & set(g.vertex_ids))[: n - 1]:
-        g = g.without_vertices([v])
-    normal, mapping = normalize_ids(g)
-    rebuilt = Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in g.edges()])
-    assert normal == rebuilt
-    assert list(normal._adj) == list(rebuilt._adj)
-    assert serialize_graph(normal) == serialize_graph(rebuilt)
+@given(
+    st.integers(1, 12), st.integers(0, 2 ** 31), st.sets(st.integers(0, 11)),
+    st.booleans(), st.booleans(),
+)
+def test_serialize_matches_renumbered_graph(n, seed, dropped, colored, sided):
+    """A graph with scattered ids is written as its rebuild on 0..n-1, and
+    reads back as that rebuild, coloring and sides included."""
+    rng = random.Random(seed)
+    left = frozenset(v for v in range(n) if rng.random() < 0.5)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < 0.4 and (not sided or (u in left) != (v in left))
+    ]
+    g = Graph(range(n), edges).without_vertices(sorted(dropped & set(range(n))))
+    coloring = Coloring(frozenset(v for v in range(n) if rng.random() < 0.3)) if colored else None
+    bipartition = Bipartition(left) if sided else None
+    expected = renumbered(g, coloring, bipartition)
+    text = serialize_graph(g, coloring, bipartition)
+    assert text == serialize_graph(*expected)
+    graph, col, bip = parse_graph(text)
+    assert graph == expected[0]
+    assert (col.white if col else frozenset()) == (expected[1].white if colored else frozenset())
+    assert bip == (expected[2] if sided and g.n else None)
 
 
 @st.composite
