@@ -75,6 +75,9 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     branch stops once too few candidates remain to reach ``size``. The search
     runs on an explicit stack of (clique, candidates, next index) frames,
     depth first, so a clique of any size costs memory, not recursion depth.
+    A non-empty clique two short of ``size`` pushes no frame per candidate:
+    one loop pairs each candidate with the later candidates in its row,
+    which lists its last two levels in the same order.
     The whole graph is listed, and every clique is certified with
     ``Graph.is_clique`` before it is listed.
     """
@@ -88,18 +91,27 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     while stack:
         clique, candidates, i = stack.pop()
         if len(clique) == size - 1:
-            for v in candidates:
-                found = clique + (v,)
-                if not g.is_clique(found):
-                    raise AssertionError(f"listed non-clique {found}")
-                out.append(found)
-        elif i + size - len(clique) <= len(candidates):
-            v = candidates[i]
-            nbrs = adj[v]
-            stack.append((clique, candidates, i + 1))
-            if clique:
-                larger = [w for w in candidates[i + 1:] if w in nbrs]
-            else:
-                larger = sorted(w for w in nbrs if w > v)
-            stack.append((clique + (v,), larger, 0))
+            found = [clique + (v,) for v in candidates]
+        elif clique and len(clique) == size - 2:
+            found = [
+                clique + (v, w)
+                for j, v in enumerate(candidates)
+                for w in candidates[j + 1:]
+                if w in adj[v]
+            ]
+        else:
+            if i + size - len(clique) <= len(candidates):
+                v = candidates[i]
+                nbrs = adj[v]
+                stack.append((clique, candidates, i + 1))
+                if clique:
+                    larger = [w for w in candidates[i + 1:] if w in nbrs]
+                else:
+                    larger = sorted(w for w in nbrs if w > v)
+                stack.append((clique + (v,), larger, 0))
+            continue
+        for q in found:
+            if not g.is_clique(q):
+                raise AssertionError(f"listed non-clique {q}")
+        out.extend(found)
     return out

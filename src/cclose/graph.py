@@ -23,20 +23,26 @@ class Graph:
     with the graph it came from (structural sharing, as in the persistent
     data structures of Driscoll, Sarnak, Sleator & Tarjan, 1989).
 
+    No row holds its own vertex: every constructor rejects a self-loop, and a
+    derived graph only unites, subtracts or intersects rows. ``is_clique``
+    relies on this to reject a repeated member.
+
     Because the adjacency is fixed, a graph also memoizes its closure report
     (``_closure``): ``closure.compute_closure`` fills it and
-    ``closure.is_c_closed`` answers from it. Every graph starts without one,
-    derived graphs included, so the memo never outlives the adjacency it
-    describes; equality ignores it.
+    ``closure.is_c_closed`` answers from it. ``vertex_ids`` keeps its sorted
+    tuple (``_ids``) the same way, computed on first use. Every graph starts
+    without either, derived graphs included, so no memo outlives the
+    adjacency it describes; equality ignores them.
     """
 
-    __slots__ = ("_adj", "_closure")
+    __slots__ = ("_adj", "_closure", "_ids")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj = {v: set() for v in vertices}
         _add_edges(adj, adj, edges)
         self._adj = _freeze_rows(adj)
         self._closure = None
+        self._ids = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -46,6 +52,7 @@ class Graph:
         g = cls.__new__(cls)
         g._adj = adj
         g._closure = None
+        g._ids = None
         return g
 
     @classmethod
@@ -58,7 +65,10 @@ class Graph:
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._adj))
+        """The vertex ids in ascending order, sorted once per graph."""
+        if self._ids is None:
+            self._ids = tuple(sorted(self._adj))
+        return self._ids
 
     @property
     def n(self) -> int:
@@ -109,16 +119,15 @@ class Graph:
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
         """Whether ``vertices`` are distinct vertices of the graph, pairwise
-        adjacent; each member's row is checked against the later members in
-        one ``issuperset`` call."""
-        vs = tuple(vertices)
-        later = set(vs)
-        if len(later) < len(vs):
-            return False
-        for v in vs:
-            later.remove(v)
-            row = self._adj.get(v)
-            if row is None or not row.issuperset(later):
+        adjacent. Members are popped off a list one at a time, and each
+        member's row is checked against the members still before it in one
+        ``issuperset`` call, so no set is built. A repeated member fails
+        because no row holds its own vertex."""
+        vs = list(vertices)
+        adj = self._adj
+        while vs:
+            row = adj.get(vs.pop())
+            if row is None or not row.issuperset(vs):
                 return False
         return True
 

@@ -30,27 +30,33 @@ class Coloring:
     """A total black/white coloring; vertices default to black.
 
     Only the white side is stored, so the coloring is automatically total
-    over any vertex set.
+    over any vertex set, and ``white`` may name vertices a graph lacks. The
+    black and white vertices of a graph are set algebra between its vertex
+    set (the keys of ``g._adj``) and ``white``, with no per-vertex loop.
     """
 
     white: frozenset[int] = frozenset()
 
     def black_of(self, g: Graph) -> frozenset[int]:
-        return frozenset(v for v in g.vertex_ids if v not in self.white)
+        return frozenset(g._adj.keys() - self.white)
 
     def white_of(self, g: Graph) -> frozenset[int]:
-        return frozenset(v for v in g.vertex_ids if v in self.white)
+        return frozenset(g._adj.keys() & self.white)
 
     def whiten(self, vs: Iterable[int]) -> "Coloring":
         return Coloring(self.white | set(vs))
 
     def restricted_to(self, g: Graph) -> "Coloring":
-        return Coloring(frozenset(v for v in self.white if g.has_vertex(v)))
+        return Coloring(self.white_of(g))
 
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A total left/right split; valid only if every edge crosses sides."""
+    """A total left/right split; valid only if every edge crosses sides.
+
+    As in ``Coloring``, only one side is stored, and a graph's sides are set
+    algebra between its vertex set and ``left``.
+    """
 
     left: frozenset[int]
 
@@ -58,10 +64,10 @@ class Bipartition:
         return LEFT if v in self.left else RIGHT
 
     def left_of(self, g: Graph) -> frozenset[int]:
-        return frozenset(v for v in g.vertex_ids if v in self.left)
+        return frozenset(g._adj.keys() & self.left)
 
     def right_of(self, g: Graph) -> frozenset[int]:
-        return frozenset(v for v in g.vertex_ids if v not in self.left)
+        return frozenset(g._adj.keys() - self.left)
 
     def validate(self, g: Graph) -> None:
         """Raise ``BipartitionError`` naming the smallest edge of g that does
@@ -82,7 +88,7 @@ class Bipartition:
                 raise BipartitionError(f"edge ({u}, {v}) does not cross the bipartition")
 
     def restricted_to(self, g: Graph) -> "Bipartition":
-        return Bipartition(frozenset(v for v in self.left if g.has_vertex(v)))
+        return Bipartition(self.left_of(g))
 
 
 VERTEX_SET = "vertex-set"

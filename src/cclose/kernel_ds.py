@@ -170,7 +170,7 @@ def _black_rich_cliques(inst: Instance, size: int, bound: int) -> Iterator[tuple
     if len(black) <= bound:
         return iter(())
     rich = {v for v in g.vertex_ids if len(g.neighbors(v) & black) > bound}
-    return (clique for clique in cliques_of_size(g, size) if rich.issuperset(clique))
+    return filter(rich.issuperset, cliques_of_size(g, size))
 
 
 def per_vertex_black_bound(c: int, k: int, r: int) -> int:
@@ -300,7 +300,9 @@ def _rr_white_removal_at(
 
     Every dominator of a nonempty demand contains its smallest vertex d in
     its closed neighborhood, so only N[d] is scanned; an empty demand is
-    dominated by every other vertex.
+    dominated by every other vertex. No row holds its own vertex, so the
+    demand lies in N[v] exactly when it lies in N(v), or when v is in it and
+    v is all it leaves outside N(v); no N[v] is built.
     """
     assert inst.r is not None
     g = inst.graph
@@ -309,7 +311,9 @@ def _rr_white_removal_at(
         dominators = sum(
             1
             for v in g.closed_neighborhood(min(demand))
-            if v != w and v not in removed and demand <= g.closed_neighborhood(v)
+            if v != w
+            and v not in removed
+            and (demand <= (row := g.neighbors(v)) or v in demand and len(demand - row) == 1)
         )
     else:
         dominators = g.n - len(removed) - 1

@@ -359,9 +359,21 @@ def brute_maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def pairwise_clique(g: Graph, vs) -> bool:
+    """Whether the members of ``vs`` are distinct vertices of ``g``, every
+    pair of them adjacent; a reference for ``Graph.is_clique`` built on
+    ``has_vertex`` and ``has_edge`` alone."""
+    vs = list(vs)
+    return (
+        len(set(vs)) == len(vs)
+        and all(g.has_vertex(v) for v in vs)
+        and all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+    )
+
+
 def brute_cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     """Every ``size``-subset that is a clique, in lexicographic order."""
-    return [combo for combo in combinations(g.vertex_ids, size) if g.is_clique(combo)]
+    return [combo for combo in combinations(g.vertex_ids, size) if pairwise_clique(g, combo)]
 
 
 def brute_hitting_set(universe, sets, k_max=None) -> int | None:

@@ -14,6 +14,7 @@ from helpers import (
     clique_count_bound_holds,
     complete_graph,
     cycle_graph,
+    pairwise_clique,
     random_c_closed_graph,
     random_graph,
 )
@@ -211,5 +212,5 @@ def test_cliques_of_size_agrees_with_the_subset_scan_on_scattered_ids(seed, n, p
     ids = rng.sample(range(3 * n + 1), n)
     g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
     for size in range(n + 2):
-        expected = [combo for combo in combinations(sorted(ids), size) if g.is_clique(combo)]
+        expected = [combo for combo in combinations(sorted(ids), size) if pairwise_clique(g, combo)]
         assert cliques_of_size(g, size) == expected

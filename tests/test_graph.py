@@ -4,7 +4,14 @@ from hypothesis import strategies as st
 
 from cclose import Graph, graphio, path_graph
 
-from helpers import complete_graph, cycle_graph, random_graph, star_graph, validate_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    pairwise_clique,
+    random_graph,
+    star_graph,
+    validate_graph,
+)
 
 
 @st.composite
@@ -29,6 +36,8 @@ def test_construction_and_queries():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         Graph(range(2), [(1, 1)])
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph([5]).with_edges([(5, 5)])
 
 
 def test_edge_to_unknown_vertex_rejected():
@@ -191,16 +200,6 @@ def test_is_clique_edge_cases():
     assert not g.is_clique([2, 5, 11])
 
 
-@given(graphs(max_n=7), st.lists(st.integers(0, 8), max_size=5))
-def test_is_clique_agrees_with_the_pairwise_definition(g, vs):
-    expected = (
-        len(set(vs)) == len(vs)
-        and all(g.has_vertex(v) for v in vs)
-        and all(g.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
-    )
-    assert g.is_clique(vs) == expected
-
-
 def test_is_independent_set_edge_cases():
     g = Graph([2, 5, 7, 11], [(2, 5), (2, 7), (5, 7), (7, 11)])
     assert g.is_independent_set([]) and g.is_independent_set(iter(()))
@@ -230,3 +229,37 @@ def test_is_independent_set_agrees_with_the_pairwise_definition(case):
     )
     assert g.is_independent_set(vs) == expected
     assert g.is_independent_set(iter(vs)) == expected
+
+
+@given(scattered_graphs())
+def test_is_clique_agrees_with_the_pairwise_definition(case):
+    g, vs = case
+    expected = pairwise_clique(g, vs)
+    assert g.is_clique(vs) == expected
+    assert g.is_clique(tuple(vs)) == expected
+    assert g.is_clique(iter(vs)) == expected
+    assert g.is_clique(frozenset(vs)) == pairwise_clique(g, set(vs))
+    assert g.is_clique(()) and g.is_clique(frozenset())
+    if vs and g.has_vertex(vs[0]):
+        assert not g.is_clique(vs + vs[:1])  # a repeated member
+
+
+@given(scattered_graphs(), st.sets(st.integers(0, 21)), st.sets(st.integers(0, 21)))
+def test_no_row_holds_its_own_vertex(case, drop, add):
+    g, _ = case
+    drop = {v for v in drop if g.has_vertex(v)}
+    grown = g.with_vertices(sorted(v for v in add if not g.has_vertex(v)))
+    ids = grown.vertex_ids
+    text = graphio.serialize_graph(g)
+    built = [
+        g,
+        graphio.parse_graph(text)[0],  # the bulk parse of a canonical file
+        graphio.parse_graph("# not canonical\n" + text)[0],  # the line parser
+        grown,
+        grown.with_edges((u, v) for u, v in zip(ids, reversed(ids)) if u < v),
+        g.without_vertices(drop),
+        g.induced(drop),
+        g.between(drop, set(g.vertex_ids) - drop),
+    ]
+    for h in built:
+        validate_graph(h)  # no row holds its own vertex, and rows are symmetric

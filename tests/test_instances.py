@@ -49,6 +49,36 @@ def test_coloring_defaults_black():
     assert coloring.black_of(g) == {0, 2}
 
 
+@st.composite
+def graphs_and_named_sets(draw):
+    """A graph on 0..n-1 with some vertices deleted, and a set of ids that
+    may name deleted vertices and ids past n, as a frozenset or a set."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(range(n), [pair for pair, flag in zip(pairs, flags) if flag])
+    g = g.without_vertices(draw(st.sets(st.integers(0, n - 1))) if n else ())
+    named = draw(st.sets(st.integers(0, n + 4)))
+    return g, draw(st.sampled_from([frozenset(named), named]))
+
+
+@given(graphs_and_named_sets())
+def test_coloring_and_bipartition_views_equal_their_per_vertex_definitions(case):
+    g, named = case
+    coloring, parts = Coloring(named), Bipartition(named)
+    named_in_g = frozenset(v for v in named if g.has_vertex(v))
+    views = {
+        "black_of": (coloring.black_of(g), frozenset(v for v in g.vertex_ids if v not in named)),
+        "white_of": (coloring.white_of(g), frozenset(v for v in g.vertex_ids if v in named)),
+        "Coloring.restricted_to": (coloring.restricted_to(g).white, named_in_g),
+        "left_of": (parts.left_of(g), frozenset(v for v in g.vertex_ids if v in named)),
+        "right_of": (parts.right_of(g), frozenset(v for v in g.vertex_ids if v not in named)),
+        "Bipartition.restricted_to": (parts.restricted_to(g).left, named_in_g),
+    }
+    for name, (got, expected) in views.items():
+        assert type(got) is frozenset and got == expected, name
+
+
 def test_replay_add_recolor_remove():
     g = path_graph(3)
     inst = Instance(
