@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 
 
@@ -93,6 +93,18 @@ class Graph:
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return self.neighbors(v) | {v}
+
+    def closed_neighborhood_counts(self, vertices: Iterable[int]) -> Counter[int]:
+        """How many of ``vertices`` each closed neighbourhood holds: x maps
+        to |N[x] ∩ vertices|, counted in one pass over the rows of the
+        distinct members. Ids that are not vertices count for nothing, and
+        a vertex with a count of 0 is absent, as a ``Counter`` reads it."""
+        adj = self._adj
+        members = {v for v in vertices if v in adj}
+        counts = Counter(members)
+        for v in members:
+            counts.update(adj[v])
+        return counts
 
     def degree(self, v: int) -> int:
         if v not in self._adj:

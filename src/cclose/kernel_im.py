@@ -131,7 +131,7 @@ def lift_im_witness(
     return certified_witness(original, Witness.edge_set(edges, Problem.IM))
 
 
-def rr_leaf_rules(inst: Instance, c: int, p: VclpPartition) -> RuleRecord | None:
+def rr_leaf_rules(inst: Instance, p: VclpPartition) -> RuleRecord | None:
     """The first applicable of the three LP-zero cleanup rules.
 
     RR13 trims duplicate leaves of an LP-one vertex; RR14 attaches a leaf to
@@ -214,7 +214,7 @@ def _lp_stage(inst: Instance, c: int, p: VclpPartition) -> Witness | RuleRecord 
     witness = rr_lp_thresholds(inst, c, p)
     if witness is not None:
         return witness
-    record = rr_leaf_rules(inst, c, p)
+    record = rr_leaf_rules(inst, p)
     if record is None and (isolated := inst.graph.isolated_vertices()):
         record = RuleRecord(rule="drop-isolated", vertices_removed=tuple(isolated))
     if record is None:
@@ -264,11 +264,13 @@ def kernelize_im_bipartite(
 ) -> KernelOutcome:
     """Size-threshold kernels for bipartite graphs.
 
-    delta mode: enough non-isolated vertices relative to the maximum degree
-    force a Yes. closure mode: either many high-degree vertices exist (private
-    neighbors give the matching directly) or the low-degree remainder is
-    large enough for the dense-bipartite bound with Delta <= c*k. The kernel
-    runs on ``inst.on_sides(parts)``, so ``inst.bipartition`` must be None or
+    Both modes end in one density test: enough non-isolated vertices in
+    ``rest`` for the dense-bipartite bound force a Yes. In delta mode rest
+    is g and the bound reads its maximum degree. In closure mode 2k
+    vertices of degree >= c*k give the matching directly (private
+    neighbours); otherwise rest is g without them, of maximum degree below
+    c*k, and the bound reads c*k. The kernel runs on
+    ``inst.on_sides(parts)``, so ``inst.bipartition`` must be None or
     ``parts``; a reduction is that instance without its isolated vertices,
     bipartition and all.
     """
@@ -280,26 +282,22 @@ def kernelize_im_bipartite(
         return Decided(inst, (), True, Witness.edge_set((), Problem.IM))
 
     if mode == "delta":
-        delta = g.max_degree()
-        live = [v for v in g.vertex_ids if g.degree(v) > 0]
-        if delta == 0 or len(live) < dense_bipartite_threshold(delta, k):
-            return _reduced_drop_isolated(inst)
-        matching = im_dense_bipartite(g, parts, k)
+        high, bound = (), g.max_degree()
     elif mode == "closure":
         if c is None:
             raise ValueError("closure mode needs c")
         require_c_closed(g, c)
-        high = frozenset(v for v in g.vertex_ids if g.degree(v) >= c * k)
-        if len(high) >= 2 * k:
-            matching = im_from_high_degree(g, parts, c, k)
-        else:
-            rest = g.without_vertices(high)
-            live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
-            if rest.max_degree() == 0 or len(live) < dense_bipartite_threshold(c * k, k):
-                return _reduced_drop_isolated(inst)
-            matching = im_dense_bipartite(rest, Bipartition(parts.left_of(rest)), k)
+        high, bound = [v for v in g.vertex_ids if g.degree(v) >= c * k], c * k
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
+    if len(high) >= 2 * k:
+        matching = im_from_high_degree(g, parts, c, k)
+    else:
+        rest = g.without_vertices(high) if high else g
+        live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
+        if not live or len(live) < dense_bipartite_threshold(bound, k):
+            return _reduced_drop_isolated(inst)
+        matching = im_dense_bipartite(rest, parts, k)
     return Decided(inst, (), True, certified_witness(inst, _im_witness(matching)))
 
 

@@ -182,47 +182,38 @@ def oracle_tds(g: Graph, coloring: Coloring | None = None, r: int = 1) -> int | 
 
 
 def r_dominates_blacks(g: Graph, d, coloring: Coloring | None, r: int) -> bool:
+    """Whether ``d`` is a set of vertices of ``g`` whose closed
+    neighbourhood counts reach r at every black vertex."""
     dset = set(d)
-    if not dset <= set(g.vertex_ids):
+    if not all(map(g.has_vertex, dset)):
         return False
     black = coloring.black_of(g) if coloring is not None else g.vertex_ids
-    return all(len(g.closed_neighborhood(v) & dset) >= r for v in black)
+    counts = g.closed_neighborhood_counts(dset)
+    return all(counts[v] >= r for v in black)
 
 
 def is_induced_matching(g: Graph, edges) -> bool:
-    pairs = [(min(u, v), max(u, v)) for u, v in edges]
-    if len(set(pairs)) != len(pairs):
+    """Whether ``edges``, any iterable of pairs, is an induced matching of
+    ``g``: its pairs have 2·|edges| distinct ends, and the row of each end
+    meets the ends in exactly its partner. A repeated or reversed pair, a
+    self pair, a non-edge and an id outside the graph all fail."""
+    pairs = list(edges)
+    partner = {u: v for u, v in pairs} | {v: u for u, v in pairs}
+    if len(partner) != 2 * len(pairs):
         return False
-    ends: list[int] = []
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            return False
-        ends.extend((u, v))
-    if len(set(ends)) != len(ends):
-        return False
-    endset = set(ends)
-    partner = {}
-    for u, v in pairs:
-        partner[u] = v
-        partner[v] = u
-    for v in endset:
-        if g.neighbors(v) & endset != {partner[v]}:
-            return False
-    return True
+    ends = set(partner)
+    return all(g.has_vertex(x) and g.neighbors(x) & ends == {y} for x, y in partner.items())
 
 
 def is_irredundant(g: Graph, vs) -> bool:
+    """Whether ``vs`` are vertices of ``g`` that each have a private closed
+    neighbour: a vertex of their closed neighbourhood seen by no other
+    member, whose count is therefore 1."""
     members = set(vs)
-    if not members <= set(g.vertex_ids):
+    if not all(map(g.has_vertex, members)):
         return False
-    for v in members:
-        blocked: set[int] = set()
-        for u in members - {v}:
-            blocked |= g.neighbors(u)
-            blocked.add(u)
-        if not g.closed_neighborhood(v) - blocked:
-            return False
-    return True
+    counts = g.closed_neighborhood_counts(members)
+    return all(any(counts[x] == 1 for x in g.closed_neighborhood(v)) for v in members)
 
 
 def validate_witness(inst: Instance, w: Witness) -> bool:

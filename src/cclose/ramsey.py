@@ -95,7 +95,8 @@ def clique_or_independent_set(g: Graph, c: int, a: int, b: int) -> Clique | Inde
     Constructive version of the Ramsey bound: a 2-maximal independent set I
     either already has b members, or the private closed neighborhoods
     C_i = N[v_i] \\ N(I \\ {v_i}) are cliques (the swap property) and the
-    counting argument forces one of them to hold a vertices.
+    counting argument forces one of them to hold a vertices. C_i is the part
+    of N[v_i] that counts 1 in I's closed neighbourhood counts.
     """
     if c < 1 or a < 1 or b < 1:
         raise ValueError("c, a, b must be positive")
@@ -109,12 +110,9 @@ def clique_or_independent_set(g: Graph, c: int, a: int, b: int) -> Clique | Inde
     independent = two_maximal_independent_set(g)
     if len(independent) >= b:
         return IndependentSet(frozenset(sorted(independent)[:b]))
+    counts = g.closed_neighborhood_counts(independent)
     for v in sorted(independent):
-        others = independent - {v}
-        blocked: set[int] = set()
-        for u in others:
-            blocked |= g.neighbors(u)
-        private = (g.closed_neighborhood(v)) - blocked
+        private = [x for x in g.closed_neighborhood(v) if counts[x] == 1]
         if len(private) >= a:
             chosen = frozenset(sorted(private)[:a])
             if not g.is_clique(chosen):
@@ -190,13 +188,12 @@ def im_from_high_degree(g: Graph, parts: Bipartition, c: int, b: int) -> Matchin
 
 
 def _assign_private_neighbors(g: Graph, picked: list[int]) -> Matching:
+    """Match each picked vertex, all on one side, to its least private
+    neighbour: one that no other picked vertex sees."""
+    counts = g.closed_neighborhood_counts(picked)
     edges = []
     for v in picked:
-        blocked: set[int] = set()
-        for u in picked:
-            if u != v:
-                blocked |= g.neighbors(u)
-        private = g.neighbors(v) - blocked
+        private = [x for x in g.neighbors(v) if counts[x] == 1]
         if not private:
             raise ExtractionError(f"no private neighbor for vertex {v}")
         edges.append((v, min(private)))

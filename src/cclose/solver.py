@@ -85,10 +85,8 @@ def _branch(
     root, whatever the size of the graph.
     """
     g = inst.graph
-    base_black = inst.black_vertices()
-    unsatisfied = frozenset(
-        v for v in base_black if len(g.closed_neighborhood(v) & partial) < r
-    )
+    counts = g.closed_neighborhood_counts(partial)
+    unsatisfied = frozenset(v for v in inst.black_vertices() if counts[v] < r)
     if not unsatisfied:
         return set(partial)
     if budget == 0:
@@ -125,9 +123,8 @@ def _branch(
     for size in range(budget + 1):
         for extension in combinations(remaining, size):
             candidate = set(partial) | set(extension)
-            if all(
-                len(lg.closed_neighborhood(v) & candidate) >= r for v in demands
-            ):
+            counts = lg.closed_neighborhood_counts(candidate)
+            if all(counts[v] >= r for v in demands):
                 return candidate
     return None
 

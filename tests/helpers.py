@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from cclose import Graph, cliques_of_size, compute_closure, is_c_closed, maximal_cliques
 from cclose.errors import ExtractionError, ParseError
 from cclose.instances import (
@@ -371,6 +373,45 @@ def pairwise_clique(g: Graph, vs) -> bool:
     )
 
 
+def mask_induced_matching(g: Graph, edges) -> bool:
+    """Whether ``edges`` are edges of ``g`` with 2·|edges| distinct ends, and
+    every end has exactly one neighbour among the ends (its partner), by
+    the bitmask scan of ``scan_im``."""
+    edges = list(edges)
+    ends = {v for e in edges for v in e}
+    if len(ends) != 2 * len(edges) or not all(g.has_edge(u, v) for u, v in edges):
+        return False
+    nbr, _ = _neighbor_masks(g)
+    return _is_induced_matching_mask(_mask_of(g, ends), nbr)
+
+
+def mask_irredundant(g: Graph, vs) -> bool:
+    """Whether the members of ``vs`` are vertices of ``g``, each with a
+    private closed neighbour, by the bitmask scan of ``scan_irs``."""
+    members = set(vs)
+    if not all(g.has_vertex(v) for v in members):
+        return False
+    _, cnbr = _neighbor_masks(g)
+    return _is_irredundant_mask(_mask_of(g, members), cnbr, cnbr)
+
+
+def _mask_of(g: Graph, vs) -> int:
+    pos = {v: i for i, v in enumerate(g.vertex_ids)}
+    return sum(1 << pos[v] for v in vs)
+
+
+@st.composite
+def scattered_graphs(draw):
+    """A graph on up to 8 ids drawn from 0..20, and a list of up to 6
+    members drawn from 0..21, repeats and ids outside the graph allowed."""
+    ids = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(ids, [pair for pair, flag in zip(pairs, flags) if flag])
+    members = st.sampled_from(ids) | st.integers(0, 21) if ids else st.integers(0, 21)
+    return g, draw(st.lists(members, max_size=6))
+
+
 def brute_cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     """Every ``size``-subset that is a clique, in lexicographic order."""
     return [combo for combo in combinations(g.vertex_ids, size) if pairwise_clique(g, combo)]
@@ -668,7 +709,7 @@ def restart_kernelize_im(inst, c):
         witness = rr_lp_thresholds(inst, c, p)
         if witness is not None:
             return Decided(inst, tuple(trace), True, lift_im_witness(original, witness, trace))
-        record = rr_leaf_rules(inst, c, p)
+        record = rr_leaf_rules(inst, p)
         if record is None:
             isolated = inst.graph.isolated_vertices()
             if isolated:

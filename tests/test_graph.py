@@ -9,6 +9,7 @@ from helpers import (
     cycle_graph,
     pairwise_clique,
     random_graph,
+    scattered_graphs,
     star_graph,
     validate_graph,
 )
@@ -209,18 +210,6 @@ def test_is_independent_set_edge_cases():
     assert not g.is_independent_set([2, 5]) and not g.is_independent_set([11, 7, 11])
 
 
-@st.composite
-def scattered_graphs(draw):
-    """A graph on up to 8 ids drawn from 0..20, and a list of up to 6
-    members drawn from 0..21, repeats and ids outside the graph allowed."""
-    ids = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
-    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
-    flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph(ids, [pair for pair, flag in zip(pairs, flags) if flag])
-    members = st.sampled_from(ids) | st.integers(0, 21) if ids else st.integers(0, 21)
-    return g, draw(st.lists(members, max_size=6))
-
-
 @given(scattered_graphs())
 def test_is_independent_set_agrees_with_the_pairwise_definition(case):
     g, vs = case
@@ -263,3 +252,15 @@ def test_no_row_holds_its_own_vertex(case, drop, add):
     ]
     for h in built:
         validate_graph(h)  # no row holds its own vertex, and rows are symmetric
+
+
+@given(scattered_graphs())
+def test_closed_neighborhood_counts_agree_with_the_per_vertex_definition(case):
+    g, vs = case
+    members = set(vs)
+    for arg in (vs, iter(vs), frozenset(vs)):
+        counts = g.closed_neighborhood_counts(arg)
+        assert set(counts) <= set(g.vertex_ids)  # unknown ids count for nothing
+        for x in g.vertex_ids:
+            assert counts[x] == len(g.closed_neighborhood(x) & members)
+    assert not g.closed_neighborhood_counts([])

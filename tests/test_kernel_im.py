@@ -189,7 +189,7 @@ class TestLeafRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         assert 0 in p.v1
-        record = rr_leaf_rules(inst, 2, p)
+        record = rr_leaf_rules(inst, p)
         assert record is not None and record.rule == "RR13"
         assert record.vertices_removed == (2, 3, 4)[:len(record.vertices_removed)]
         post = replay(inst, record)
@@ -201,7 +201,7 @@ class TestLeafRules:
         # vclp: vertices 0,1 cover everything
         inst = make(g, 2)
         p = vclp_half_integral(g)
-        record = rr_leaf_rules(inst, 3, p)
+        record = rr_leaf_rules(inst, p)
         if record is not None and record.rule == "RR14":
             post = replay(inst, record)
             assert oracle_yes(Problem.IM, post.graph, 2) == oracle_yes(Problem.IM, g, 2)
@@ -211,7 +211,7 @@ class TestLeafRules:
         # the leaf 7 on the anchor 0 in place of the shadowed vertex 1.
         g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 3), (2, 6), (3, 4), (3, 6), (5, 6)])
         inst = make(g, 2)
-        record = rr_leaf_rules(inst, 3, vclp_half_integral(g))
+        record = rr_leaf_rules(inst, vclp_half_integral(g))
         assert record is not None and record.rule == "RR14"
         assert record.edges_added == ((7, 0),) and record.payload == {"anchor": 0, "shadowed": 1}
         post = replay(inst, record)
@@ -231,7 +231,7 @@ class TestLeafRules:
         inst = make(g, 1)
         p = vclp_half_integral(g)
         if 0 in p.v0:
-            record = rr_leaf_rules(inst, 2, p)
+            record = rr_leaf_rules(inst, p)
             assert record is not None
             post = replay(inst, record)
             assert oracle_yes(Problem.IM, post.graph, 1) == oracle_yes(Problem.IM, g, 1)

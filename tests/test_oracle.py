@@ -26,11 +26,14 @@ from helpers import (
     atlas_graphs,
     complete_graph,
     cycle_graph,
+    mask_induced_matching,
+    mask_irredundant,
     random_graph,
     scan_im,
     scan_irs,
     scan_is,
     scan_tds,
+    scattered_graphs,
     star_graph,
 )
 
@@ -306,6 +309,75 @@ class TestPredicates:
         inst = Instance(problem=Problem.IS, graph=cycle_graph(4), k=1)
         with pytest.raises(ValueError):
             validate_witness(inst, Witness.vertex_set({0}, Problem.DS))
+
+
+@st.composite
+def scattered_edge_lists(draw):
+    """A sparse graph on up to 10 ids from 0..20 (a pair is an edge when a
+    drawn 0..3 is 0), and a list of pairs: either an induced matching peeled
+    greedily from its edges in a drawn order, or up to 4 of its edges in
+    either order and pairs of members from 0..21 (self pairs, non-edges and
+    ids outside the graph); then at times one more such pair, or a reversed
+    repeat of the first pair."""
+    ids = sorted(draw(st.sets(st.integers(0, 20), max_size=10)))
+    slots = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    picks = draw(st.lists(st.integers(0, 3), min_size=len(slots), max_size=len(slots)))
+    g = Graph(ids, [slot for slot, pick in zip(slots, picks) if pick == 0])
+    member = st.sampled_from(g.vertex_ids) | st.integers(0, 21) if g.n else st.integers(0, 21)
+    pair = st.tuples(member, member) | member.map(lambda v: (v, v))
+    if g.m:
+        edge = st.sampled_from(g.edges())
+        pair = edge | edge.map(lambda e: e[::-1]) | pair
+    if draw(st.booleans()):
+        pairs, near = [], set()
+        for u, v in draw(st.permutations(g.edges())):
+            if u not in near and v not in near:
+                pairs.append((u, v) if draw(st.booleans()) else (v, u))
+                near |= g.closed_neighborhood(u) | g.closed_neighborhood(v)
+    else:
+        pairs = draw(st.lists(pair, max_size=4))
+    extra = draw(st.sampled_from(["none", "pair", "reversed repeat"]))
+    if extra == "pair":
+        pairs.append(draw(pair))
+    elif extra == "reversed repeat" and pairs:
+        pairs.append(pairs[0][::-1])
+    return g, pairs
+
+
+@given(scattered_edge_lists())
+def test_is_induced_matching_agrees_with_the_mask_scan(case):
+    g, pairs = case
+    expected = mask_induced_matching(g, pairs)
+    assert is_induced_matching(g, pairs) == expected
+    assert is_induced_matching(g, tuple(pairs)) == expected
+    assert is_induced_matching(g, (tuple(p) for p in pairs)) == expected
+    assert is_induced_matching(g, [])
+
+
+@given(scattered_graphs())
+def test_is_irredundant_agrees_with_the_mask_scan(case):
+    g, vs = case
+    for members in (vs, [v for v in vs if g.has_vertex(v)]):
+        expected = mask_irredundant(g, members)
+        assert is_irredundant(g, members) == expected
+        assert is_irredundant(g, iter(members)) == expected
+        assert is_irredundant(g, frozenset(members)) == expected
+    assert is_irredundant(g, [])
+
+
+@given(scattered_graphs(), st.none() | st.frozensets(st.integers(0, 21)), st.integers(0, 3))
+def test_r_dominates_blacks_agrees_with_the_per_black_count(case, white, r):
+    g, vs = case
+    coloring = None if white is None else Coloring(white)
+    black = [v for v in g.vertex_ids if white is None or v not in white]
+    for d in (vs, [v for v in vs if g.has_vertex(v)]):
+        dset = set(d)
+        expected = all(g.has_vertex(v) for v in dset) and all(
+            len(g.closed_neighborhood(v) & dset) >= r for v in black
+        )
+        assert r_dominates_blacks(g, d, coloring, r) == expected
+        assert r_dominates_blacks(g, iter(d), coloring, r) == expected
+    assert r_dominates_blacks(g, [], coloring, r) == (r == 0 or not black)
 
 
 class TestCertifiedWitness:
