@@ -134,8 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    except (ValueError, PreconditionError, ExtractionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, PreconditionError, ExtractionError, OSError, AssertionError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 
@@ -172,7 +172,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "solve":
         g, _, _ = load_graph(args.file)
-        c = compute_closure(g).c
         if args.method == "oracle":
             opt = oracle_ds(g) if args.problem == "ds" else oracle_tds(g, r=args.r)
             answer = opt is not None and opt <= args.k
@@ -180,6 +179,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             if opt is not None:
                 print(f"optimum: {opt}")
             return 0
+        c = compute_closure(g).c
         if args.problem == "ds":
             answer, witness = solve_ds(g, c, args.k)
         else:

@@ -495,11 +495,8 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     # isolated black vertex at c = k = 1.)
     if len(black) > c * inst.k * inst.k:
         return Decided(inst, tuple(trace), False)
-    leaves = [
-        record
-        for w in sorted(inst.white_vertices())
-        if (record := _rr_white_leaf(inst, black, w)) is not None
-    ]
+    counts = inst.graph.closed_neighborhood_counts(black)
+    leaves = [_rr_white_leaf(w, counts[w]) for w in sorted(inst.white_vertices()) if counts[w] <= 1]
     inst = replay_removals(inst, leaves)
     trace.extend(leaves)
     assert inst.graph.n <= bipartite_kernel_bound(c, inst.k), "bipartite kernel bound"
@@ -534,17 +531,14 @@ def _rr_high_degree(inst: Instance, c: int) -> RuleRecord | None:
     return None
 
 
-def _rr_white_leaf(inst: Instance, black: AbstractSet[int], w: int) -> RuleRecord | None:
-    """RR9, extended, tried on the white vertex ``w``: a white vertex with at
-    most one black neighbor goes.
+def _rr_white_leaf(w: int, hits: int) -> RuleRecord:
+    """RR9, extended, on the white vertex ``w`` with ``hits`` <= 1 black
+    neighbors: a white vertex with at most one black neighbor goes.
 
     The stated rule says "only one", but a white vertex with no black
     neighbor is equally redundant and the white-count bound needs it gone;
     the extension is flagged in the payload.
     """
-    hits = len(inst.graph.neighbors(w) & black)
-    if hits > 1:
-        return None
     return RuleRecord(
         rule="RR9",
         vertices_removed=(w,),

@@ -137,8 +137,13 @@ def rr_leaf_rules(inst: Instance, p: VclpPartition) -> RuleRecord | None:
     RR13 trims duplicate leaves of an LP-one vertex; RR14 attaches a leaf to
     an LP-one vertex that dominates an LP-zero closed neighborhood; RR15
     drops an LP-zero non-leaf all of whose neighbors carry leaves.
+
+    RR13's scan collects the leaves next to V1, and they are every leaf
+    RR14 and RR15 look for: RR14 asks about LP-one vertices, and RR15 about
+    neighbours of V0, which a feasible LP solution puts in V1.
     """
     g = inst.graph
+    v1_leaves: set[int] = set()
     for v1 in sorted(p.v1):
         leaves = sorted(u for u in g.neighbors(v1) if g.degree(u) == 1)
         if len(leaves) > 1:
@@ -147,12 +152,13 @@ def rr_leaf_rules(inst: Instance, p: VclpPartition) -> RuleRecord | None:
                 vertices_removed=tuple(leaves[1:]),
                 payload={"kept_leaf": leaves[0], "anchor": v1},
             )
+        v1_leaves.update(leaves)
     for v0 in sorted(p.v0):
         n0 = g.closed_neighborhood(v0)
         for v1 in sorted(p.v1):
             if v0 == v1 or not n0 <= g.closed_neighborhood(v1):
                 continue
-            if any(g.degree(u) == 1 for u in g.neighbors(v1)):
+            if not g.neighbors(v1).isdisjoint(v1_leaves):
                 continue
             leaf = g.fresh_id()
             return RuleRecord(
@@ -164,10 +170,7 @@ def rr_leaf_rules(inst: Instance, p: VclpPartition) -> RuleRecord | None:
     for v0 in sorted(p.v0):
         if g.degree(v0) < 2:
             continue
-        if all(
-            any(g.degree(u) == 1 for u in g.neighbors(v1))
-            for v1 in g.neighbors(v0)
-        ):
+        if all(not g.neighbors(v1).isdisjoint(v1_leaves) for v1 in g.neighbors(v0)):
             return RuleRecord(rule="RR15", vertices_removed=(v0,), payload={"vertex": v0})
     return None
 

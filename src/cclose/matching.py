@@ -427,10 +427,7 @@ def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
         raise ValueError("partition does not cover the graph")
     if not p.v0:
         return CrownDecomposition(frozenset(), Matching(frozenset()))
-    neighborhood: set[int] = set()
-    for v in p.v0:
-        neighborhood |= g.neighbors(v)
-    if neighborhood - p.v1:
+    if frozenset().union(*map(g.neighbors, p.v0)) - p.v1:
         raise ExtractionError("V0 has a neighbor outside V1; solution not optimal")
     if not g.is_independent_set(p.v0):
         raise ExtractionError("V0 is not independent; solution not feasible")

@@ -289,15 +289,8 @@ def clique_or_im(g: Graph, c: int, m: Matching, a: int, b: int) -> Clique | Matc
     if a == 1:
         return Clique(frozenset({min(m.vertices)}))
     low_side = frozenset(e[0] for e in m.edges)
-    high_side = frozenset(e[1] for e in m.edges)
-    split = Graph(
-        sorted(low_side | high_side),
-        [
-            (u, v)
-            for u, v in g.edges()
-            if {u, v} <= (low_side | high_side) and not {u, v} <= low_side
-        ],
-    )
+    ends = m.vertices
+    split = Graph(sorted(ends), [(u, v) for u, v in g.induced(ends).edges() if not {u, v} <= low_side])
     outcome = clique_or_im_saturating(split, c, low_side, m, a, ramsey_threshold(c, a, b))
     if isinstance(outcome, Clique):
         if not g.is_clique(outcome.vertices):
@@ -350,11 +343,8 @@ def im_dense_bipartite(g: Graph, parts: Bipartition, b: int) -> Matching:
     for near, far in ((left, right), (right, left)):
         covered_near = cover & near
         uncovered_far = far - cover
-        low: set[int] = set()
-        for y in uncovered_far:
-            deg = len(g.neighbors(y) & covered_near)
-            if deg * deg < delta:
-                low.add(y)
+        counts = g.closed_neighborhood_counts(covered_near)
+        low = {y for y in uncovered_far if counts[y] * counts[y] < delta}
         peeled = _peel(core, core.between(covered_near, low).edges(), b)
         if len(peeled) == b:
             return _verified_im(g, peeled)

@@ -683,6 +683,46 @@ def unpruned_rr_neighborhood_matching(inst, c):
     return None
 
 
+def reference_rr_leaf_rules(inst, p):
+    """RR13-RR15 stated per vertex, each leaf found by a degree scan over
+    every vertex of the graph: the first LP-one vertex with two or more
+    leaves keeps its smallest (RR13); else the first LP-zero v0 and then
+    the first LP-one v1 != v0 without a leaf whose closed neighbourhood
+    holds N[v0] gets a fresh leaf (RR14); else the first LP-zero vertex of
+    degree at least 2 all of whose neighbours have a leaf goes (RR15)."""
+    g = inst.graph
+
+    def leaves_of(v):
+        return [u for u in g.vertex_ids if g.degree(u) == 1 and g.has_edge(u, v)]
+
+    def closed(v):
+        return {u for u in g.vertex_ids if u == v or g.has_edge(u, v)}
+
+    for v1 in sorted(p.v1):
+        leaves = leaves_of(v1)
+        if len(leaves) >= 2:
+            return RuleRecord(
+                rule="RR13",
+                vertices_removed=tuple(leaves[1:]),
+                payload={"kept_leaf": leaves[0], "anchor": v1},
+            )
+    for v0 in sorted(p.v0):
+        for v1 in sorted(p.v1):
+            if v1 != v0 and not leaves_of(v1) and closed(v0) <= closed(v1):
+                leaf = max(g.vertex_ids) + 1
+                return RuleRecord(
+                    rule="RR14",
+                    vertices_added=(leaf,),
+                    edges_added=((leaf, v1),),
+                    payload={"anchor": v1, "shadowed": v0},
+                )
+    for v0 in sorted(p.v0):
+        nbrs = closed(v0) - {v0}
+        if len(nbrs) >= 2 and all(leaves_of(u) for u in nbrs):
+            return RuleRecord(rule="RR15", vertices_removed=(v0,), payload={"vertex": v0})
+    return None
+
+
 def restart_kernelize_im(inst, c):
     """The Induced Matching pipeline with its rounds written out: RR10 first,
     then the LP thresholds, the leaf rules and isolated-vertex removal on one

@@ -401,8 +401,10 @@ def test_resource_limit_exits_3(tmp_path, capsys):
         (RecursionError("maximum recursion depth exceeded"), 3, "resource limit: maximum"),
         (MemoryError(), 3, "resource limit: MemoryError"),
         (ExtractionError("crown matching fails to saturate V1"), 1, "error: crown"),
+        (AssertionError("bipartite kernel bound"), 1, "error: bipartite kernel bound\n"),
+        (AssertionError(), 1, "error: AssertionError\n"),
     ],
-    ids=["recursion", "memory", "extraction"],
+    ids=["recursion", "memory", "extraction", "assertion", "bare-assertion"],
 )
 def test_pipeline_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error, code, prefix):
     def failing(*args, **kwargs):
@@ -413,6 +415,7 @@ def test_pipeline_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error,
     assert main(["kernelize", "--problem", "im", "-k", "1", c4_file(tmp_path), dst]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
 
@@ -592,8 +595,9 @@ def test_cli_bytes_match_golden(golden_files, name, command):
 CLOSURE_SCANS = {"cliques --count-only": 0, "kernelize --problem im --bipartite --mode delta -k 3": 0}
 
 
-@pytest.mark.parametrize("name, command", list(GOLDEN), ids=[" ".join(key) for key in GOLDEN])
-def test_closure_scans_per_command(golden_files, monkeypatch, name, command):
+def count_closure_scans(monkeypatch):
+    """Route every ``compute_closure`` the library's modules hold through a
+    counter; the list it returns grows by one per scan."""
     import sys
 
     from cclose import closure
@@ -608,5 +612,24 @@ def test_closure_scans_per_command(golden_files, monkeypatch, name, command):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("cclose") and getattr(module, "compute_closure", None) is original:
             monkeypatch.setattr(module, "compute_closure", counted)
+    return scans
+
+
+@pytest.mark.parametrize("name, command", list(GOLDEN), ids=[" ".join(key) for key in GOLDEN])
+def test_closure_scans_per_command(golden_files, monkeypatch, name, command):
+    scans = count_closure_scans(monkeypatch)
     assert _golden_run(golden_files, command.split(), name) == list(GOLDEN[name, command])
     assert len(scans) == CLOSURE_SCANS.get(command, 1)
+
+
+@pytest.mark.parametrize("method, expected", [("oracle", 0), ("branch", 1)])
+def test_solve_scans_for_the_closure_only_when_it_branches(tmp_path, capsys, monkeypatch, method, expected):
+    """The oracle reads no c, so a file above its size limit exits 3
+    without a closure scan."""
+    scans = count_closure_scans(monkeypatch)
+    path = write(tmp_path, "star.txt", "p 5\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n")
+    assert main(["solve", "--problem", "ds", "-k", "1", "--method", method, path]) == 0
+    assert capsys.readouterr().out.startswith("yes")
+    big = write(tmp_path, "big.txt", "p 30\n" + "".join(f"e {i} {i + 1}\n" for i in range(29)))
+    assert main(["solve", "--problem", "ds", "-k", "2", "--method", method, big]) == (3 if method == "oracle" else 0)
+    assert len(scans) == 2 * expected

@@ -12,24 +12,35 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from cclose import (
+    Bipartition,
+    Clique,
     Coloring,
     Decided,
+    Graph,
     Instance,
     Problem,
+    clique_or_im,
     closure_repair,
     compute_closure,
+    crown_from_vclp,
     disjoint_cliques,
+    im_dense_bipartite,
+    kernelize_bipartite_bwds,
     kernelize_bwtds,
     kernelize_ds,
     kernelize_im,
+    kernelize_im_bipartite,
     kernelize_irs,
     kernelize_is,
+    max_matching_general,
     solve_ds,
     solve_tds,
+    vclp_half_integral,
 )
 
 R = 2
@@ -185,3 +196,171 @@ GOLDEN = {
 @pytest.mark.parametrize("case, k", list(GOLDEN), ids=[f"{case}-k{k}" for case, k in GOLDEN])
 def test_library_outputs_match_golden(case, k):
     assert outputs(case, k) == GOLDEN[case, k]
+
+
+# -- bipartite paths ---------------------------------------------------------------
+#
+# The bipartite kernels, the dense-bipartite extractor, the crown and the
+# unrestricted clique-or-induced-matching chain, pinned on seeded bipartite
+# graphs with leaves, where RR9 fires and the LP puts the leaves in V0.
+
+
+def _bipartite_with_leaves(nl, nr, p, leaves, seed):
+    """G(nl, nr, p) between the left ids 0..nl-1 and the right ids
+    nl..nl+nr-1, then ``leaves`` new vertices, each hung on a random vertex
+    and put on the other side."""
+    rng = random.Random(seed)
+    n = nl + nr
+    edges = [(u, v) for u in range(nl) for v in range(nl, n) if rng.random() < p]
+    left = set(range(nl))
+    for leaf in range(n, n + leaves):
+        anchor = rng.randrange(n)
+        edges.append((anchor, leaf))
+        if anchor not in left:
+            left.add(leaf)
+    return Graph(range(n + leaves), edges), Bipartition(frozenset(left))
+
+
+def _star_forest_with_hubs():
+    """55 left centres with 14 leaves each, and 10 right hubs, hub h joined
+    to the 4 + h % 3 centres from 5h on: 835 vertices, one more than the
+    dense-bipartite bound for b = 2 at degree 16, and a matching of at most
+    55 < 2 * 16 * 2, so the extractor takes its König-cover branch. The hubs
+    hold the smallest right ids, and hub 0 has 4 covered neighbours, exactly
+    where 4 * 4 < 16 starts to fail."""
+    edges = [(v, 65 + 14 * v + j) for v in range(55) for j in range(14)]
+    edges += [(5 * h + j, 55 + h) for h in range(10) for j in range(4 + h % 3)]
+    return Graph(range(65 + 14 * 55), edges), Bipartition(frozenset(range(55)))
+
+
+def _matching_doc(out):
+    if isinstance(out, Clique):
+        return {"clique": sorted(out.vertices)}
+    return {"edges": sorted(out.edges)}
+
+
+def _kernel_doc(out):
+    doc = _outcome_doc(out)
+    if not isinstance(out, Decided):
+        inst = out.instance
+        doc["left"] = sorted(inst.bipartition.left_of(inst.graph))
+    return doc
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def bipartite_kernel_outputs(case, k):
+    """sha256 of both bipartite kernels' outcomes (the IM one in each mode)
+    on the graph of ``case`` at budget k, whites at the ids not divisible by 3."""
+    g, parts = _bipartite_with_leaves(*case)
+    c = compute_closure(g).c
+    white = Coloring(frozenset(v for v in g.vertex_ids if v % 3))
+    bwds = Instance(problem=Problem.BW_TDS, graph=g, k=k, r=1, coloring=white)
+    im = Instance(problem=Problem.IM, graph=g, k=k)
+    runs = {
+        "kernelize_bipartite_bwds": lambda: kernelize_bipartite_bwds(bwds, parts, c),
+        "kernelize_im_bipartite_delta": lambda: kernelize_im_bipartite(im, parts, "delta"),
+        "kernelize_im_bipartite_closure": lambda: kernelize_im_bipartite(im, parts, "closure", c=c),
+    }
+    return {name: _digest(_kernel_doc(run())) for name, run in runs.items()}
+
+
+def extractor_outputs():
+    """sha256 of the crown of each kernel case's graph, of the dense-bipartite
+    extractor in both its branches and the IM kernels that reach it, and of
+    one `clique_or_im` call on a 2-closed graph past its threshold."""
+    out = {}
+    for case in BIPARTITE_CASES:
+        g, _ = _bipartite_with_leaves(*case)
+        crown = crown_from_vclp(g, vclp_half_integral(g))
+        doc = {"independent": sorted(crown.independent), "edges": sorted(crown.saturating_matching.edges)}
+        out[f"crown_from_vclp{case}"] = _digest(doc)
+    for name, (g, parts) in {
+        "matching": _bipartite_with_leaves(100, 100, 0.01, 100, 1),
+        "cover": _star_forest_with_hubs(),
+    }.items():
+        out[f"im_dense_bipartite_{name}"] = _digest(_matching_doc(im_dense_bipartite(g, parts, 2)))
+        c = compute_closure(g).c
+        for mode in ("delta", "closure"):
+            run = kernelize_im_bipartite(Instance(problem=Problem.IM, graph=g, k=2), parts, mode, c=c)
+            out[f"kernelize_im_bipartite_{mode}_{name}"] = _digest(_kernel_doc(run))
+    g = closure_repair(120, 0.03, 2, 4)
+    out["clique_or_im"] = _digest(_matching_doc(clique_or_im(g, 2, max_matching_general(g), 2, 2)))
+    return out
+
+
+BIPARTITE_CASES = [(12, 12, 0.2, 10, 1), (15, 10, 0.15, 12, 2), (10, 14, 0.25, 8, 3)]
+
+BIPARTITE_GOLDEN = {
+    ((12, 12, 0.2, 10, 1), 1): {
+        "kernelize_bipartite_bwds": "34fa97ddb6b735be1dc965ac6a84d7013648ce03be163611f82966a7d467632b",
+        "kernelize_im_bipartite_delta": "27de94e3145fc22057c6c865edce5acb3627f3f0697da52c3a58ac44e0f58d40",
+        "kernelize_im_bipartite_closure": "5e9361a3a5d7611fdff17fddcc509f12a91f31caed8c00467a92b30d3213e614",
+    },
+    ((12, 12, 0.2, 10, 1), 2): {
+        "kernelize_bipartite_bwds": "3bc640e823355b2812304a319a3934fc33d95dd61f63860902289dfab96e0d40",
+        "kernelize_im_bipartite_delta": "2cbfedcda9a1d909566a38e4db2d2634d914514c5483cb4ac9ccb86b70954275",
+        "kernelize_im_bipartite_closure": "2cbfedcda9a1d909566a38e4db2d2634d914514c5483cb4ac9ccb86b70954275",
+    },
+    ((12, 12, 0.2, 10, 1), 3): {
+        "kernelize_bipartite_bwds": "283d3a3bf43f4281e026efc121087105f296dc9de962d650d55cbb3a12c56c10",
+        "kernelize_im_bipartite_delta": "e2944549f7378585eb86b13b9eb48a10f339dbd911863d29cd7593238b3b721d",
+        "kernelize_im_bipartite_closure": "e2944549f7378585eb86b13b9eb48a10f339dbd911863d29cd7593238b3b721d",
+    },
+    ((15, 10, 0.15, 12, 2), 1): {
+        "kernelize_bipartite_bwds": "34fa97ddb6b735be1dc965ac6a84d7013648ce03be163611f82966a7d467632b",
+        "kernelize_im_bipartite_delta": "f06b2ae4f05634b9b01d6898863434c91e4a026f6c29721d8fe8843330b0b19e",
+        "kernelize_im_bipartite_closure": "73918b180efec18652899be97cb370e51d015d3433221d3693943c31ae172f2c",
+    },
+    ((15, 10, 0.15, 12, 2), 2): {
+        "kernelize_bipartite_bwds": "34fa97ddb6b735be1dc965ac6a84d7013648ce03be163611f82966a7d467632b",
+        "kernelize_im_bipartite_delta": "f3bd116970a87482e0345c129d46d7cce116463a8f8a92d397c406dce22feb4b",
+        "kernelize_im_bipartite_closure": "f3bd116970a87482e0345c129d46d7cce116463a8f8a92d397c406dce22feb4b",
+    },
+    ((15, 10, 0.15, 12, 2), 3): {
+        "kernelize_bipartite_bwds": "2ce14f638ab80cd15e5cf91b702676cd27f020a1faea78bd8b804ab31d390cab",
+        "kernelize_im_bipartite_delta": "3b0a545d0edf49aa870708c7123cc902c51fece967f9c05ace7ab7c45c8d17f7",
+        "kernelize_im_bipartite_closure": "3b0a545d0edf49aa870708c7123cc902c51fece967f9c05ace7ab7c45c8d17f7",
+    },
+    ((10, 14, 0.25, 8, 3), 1): {
+        "kernelize_bipartite_bwds": "34fa97ddb6b735be1dc965ac6a84d7013648ce03be163611f82966a7d467632b",
+        "kernelize_im_bipartite_delta": "e8267888aad1ecb2a9d21e6cf97cbf884963edee92ed4329e7547ff1b567aa7c",
+        "kernelize_im_bipartite_closure": "938fdf1af811bd0f2061a33f665afd3c24cddeb3fce7ce8a4f9b5b7519ac217a",
+    },
+    ((10, 14, 0.25, 8, 3), 2): {
+        "kernelize_bipartite_bwds": "f86f3a3478994990ada9c03644ff1f92cc4cce9ce53fcf3bcdd81914f6688047",
+        "kernelize_im_bipartite_delta": "7e8f65ee32a33461489fe5e5320f18057ae3c08d0fd71f71d15bfdd13704f2be",
+        "kernelize_im_bipartite_closure": "7e8f65ee32a33461489fe5e5320f18057ae3c08d0fd71f71d15bfdd13704f2be",
+    },
+    ((10, 14, 0.25, 8, 3), 3): {
+        "kernelize_bipartite_bwds": "0a759ac73a0a1a0b9f3fea5f60f4569a94d0255dd321c24e64367818869c825f",
+        "kernelize_im_bipartite_delta": "c1d7762c078c1c81f4d908583a6927f97965c8bc9cb8c11d91c1a6d6ae5997cf",
+        "kernelize_im_bipartite_closure": "c1d7762c078c1c81f4d908583a6927f97965c8bc9cb8c11d91c1a6d6ae5997cf",
+    },
+}
+
+EXTRACTOR_GOLDEN = {
+    "crown_from_vclp(12, 12, 0.2, 10, 1)": "215a70b5617773ea8d778e4a24b7ccb828887660bb5e544ea6cbde06b5755e1a",
+    "crown_from_vclp(15, 10, 0.15, 12, 2)": "2b8b0127c2960903d3654578657f5677bd834abfbbfe58f4b9b282ffd3601c73",
+    "crown_from_vclp(10, 14, 0.25, 8, 3)": "de6157d10444c36ce41ab1dbbf9546ee291fc676164dcb39ea384f4eda465483",
+    "im_dense_bipartite_matching": "155551c62c13be62890e6fe996d17e89c177529919f61c4c09f2359c30ba8dea",
+    "kernelize_im_bipartite_delta_matching": "4993393df7d57d06a441b6e72de998f2efbb5b031ef9f11c9f73454a05a7bfa9",
+    "kernelize_im_bipartite_closure_matching": "70d43f7283fca723bd5602e8bf23a9af0f456951b721a264165c4bbeed9d32a7",
+    "im_dense_bipartite_cover": "b63a35116e825acad6610cbb7b4d92ca2679463edbbd89d8ab52b88816bed834",
+    "kernelize_im_bipartite_delta_cover": "70742cd07eabcb28965c30029cfdf85f71b6583488b8740a92adbefc78cb37e5",
+    "kernelize_im_bipartite_closure_cover": "70742cd07eabcb28965c30029cfdf85f71b6583488b8740a92adbefc78cb37e5",
+    "clique_or_im": "f3ce6b1aca0e0c348346fdba1df17060f60825dcd34936bc58e09fd150a583dc",
+}
+
+
+@pytest.mark.parametrize(
+    "case, k", list(BIPARTITE_GOLDEN), ids=[f"{case}-k{k}" for case, k in BIPARTITE_GOLDEN]
+)
+def test_bipartite_kernel_outputs_match_golden(case, k):
+    assert bipartite_kernel_outputs(case, k) == BIPARTITE_GOLDEN[case, k]
+
+
+def test_extractor_outputs_match_golden():
+    assert extractor_outputs() == EXTRACTOR_GOLDEN

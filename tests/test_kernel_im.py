@@ -45,6 +45,7 @@ from helpers import (
     oracle_yes,
     random_c_closed_graph,
     random_graph,
+    reference_rr_leaf_rules,
     restart_kernelize_im,
     unpruned_rr_neighborhood_matching,
 )
@@ -182,7 +183,47 @@ class TestLpThresholdRules:
         assert out.witness is not None and validate_witness(inst, out.witness)
 
 
+@st.composite
+def leafy_graphs(draw):
+    """A star, a double star, a caterpillar, a crown (a clique head of 1-3
+    vertices and feet each joined to part of it) or a random core of up to
+    8 vertices, with up to 0, 1 or 3 leaves hung on each core vertex and
+    every vertex on a scattered id. LP-one vertices carry 0, 1 and 2+
+    leaves, and the crowns' feet are the LP-zero non-leaves that RR14 and
+    RR15 act on."""
+    shape = draw(st.sampled_from(["star", "double star", "caterpillar", "crown", "random"]))
+    most = draw(st.sampled_from([0, 1, 3]))
+    if shape == "crown":
+        head = draw(st.integers(1, 3))
+        size = head + draw(st.integers(1, 4))
+        edges = [(u, v) for u in range(head) for v in range(u + 1, head)]
+        for foot in range(head, size):
+            joined = draw(st.sets(st.integers(0, head - 1), min_size=1))
+            edges.extend((u, foot) for u in sorted(joined))
+    elif shape == "random":
+        size = draw(st.integers(2, 8))
+        pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        edges = [pair for pair in pairs if draw(st.booleans())]
+    else:
+        size = {"star": 1, "double star": 2}.get(shape) or draw(st.integers(2, 6))
+        edges = [(i, i + 1) for i in range(size - 1)]
+    n = size
+    for v in range(size):
+        for _ in range(draw(st.integers(0, most))):
+            edges.append((v, n))
+            n += 1
+    ids = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    return Graph(ids, [(ids[u], ids[v]) for u, v in edges])
+
+
 class TestLeafRules:
+    @settings(max_examples=300)
+    @given(leafy_graphs())
+    def test_leaf_rules_match_the_per_vertex_reference(self, g):
+        inst = make(g, 1)
+        p = vclp_half_integral(g)
+        assert rr_leaf_rules(inst, p) == reference_rr_leaf_rules(inst, p)
+
     def test_duplicate_leaves_trimmed(self):
         # v1 = 0 with two leaves 3, 4; P_3 backbone keeps 0 in V_1
         g = Graph(range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
