@@ -4,8 +4,12 @@ one fixed size by ordered neighbourhood extension."""
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import repeat
 
 from .graph import Graph
+
+# The row a non-vertex is read as, so that it fails the listing certificate.
+_NO_ROW: frozenset[int] = frozenset()
 
 
 def maximal_cliques(g: Graph, min_size: int = 0) -> list[tuple[int, ...]]:
@@ -78,8 +82,12 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     A non-empty clique two short of ``size`` pushes no frame per candidate:
     one loop pairs each candidate with the later candidates in its row,
     which lists its last two levels in the same order.
-    The whole graph is listed, and every clique is certified with
-    ``Graph.is_clique`` before it is listed.
+    The whole graph is listed, and each frame that yields cliques is
+    certified once before they are listed: ``Graph.is_clique`` on its clique,
+    each candidate's row against that clique in one pass, and, two short of
+    ``size``, each listed pair v < w against w's row. These are the rows that
+    ``Graph.is_clique`` would read for each listed clique, so a one-sided
+    row or a non-vertex still raises ``AssertionError``.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -90,15 +98,17 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
     stack: list[tuple[tuple[int, ...], list[int], int]] = [((), list(adj), 0)]
     while stack:
         clique, candidates, i = stack.pop()
+        pairs: list[tuple[int, int]] = []
         if len(clique) == size - 1:
             found = [clique + (v,) for v in candidates]
         elif clique and len(clique) == size - 2:
-            found = [
-                clique + (v, w)
+            pairs = [
+                (v, w)
                 for j, v in enumerate(candidates)
                 for w in candidates[j + 1:]
                 if w in adj[v]
             ]
+            found = [clique + pair for pair in pairs]
         else:
             if i + size - len(clique) <= len(candidates):
                 v = candidates[i]
@@ -110,8 +120,13 @@ def cliques_of_size(g: Graph, size: int) -> list[tuple[int, ...]]:
                     larger = sorted(w for w in nbrs if w > v)
                 stack.append((clique + (v,), larger, 0))
             continue
-        for q in found:
-            if not g.is_clique(q):
-                raise AssertionError(f"listed non-clique {q}")
+        if not found:
+            continue
+        if not (
+            g.is_clique(clique)
+            and all(map(frozenset.issuperset, map(adj.get, candidates, repeat(_NO_ROW)), repeat(clique)))
+            and all(v in adj[w] for v, w in pairs)
+        ):
+            raise AssertionError(f"listed a non-clique in the frame of {clique}")
         out.extend(found)
     return out

@@ -298,23 +298,17 @@ def _rr_white_removal_at(
     """White removal tried on the white vertex ``w`` of the graph left after
     deleting the whites in ``removed`` from ``inst.graph``.
 
-    Every dominator of a nonempty demand contains its smallest vertex d in
-    its closed neighborhood, so only N[d] is scanned; an empty demand is
-    dominated by every other vertex. No row holds its own vertex, so the
-    demand lies in N[v] exactly when it lies in N(v), or when v is in it and
-    v is all it leaves outside N(v); no N[v] is built.
+    A vertex v dominates a nonempty demand D exactly when v is in N[d] for
+    every d in D, so the dominators are the intersection of those closed
+    neighborhoods, less w and the whites already removed; an empty demand is
+    dominated by every other vertex.
     """
     assert inst.r is not None
     g = inst.graph
     demand = g.neighbors(w) & black
     if demand:
-        dominators = sum(
-            1
-            for v in g.closed_neighborhood(min(demand))
-            if v != w
-            and v not in removed
-            and (demand <= (row := g.neighbors(v)) or v in demand and len(demand - row) == 1)
-        )
+        common = frozenset.intersection(*map(g.closed_neighborhood, demand))
+        dominators = len(common.difference(removed, (w,)))
     else:
         dominators = g.n - len(removed) - 1
     if dominators < inst.r:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .errors import ExtractionError
 from .graph import Graph
@@ -443,57 +444,134 @@ def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
 
 
 def _greedy_maximal_is(g: Graph, seed: set[int]) -> set[int]:
+    adj = g._adj
     out = set(seed)
     for v in g.vertex_ids:
-        if v not in out and not (g.neighbors(v) & out):
+        if v not in out and out.isdisjoint(adj[v]):
             out.add(v)
     return out
+
+
+def _bucket_swap(adj: Mapping[int, frozenset[int]], bucket: Iterable[int]) -> tuple[int, int] | None:
+    """The first x of ``bucket`` in id order that misses a later member, and
+    the first member y after x that it misses; None when the bucket is a
+    clique. Each x is tested with one ``issuperset`` over the later members."""
+    members = sorted(bucket)
+    for i, x in enumerate(members):
+        row, later = adj[x], members[i + 1:]
+        if not row.issuperset(later):
+            return x, next(y for y in later if y not in row)
+    return None
 
 
 def _find_swap(g: Graph, independent: set[int]) -> tuple[int, int, int] | None:
     """A (v, x, y) with (I \\ {v}) ∪ {x, y} independent, or None.
 
     Outside vertices with all their I-neighbors equal to {v} are the only
-    candidates for x and y, so they are bucketed per member first.
+    candidates for x and y, so they are bucketed per member first; v is the
+    smallest member whose bucket holds a swap, and x, y are that bucket's
+    ``_bucket_swap``. The buckets are built from scratch, so this is the
+    independent check behind ``is_two_maximal``.
     """
+    adj = g._adj
     buckets: dict[int, list[int]] = {v: [] for v in independent}
     for u in g.vertex_ids:
         if u in independent:
             continue
-        hits = g.neighbors(u) & independent
+        hits = adj[u] & independent
         if len(hits) == 1:
             buckets[next(iter(hits))].append(u)
     for v in sorted(buckets):
-        candidates = sorted(buckets[v])
-        for i, x in enumerate(candidates):
-            non_nbrs = set(candidates[i + 1:]) - g.neighbors(x)
-            if non_nbrs:
-                return v, x, min(non_nbrs)
+        if len(buckets[v]) > 1 and (swap := _bucket_swap(adj, buckets[v])) is not None:
+            return v, *swap
     return None
 
 
 def two_maximal_independent_set(g: Graph) -> frozenset[int]:
     """A maximal independent set stable under one-out/two-in swaps.
 
-    Greedy construction followed by swap passes to a fixpoint; each swap
-    grows the set by one, so at most n passes run.
+    A greedy maximal set in id order, then swaps to a fixpoint, each followed
+    by a greedy refill in id order. Each swap is ``_find_swap``'s: the
+    smallest member v whose bucket (the outside vertices whose one member
+    neighbour is v) holds a swap, then that bucket's ``_bucket_swap`` x and
+    y. Each swap grows the set by one.
+
+    The search state is kept between swaps instead of rebuilt, as in the
+    local search of Andrade, Resende & Werneck (J. Heuristics 2012). Each
+    outside vertex keeps its tightness, its number of member neighbours, and
+    the sum of their ids, which is the one neighbour's id at tightness 1.
+    Each 1-tight vertex sits in its neighbour's bucket. A heap holds the
+    members whose bucket gained a vertex since it was last checked; a bucket
+    gains a swap only by gaining a vertex, and one that lost its swap by
+    losing members is dropped when it reaches the top. The refill visits
+    v's neighbours in id order and adds those left with no member
+    neighbour: no other vertex lost one, so these are the only vertices the
+    full greedy rescan could add, in the order it adds them.
+
+    A swap costs the degrees of the vertices that enter or leave the set,
+    plus a sort and a pass over each bucket that grew, so on a sparse graph
+    the whole search is near-linear in its size rather than quadratic.
     """
+    adj = g._adj
     independent = _greedy_maximal_is(g, set())
-    while True:
-        swap = _find_swap(g, independent)
-        if swap is None:
-            return frozenset(independent)
-        v, x, y = swap
-        independent.remove(v)
+    tight = dict.fromkeys(adj, 0)
+    owners = dict.fromkeys(adj, 0)
+    buckets: dict[int, set[int]] = {v: set() for v in independent}
+    for u in adj:
+        if u not in independent:
+            hits = adj[u] & independent
+            tight[u], owners[u] = len(hits), sum(hits)
+            if len(hits) == 1:
+                buckets[owners[u]].add(u)
+    grown = set(independent)
+
+    def enter(x: int) -> None:
         independent.add(x)
-        independent.add(y)
-        independent = _greedy_maximal_is(g, independent)
+        grown.add(x)
+        bucket = buckets[x] = set()
+        for u in adj[x]:
+            tight[u] += 1
+            owners[u] += x
+            if tight[u] == 1:
+                bucket.add(u)
+            elif tight[u] == 2:
+                buckets[owners[u] - x].discard(u)
+
+    def leave(v: int) -> None:
+        independent.remove(v)
+        del buckets[v]
+        for u in adj[v]:
+            tight[u] -= 1
+            owners[u] -= v
+            if tight[u] == 1:
+                buckets[owners[u]].add(u)
+                grown.add(owners[u])
+
+    heap: list[int] = []
+    while True:
+        for v in grown:
+            if v in independent and len(buckets[v]) > 1:
+                heappush(heap, v)
+        grown.clear()
+        while heap:
+            v = heappop(heap)
+            if v in independent and (swap := _bucket_swap(adj, buckets[v])) is not None:
+                break
+        else:
+            return frozenset(independent)
+        x, y = swap
+        leave(v)
+        enter(x)
+        enter(y)
+        for u in sorted(adj[v]):
+            if not tight[u] and u not in independent:
+                enter(u)
 
 
 def is_two_maximal(g: Graph, independent: Iterable[int]) -> bool:
     iset = set(independent)
     if not g.is_independent_set(iset):
         return False
-    if any(not (g.neighbors(v) & iset) for v in g.vertex_ids if v not in iset):
+    if any(iset.isdisjoint(g.neighbors(v)) for v in g.vertex_ids if v not in iset):
         return False  # not even maximal
     return _find_swap(g, iset) is None

@@ -50,6 +50,8 @@ from cclose.kernel_im import (
 from cclose.kernel_is import _greedy_low_degree_is
 from cclose.matching import (
     VclpPartition,
+    _find_swap,
+    _greedy_maximal_is,
     bipartite_matching_with_cover,
     max_matching_general,
     vclp_half_integral,
@@ -493,6 +495,37 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(range(n), edges)
+
+
+def community_graphs(seed, count):
+    """Graphs shaped like the social_kernel benchmark's: 50 vertices, planted
+    cliques of 10, 9, 8, 7, 6, 5, 5 vertices and sparse cross edges, kept
+    4-closed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        order = rng.sample(range(50), 50)
+        planted, start = [], 0
+        for size in (10, 9, 8, 7, 6, 5, 5):
+            planted += combinations(sorted(order[start:start + size]), 2)
+            start += size
+        yield random_c_closed_graph(50, 4, 0.06, rng.randrange(2 ** 31), base_edges=planted)
+
+
+def restart_two_maximal_independent_set(g: Graph) -> frozenset[int]:
+    """The swap-stable independent set by restarting: a greedy maximal set,
+    then, while ``_find_swap`` finds a swap, the swap and a greedy pass over
+    every vertex again. Each swap grows the set by one, so at most n passes
+    run."""
+    independent = _greedy_maximal_is(g, set())
+    while True:
+        swap = _find_swap(g, independent)
+        if swap is None:
+            return frozenset(independent)
+        v, x, y = swap
+        independent.remove(v)
+        independent.add(x)
+        independent.add(y)
+        independent = _greedy_maximal_is(g, independent)
 
 
 # -- restart-from-the-top reference pipelines ----------------------------------

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from cclose.matching import _hopcroft_karp, _konig_cover, _kuhn
 
 from helpers import (
     brute_max_matching,
+    community_graphs,
     complete_graph,
     cycle_graph,
     kuhn_vclp,
@@ -29,6 +31,7 @@ from helpers import (
     lp_value,
     random_graph,
     recursive_kuhn,
+    restart_two_maximal_independent_set,
     scan_is,
     star_graph,
 )
@@ -402,3 +405,40 @@ class TestTwoMaximal:
             for x, y in combinations(outside, 2):
                 candidate = (set(independent) - {v}) | {x, y}
                 assert not g.is_independent_set(candidate)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2 ** 31),
+        st.integers(0, 40),
+        st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7]),
+    )
+    def test_matches_the_restart_loop_on_scattered_ids(self, seed, n, p):
+        rng = random.Random(seed)
+        ids = rng.sample(range(10 * n + 1), n)
+        g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p])
+        assert two_maximal_independent_set(g) == restart_two_maximal_independent_set(g)
+
+    def test_matches_the_restart_loop_on_community_graphs(self):
+        for g in community_graphs(11, 20):
+            assert two_maximal_independent_set(g) == restart_two_maximal_independent_set(g)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_restart_loop_on_a_sparse_random_graph(self, seed):
+        g = random_graph(2000, 6 / 2000, seed)
+        assert two_maximal_independent_set(g) == restart_two_maximal_independent_set(g)
+
+    def test_a_sparse_graph_of_10_5_vertices_is_fast(self):
+        # 3 * 10^5 distinct random edges on 10^5 vertices; the restart loop
+        # rescans every vertex after each of its swaps, which is quadratic.
+        n = 10 ** 5
+        rng = random.Random(1)
+        edges = set()
+        while len(edges) < 3 * n:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph(range(n), edges)
+        start = time.perf_counter()
+        independent = two_maximal_independent_set(g)
+        assert time.perf_counter() - start < 20
+        assert is_two_maximal(g, independent)
