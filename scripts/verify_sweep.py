@@ -22,9 +22,8 @@ def main() -> int:
     args = parser.parse_args()
 
     jobs = [(p, 1, False) for p in PROBLEMS]
-    jobs += [
-        ("tds", 2, False), ("bwtds", 2, False), ("ds", 1, True), ("im", 1, True), ("bwtds", 1, True),
-    ]
+    jobs += [(p, r, False) for r in (2, 3) for p in ("tds", "bwtds")]
+    jobs += [("ds", 1, True), ("im", 1, True), ("bwtds", 1, True)]
 
     print(f"{'problem':<10} {'r':>2} {'bip':>4} {'agree':>7} {'time':>7}")
     failures = 0

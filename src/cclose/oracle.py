@@ -3,23 +3,26 @@
 Everything here works on bitmasks over the sorted vertex ids, and every
 oracle refuses a graph of more than ``LIMIT`` = 16 vertices with
 ``ResourceLimitError``. DS and TDS scan subsets in size-ascending
-combinatorial order and stop at the first hit. A candidate's mask is the sum
-of single-bit masks, and it is tested against the black vertices' closed
-neighbourhood masks with C-level ``map``/``all``, the demand with the fewest
-possible dominators first; the order and the answers are those of a scan
-that builds each mask bit by bit. The maximization problems
-(IS, IM, IRS) share one ordered-extension search: a set grows only by items
-above its largest, in ascending order, and only while it keeps its property,
-and a branch stops once its size plus the items left cannot beat the best
-size found. All three properties are hereditary, so the search is exact;
-``oracle_answer`` stops it at the first set of size k. Both orders are
-deterministic.
+combinatorial order and stop at the first hit. The scan starts at the least
+size whose largest black coverages |N[v] ∩ B| add up to r·|B|: every
+r-dominating set D has Σ_{v∈D} |N[v] ∩ B| = Σ_{b∈B} |N[b] ∩ D| >= r·|B|, so
+no smaller size can hit, and the answer is that of a scan from 0. A
+candidate's mask is the sum of single-bit masks, and it is tested against
+the black vertices' closed neighbourhood masks with C-level ``map``/``all``,
+the demand with the fewest possible dominators first; the order and the
+answers are those of a scan that builds each mask bit by bit. The
+maximization problems (IS, IM, IRS) share one ordered-extension search: a
+set grows only by items above its largest, in ascending order, and only
+while it keeps its property, and a branch stops once its size plus the items
+left cannot beat the best size found. All three properties are hereditary,
+so the search is exact; ``oracle_answer`` stops it at the first set of size
+k. Both orders are deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import ExtractionError, ResourceLimitError
 from .graph import Graph
@@ -137,6 +140,21 @@ def _irs_space(g: Graph) -> Space:
     return ([], 0), (1 << g.n) - 1, grow
 
 
+def _counting_start(cnbr: list[int], black: list[int], r: int) -> int:
+    """The least s whose s largest black coverages |N[v] ∩ B| add up to at
+    least r·|B|, for demands that D = V meets.
+
+    Double counting makes it a lower bound on every feasible size: a set D
+    that r-dominates B has r·|B| <= Σ_{b∈B} |N[b] ∩ D| = Σ_{v∈D} |N[v] ∩ B|,
+    and no |D| coverages add up to more than the |D| largest. At r = 1 with
+    every vertex black it is the bound γ(G) >= ⌈n/(Δ+1)⌉ or better.
+    """
+    blacks = sum(1 << b for b in black)
+    coverages = sorted(((c & blacks).bit_count() for c in cnbr), reverse=True)
+    need = r * len(black)
+    return next(s for s, total in enumerate(accumulate(coverages, initial=0)) if total >= need)
+
+
 def oracle_ds(g: Graph) -> int:
     """Minimum dominating-set size."""
     result = oracle_tds(g)
@@ -150,6 +168,11 @@ def oracle_tds(g: Graph, coloring: Coloring | None = None, r: int = 1) -> int | 
     With no coloring every vertex counts as black. Returns None when even
     D = V fails, i.e. some black vertex has a closed neighborhood smaller
     than r. An r below 1 raises ``ValueError``, as in ``solve_tds``.
+
+    The scan starts at ``_counting_start``, not at 0: the black coverages
+    |N[v] ∩ B| of any r-dominating set add up to at least r·|B|, so no set
+    below that size can hit, and the first hit, and the value, are those
+    of a scan from 0.
     """
     if r < 1:
         raise ValueError("r must be positive")
@@ -167,7 +190,7 @@ def oracle_tds(g: Graph, coloring: Coloring | None = None, r: int = 1) -> int | 
     # dominators rejects most candidates, and ``all`` ignores the order.
     demands = sorted((cnbr[b] for b in black), key=int.bit_count)
     bits = [1 << i for i in range(g.n)]
-    for size in range(g.n + 1):
+    for size in range(_counting_start(cnbr, black, r), g.n + 1):
         for combo in combinations(bits, size):
             mask = sum(combo)
             hits = map(mask.__and__, demands)

@@ -20,7 +20,7 @@ from cclose import (
     validate_witness,
 )
 from cclose.errors import ExtractionError
-from cclose.oracle import LIMIT, certified_witness, r_dominates_blacks
+from cclose.oracle import LIMIT, _counting_start, _index, certified_witness, r_dominates_blacks
 
 from helpers import (
     atlas_graphs,
@@ -232,6 +232,71 @@ def test_domination_matches_scan_on_atlas():
         for r in (1, 2, 3):
             assert_domination_matches_scan(g, None, r)
             assert_domination_matches_scan(g, odd, r)
+
+
+# -- where the DS/TDS scan starts ---------------------------------------------
+
+
+def counting_start(g: Graph, coloring: Coloring | None, r: int) -> int:
+    """The size ``oracle_tds`` starts its scan at on ``g``."""
+    pos, _, cnbr = _index(g)
+    black = g.vertex_ids if coloring is None else coloring.black_of(g)
+    return _counting_start(cnbr, [pos[v] for v in black], r)
+
+
+@given(
+    st.integers(0, 2 ** 31),
+    st.integers(0, 14),
+    st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+)
+def test_counting_start_never_exceeds_the_scan(seed, n, p, r, coloured):
+    g = sparse_id_graph(seed, n, p)
+    coloring = None
+    if coloured:
+        rng = random.Random(seed)
+        coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
+    best = scan_tds(g, coloring, r)
+    if best is not None:
+        assert counting_start(g, coloring, r) <= best
+
+
+def disjoint_stars(leaves: list[int]) -> Graph:
+    """Disjoint stars K_{1,t}, one per entry t of ``leaves`` (t = 0 is an
+    isolated vertex, t = 1 an edge), each centre followed by its leaves, on
+    the ids 0, 7, 14, ..."""
+    edges, n = [], 0
+    for t in leaves:
+        edges += [(7 * n, 7 * (n + i)) for i in range(1, t + 1)]
+        n += t + 1
+    return Graph(range(0, 7 * n, 7), edges)
+
+
+def white_leaves(g: Graph) -> Coloring:
+    """The vertices of degree 1 are white: the leaves of stars with at least
+    two leaves each."""
+    return Coloring(frozenset(v for v in g.vertex_ids if g.degree(v) == 1))
+
+
+@pytest.mark.parametrize(
+    "leaves, coloured, r, best",
+    [
+        *[([1] * k, False, 1, k) for k in range(9)],
+        *[([1] * k, False, 2, 2 * k) for k in (1, 3, 8)],
+        *[([0] * n, False, 1, n) for n in (1, 5, 16)],
+        ([1, 2, 3, 4], False, 1, 4),
+        ([15], False, 1, 1),
+        ([2, 3, 4], True, 1, 3),
+        ([2, 3, 4], True, 2, 6),
+    ],
+)
+def test_counting_start_is_tight_on_disjoint_stars(leaves, coloured, r, best):
+    # families on which the counting bound is the optimum, so a start one
+    # higher would skip it
+    g = disjoint_stars(leaves)
+    coloring = white_leaves(g) if coloured else None
+    assert counting_start(g, coloring, r) == best == oracle_tds(g, coloring, r)
 
 
 @pytest.mark.parametrize("r", [0, -1])
