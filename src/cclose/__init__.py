@@ -23,6 +23,7 @@ from .instances import (
     Reduced,
     RuleRecord,
     Witness,
+    lift,
     replay,
     replay_trace,
 )
@@ -32,7 +33,6 @@ from .kernel_ds import (
     kernelize_bipartite_bwds,
     kernelize_bwtds,
     kernelize_ds,
-    lift_witness,
     uncolor_gadget,
 )
 from .kernel_im import kernelize_im, kernelize_im_bipartite

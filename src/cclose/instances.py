@@ -267,6 +267,54 @@ def replay_trace(inst: Instance, trace: Iterable[RuleRecord]) -> Instance:
     return inst
 
 
+# Removals and whitenings that keep k: the post-state is an induced
+# subinstance, so its solutions solve the pre-state as they are.
+_LIFTS_UNCHANGED = frozenset(
+    {"RR1", "RR6", "RR9", "RR10", "RR13", "RR15", "RR16", "drop-isolated", "removals"}
+)
+
+
+def lift(original: Instance, trace: Sequence[RuleRecord], witness: Witness) -> Witness:
+    """The inverse of ``replay_trace(original, trace)`` on witnesses: a
+    solution of the trace's last instance, mapped back through the records,
+    last first, by each rule's safeness lemma. It reads the records alone,
+    with no replay and no graph, and returns the set labelled
+    ``original.problem`` unvalidated: a caller certifies it on ``original``.
+    A rule with no clause here raises ``ValueError``."""
+    elements = set(witness.elements)
+    for record in reversed(trace):
+        rule, added = record.rule, record.vertices_added
+        if rule in _LIFTS_UNCHANGED:
+            continue
+        if rule == "RR2":
+            if added[0] in elements:
+                if not (partners := set(record.payload["clique"]) - elements):
+                    raise ExtractionError("no swap partner when lifting over the clique rule")
+                elements.remove(added[0])
+                elements.add(min(partners))
+        elif rule == "RR7":
+            elements.add(record.vertices_removed[0])
+        elif rule == "RR14":
+            anchor, shadowed = record.payload["anchor"], record.payload["shadowed"]
+            if (leaf_edge := (min(added[0], anchor), max(added[0], anchor))) in elements:
+                elements.remove(leaf_edge)
+                elements.add((min(shadowed, anchor), max(shadowed, anchor)))
+        elif rule == "gadget":
+            # N(last) is the other gadget vertices: the last goes for the
+            # smallest of them not taken, then all of them must be taken
+            *forced, last = added
+            if last in elements:
+                elements.remove(last)
+                if outside := set(forced) - elements:
+                    elements.add(min(outside))
+            if not elements.issuperset(forced):
+                raise ExtractionError("gadget clique not forced into the solution")
+            elements.difference_update(added)
+        else:
+            raise ValueError(f"no lift over a {rule} record")
+    return Witness(witness.kind, frozenset(elements), original.problem)
+
+
 def replay_removals(inst: Instance, records: Sequence[RuleRecord]) -> Instance:
     """``replay_trace`` for records that only remove vertices, in one step.
 

@@ -23,7 +23,6 @@ from math import comb
 
 from .closure import common_neighborhood, compute_closure, require_c_closed
 from .cliques import cliques_of_size, maximal_cliques
-from .errors import ExtractionError
 from .graph import Graph
 from .instances import (
     WHITE,
@@ -37,10 +36,11 @@ from .instances import (
     RuleRecord,
     Witness,
     exhaust,
+    lift,
     replay,
     replay_removals,
 )
-from .oracle import certified_witness, validate_witness
+from .oracle import certified_witness
 from .ramsey import ramsey_threshold
 
 
@@ -388,8 +388,8 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, RuleRecord]:
     A fresh (r+1)-clique is added; its first r members are wired to every
     white vertex, and the budget grows by r. The last gadget vertex has
     degree exactly r, which forces the other r into any solution that avoids
-    it, covering the whites for free. The closure of the result may exceed
-    the input's and is recomputed.
+    it, covering the whites for free, as ``instances.lift`` uses. The
+    closure of the result may exceed the input's and is recomputed.
     """
     if inst.problem is not Problem.BW_TDS:
         raise ValueError(f"expected a BW-TDS instance, got {inst.problem}")
@@ -411,30 +411,6 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, RuleRecord]:
         payload={"uncolor": True, "clique": list(clique), "declared_closure": closure},
     )
     return replay(inst, record), record
-
-
-def lift_witness(d_prime: Witness, original: Instance, record: RuleRecord) -> Witness:
-    """Turn a solution of the gadget instance that ``record`` makes of the
-    colored ``original`` into one of ``original``.
-
-    The last gadget vertex is simplicial with exactly r neighbors, so the
-    standard swap pushes it out of the solution; its r dominators must then
-    be the rest of the gadget clique, which peels off cleanly.
-    """
-    gadget = replay(original, record)
-    if not validate_witness(gadget, d_prime):
-        raise ValueError("input witness does not solve the gadget instance")
-    solution = set(d_prime.elements)
-    clique = record.vertices_added
-    last = clique[-1]
-    if last in solution:
-        outside = sorted(gadget.graph.neighbors(last) - solution)
-        solution.remove(last)
-        if outside:
-            solution.add(outside[0])
-    if not set(clique[:-1]) <= solution:
-        raise ExtractionError("gadget clique not forced into the solution")
-    return certified_witness(original, Witness.vertex_set(solution - set(clique), Problem.BW_TDS))
 
 
 def all_black_twin(inst: Instance) -> Instance:
@@ -481,7 +457,7 @@ def kernelize_bipartite_bwds(inst: Instance, parts: Bipartition, c: int) -> Kern
     inst, trace, _ = exhaust(inst, [lambda i: _rr_high_degree(i, c)])
     black = inst.black_vertices()
     if not black:
-        forced = Witness.vertex_set((record.vertices_removed[0] for record in trace), Problem.BW_TDS)
+        forced = lift(original, trace, Witness.vertex_set((), Problem.BW_TDS))
         return Decided(inst, tuple(trace), True, certified_witness(original, forced))
     # Strictly more than c*k^2 blacks: k vertices, each covering at most
     # c*k - 1 black neighbors plus themselves, cannot dominate them all; at

@@ -25,6 +25,7 @@ from .instances import (
     RuleRecord,
     Witness,
     exhaust,
+    lift,
     replay_removals,
 )
 from .matching import Matching, VclpPartition, crown_from_vclp, max_matching_general, vclp_half_integral
@@ -105,32 +106,6 @@ def _im_witness(outcome: Clique | Matching) -> Witness:
     return Witness.edge_set(outcome.edges, Problem.IM)
 
 
-def lift_im_witness(
-    original: Instance,
-    witness: Witness,
-    trace: list[RuleRecord],
-) -> Witness:
-    """Map a matching found mid-pipeline back to the input graph.
-
-    Vertex removals lift for free (inducedness only concerns the matched
-    endpoints); an edge using a leaf attached by the shadowing rule swaps
-    back to the shadowed LP-zero vertex, exactly as in that rule's
-    correctness argument.
-    """
-    edges = set(witness.elements)
-    for record in reversed(trace):
-        if record.rule != "RR14":
-            continue
-        leaf = record.vertices_added[0]
-        anchor = record.payload["anchor"]
-        shadowed = record.payload["shadowed"]
-        leaf_edge = (min(leaf, anchor), max(leaf, anchor))
-        if leaf_edge in edges:
-            edges.remove(leaf_edge)
-            edges.add((min(shadowed, anchor), max(shadowed, anchor)))
-    return certified_witness(original, Witness.edge_set(edges, Problem.IM))
-
-
 def rr_leaf_rules(inst: Instance, p: VclpPartition) -> RuleRecord | None:
     """The first applicable of the three LP-zero cleanup rules.
 
@@ -206,7 +181,8 @@ def kernelize_im(inst: Instance, c: int) -> KernelOutcome:
     rules = [lambda i: rr_neighborhood_matching(i, c), lp_stage]
     inst, trace, witness = exhaust(inst, rules)
     if witness is not None:
-        return Decided(inst, tuple(trace), True, lift_im_witness(original, witness, trace))
+        witness = certified_witness(original, lift(original, trace, witness))
+        return Decided(inst, tuple(trace), True, witness)
     return Reduced(inst, tuple(trace))
 
 

@@ -20,6 +20,7 @@ from .instances import (
     Reduced,
     RuleRecord,
     Witness,
+    lift,
     replay_removals,
 )
 from .oracle import certified_witness, is_irredundant
@@ -85,19 +86,20 @@ def kernelize_irs(inst: Instance, c: int) -> KernelOutcome:
     grouping of the simplicial vertices gives the records of restarting RR16
     after every removal (deleting a twin makes no vertex simplicial and no
     two closed neighborhoods equal), and apply them with one
-    ``replay_removals``; any graph at the global threshold is a Yes."""
+    ``replay_removals``; any graph at the global threshold is a Yes, whose
+    witness is lifted over the removals and certified on ``inst``."""
     if inst.problem is not Problem.IRS:
         raise ValueError(f"expected an IRS instance, got {inst.problem}")
     require_c_closed(inst.graph, c)
     if inst.k == 0:
         return Decided(inst, (), True, Witness.vertex_set((), Problem.IRS))
     trace = tuple(sweep_simplicial_twins(inst))
-    inst = replay_removals(inst, trace)
+    reduced = replay_removals(inst, trace)
     _, _, total = irs_thresholds(c, inst.k)
-    if inst.graph.n >= total:
-        witness = certified_witness(inst, extract_irs_witness(inst.graph, c, inst.k))
-        return Decided(inst, trace, True, witness)
-    return Reduced(inst, trace)
+    if reduced.graph.n >= total:
+        witness = lift(inst, trace, extract_irs_witness(reduced.graph, c, inst.k))
+        return Decided(reduced, trace, True, certified_witness(inst, witness))
+    return Reduced(reduced, trace)
 
 
 def extract_irs_witness(g: Graph, c: int, k: int) -> Witness:

@@ -18,7 +18,7 @@ from .cliques import maximal_cliques
 from .closure import require_c_closed
 from .errors import ExtractionError
 from .graph import Graph
-from .instances import Coloring, Instance, Problem, Witness, exhaust
+from .instances import Coloring, Instance, Problem, Witness, exhaust, lift
 from .kernel_ds import all_black_twin, rr_clique, sweep_white_removal
 from .matching import is_two_maximal, two_maximal_independent_set
 from .oracle import certified_witness
@@ -37,8 +37,8 @@ def solve_tds(g: Graph, c: int, r: int, k: int) -> tuple[bool, Witness | None]:
     fewer cannot hold c*k black vertices, and no firing makes one (it grows
     only Q, to Q + u, as ``kernel_ds.sweep_black_rules`` shows, which also
     shows that ``exhaust``'s guard cannot trip). The recursion then follows
-    the branch/brute-force scheme. The returned witness is validated against
-    the original graph.
+    the branch/brute-force scheme, and ``lift`` maps its solution back over
+    the RR2 records to a witness validated against the original graph.
     """
     return _solve(Instance(problem=Problem.TDS, graph=g, k=k, r=r), c)
 
@@ -51,7 +51,7 @@ def solve_ds(g: Graph, c: int, k: int) -> tuple[bool, Witness | None]:
 
 def _solve(original: Instance, c: int) -> tuple[bool, Witness | None]:
     """Search the all-black twin of a DS or TDS instance, running the clique
-    rule first for TDS only, and certify the witness against ``original``."""
+    rule first for TDS only, and certify the lifted witness against ``original``."""
     require_c_closed(original.graph, c)
     inst = all_black_twin(original)
     k = inst.k
@@ -64,15 +64,8 @@ def _solve(original: Instance, c: int) -> tuple[bool, Witness | None]:
     solution = _branch(inst, c, inst.r, k, set(), ds_mode)
     if solution is None:
         return False, None
-    for record in reversed(rr2_trace):
-        added = record.vertices_added[0]
-        if added in solution:
-            swap = sorted(set(record.payload["clique"]) - solution)
-            if not swap:
-                raise ExtractionError("no swap partner when lifting over the clique rule")
-            solution.remove(added)
-            solution.add(swap[0])
-    return True, certified_witness(original, Witness.vertex_set(solution, original.problem))
+    witness = lift(original, rr2_trace, Witness.vertex_set(solution, original.problem))
+    return True, certified_witness(original, witness)
 
 
 def _branch(

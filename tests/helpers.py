@@ -29,6 +29,7 @@ from cclose.instances import (
     Reduced,
     RuleRecord,
     Witness,
+    lift,
     replay,
 )
 from cclose.kernel_ds import (
@@ -42,7 +43,6 @@ from cclose.kernel_ds import (
 )
 from cclose.kernel_im import (
     _decide_cluster_im,
-    lift_im_witness,
     partition_bound_violation,
     rr_leaf_rules,
     rr_lp_thresholds,
@@ -781,7 +781,7 @@ def restart_kernelize_im(inst, c):
         p = vclp_half_integral(inst.graph)
         witness = rr_lp_thresholds(inst, c, p)
         if witness is not None:
-            return Decided(inst, tuple(trace), True, lift_im_witness(original, witness, trace))
+            return Decided(inst, tuple(trace), True, lift(original, trace, witness))
         record = rr_leaf_rules(inst, p)
         if record is None:
             isolated = inst.graph.isolated_vertices()

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,17 @@ from cclose import (
     RuleRecord,
     Witness,
     compute_closure,
+    disjoint_cliques,
+    lift,
     path_graph,
     replay,
     replay_trace,
 )
 from cclose.instances import exhaust, replay_removals
-from cclose.kernel_ds import all_black_twin
+from cclose.kernel_ds import all_black_twin, sweep_black_rules
+from cclose.kernel_im import rr_leaf_rules
+from cclose.matching import vclp_half_integral
+from cclose.oracle import certified_witness
 from cclose.verify import kernelize, random_instance
 
 from helpers import cycle_graph, random_graph, star_graph
@@ -313,6 +319,49 @@ def test_witness_constructors():
     assert w.sorted_elements() == [1, 3]
     e = Witness.edge_set([(5, 2), (1, 0)], Problem.IM)
     assert e.sorted_elements() == [(0, 1), (2, 5)]
+
+
+def _two_clique_rr2_trace():
+    """Two disjoint 4-cliques as TDS at r = 1, k = 2 and c = 1, with the RR2
+    records of their all-black twin: fresh 8 on {0..3}, then 9 on {4..7}."""
+    original = Instance(problem=Problem.TDS, graph=disjoint_cliques(2, 4), k=2, r=1)
+    _, trace = sweep_black_rules(all_black_twin(original), 1)
+    assert [(rec.rule, rec.vertices_added) for rec in trace] == [("RR2", (8,)), ("RR2", (9,))]
+    return original, trace
+
+
+def test_lift_over_a_tampered_rr2_clique_fails_certification():
+    # Each fresh vertex goes for the smallest clique member not taken;
+    # naming the second clique in the first record takes 5 in place of 0.
+    original, trace = _two_clique_rr2_trace()
+    lifted = lift(original, trace, Witness.vertex_set({8, 9}, Problem.TDS))
+    assert certified_witness(original, lifted) == Witness.vertex_set({0, 4}, Problem.TDS)
+    tampered = [replace(trace[0], payload={**trace[0].payload, "clique": [4, 5, 6, 7]}), trace[1]]
+    lifted = lift(original, tampered, Witness.vertex_set({8, 9}, Problem.TDS))
+    assert lifted == Witness.vertex_set({4, 5}, Problem.TDS)
+    with pytest.raises(ExtractionError):
+        certified_witness(original, lifted)
+
+
+def test_lift_over_a_tampered_rr14_shadowed_vertex_fails_certification():
+    # RR14 hangs the leaf 7 on the anchor 0 in place of the shadowed vertex
+    # 1; naming 2 instead lifts to (0, 2), which the edge 2-6 ties to (5, 6).
+    g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 3), (2, 6), (3, 4), (3, 6), (5, 6)])
+    original = Instance(problem=Problem.IM, graph=g, k=2)
+    record = rr_leaf_rules(original, vclp_half_integral(g))
+    assert record.payload == {"anchor": 0, "shadowed": 1}
+    through_leaf = Witness.edge_set([(0, 7), (5, 6)], Problem.IM)
+    assert certified_witness(original, lift(original, [record], through_leaf))
+    tampered = replace(record, payload={"anchor": 0, "shadowed": 2})
+    with pytest.raises(ExtractionError):
+        certified_witness(original, lift(original, [tampered], through_leaf))
+
+
+def test_lift_refuses_a_rule_without_a_clause():
+    original, _ = _two_clique_rr2_trace()
+    record = RuleRecord(rule="RR3.1", vertices_added=(8,), edges_added=((8, 0), (8, 1)))
+    with pytest.raises(ValueError, match="RR3.1"):
+        lift(original, [record], Witness.vertex_set({8}, Problem.TDS))
 
 
 def _remove(rule, v):

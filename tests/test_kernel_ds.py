@@ -27,7 +27,7 @@ from cclose import (
     kernelize_im,
     kernelize_im_bipartite,
     kernelize_irs,
-    lift_witness,
+    lift,
     maximal_cliques,
     oracle_answer,
     oracle_ds,
@@ -693,7 +693,7 @@ class TestGadget:
         gadget, record = uncolor_gadget(inst)
         witness = Witness.vertex_set(found, Problem.DS)
         assert validate_witness(gadget, witness)
-        assert lift_witness(witness, inst, record) == Witness.vertex_set(lifted, Problem.BW_TDS)
+        assert lift(inst, [record], witness) == Witness.vertex_set(lifted, Problem.BW_TDS)
 
     @settings(max_examples=80)
     @given(st.integers(0, 10 ** 6), st.integers(0, 8), st.integers(0, 2), st.integers(1, 2))
@@ -731,7 +731,7 @@ class TestGadget:
             if found:
                 break
         assert found is not None
-        lifted = lift_witness(found, inst, record)
+        lifted = lift(inst, [record], found)
         assert validate_witness(inst, lifted)
 
 

@@ -29,9 +29,8 @@ from cclose import (
 from cclose import kernel_im
 from cclose.errors import ExtractionError
 from cclose.generators import er_graph
-from cclose.instances import replay
+from cclose.instances import lift, replay
 from cclose.kernel_im import (
-    lift_im_witness,
     partition_bound_violation,
     rr_leaf_rules,
     rr_lp_thresholds,
@@ -258,11 +257,11 @@ class TestLeafRules:
         post = replay(inst, record)
         through_leaf = Witness.edge_set([(0, 7), (5, 6)], Problem.IM)
         assert validate_witness(post, through_leaf)
-        lifted = lift_im_witness(inst, through_leaf, [record])
+        lifted = lift(inst, [record], through_leaf)
         assert lifted == Witness.edge_set([(0, 1), (5, 6)], Problem.IM)
         assert validate_witness(inst, lifted)
         avoiding = Witness.edge_set([(5, 6)], Problem.IM)
-        assert lift_im_witness(make(g, 1), avoiding, [record]) == avoiding
+        assert lift(make(g, 1), [record], avoiding) == avoiding
 
     def test_surrounded_zero_vertex_removed(self):
         # every neighbor of v0 has a leaf -> v0 goes
