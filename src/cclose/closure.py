@@ -129,12 +129,14 @@ def _top_free_pair(
     """The highest count among the nonadjacent pairs in ``counts`` with the
     smallest pair that has it, or (0, None) if there is none.
 
-    The top count usually has a nonadjacent pair, and testing only its pairs
-    for adjacency is several times faster than testing every pair, which is
-    left for when adjacent pairs hold the top count.
+    The top count usually has a nonadjacent pair. Its pairs are collected by
+    one flat scan of the tally, and only they are tested for adjacency,
+    which is several times faster than testing every pair; that is left for
+    when adjacent pairs hold the top count.
     """
     top = max(counts.values(), default=0)
-    free = [(u, v) for (u, v), k in counts.items() if k == top and v not in adj[u]]
+    tops = [p for p, k in counts.items() if k == top]
+    free = [(u, v) for u, v in tops if v not in adj[u]]
     if free:
         return top, min(free)
     rest = max(((k, -u, -v) for (u, v), k in counts.items() if v not in adj[u]), default=None)

@@ -51,9 +51,10 @@ def rr_neighborhood_matching(inst: Instance, c: int) -> RuleRecord | None:
     neighborhood; the same vertex fires, with the same payload, as in a scan
     of every neighborhood."""
     g = inst.graph
+    adj = g._adj
     need = 2 * c * inst.k
     for v in g.vertex_ids:
-        if g.degree(v) < 2 * need:
+        if len(adj[v]) < 2 * need:
             continue
         m = max_matching_general(g.induced(g.neighbors(v)))
         if len(m) >= need:
@@ -155,8 +156,9 @@ def kernelize_im(inst: Instance, c: int) -> KernelOutcome:
     fixpoint. 1-closed graphs are decided outright by counting non-trivial
     clique components.
 
-    Each LP solve is warm-started from the previous round's maximum matching
-    of the double cover; ``vclp_half_integral`` keeps the pairs whose
+    The first LP solve starts from a Karp–Sipser matching of the double
+    cover, and each later one is warm-started from the previous round's
+    maximum matching; ``vclp_half_integral`` keeps the pairs whose
     vertices and edge survive the round's record. The partition does not
     depend on the matching it is read from (Dulmage–Mendelsohn), so the
     rounds see the partitions of cold solves, and a round after a small
@@ -266,14 +268,14 @@ def kernelize_im_bipartite(
         if c is None:
             raise ValueError("closure mode needs c")
         require_c_closed(g, c)
-        high, bound = [v for v in g.vertex_ids if g.degree(v) >= c * k], c * k
+        high, bound = [v for v in g.vertex_ids if len(g._adj[v]) >= c * k], c * k
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'delta' or 'closure')")
     if len(high) >= 2 * k:
         matching = im_from_high_degree(g, parts, c, k)
     else:
         rest = g.without_vertices(high) if high else g
-        live = [v for v in rest.vertex_ids if rest.degree(v) > 0]
+        live = [v for v in rest.vertex_ids if rest._adj[v]]
         if not live or len(live) < dense_bipartite_threshold(bound, k):
             return _reduced_drop_isolated(inst)
         matching = im_dense_bipartite(rest, parts, k)

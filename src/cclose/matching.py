@@ -167,6 +167,60 @@ def _kuhn(g: Graph, left: list[int]) -> dict[int, int]:
     return match
 
 
+def _karp_sipser(adj: Mapping[int, frozenset[int]]) -> dict[int, int]:
+    """A Karp–Sipser matching of the double cover of ``adj``, as u ↦ w for
+    its edges u'w''.
+
+    Karp & Sipser (FOCS 1981), with the least-degree choice of Duff, Kaya
+    & Uçar (ACM TOMS 2011). Each step matches a free vertex u of least free
+    degree, which is one with a single free neighbour whenever there is
+    one, with its free neighbour w of least free degree, ties by id.
+    Matching a vertex of free degree one loses nothing: some maximum
+    matching holds that edge. The greedy runs on the graph itself and
+    takes each matched edge both ways, as u'w'' and w'u''. The two copies
+    of a vertex then keep equal free degrees, so a step is a Karp–Sipser
+    step of the double cover followed by its mirror image.
+
+    Free degrees only fall. The vertices wait in buckets by free degree,
+    the initial ones in id order and a vertex whose degree falls pushed
+    again on top, and a popped entry whose degree is stale is skipped. The
+    lowest bucket that can hold a live entry falls by at most two per step,
+    so the run is O(n + m).
+    """
+    free = dict(zip(adj, map(len, adj.values())))
+    queue: list[list[int]] = [[] for _ in range(max(free.values(), default=0) + 1)]
+    for v in sorted(adj, reverse=True):
+        queue[free[v]].append(v)
+    mate: dict[int, int] = {}
+    floor = 1
+    while floor < len(queue):
+        bucket = queue[floor]
+        if not bucket:
+            floor += 1
+            continue
+        u = bucket.pop()
+        if u in mate or free[u] != floor:
+            continue
+        least = len(queue)
+        for x in adj[u]:
+            if x not in mate:
+                d = free[x]
+                if d < least or d == least and x < w:
+                    least, w = d, x
+        mate[u] = w
+        mate[w] = u
+        for x in adj[u]:
+            if x not in mate:
+                d = free[x] = free[x] - 1
+                queue[d].append(x)
+        for x in adj[w]:
+            if x not in mate:
+                d = free[x] = free[x] - 1
+                queue[d].append(x)
+        floor = max(floor - 2, 1)
+    return mate
+
+
 def _hopcroft_karp(
     adj: Mapping[int, Iterable[int]], left: Iterable[int], start: Mapping[int, int] | None = None
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -402,18 +456,23 @@ def vclp_half_integral(g: Graph, start: Mapping[int, int] | None = None) -> Vclp
     may grow any matching of the double cover instead of an empty one:
     ``start`` (pairs u ↦ w for the edges u'w''; pairs that are not edges of
     ``g`` or share a w are dropped) warm-starts it, and the result carries
-    the maximum matching it was read from as ``matching``.
+    the maximum matching it was read from as ``matching``. A solve with no
+    ``start``, or an empty one, grows ``_karp_sipser``'s matching, which
+    is usually maximum or close to it, so that few augmentations are left
+    to search for. The start changes which maximum matching comes out,
+    never the cover or the partition.
+
+    A vertex is in V1 when both its copies are in the cover, in V_half
+    when one is, and in V0 when neither is.
     """
     adj = g._adj
     # Every vertex has a left copy, so adj is also the list of left vertices.
-    ml, mr = _hopcroft_karp(adj, adj, start)
+    ml, mr = _hopcroft_karp(adj, adj, start or _karp_sipser(adj))
     cover_left, cover_right = _konig_cover(adj, adj, ml, mr)
     # An edge uw gives the pairs u'w'' and w'u'', and the certified cover
     # meets both, so the two ends of every edge hold two hits between them.
-    v0, v1, v_half = set(), set(), set()
-    for v in adj:
-        (v0, v_half, v1)[(v in cover_left) + (v in cover_right)].add(v)
-    return VclpPartition(frozenset(v0), frozenset(v1), frozenset(v_half), ml)
+    v0 = frozenset(adj.keys() - cover_left - cover_right)
+    return VclpPartition(v0, cover_left & cover_right, cover_left ^ cover_right, ml)
 
 
 def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:

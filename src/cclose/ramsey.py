@@ -323,7 +323,7 @@ def im_dense_bipartite(g: Graph, parts: Bipartition, b: int) -> Matching:
         raise ValueError("b must be nonnegative")
     if b == 0:
         return Matching(frozenset())
-    live = [v for v in g.vertex_ids if g.degree(v) > 0]
+    live = [v for v in g.vertex_ids if g._adj[v]]
     delta = g.max_degree()
     if delta == 0:
         raise PreconditionError("graph has no edges")

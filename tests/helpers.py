@@ -274,6 +274,29 @@ def scan_im(g: Graph) -> int:
     return best
 
 
+def reference_im_conflicts(g: Graph) -> list[int]:
+    """The IM oracle's conflict mask of each edge, the edges in (min, max)
+    order over the sorted ids, by the per-edge loop: every pair is tested
+    for an edge, and edge ab's mask is or'ed bit by bit over the vertices of
+    N[a] ∪ N[b], from the edges touching each."""
+    nbr, cnbr = _neighbor_masks(g)
+    edges = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if nbr[a] >> b & 1]
+    touching = [0] * g.n
+    for e, (a, b) in enumerate(edges):
+        touching[a] |= 1 << e
+        touching[b] |= 1 << e
+    conflict = []
+    for a, b in edges:
+        near = cnbr[a] | cnbr[b]
+        mask = 0
+        while near:
+            low = near & -near
+            mask |= touching[low.bit_length() - 1]
+            near ^= low
+        conflict.append(mask)
+    return conflict
+
+
 def _is_induced_matching_mask(mask: int, nbr: list[int]) -> bool:
     m = mask
     while m:

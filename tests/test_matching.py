@@ -19,7 +19,7 @@ from cclose import (
     vclp_half_integral,
 )
 from cclose.errors import ExtractionError
-from cclose.matching import _hopcroft_karp, _konig_cover, _kuhn
+from cclose.matching import _hopcroft_karp, _karp_sipser, _konig_cover, _kuhn
 
 from helpers import (
     brute_max_matching,
@@ -56,6 +56,35 @@ def random_bipartite(seed, n, p):
     left = sorted(ids[: n // 2])
     g = Graph(ids, [(u, v) for u in left for v in ids[n // 2:] if rng.random() < p])
     return g, left
+
+
+def crowned_graph(seed):
+    """A sparse random core with a crown (an independent set matched into
+    a head, plus extra edges into it), leaves hung on random vertices and
+    isolated vertices, on ids spread over 0..5n."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 20)
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2}
+    head = rng.sample(range(n), min(n, rng.randint(0, 4)))
+    crown = range(n, n + len(head) + rng.randint(0, 3))
+    edges.update(zip(head, crown))
+    edges.update((h, x) for h in head for x in crown if rng.random() < 0.3)
+    leaves = range(crown.stop, crown.stop + rng.randint(0, 4) if crown.stop else 0)
+    edges.update((rng.randrange(v), v) for v in leaves)
+    total = max(crown.stop, leaves.stop) + rng.randint(0, 3)  # the last ones isolated
+    ids = rng.sample(range(5 * total + 1), total)
+    return Graph(ids, [(ids[u], ids[v]) for u, v in edges])
+
+
+def stale_start(g, rng):
+    """The maximum matching of an earlier graph: g plus a fresh vertex joined
+    to about half of g and a few more edges. Its pairs through the fresh
+    vertex or the extra edges are not edges of g, as after a kernel round."""
+    ids = list(g.vertex_ids)
+    fresh = max(ids, default=-1) + 1
+    extra = [(fresh, v) for v in ids if rng.random() < 0.5]
+    extra += [(u, v) for i, u in enumerate(ids) for v in ids[:i] if not g.has_edge(u, v) and rng.random() < 0.1]
+    return vclp_half_integral(Graph([*ids, fresh], [*g.edges(), *extra])).matching
 
 
 def bipartition_of(g):
@@ -319,6 +348,63 @@ class TestVclp:
         for u, w in warm.matching.items():
             assert g.has_edge(u, w)
         assert len(set(warm.matching.values())) == len(warm.matching)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda seed=seed: crowned_graph(seed) for seed in range(40)),
+            lambda: Graph(),
+            lambda: path_graph(1),
+            lambda: path_graph(2),
+            lambda: path_graph(7),
+            lambda: path_graph(2000),
+            lambda: ladder(50)[0],
+            lambda: ladder(300)[0],
+        ],
+        ids=[*(f"crowned{seed}" for seed in range(40)), "empty", "path1", "path2", "path7",
+             "path2000", "ladder50", "ladder300"],
+    )
+    def test_cold_empty_and_stale_starts_give_the_same_partition(self, make):
+        # A solve with no start and one with an empty start both grow the
+        # Karp-Sipser matching; a stale start keeps only its valid pairs.
+        # The partition is the same from any of them, and it is Kuhn's.
+        g = make()
+        cold = vclp_half_integral(g)
+        stale = stale_start(g, random.Random(g.n))
+        for p in (vclp_half_integral(g, {}), vclp_half_integral(g, stale)):
+            assert p == cold
+            assert len(p.matching) == len(cold.matching) == 2 * lp_cost(cold)
+        assert cold == kuhn_vclp(g)
+
+    def test_crowned_graphs_reach_every_class_and_stale_pairs(self):
+        # The crowned graphs above reach V0, V1 and V_half, and most of
+        # their stale starts hold pairs that are not edges of the graph.
+        graphs = [crowned_graph(seed) for seed in range(40)]
+        seen = [vclp_half_integral(g) for g in graphs]
+        assert any(p.v0 for p in seen) and any(p.v1 for p in seen) and any(p.v_half for p in seen)
+        stale = [stale_start(g, random.Random(g.n)) for g in graphs]
+        assert sum(any(not g.has_edge(u, w) for u, w in m.items()) for g, m in zip(graphs, stale)) >= 30
+
+    @given(st.integers(0, 2 ** 31), st.integers(0, 30), st.sampled_from([0.05, 0.15, 0.3, 0.6, 1.0]))
+    def test_karp_sipser_start_is_a_matching_of_the_double_cover(self, seed, n, p):
+        rng = random.Random(seed)
+        ids = rng.sample(range(3 * n), n)
+        g = Graph(ids, [(u, v) for i, u in enumerate(ids) for v in ids[:i] if rng.random() < p])
+        start = _karp_sipser(g._adj)
+        assert all(g.has_edge(u, w) for u, w in start.items())
+        assert len(set(start.values())) == len(start)  # no right copy twice
+        assert all(u in start or v in start for u, v in g.edges())  # maximal in g
+        ml, _ = _hopcroft_karp(g._adj, g._adj)
+        assert len(start) <= len(ml)
+
+    @given(st.integers(0, 2 ** 31), st.integers(0, 60))
+    def test_karp_sipser_is_maximum_on_forests(self, seed, n):
+        # A forest always has a vertex of free degree one while an edge is
+        # left, so every step is a degree-one step and loses nothing; the
+        # double cover of a forest is two copies of it.
+        rng = random.Random(seed)
+        g = Graph(range(n), [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9])
+        assert len(_karp_sipser(g._adj)) == 2 * len(max_matching_general(g))
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 9))
     def test_cost_is_half_integral(self, seed, n):

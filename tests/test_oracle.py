@@ -20,7 +20,7 @@ from cclose import (
     validate_witness,
 )
 from cclose.errors import ExtractionError
-from cclose.oracle import LIMIT, _counting_start, _index, certified_witness, r_dominates_blacks
+from cclose.oracle import LIMIT, _counting_start, _im_conflicts, _index, certified_witness, r_dominates_blacks
 
 from helpers import (
     atlas_graphs,
@@ -29,6 +29,7 @@ from helpers import (
     mask_induced_matching,
     mask_irredundant,
     random_graph,
+    reference_im_conflicts,
     scan_im,
     scan_irs,
     scan_is,
@@ -166,6 +167,19 @@ def test_search_matches_scan_on_atlas():
     for g in atlas_graphs():
         for problem in SCANS:
             assert_matches_scan(problem, g)
+
+
+@given(st.integers(0, 2 ** 31), st.integers(0, LIMIT), st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]))
+def test_im_conflicts_match_the_per_edge_reference(seed, n, p):
+    # The per-vertex masks or'ed pairwise equal the bit-by-bit or over
+    # N[a] ∪ N[b], edge for edge, up to the oracle's size limit.
+    g = sparse_id_graph(seed, n, p)
+    assert _im_conflicts(g) == reference_im_conflicts(g)
+
+
+def test_im_conflicts_match_the_per_edge_reference_on_atlas():
+    for g in atlas_graphs():
+        assert _im_conflicts(g) == reference_im_conflicts(g)
 
 
 @pytest.mark.parametrize("problem", [Problem.DS, Problem.TDS, Problem.BW_TDS])
