@@ -26,7 +26,8 @@ def main() -> int:
     jobs += [("ds", 1, True), ("im", 1, True), ("bwtds", 1, True)]
 
     print(f"{'problem':<10} {'r':>2} {'bip':>4} {'agree':>7} {'time':>7}")
-    failures = 0
+    failures = agreed = trials = 0
+    sweep_started = time.time()
     for problem, r, bipartite in jobs:
         started = time.time()
         report = run_verify(
@@ -39,6 +40,8 @@ def main() -> int:
             bipartite=bipartite,
         )
         agree = sum(t.agreed for t in report.results)
+        agreed += agree
+        trials += len(report.results)
         print(
             f"{problem:<10} {r:>2} {str(bipartite):>4} "
             f"{agree:>3}/{len(report.results):<3} {time.time() - started:>6.1f}s"
@@ -51,6 +54,7 @@ def main() -> int:
                 print("  reproducer:")
                 for line in report.reproducer.splitlines():
                     print(f"    {line}")
+    print(f"total: {len(jobs)} jobs, {agreed}/{trials} trials agreed, {time.time() - sweep_started:.1f}s wall")
     return 1 if failures else 0
 
 

@@ -3,8 +3,11 @@
 Each trial draws a seeded random instance, computes its closure, runs the
 problem's pipeline(s), and compares outcomes with the oracle answer. Trace
 replay and closure preservation are checked on every outcome, size bounds
-on every reduction, even one too large for the oracle to cross-check.
-Disagreements are shrunk by greedy vertex deletion before being reported.
+on every reduction, even one too large for the oracle to cross-check. A
+reduction is decided by the oracle again only when its trace has records:
+an empty trace replays to the input or its all-black twin, whose answer is
+the one already computed. Disagreements are shrunk by greedy vertex
+deletion before being reported.
 """
 
 from __future__ import annotations
@@ -257,7 +260,14 @@ def _outcome_agrees(
     agrees with the oracle's ``expected`` answer; ``base`` is the instance
     its trace replays from, decided or not. A witness is validated against
     whichever of the two has its problem: the DS kernel runs on the
-    all-black twin but returns a DS witness."""
+    all-black twin but returns a DS witness.
+
+    A reduction is decided again only when its trace has records. Once
+    ``_closure_preserved`` accepts an empty trace, the reduction equals
+    ``base``: ``inst`` itself, or for DS and TDS its all-black twin, which
+    the oracle answers as it answers ``inst`` (with every vertex black,
+    ``oracle_tds`` reads the twin's coloring as no coloring). A second
+    decision would compare ``expected`` with itself."""
     ok, why = _closure_preserved(base, outcome, c)
     if not ok:
         return False, why
@@ -272,11 +282,12 @@ def _outcome_agrees(
                 return False, "decided-yes witness fails validation"
         return True, ""
     reduced = outcome.instance
-    try:
-        if oracle_answer(reduced) != expected:
-            return False, f"reduced instance answers {not expected}, oracle says {expected}"
-    except ResourceLimitError:
-        pass  # too large to cross-check; the structural checks still run
+    if outcome.trace:
+        try:
+            if oracle_answer(reduced) != expected:
+                return False, f"reduced instance answers {not expected}, oracle says {expected}"
+        except ResourceLimitError:
+            pass  # too large to cross-check; the structural checks still run
     return _size_bound_holds(name, reduced, c)
 
 

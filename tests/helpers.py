@@ -426,10 +426,11 @@ def _mask_of(g: Graph, vs) -> int:
 
 
 @st.composite
-def scattered_graphs(draw):
-    """A graph on up to 8 ids drawn from 0..20, and a list of up to 6
-    members drawn from 0..21, repeats and ids outside the graph allowed."""
-    ids = sorted(draw(st.sets(st.integers(0, 20), max_size=8)))
+def scattered_graphs(draw, max_size=8):
+    """A graph on up to ``max_size`` ids drawn from 0..20, and a list of up
+    to 6 members drawn from 0..21, repeats and ids outside the graph
+    allowed."""
+    ids = sorted(draw(st.sets(st.integers(0, 20), max_size=max_size)))
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
     flags = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph(ids, [pair for pair, flag in zip(pairs, flags) if flag])

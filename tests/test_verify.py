@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cclose.verify as verify_mod
 from cclose import (
@@ -28,7 +30,9 @@ from cclose import (
     kernelize_irs,
     kernelize_is,
     oracle_answer,
+    oracle_tds,
     parse_graph,
+    path_graph,
     replay,
     replay_trace,
     uncolor_gadget,
@@ -39,7 +43,7 @@ from cclose.kernel_ds import all_black_twin
 from cclose.kernel_im import partition_bound_violation
 from cclose.verify import check_instance, random_instance, run_verify, shrink_instance
 
-from helpers import complete_graph
+from helpers import complete_graph, cycle_graph, scattered_graphs
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -267,6 +271,12 @@ def first_vertex_dropped(inst, c):
     return Reduced(replace(inst, graph=inst.graph.without_vertices(inst.graph.vertex_ids[:1])), ())
 
 
+def all_but_one_removed(inst, c):
+    """One replayable record that removes every vertex but the first."""
+    record = RuleRecord(rule="removals", vertices_removed=tuple(inst.graph.vertex_ids[1:]))
+    return Reduced(replay(inst, record), (record,))
+
+
 def budget_raised(inst, c):
     return Reduced(replace(inst, k=inst.k + 1), ())
 
@@ -320,6 +330,12 @@ def _edgeless(problem, n, k, **fields):
         ("is", path_added, _edgeless(Problem.IS, 4, 2), "kernelize_is: rule path broke c-closedness"),
         (
             "is",
+            all_but_one_removed,
+            _edgeless(Problem.IS, 4, 2),
+            "kernelize_is: reduced instance answers False, oracle says True",
+        ),
+        (
+            "is",
             decided_off_its_trace,
             _edgeless(Problem.IS, 4, 5),
             "kernelize_is: trace replay does not reproduce the outcome's instance",
@@ -344,6 +360,7 @@ def _edgeless(problem, n, k, **fields):
         "past-the-oracle-trace-does-not-replay",
         "budget-raised",
         "broke-closure",
+        "reduced-answers-wrong",
         "decided-off-its-trace",
         "bwtds-black-count",
         "ds-black-count-before-the-gadget",
@@ -359,6 +376,66 @@ def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, problem,
     out = capsys.readouterr().out
     assert "minimized reproducer:\n" in out
     parse_graph(out.split("minimized reproducer:\n", 1)[1])
+
+
+def _bipartite_im(g, k):
+    return Instance(problem=Problem.IM, graph=g, k=k, bipartition=Bipartition(g.two_color()))
+
+
+@pytest.mark.parametrize(
+    "inst, traces",
+    [
+        (Instance(problem=Problem.TDS, graph=cycle_graph(5), k=2, r=2), [False]),
+        (Instance(problem=Problem.IS, graph=cycle_graph(5), k=3), [False]),
+        (_bipartite_im(cycle_graph(6), 2), [False, False, False]),
+        (Instance(problem=Problem.TDS, graph=cycle_graph(5), k=1, r=2), [True]),
+        (Instance(problem=Problem.IS, graph=complete_graph(5), k=2), [True]),
+        (Instance(problem=Problem.DS, graph=cycle_graph(5), k=2), [True]),
+        (_bipartite_im(path_graph(3), 2), [False, False, True]),
+        (_bipartite_im(cycle_graph(6).with_vertices([6]), 2), [True, True, True]),
+    ],
+    ids=[
+        "tds-r2-twin",
+        "is",
+        "bipartite-im",
+        "tds-r2-records",
+        "is-records",
+        "ds-gadget",
+        "im-one-of-three",
+        "im-all-three",
+    ],
+)
+def test_only_a_reduction_with_records_is_decided_again(monkeypatch, inst, traces):
+    """``check_instance`` asks the oracle once for the drawn instance, and
+    once more for each reduction whose trace has records; a reduction with
+    an empty trace is the input or its all-black twin, already decided.
+    ``traces`` says, per reduction the pipelines return, whether its trace
+    has records."""
+    outcomes = verify_mod._run_pipelines(inst, compute_closure(inst.graph).c)
+    assert [bool(out.trace) for _, _, out in outcomes if isinstance(out, Reduced)] == traces
+    asked = []
+
+    def counted(instance):
+        asked.append(instance)
+        return oracle_answer(instance)
+
+    monkeypatch.setattr(verify_mod, "oracle_answer", counted)
+    assert check_instance(inst.problem.value.lower(), inst, inst.bipartition is not None) == (True, "")
+    assert len(asked) == 1 + traces.count(True) and asked[0] is inst
+
+
+@given(scattered_graphs(max_size=12), st.integers(0, 13), st.integers(1, 3))
+def test_the_all_black_twin_answers_as_its_input(case, k, r):
+    """The fact that lets verify skip an empty-trace reduction of DS and TDS:
+    the oracle answers the all-black twin as it answers the input, since an
+    empty coloring and no coloring both make every vertex black."""
+    g, _ = case
+    assert oracle_tds(g, Coloring(), r) == oracle_tds(g, None, r)
+    tds = Instance(problem=Problem.TDS, graph=g, k=k, r=r)
+    assert oracle_answer(all_black_twin(tds)) == oracle_answer(tds)
+    if r == 1:
+        ds = Instance(problem=Problem.DS, graph=g, k=k)
+        assert oracle_answer(all_black_twin(ds)) == oracle_answer(ds)
 
 
 # A 6-cycle with a pendant path and a pendant edge: bipartite, 2-closed, and
@@ -430,15 +507,19 @@ def test_reproducer_keeps_the_coloring(monkeypatch):
     assert report.reproducer == "p 1\nc 0 white\n"
 
 
-def assert_script_rejects(script, argv, message="must be at least"):
+def run_script(script, argv):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def assert_script_rejects(script, argv, message="must be at least"):
+    done = run_script(script, argv)
     assert done.returncode == 2
     assert message in done.stderr and "Traceback" not in done.stderr
 
@@ -446,6 +527,14 @@ def assert_script_rejects(script, argv, message="must be at least"):
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--n-max", "-1"]])
 def test_sweep_rejects_a_count_below_its_minimum(argv):
     assert_script_rejects("verify_sweep.py", argv)
+
+
+def test_sweep_ends_with_its_totals():
+    done = run_script("verify_sweep.py", ["--n-max", "4", "--trials", "3", "--seed", "2"])
+    assert done.returncode == 0
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 + 13 + 1 and lines[-1].startswith("total: 13 jobs, 39/39 trials agreed, ")
+    assert lines[-1].endswith("s wall")
 
 
 @pytest.mark.parametrize("argv", [["--samples", "0"], ["--sizes", "-3"]])
