@@ -23,11 +23,11 @@ from .closure import compute_closure
 from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
 from .generators import MODEL_PARAMS, generate
 from .graphio import load_graph, save_graph
-from .instances import Bipartition, Coloring, Decided, Instance, Problem
+from .instances import Decided
 from .kernel_im import BIPARTITE_MODES
-from .oracle import oracle_ds, oracle_tds
+from .oracle import oracle_tds
+from .problems import KERNELIZE, SOLVE, lookup, names
 from .ramsey import Clique, clique_or_independent_set
-from .solver import solve_ds, solve_tds
 from .verify import PROBLEMS, kernelize, run_verify
 
 
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ramsey.add_argument("file")
 
     p_kern = sub.add_parser("kernelize", help="run a kernelization pipeline")
-    p_kern.add_argument("--problem", required=True, choices=["is", "ds", "tds", "im", "irs"])
+    p_kern.add_argument("--problem", required=True, choices=names(KERNELIZE))
     p_kern.add_argument("-k", type=_int_at_least(0), required=True)
     p_kern.add_argument("-r", type=_int_at_least(1), default=1)
     p_kern.add_argument("--bipartite", action="store_true")
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("outfile")
 
     p_solve = sub.add_parser("solve", help="solve (threshold) dominating set")
-    p_solve.add_argument("--problem", required=True, choices=["ds", "tds"])
+    p_solve.add_argument("--problem", required=True, choices=names(SOLVE))
     p_solve.add_argument("-k", type=_int_at_least(0), required=True)
     p_solve.add_argument("-r", type=_int_at_least(1), default=1)
     p_solve.add_argument("--method", choices=["branch", "oracle"], default="branch")
@@ -172,32 +172,23 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "solve":
         g, _, _ = load_graph(args.file)
+        entry = lookup(SOLVE, args.problem)
+        inst = entry.instance(g, args.k, args.r)
         if args.method == "oracle":
-            opt = oracle_ds(g) if args.problem == "ds" else oracle_tds(g, r=args.r)
-            answer = opt is not None and opt <= args.k
-            print("yes" if answer else "no")
+            opt = oracle_tds(g, r=inst.r or 1)
+            print("yes" if opt is not None and opt <= args.k else "no")
             if opt is not None:
                 print(f"optimum: {opt}")
             return 0
-        c = compute_closure(g).c
-        if args.problem == "ds":
-            answer, witness = solve_ds(g, c, args.k)
-        else:
-            answer, witness = solve_tds(g, c, args.r, args.k)
-        print("yes" if answer else "no")
-        if witness is not None:
-            print(f"witness: {' '.join(map(str, witness.sorted_elements()))}")
+        outcome = entry.solver.run(inst, compute_closure(g).c)
+        print("yes" if outcome.answer else "no")
+        if outcome.witness is not None:
+            print(f"witness: {' '.join(map(str, outcome.witness.sorted_elements()))}")
         return 0
 
     if args.command == "verify":
         report = run_verify(
-            problem=args.problem,
-            n_max=args.n_max,
-            trials=args.trials,
-            seed=args.seed,
-            k_max=args.k_max,
-            r=args.r,
-            bipartite=args.bipartite,
+            args.problem, args.n_max, args.trials, args.seed, args.k_max, args.r, args.bipartite
         )
         if args.as_json:
             print(json.dumps(report.to_json(), indent=2))
@@ -213,11 +204,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "gen":
         model = args.model.replace("-", "_")
-        params = {}
-        for key in ("count", "size", "paths", "n", "p", "c"):
-            value = getattr(args, key)
-            if value is not None:
-                params[key] = value
+        given = {key: getattr(args, key) for key in ("count", "size", "paths", "n", "p", "c")}
+        params = {key: value for key, value in given.items() if value is not None}
         missing = [f"--{key}" for key in MODEL_PARAMS[model] if key not in params]
         if missing:
             print(f"error: model {args.model!r} needs {' and '.join(missing)}", file=sys.stderr)
@@ -232,24 +220,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def _run_kernelize(args: argparse.Namespace) -> int:
     g, coloring, bipartition = load_graph(args.infile)
-    # Only DS and IM have bipartite kernels; --bipartite leaves the rest as is.
-    parts = None
-    if args.bipartite and args.problem in ("ds", "im"):
-        parts = _require_bipartition(g, bipartition)
-    # Every kernel reads c but the bipartite IM kernel's modes that do not.
-    reads_c = BIPARTITE_MODES[args.mode] if args.problem == "im" and parts is not None else True
-    c = compute_closure(g).c if reads_c else None
-    # TDS is BW-TDS, black where the file colors nothing; bipartite DS is
-    # BW-TDS with r = 1.
-    colored = args.problem == "tds" or args.problem == "ds" and parts is not None
-    inst = Instance(
-        problem=Problem.BW_TDS if colored else Problem[args.problem.upper()],
-        graph=g,
-        k=args.k,
-        r=(args.r if args.problem == "tds" else 1) if colored else None,
-        coloring=(coloring or Coloring()) if colored else None,
-        bipartition=parts,
-    )
+    entry = lookup(KERNELIZE, args.problem, args.bipartite)
+    inst = entry.instance(g, args.k, args.r, coloring, bipartition)
+    c = compute_closure(g).c if entry.kernel(args.mode).reads_c else None
     outcome = kernelize(inst, c, args.mode)
 
     if args.emit_trace is not None:
@@ -260,25 +233,14 @@ def _run_kernelize(args: argparse.Namespace) -> int:
         print(f"decided: {'yes' if outcome.answer else 'no'}")
         if outcome.witness is not None:
             elems = outcome.witness.sorted_elements()
-            rendered = " ".join(
-                f"{e[0]}-{e[1]}" if isinstance(e, tuple) else str(e) for e in elems
-            )
-            print(f"witness: {rendered}")
+            rendered = [f"{e[0]}-{e[1]}" if isinstance(e, tuple) else str(e) for e in elems]
+            print(f"witness: {' '.join(rendered)}")
         return 0
 
     reduced = outcome.instance
     save_graph(args.outfile, reduced.graph, reduced.coloring, reduced.bipartition)
     print(f"reduced: n={reduced.graph.n} m={reduced.graph.m} k={reduced.k}")
     return 0
-
-
-def _require_bipartition(g, bipartition) -> Bipartition:
-    if bipartition is not None:
-        return bipartition
-    left = g.two_color()
-    if left is None:
-        raise ValueError("graph is not bipartite")
-    return Bipartition(left)
 
 
 if __name__ == "__main__":

@@ -25,6 +25,12 @@ class Problem(str, Enum):
     IRS = "IRS"
 
 
+# The problems whose instances take r, the domination multiplicity, and
+# those whose instances take a black/white coloring.
+TAKES_R = (Problem.TDS, Problem.BW_TDS)
+COLORED = (Problem.BW_TDS,)
+
+
 @dataclass(frozen=True)
 class Coloring:
     """A total black/white coloring; vertices default to black.
@@ -117,11 +123,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class Instance:
-    """A parameterized problem instance.
-
-    ``r`` (the domination multiplicity) is present exactly for TDS/BW-TDS;
-    a coloring is present exactly for BW-TDS.
-    """
+    """A parameterized problem instance; ``r`` is present exactly when
+    ``problem`` is in ``TAKES_R``, and a coloring when it is in ``COLORED``."""
 
     problem: Problem
     graph: Graph
@@ -133,13 +136,12 @@ class Instance:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("budget k must be nonnegative")
-        needs_r = self.problem in (Problem.TDS, Problem.BW_TDS)
-        if needs_r != (self.r is not None):
-            raise ValueError(f"r must be present iff problem is TDS/BW-TDS (got {self.problem})")
+        if (self.problem in TAKES_R) != (self.r is not None):
+            raise ValueError(f"r must be present iff problem is {'/'.join(TAKES_R)} (got {self.problem})")
         if self.r is not None and self.r < 1:
             raise ValueError("r must be positive")
-        if (self.problem is Problem.BW_TDS) != (self.coloring is not None):
-            raise ValueError("coloring must be present iff problem is BW-TDS")
+        if (self.problem in COLORED) != (self.coloring is not None):
+            raise ValueError(f"coloring must be present iff problem is {'/'.join(COLORED)}")
         if self.bipartition is not None:
             self.bipartition.validate(self.graph)
 
@@ -245,20 +247,11 @@ def replay(inst: Instance, record: RuleRecord) -> Instance:
     if coloring is not None:
         coloring = coloring.restricted_to(g)
     bip = inst.bipartition.restricted_to(g) if inst.bipartition is not None else None
-    problem = inst.problem
-    r = inst.r
+    problem, r = inst.problem, inst.r
     if record.payload.get("uncolor"):
-        problem = Problem.DS if inst.r == 1 else Problem.TDS
-        r = None if problem is Problem.DS else inst.r
-        coloring = None
-    return Instance(
-        problem=problem,
-        graph=g,
-        k=inst.k + record.k_delta,
-        r=r,
-        coloring=coloring,
-        bipartition=bip,
-    )
+        problem, coloring = (Problem.DS if r == 1 else Problem.TDS), None
+        r = r if problem in TAKES_R else None
+    return Instance(problem, g, inst.k + record.k_delta, r, coloring, bip)
 
 
 def replay_trace(inst: Instance, trace: Iterable[RuleRecord]) -> Instance:

@@ -258,24 +258,11 @@ def validate_witness(inst: Instance, w: Witness) -> bool:
     """Problem-specific validity plus the budget check against the instance."""
     if w.problem is not inst.problem:
         raise ValueError(f"witness problem {w.problem} does not match instance {inst.problem}")
-    g = inst.graph
-    if w.kind == VERTEX_SET:
-        if not set(w.elements) <= set(g.vertex_ids):
-            return False
-    if inst.problem is Problem.IS:
-        return w.kind == VERTEX_SET and len(w.elements) >= inst.k and g.is_independent_set(w.elements)
-    if inst.problem in (Problem.DS, Problem.TDS, Problem.BW_TDS):
-        r = inst.r if inst.r is not None else 1
-        return (
-            w.kind == VERTEX_SET
-            and len(w.elements) <= inst.k
-            and r_dominates_blacks(g, w.elements, inst.coloring, r)
-        )
-    if inst.problem is Problem.IM:
-        return w.kind == EDGE_SET and len(w.elements) >= inst.k and is_induced_matching(g, w.elements)
-    if inst.problem is Problem.IRS:
-        return w.kind == VERTEX_SET and len(w.elements) >= inst.k and is_irredundant(g, w.elements)
-    raise AssertionError(f"unhandled problem {inst.problem}")
+    kind, valid, space = _SOLUTIONS[inst.problem]
+    if w.kind != kind or kind == VERTEX_SET and not set(w.elements) <= set(inst.graph.vertex_ids):
+        return False
+    within = len(w.elements) >= inst.k if space else len(w.elements) <= inst.k
+    return within and valid(inst, w.elements)
 
 
 def certified_witness(inst: Instance, witness: Witness) -> Witness:
@@ -286,20 +273,27 @@ def certified_witness(inst: Instance, witness: Witness) -> Witness:
     return witness
 
 
-_MAXIMIZATION_SPACES: dict[Problem, Callable[[Graph], Space]] = {
-    Problem.IS: _is_space,
-    Problem.IM: _im_space,
-    Problem.IRS: _irs_space,
+# What a solution of each problem is: its witness kind, whether a witness's
+# elements are valid on an instance, and the search space of a maximization
+# problem, whose witness has at least k elements (the DS family's: at most k).
+_DOMINATION = (VERTEX_SET, lambda i, vs: r_dominates_blacks(i.graph, vs, i.coloring, i.r or 1), None)
+_SOLUTIONS = {
+    Problem.IS: (VERTEX_SET, lambda i, vs: i.graph.is_independent_set(vs), _is_space),
+    Problem.DS: _DOMINATION,
+    Problem.TDS: _DOMINATION,
+    Problem.BW_TDS: _DOMINATION,
+    Problem.IM: (EDGE_SET, lambda i, edges: is_induced_matching(i.graph, edges), _im_space),
+    Problem.IRS: (VERTEX_SET, lambda i, vs: is_irredundant(i.graph, vs), _irs_space),
 }
 
 
 def oracle_answer(inst: Instance) -> bool:
-    """The yes/no answer for an instance, straight from the oracles. IS, IM
-    and IRS stop at the first set of size k; DS, TDS and BW-TDS compare the
-    least r-dominating set with k, where a DS instance has no coloring and
-    no r, which makes it TDS at r = 1."""
+    """The yes/no answer for an instance, straight from the oracles. A
+    maximization problem's search stops at the first set of size k; the DS
+    family compares the least r-dominating set with k, where a DS instance
+    has no coloring and no r, which makes it TDS at r = 1."""
     g, k = inst.graph, inst.k
-    space = _MAXIMIZATION_SPACES.get(inst.problem)
+    space = _SOLUTIONS[inst.problem][2]
     if space is not None:
         _check_size(g)
         return k == 0 or _reaches(space(g), k)

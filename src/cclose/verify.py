@@ -1,13 +1,13 @@
 """Randomized agreement checking of pipelines against the brute-force oracles.
 
 Each trial draws a seeded random instance, computes its closure, runs the
-problem's pipeline(s), and compares outcomes with the oracle answer. Trace
-replay and closure preservation are checked on every outcome, size bounds
-on every reduction, even one too large for the oracle to cross-check. A
-reduction is decided by the oracle again only when its trace has records:
-an empty trace replays to the input or its all-black twin, whose answer is
-the one already computed. Disagreements are shrunk by greedy vertex
-deletion before being reported.
+pipelines of its entry in ``problems``' table, and compares outcomes with
+the oracle answer. Trace replay and closure preservation are checked on
+every outcome, size bounds on every reduction, even one too large for the
+oracle to cross-check. A reduction is decided by the oracle again only
+when its trace has records: an empty trace replays to the input or its
+all-black twin, whose answer is the one already computed. Disagreements
+are shrunk by greedy vertex deletion before being reported.
 """
 
 from __future__ import annotations
@@ -20,41 +20,12 @@ from .errors import ResourceLimitError
 from .generators import er_graph
 from .graph import Graph
 from .graphio import serialize_graph
-from .instances import (
-    Bipartition,
-    Coloring,
-    Decided,
-    Instance,
-    KernelOutcome,
-    Problem,
-    RuleRecord,
-    replay,
-)
-from .kernel_ds import (
-    all_black_twin,
-    bipartite_kernel_bound,
-    kernelize_bipartite_bwds,
-    kernelize_bwtds,
-    kernelize_ds,
-    rr_black_count,
-)
-from .kernel_im import kernelize_im, kernelize_im_bipartite, partition_bound_violation
-from .kernel_irs import irs_thresholds, kernelize_irs
-from .kernel_is import independent_set_kernel_bound, kernelize_is
-from .matching import vclp_half_integral
+from .instances import COLORED, Coloring, Decided, Instance, KernelOutcome, RuleRecord, replay
+from .kernel_ds import all_black_twin, rr_black_count
 from .oracle import oracle_answer, validate_witness
-from .solver import solve_ds, solve_tds
+from .problems import KERNELS, PIPELINES, lookup, names, pipeline_of
 
-# The instance each problem's trials draw; bipartite DS draws BW-TDS instead.
-_TAGS = {
-    "is": Problem.IS,
-    "ds": Problem.DS,
-    "tds": Problem.TDS,
-    "bwtds": Problem.BW_TDS,
-    "im": Problem.IM,
-    "irs": Problem.IRS,
-}
-PROBLEMS = tuple(_TAGS)
+PROBLEMS = tuple(names(PIPELINES))
 
 
 @dataclass
@@ -113,36 +84,16 @@ def random_instance(problem: str, n_max: int, k_max: int, r: int, bipartite: boo
     n = rng.randrange(n_max + 1)
     p = 0.15 + 0.5 * rng.random()
     if bipartite:
-        g = _random_bipartite(n, p, rng)
+        left = n // 2
+        g = Graph(range(n), [(u, v) for u in range(left) for v in range(left, n) if rng.random() < p])
     else:
         g = er_graph(n, p, seed=rng.randrange(2 ** 32))
     k = rng.randrange(k_max + 1)
-    # Only DS and IM have bipartite kernels, so only their draws carry the
-    # bipartition; bipartite DS is the r = 1 colored problem.
-    has_parts = bipartite and problem in ("ds", "im")
-    tag = Problem.BW_TDS if has_parts and problem == "ds" else _TAGS[problem]
+    entry = lookup(PIPELINES, problem, bipartite)
     coloring = None
-    if tag is Problem.BW_TDS:
+    if entry.problem in COLORED:
         coloring = Coloring(frozenset(v for v in g.vertex_ids if rng.random() < 0.5))
-    return Instance(
-        problem=tag,
-        graph=g,
-        k=k,
-        r=(1 if problem == "ds" else r) if tag in (Problem.TDS, Problem.BW_TDS) else None,
-        coloring=coloring,
-        bipartition=Bipartition(g.two_color() or frozenset()) if has_parts else None,
-    )
-
-
-def _random_bipartite(n: int, p: float, rng: random.Random) -> Graph:
-    left = n // 2
-    edges = [
-        (u, v)
-        for u in range(left)
-        for v in range(left, n)
-        if rng.random() < p
-    ]
-    return Graph(range(n), edges)
+    return entry.instance(g, k, r, coloring)
 
 
 def run_verify(
@@ -163,17 +114,8 @@ def run_verify(
         trial_seed = seed * 1_000_003 + idx
         inst = random_instance(problem, n_max, k_max, r, bipartite, trial_seed)
         agreed, detail = check_instance(problem, inst, bipartite)
-        report.results.append(
-            TrialResult(
-                index=idx,
-                n=inst.graph.n,
-                m=inst.graph.m,
-                k=inst.k,
-                c=compute_closure(inst.graph).c,
-                agreed=agreed,
-                detail=detail,
-            )
-        )
+        c = compute_closure(inst.graph).c
+        report.results.append(TrialResult(idx, inst.graph.n, inst.graph.m, inst.k, c, agreed, detail))
     bad = report.disagreements
     if bad:
         failing = random_instance(problem, n_max, k_max, r, bipartite, seed * 1_000_003 + bad[0].index)
@@ -203,53 +145,19 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
 
 
 def kernelize(inst: Instance, c: int | None, mode: str = "delta") -> KernelOutcome:
-    """Run the paper's kernel for ``inst``, picked from the instance alone.
-
-    IS, DS, IM and IRS each go to their own kernel, and TDS to the BW-TDS
-    kernel on its all-black twin. BW-TDS with a bipartition and r = 1 goes to
-    the bipartite BW-DS kernel, any other BW-TDS to the general one. IM with a
-    bipartition goes to the bipartite IM kernel in ``mode``; ``c`` may be None
-    only there, in a mode that does not read it.
-    """
-    return _kernel(inst, c, mode)[1]
-
-
-def _kernel(inst: Instance, c: int | None, mode: str = "delta") -> tuple[str, KernelOutcome]:
-    """The name of the kernel ``kernelize`` picks for ``inst``, as verify
-    reports it, and its outcome."""
-    problem, parts = inst.problem, inst.bipartition
-    if problem is Problem.IS:
-        return "kernelize_is", kernelize_is(inst, c)
-    if problem is Problem.DS:
-        return "kernelize_ds", kernelize_ds(inst, c)
-    if problem is Problem.TDS:
-        return "kernelize_bwtds", kernelize_bwtds(all_black_twin(inst), c)
-    if problem is Problem.BW_TDS and parts is not None and inst.r == 1:
-        return "kernelize_bipartite_bwds", kernelize_bipartite_bwds(inst, parts, c)
-    if problem is Problem.BW_TDS:
-        return "kernelize_bwtds", kernelize_bwtds(inst, c)
-    if problem is Problem.IM and parts is not None:
-        return f"kernelize_im_bipartite[{mode}]", kernelize_im_bipartite(inst, parts, mode, c)
-    if problem is Problem.IM:
-        return "kernelize_im", kernelize_im(inst, c)
-    return "kernelize_irs", kernelize_irs(inst, c)
+    """Run the kernel of ``inst``'s entry in ``problems``' table, in ``mode``
+    where it has modes; ``c`` may be None where that kernel does not read it."""
+    return pipeline_of(inst).kernel(mode).run(inst, c)
 
 
 def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOutcome]]:
-    """The kernel ``kernelize`` picks, then the solver of DS and TDS, or the
-    closure mode and the general kernel of bipartite IM; each run with its
+    """Every kernel of ``inst``'s entry, then its solver, each run with its
     name and the instance its trace replays from."""
-    name, outcome = _kernel(inst, c)
-    base = all_black_twin(inst) if inst.problem in (Problem.DS, Problem.TDS) else inst
-    out = [(name, base, outcome)]
-    if inst.problem is Problem.DS:
-        out.append(("solve_ds", inst, Decided(inst, (), *solve_ds(inst.graph, c, inst.k))))
-    elif inst.problem is Problem.TDS:
-        out.append(("solve_tds", inst, Decided(inst, (), *solve_tds(inst.graph, c, inst.r, inst.k))))
-    elif inst.problem is Problem.IM and inst.bipartition is not None:
-        name, outcome = _kernel(inst, c, "closure")
-        out.append((name, inst, outcome))
-        out.append(("kernelize_im", inst, kernelize_im(inst, c)))
+    entry = pipeline_of(inst)
+    base = all_black_twin(inst) if entry.twin else inst
+    out = [(kernel.name, base, kernel.run(inst, c)) for kernel in entry.kernels]
+    if entry.solver is not None:
+        out.append((entry.solver.name, inst, entry.solver.run(inst, c)))
     return out
 
 
@@ -259,15 +167,14 @@ def _outcome_agrees(
     """Whether the ``outcome`` of the pipeline ``name`` on the drawn ``inst``
     agrees with the oracle's ``expected`` answer; ``base`` is the instance
     its trace replays from, decided or not. A witness is validated against
-    whichever of the two has its problem: the DS kernel runs on the
-    all-black twin but returns a DS witness.
+    whichever of the two has its problem: a kernel may run on the all-black
+    twin but return a witness of ``inst``.
 
     A reduction is decided again only when its trace has records. Once
     ``_closure_preserved`` accepts an empty trace, the reduction equals
-    ``base``: ``inst`` itself, or for DS and TDS its all-black twin, which
-    the oracle answers as it answers ``inst`` (with every vertex black,
-    ``oracle_tds`` reads the twin's coloring as no coloring). A second
-    decision would compare ``expected`` with itself."""
+    ``base``: ``inst`` or its all-black twin, which the oracle answers as it
+    answers ``inst`` (``oracle_tds`` reads an all-black coloring as none).
+    A second decision would compare ``expected`` with itself."""
     ok, why = _closure_preserved(base, outcome, c)
     if not ok:
         return False, why
@@ -292,26 +199,9 @@ def _outcome_agrees(
 
 
 def _size_bound_holds(name: str, reduced: Instance, c: int) -> tuple[bool, str]:
-    """The size bound of the kernel ``name`` on its output ``reduced``, each
-    taken from that kernel's module. The bipartite IM kernels only promise
-    to sit below their size thresholds, so they have none."""
-    n, k = reduced.graph.n, reduced.k
-    if name == "kernelize_is" and n > independent_set_kernel_bound(c, k):
-        return False, f"IS kernel has {n} > c*k^2 vertices"
-    if name == "kernelize_bipartite_bwds" and n > (bound := bipartite_kernel_bound(c, k)):
-        return False, f"bipartite kernel has {n} > {bound} vertices"
-    if reduced.problem is Problem.BW_TDS and rr_black_count(reduced, c):
-        return False, "black-count bound violated"
-    if name == "kernelize_irs":
-        # the kernel decides every instance at k = 0, where the bound is undefined
-        total = irs_thresholds(c, k)[2] if k else 0
-        if n >= total:
-            return False, f"IRS kernel has {n} >= {total} vertices"
-    if name == "kernelize_im":
-        violation = partition_bound_violation(c, k, vclp_half_integral(reduced.graph))
-        if violation is not None:
-            return False, violation
-    return True, ""
+    """The size bound of the kernel ``name`` on its output ``reduced``."""
+    violation = KERNELS[name].bound(reduced, c)
+    return (False, violation) if violation else (True, "")
 
 
 def _closure_preserved(inst: Instance, outcome: KernelOutcome, c: int) -> tuple[bool, str]:
@@ -338,17 +228,12 @@ def _closure_preserved(inst: Instance, outcome: KernelOutcome, c: int) -> tuple[
 
 def shrink_instance(problem: str, inst: Instance, bipartite: bool) -> Instance:
     """Greedy vertex-deletion shrinking while the disagreement persists."""
-
-    def still_failing(candidate: Instance) -> bool:
-        agreed, _ = check_instance(problem, candidate, bipartite)
-        return not agreed
-
     changed = True
     while changed:
         changed = False
         for v in list(inst.graph.vertex_ids):
             candidate = replay(inst, RuleRecord(rule="shrink", vertices_removed=(v,)))
-            if still_failing(candidate):
+            if not check_instance(problem, candidate, bipartite)[0]:
                 inst = candidate
                 changed = True
                 break

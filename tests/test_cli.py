@@ -18,9 +18,9 @@ from cclose import (
     irs_thresholds,
     kernel_irs,
     parse_graph,
+    problems,
     replay_trace,
     serialize_graph,
-    verify,
 )
 from cclose.cli import main
 from cclose.errors import ExtractionError
@@ -410,7 +410,7 @@ def test_pipeline_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch, error,
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(verify, "kernelize_im", failing)
+    monkeypatch.setattr(problems, "kernelize_im", failing)
     dst = str(tmp_path / "out.txt")
     assert main(["kernelize", "--problem", "im", "-k", "1", c4_file(tmp_path), dst]) == code
     captured = capsys.readouterr()

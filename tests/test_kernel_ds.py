@@ -56,6 +56,7 @@ from cclose.kernel_ds import (
 
 from helpers import (
     brute_hitting_set,
+    community_graphs,
     complete_graph,
     cycle_graph,
     random_c_closed_bipartite,
@@ -622,6 +623,37 @@ class TestBlackCountSkip:
         sizes.clear()
         assert not rr_clique_no(bw(Graph(range(rho + above)), k=k, r=c), c)
         assert sizes == [c - 1] * above
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_black_rich_cliques_are_the_cliques_among_rich_vertices(self, seed):
+        """The filtered listing is the listing of the subgraph induced by the
+        vertices with more than ``bound`` black neighbours, in the same
+        order, so it could list that subgraph instead of the whole graph."""
+        rng = random.Random(seed)
+        for g in community_graphs(seed, 3):
+            share = rng.uniform(0.1, 0.9)
+            inst = bw(g, k=1, white=frozenset(v for v in g.vertex_ids if rng.random() < share))
+            black = inst.black_vertices()
+            for size in range(1, 4):
+                for bound in range(5):
+                    rich = {v for v in g.vertex_ids if len(g.neighbors(v) & black) > bound}
+                    listed = list(kernel_ds._black_rich_cliques(inst, size, bound))
+                    assert listed == cliques_of_size(g.induced(rich), size), (seed, size, bound)
+
+    def test_black_rich_cliques_with_no_rich_vertex(self):
+        """Blacks that no vertex sees twice: more blacks than the bound of 1,
+        so the listing runs, but no vertex is rich and nothing is listed."""
+        g = next(community_graphs(11, 1))
+        black: set[int] = set()
+        for v in g.vertex_ids:
+            if all(not g.neighbors(u) & black for u in g.neighbors(v)):
+                black.add(v)
+        inst = bw(g, k=1, white=frozenset(g.vertex_ids) - black)
+        assert len(black) > 1
+        assert all(len(g.neighbors(v) & black) <= 1 for v in g.vertex_ids)
+        for size in range(1, 4):
+            assert list(kernel_ds._black_rich_cliques(inst, size, 1)) == []
+            assert cliques_of_size(g.induced(set()), size) == []
 
     @settings(max_examples=100)
     @given(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cclose.problems as problems
 import cclose.verify as verify_mod
 from cclose import (
     Bipartition,
@@ -139,7 +140,7 @@ def test_bipartite_im_draws_run_both_modes_and_the_general_kernel(monkeypatch):
 
 
 def test_a_broken_general_im_kernel_is_caught_on_bipartite_draws(monkeypatch):
-    monkeypatch.setattr(verify_mod, "kernelize_im", lambda inst, c: Decided(inst, (), not oracle_answer(inst)))
+    monkeypatch.setattr(problems, "kernelize_im", lambda inst, c: Decided(inst, (), not oracle_answer(inst)))
     inst = _shape(Problem.IM, bipartition=SHAPE_PARTS)
     agreed, detail = check_instance("im", inst, True)
     assert not agreed and detail.startswith("kernelize_im: decided ")
@@ -147,17 +148,17 @@ def test_a_broken_general_im_kernel_is_caught_on_bipartite_draws(monkeypatch):
 
 def test_bipartite_ds_draws_reach_the_kernel_size_bound(monkeypatch):
     calls = []
-    bound = verify_mod.bipartite_kernel_bound
+    bound = problems.bipartite_kernel_bound
 
     def spy(c, k):
         calls.append((c, k))
         return bound(c, k)
 
-    monkeypatch.setattr(verify_mod, "bipartite_kernel_bound", spy)
+    monkeypatch.setattr(problems, "bipartite_kernel_bound", spy)
     assert run_verify("ds", n_max=8, trials=20, seed=1, bipartite=True).ok
     assert calls
 
-    monkeypatch.setattr(verify_mod, "bipartite_kernel_bound", lambda c, k: -1)
+    monkeypatch.setattr(problems, "bipartite_kernel_bound", lambda c, k: -1)
     report = run_verify("ds", n_max=8, trials=20, seed=1, bipartite=True)
     assert len(report.disagreements) == len(calls)
     assert all(
@@ -369,7 +370,7 @@ def _edgeless(problem, n, k, **fields):
     ],
 )
 def test_a_broken_pipeline_is_a_named_disagreement(monkeypatch, capsys, problem, pipeline, inst, detail):
-    monkeypatch.setattr(verify_mod, f"kernelize_{problem}", pipeline)
+    monkeypatch.setattr(problems, f"kernelize_{problem}", pipeline)
     assert check_instance(problem, inst, False) == (False, detail)
     argv = ["verify", "--problem", problem, "--n-max", "8", "--k-max", "2", "--trials", "20"]
     assert main(argv) == 1
@@ -501,7 +502,7 @@ def test_reproducer_keeps_the_coloring(monkeypatch):
             return Decided(inst, (), not oracle_answer(inst))
         return kernelize_bwtds(inst, c)
 
-    monkeypatch.setattr(verify_mod, "kernelize_bwtds", wrong_with_whites)
+    monkeypatch.setattr(problems, "kernelize_bwtds", wrong_with_whites)
     report = run_verify("bwtds", n_max=6, trials=10, seed=1)
     assert not report.ok
     assert report.reproducer == "p 1\nc 0 white\n"
