@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true", dest="as_json")
 
     p_gen = sub.add_parser("gen", help="generate a graph")
-    p_gen.add_argument("--model", required=True, choices=["cliques", "theta", "er", "closure-repair"])
+    p_gen.add_argument("--model", required=True, choices=[m.replace("_", "-") for m in MODEL_PARAMS])
     p_gen.add_argument("--count", type=_int_at_least(1))
     p_gen.add_argument("--size", type=_int_at_least(1))
     p_gen.add_argument("--paths", type=_int_at_least(1))

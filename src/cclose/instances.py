@@ -183,6 +183,8 @@ class RuleRecord:
     payload: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
+        """The record as JSON values; its payload, which holds JSON values
+        (ints, bools and lists of ints), is written as held."""
         return {
             "rule": self.rule,
             "vertices_added": list(self.vertices_added),
@@ -190,14 +192,14 @@ class RuleRecord:
             "recolored": [list(rc) for rc in self.recolored],
             "vertices_removed": list(self.vertices_removed),
             "k_delta": self.k_delta,
-            "payload": _jsonable(self.payload),
+            "payload": dict(self.payload),
         }
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "RuleRecord":
         """The record whose ``to_json`` is ``obj``, as read back by
-        ``json.load``: id lists become tuples again, and the payload is kept
-        as decoded, with lists where the record had sets or tuples."""
+        ``json.load``: id lists become tuples again, and the payload, JSON
+        values written as held, is kept as decoded."""
         return cls(
             rule=obj["rule"],
             vertices_added=tuple(obj["vertices_added"]),
@@ -207,22 +209,6 @@ class RuleRecord:
             k_delta=obj["k_delta"],
             payload=dict(obj["payload"]),
         )
-
-
-def _jsonable(obj: Any) -> Any:
-    """``obj`` with sets as sorted lists, tuples as lists and keys as strings.
-
-    It recurses once per level of nesting in a rule payload, which is at
-    most 2 for every rule (a dict of lists of ids), whatever the size of the
-    graph.
-    """
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def replay(inst: Instance, record: RuleRecord) -> Instance:
@@ -262,9 +248,7 @@ def replay_trace(inst: Instance, trace: Iterable[RuleRecord]) -> Instance:
 
 # Removals and whitenings that keep k: the post-state is an induced
 # subinstance, so its solutions solve the pre-state as they are.
-_LIFTS_UNCHANGED = frozenset(
-    {"RR1", "RR6", "RR9", "RR10", "RR13", "RR15", "RR16", "drop-isolated", "removals"}
-)
+_LIFTS_UNCHANGED = frozenset({"RR1", "RR6", "RR9", "RR10", "RR13", "RR15", "RR16", "drop-isolated"})
 
 
 def lift(original: Instance, trace: Sequence[RuleRecord], witness: Witness) -> Witness:

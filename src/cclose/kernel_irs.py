@@ -33,18 +33,12 @@ from .ramsey import (
 )
 
 
-def rr_simplicial_twin(inst: Instance) -> RuleRecord | None:
-    """RR16: of two simplicial vertices with equal closed neighborhoods, the
-    larger-id one goes. The pair taken is the first record of
-    ``sweep_simplicial_twins``: the smallest vertex with a twin, and its
-    smallest twin."""
-    return next(iter(sweep_simplicial_twins(inst)), None)
-
-
 def sweep_simplicial_twins(inst: Instance) -> list[RuleRecord]:
-    """Exhaust RR16 in one pass: the records of a loop that, until no twins
-    are left, removes the smallest twin of the smallest simplicial vertex
-    with a larger twin, as the pairwise scan in tests/helpers.py does.
+    """Exhaust RR16 (of two simplicial vertices with equal closed
+    neighborhoods, the larger-id one goes) in one pass: the records of a
+    loop that, until no twins are left, removes the smallest twin of the
+    smallest simplicial vertex with a larger twin, as the pairwise scan in
+    tests/helpers.py does.
 
     The simplicial vertices are found once and grouped by closed
     neighborhood. For each group, in ascending order of its smallest member
@@ -113,7 +107,7 @@ def extract_irs_witness(g: Graph, c: int, k: int) -> Witness:
     """
     if k == 0:
         return Witness.vertex_set((), Problem.IRS)
-    if rr_simplicial_twin(Instance(problem=Problem.IRS, graph=g, k=k)) is not None:
+    if sweep_simplicial_twins(Instance(problem=Problem.IRS, graph=g, k=k)):
         raise PreconditionError("simplicial twins remain; exhaust RR16 first")
     alpha_prime, alpha, total = irs_thresholds(c, k)
     if g.n < total:

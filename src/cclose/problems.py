@@ -139,12 +139,10 @@ _TABLE = (
 )
 
 # The entries under the names verify, ``cclose kernelize`` and ``cclose
-# solve`` take, keyed by (name, bipartite), and every kernel under the name
-# verify reports, whose size bound is the same wherever it runs.
+# solve`` take, keyed by (name, bipartite).
 PIPELINES = {(p.name, p.bipartite): p for p in _TABLE}
 KERNELIZE = {(p.cli, p.bipartite): p for p in _TABLE if p.cli}
 SOLVE = {(p.name, p.bipartite): p for p in _TABLE if p.solver}
-KERNELS = {k.name: k for p in _TABLE for k in p.kernels}
 
 
 def names(table: dict[tuple[str, bool], Pipeline]) -> list[str]:

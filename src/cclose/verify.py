@@ -23,7 +23,7 @@ from .graphio import serialize_graph
 from .instances import COLORED, Coloring, Decided, Instance, KernelOutcome, RuleRecord, replay
 from .kernel_ds import all_black_twin, rr_black_count
 from .oracle import oracle_answer, validate_witness
-from .problems import KERNELS, PIPELINES, lookup, names, pipeline_of
+from .problems import PIPELINES, Kernel, lookup, names, pipeline_of
 
 PROBLEMS = tuple(names(PIPELINES))
 
@@ -137,10 +137,10 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
         raise
     except Exception as exc:  # pipeline crash counts as disagreement
         return False, f"pipeline error: {exc!r}"
-    for name, base, outcome in outcomes:
-        ok, why = _outcome_agrees(name, inst, base, outcome, expected, c)
+    for kernel, base, outcome in outcomes:
+        ok, why = _outcome_agrees(kernel, inst, base, outcome, expected, c)
         if not ok:
-            return False, f"{name}: {why}"
+            return False, f"{kernel.name}: {why}"
     return True, ""
 
 
@@ -150,25 +150,26 @@ def kernelize(inst: Instance, c: int | None, mode: str = "delta") -> KernelOutco
     return pipeline_of(inst).kernel(mode).run(inst, c)
 
 
-def _run_pipelines(inst: Instance, c: int) -> list[tuple[str, Instance, KernelOutcome]]:
-    """Every kernel of ``inst``'s entry, then its solver, each run with its
-    name and the instance its trace replays from."""
+def _run_pipelines(inst: Instance, c: int) -> list[tuple[Kernel, Instance, KernelOutcome]]:
+    """Every kernel of ``inst``'s entry, then its solver, each run beside
+    the instance its trace replays from."""
     entry = pipeline_of(inst)
     base = all_black_twin(inst) if entry.twin else inst
-    out = [(kernel.name, base, kernel.run(inst, c)) for kernel in entry.kernels]
+    out = [(kernel, base, kernel.run(inst, c)) for kernel in entry.kernels]
     if entry.solver is not None:
-        out.append((entry.solver.name, inst, entry.solver.run(inst, c)))
+        out.append((entry.solver, inst, entry.solver.run(inst, c)))
     return out
 
 
 def _outcome_agrees(
-    name: str, inst: Instance, base: Instance, outcome: KernelOutcome, expected: bool, c: int
+    kernel: Kernel, inst: Instance, base: Instance, outcome: KernelOutcome, expected: bool, c: int
 ) -> tuple[bool, str]:
-    """Whether the ``outcome`` of the pipeline ``name`` on the drawn ``inst``
-    agrees with the oracle's ``expected`` answer; ``base`` is the instance
-    its trace replays from, decided or not. A witness is validated against
-    whichever of the two has its problem: a kernel may run on the all-black
-    twin but return a witness of ``inst``.
+    """Whether the ``outcome`` of ``kernel`` on the drawn ``inst`` agrees
+    with the oracle's ``expected`` answer and, reduced, keeps ``kernel``'s
+    size bound; ``base`` is the instance its trace replays from, decided or
+    not. A witness is validated against whichever of the two has its
+    problem: a kernel may run on the all-black twin but return a witness of
+    ``inst``.
 
     A reduction is decided again only when its trace has records. Once
     ``_closure_preserved`` accepts an empty trace, the reduction equals
@@ -195,12 +196,7 @@ def _outcome_agrees(
                 return False, f"reduced instance answers {not expected}, oracle says {expected}"
         except ResourceLimitError:
             pass  # too large to cross-check; the structural checks still run
-    return _size_bound_holds(name, reduced, c)
-
-
-def _size_bound_holds(name: str, reduced: Instance, c: int) -> tuple[bool, str]:
-    """The size bound of the kernel ``name`` on its output ``reduced``."""
-    violation = KERNELS[name].bound(reduced, c)
+    violation = kernel.bound(reduced, c)
     return (False, violation) if violation else (True, "")
 
 

@@ -202,12 +202,15 @@ def test_rule_record_json():
         vertices_added=(9,),
         edges_added=((9, 1),),
         recolored=((1, "white"),),
-        payload={"common_black": {3, 2}},
+        payload={"common_black": [2, 3]},
     )
     blob = record.to_json()
     assert blob["rule"] == "RR3.1"
     assert blob["payload"]["common_black"] == [2, 3]
     assert blob["edges_added"] == [[9, 1]]
+    # a payload is written as held, so one that is not JSON does not encode
+    with pytest.raises(TypeError):
+        json.dumps(replace(record, payload={"common_black": {3, 2}}).to_json())
 
 
 def _stars(*leaves):

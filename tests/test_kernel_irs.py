@@ -26,7 +26,7 @@ from cclose import (
 )
 from cclose import kernel_irs
 from cclose.instances import exhaust, replay, replay_removals
-from cclose.kernel_irs import rr_simplicial_twin, sweep_simplicial_twins
+from cclose.kernel_irs import sweep_simplicial_twins
 
 from helpers import (
     complete_graph,
@@ -45,18 +45,13 @@ def make(g, k):
 class TestSimplicialTwin:
     def test_k3_collapses_to_single_vertex(self):
         inst = make(complete_graph(3), 1)
-        removed = []
-        while True:
-            record = rr_simplicial_twin(inst)
-            if record is None:
-                break
-            removed.append(record.vertices_removed[0])
-            inst = replay(inst, record)
+        while records := sweep_simplicial_twins(inst)[:1]:
+            inst = replay(inst, records[0])
         assert inst.graph.n == 1
         assert oracle_answer(inst) == oracle_yes(Problem.IRS, complete_graph(3), 1)
 
     def test_p4_endpoints_not_twins(self):
-        assert rr_simplicial_twin(make(path_graph(4), 1)) is None
+        assert sweep_simplicial_twins(make(path_graph(4), 1))[:1] == []
 
     def test_pendant_leaves_on_same_vertex_are_not_twins(self):
         # Their closed neighborhoods differ, and removing one would actually
@@ -65,14 +60,13 @@ class TestSimplicialTwin:
         g = Graph(range(3), [(0, 1), (0, 2)])
         assert scan_irs(g) == 2
         assert scan_irs(g.without_vertices([2])) == 1
-        assert rr_simplicial_twin(make(g, 2)) is None
+        assert sweep_simplicial_twins(make(g, 2))[:1] == []
 
     def test_true_twins_with_shared_leaf(self):
         # 1 and 2 are adjacent simplicial vertices with equal closed
         # neighborhoods; removal keeps the answer
         g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
-        record = rr_simplicial_twin(make(g, 1))
-        assert record is not None
+        [record] = sweep_simplicial_twins(make(g, 1))[:1]
         post = replay(make(g, 1), record)
         for k in range(3):
             assert oracle_yes(Problem.IRS, post.graph, k) == oracle_yes(Problem.IRS, g, k)
@@ -119,7 +113,6 @@ class TestSimplicialTwinSweep:
         expected = exhaust(inst, [restart_rr_simplicial_twin])[1]
         assert expected == twin_records(*pairs)
         assert sweep_simplicial_twins(inst) == expected
-        assert rr_simplicial_twin(inst) == (expected[0] if expected else None)
 
     @settings(max_examples=300)
     @given(st.integers(0, 10 ** 6), st.integers(0, 13), st.floats(0.3, 0.97), st.booleans())
@@ -138,7 +131,6 @@ class TestSimplicialTwinSweep:
         swept = sweep_simplicial_twins(inst)
         assert swept == trace
         assert replay_removals(inst, swept) == post
-        assert rr_simplicial_twin(inst) == restart_rr_simplicial_twin(inst)
 
     def test_kernel_applies_the_sweep_in_one_removal(self, monkeypatch):
         # Three K4s and k = 2 (1-closed): nine twins go, and the graph is

@@ -133,7 +133,7 @@ def test_bipartite_im_draws_run_both_modes_and_the_general_kernel(monkeypatch):
     assert run_verify("im", n_max=8, trials=20, seed=1, bipartite=True).ok
     assert len(runs) == 20
     names = ["kernelize_im_bipartite[delta]", "kernelize_im_bipartite[closure]", "kernelize_im"]
-    assert all([name for name, _, _ in out] == names for out in runs)
+    assert all([kernel.name for kernel, _, _ in out] == names for out in runs)
     closure = [out[1][2] for out in runs]
     assert any(isinstance(o, Decided) for o in closure)
     assert any(isinstance(o, Reduced) and [r.rule for r in o.trace] == ["drop-isolated"] for o in closure)
@@ -177,9 +177,10 @@ def test_size_bound_names_the_vhalf_bound_like_the_kernel():
     p = vclp_half_integral(g)
     assert len(p.v_half) == 18
     assert partition_bound_violation(2, 1, p) == "V_half bound violated"
-    assert verify_mod._size_bound_holds("kernelize_im", reduced, 2) == (False, "V_half bound violated")
+    bound = problems.PIPELINES["im", False].kernels[0].bound
+    assert bound(reduced, 2) == "V_half bound violated"
     smaller = Instance(problem=Problem.IM, graph=g.without_vertices([0, 1]), k=1)
-    assert verify_mod._size_bound_holds("kernelize_im", smaller, 2) == (True, "")
+    assert bound(smaller, 2) is None
 
 
 BIPARTITE_IM = {"kernelize_im_bipartite[delta]", "kernelize_im_bipartite[closure]", "kernelize_im"}
@@ -212,12 +213,12 @@ def test_every_reduction_is_its_replayed_trace(problem, r, bipartite, reducing, 
     reduced, decided = set(), set()
     for idx in range(200):
         inst = random_instance(problem, 16, 3, r, bipartite, 1_000_003 + idx)
-        for name, base, out in verify_mod._run_pipelines(inst, compute_closure(inst.graph).c):
-            assert out.instance == replay_trace(base, out.trace), (name, idx)
+        for kernel, base, out in verify_mod._run_pipelines(inst, compute_closure(inst.graph).c):
+            assert out.instance == replay_trace(base, out.trace), (kernel.name, idx)
             if isinstance(out, Reduced):
-                reduced.add(name)
+                reduced.add(kernel.name)
             elif out.trace:
-                decided.add(name)
+                decided.add(kernel.name)
     assert reduced == reducing and decided == deciding
 
 
