@@ -39,7 +39,6 @@ from .kernel_im import kernelize_im, kernelize_im_bipartite
 from .kernel_irs import extract_irs_witness, irs_thresholds, kernelize_irs
 from .kernel_is import kernelize_is
 from .matching import (
-    CrownDecomposition,
     Matching,
     VclpPartition,
     bipartite_matching_with_cover,

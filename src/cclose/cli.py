@@ -20,7 +20,7 @@ from collections.abc import Callable
 
 from .cliques import maximal_cliques
 from .closure import compute_closure
-from .errors import ExtractionError, ParseError, PreconditionError, ResourceLimitError
+from .errors import BipartitionError, ExtractionError, ParseError, PreconditionError, ResourceLimitError
 from .generators import MODEL_PARAMS, generate
 from .graphio import load_graph, save_graph
 from .instances import Decided
@@ -28,7 +28,7 @@ from .kernel_im import BIPARTITE_MODES
 from .oracle import oracle_tds
 from .problems import KERNELIZE, SOLVE, lookup, names
 from .ramsey import Clique, clique_or_independent_set
-from .verify import PROBLEMS, kernelize, run_verify
+from .verify import PROBLEMS, run_verify
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         return _dispatch(args)
-    except ParseError as exc:
+    except (ParseError, BipartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
@@ -222,8 +222,8 @@ def _run_kernelize(args: argparse.Namespace) -> int:
     g, coloring, bipartition = load_graph(args.infile)
     entry = lookup(KERNELIZE, args.problem, args.bipartite)
     inst = entry.instance(g, args.k, args.r, coloring, bipartition)
-    c = compute_closure(g).c if entry.kernel(args.mode).reads_c else None
-    outcome = kernelize(inst, c, args.mode)
+    kernel = entry.kernel(args.mode)
+    outcome = kernel.run(inst, compute_closure(g).c if kernel.reads_c else None)
 
     if args.emit_trace is not None:
         with open(args.emit_trace, "w", encoding="utf-8") as fh:

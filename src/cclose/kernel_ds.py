@@ -147,7 +147,7 @@ def rr_clique_no(inst: Instance, c: int) -> bool:
     assert inst.r is not None and inst.r >= c
     g = inst.graph
     black = inst.black_vertices()
-    rho = ramsey_threshold(c, c * inst.k, inst.k + 1)
+    rho = common_neighborhood_threshold(c, inst.k, 1)
     return any(
         len(common_neighborhood(g, clique) & black) > rho
         for clique in _black_rich_cliques(inst, c - 1, rho)
@@ -181,13 +181,8 @@ def per_vertex_black_bound(c: int, k: int, r: int) -> int:
     single vertices, with the same self-domination head room as the rule
     thresholds.
     """
-    if r <= c - 1:
-        size = r
-        bound = common_neighborhood_threshold(c, k, c - r)
-    else:
-        size = c - 1
-        bound = ramsey_threshold(c, c * k, k + 1)
-    for _ in range(size - 1):
+    bound = common_neighborhood_threshold(c, k, max(c - r, 1))
+    for _ in range(min(r, c - 1) - 1):
         bound = max(k * c + k, k * bound + 2 * k)
     return bound
 

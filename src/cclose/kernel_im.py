@@ -79,10 +79,8 @@ def rr_lp_thresholds(inst: Instance, c: int, p: VclpPartition) -> Witness | None
         m = max_matching_general(g.induced(p.v_half))
         witness = _im_witness(clique_or_im(g, c, m, a, k))
     elif len(p.v1) >= one_bound:
-        crown = crown_from_vclp(g, p)
-        m = crown.saturating_matching
-        independent = frozenset(crown.independent & m.vertices)
-        witness = _im_witness(clique_or_im_saturating(g, c, independent, m, a, k))
+        m = crown_from_vclp(g, p)
+        witness = _im_witness(clique_or_im_saturating(g, c, p.v0 & m.vertices, m, a, k))
     else:
         return None
     return certified_witness(inst, witness)

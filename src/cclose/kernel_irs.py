@@ -26,8 +26,8 @@ from .instances import (
 from .oracle import certified_witness, is_irredundant
 from .ramsey import (
     IndependentSet,
-    ceil_sqrt,
     clique_or_independent_set,
+    dense_bipartite_threshold,
     im_dense_bipartite,
     ramsey_threshold,
 )
@@ -68,8 +68,9 @@ def sweep_simplicial_twins(inst: Instance) -> list[RuleRecord]:
 
 def irs_thresholds(c: int, k: int) -> tuple[int, int, int]:
     """(alpha', alpha, T): clique-side demand, Ramsey stage, and the global
-    Yes threshold. alpha' uses the exact integer ceiling of 6*c^(3/2)*k."""
-    alpha_prime = ceil_sqrt(36 * k * k * c ** 3) + 2 * c * k + 1
+    Yes threshold. alpha' is one more than the bound of the dense-bipartite
+    extractor its clique feeds, on a cross graph of maximum degree below c."""
+    alpha_prime = dense_bipartite_threshold(c, k) + 1
     alpha = ramsey_threshold(c, alpha_prime, k)
     total = ramsey_threshold(c, c * alpha + 1, k)
     return alpha_prime, alpha, total

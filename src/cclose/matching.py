@@ -65,19 +65,6 @@ class VclpPartition:
     matching: Mapping[int, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class CrownDecomposition:
-    """An independent set I and a matching that saturates its neighborhood H
-    (the head, which is the partition's V1).
-
-    ``independent`` may be empty (the degenerate marker when V0 is empty);
-    rules treat that as "not applicable" rather than an error.
-    """
-
-    independent: frozenset[int]
-    saturating_matching: Matching
-
-
 # -- bipartite matching and König covers --------------------------------------
 
 
@@ -475,18 +462,19 @@ def vclp_half_integral(g: Graph, start: Mapping[int, int] | None = None) -> Vclp
     return VclpPartition(v0, cover_left & cover_right, cover_left ^ cover_right, ml)
 
 
-def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
-    """The crown (V0, V1) carried by an optimal half-integral solution.
+def crown_from_vclp(g: Graph, p: VclpPartition) -> Matching:
+    """The matching of the crown (V0, V1) carried by an optimal
+    half-integral solution: one that saturates V1 inside the V0-V1
+    bipartite graph.
 
-    V0 is independent and, at optimality, N(V0) = V1 with a matching
-    saturating V1 inside the V0-V1 bipartite graph. A saturation failure
-    would contradict the crown property and is raised as a hard error.
-    With V0 empty, a degenerate empty crown is returned instead.
+    V0 is independent and, at optimality, N(V0) = V1 with such a matching.
+    A saturation failure would contradict the crown property and is raised
+    as a hard error. With V0 empty, the empty matching is returned instead.
     """
     if p.v0 | p.v1 | p.v_half != set(g.vertex_ids):
         raise ValueError("partition does not cover the graph")
     if not p.v0:
-        return CrownDecomposition(frozenset(), Matching(frozenset()))
+        return Matching(frozenset())
     if frozenset().union(*map(g.neighbors, p.v0)) - p.v1:
         raise ExtractionError("V0 has a neighbor outside V1; solution not optimal")
     if not g.is_independent_set(p.v0):
@@ -496,7 +484,7 @@ def crown_from_vclp(g: Graph, p: VclpPartition) -> CrownDecomposition:
     matching, _ = bipartite_matching_with_cover(sub, Bipartition(frozenset(p.v0)))
     if not matching.saturates(p.v1):
         raise ExtractionError("crown matching fails to saturate V1")
-    return CrownDecomposition(frozenset(p.v0), matching)
+    return matching
 
 
 # -- swap-stable independent sets ----------------------------------------------

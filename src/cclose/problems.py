@@ -74,7 +74,7 @@ class Pipeline:
         return Instance(p, g, k, r, coloring, parts if self.bipartite else None)
 
     def kernel(self, mode: str = "delta") -> Kernel:
-        """The kernel ``verify.kernelize`` runs: the first, or the one in
+        """The kernel ``cclose kernelize`` runs: the first, or the one in
         ``mode`` where the kernels have modes."""
         moded = {k.mode: k for k in self.kernels if k.mode}
         if moded and mode not in moded:

@@ -144,12 +144,6 @@ def check_instance(problem: str, inst: Instance, bipartite: bool) -> tuple[bool,
     return True, ""
 
 
-def kernelize(inst: Instance, c: int | None, mode: str = "delta") -> KernelOutcome:
-    """Run the kernel of ``inst``'s entry in ``problems``' table, in ``mode``
-    where it has modes; ``c`` may be None where that kernel does not read it."""
-    return pipeline_of(inst).kernel(mode).run(inst, c)
-
-
 def _run_pipelines(inst: Instance, c: int) -> list[tuple[Kernel, Instance, KernelOutcome]]:
     """Every kernel of ``inst``'s entry, then its solver, each run beside
     the instance its trace replays from."""

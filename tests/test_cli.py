@@ -304,8 +304,12 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     [
         ("p 3\ne 0 1\ne 1 2\ne 1 0\n", "line 4: duplicate edge (1, 0)"),
         ("p 2\ne 0 " + "1" * 4301 + "\n", "line 2: expected an integer in field 2"),
+        (
+            "p 3\ne 0 1\ne 0 2\ne 1 2\nb 0 left\nb 1 right\nb 2 left\n",
+            "edge (0, 2) does not cross the bipartition",
+        ),
     ],
-    ids=["duplicate-edge", "4301-digit-id"],
+    ids=["duplicate-edge", "4301-digit-id", "same-side-edge"],
 )
 def test_canonical_shaped_malformed_file_exits_2(tmp_path, capsys, text, message):
     assert main(["closure", write(tmp_path, "bad.txt", text)]) == 2

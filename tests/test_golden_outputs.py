@@ -274,8 +274,8 @@ def extractor_outputs():
     out = {}
     for case in BIPARTITE_CASES:
         g, _ = _bipartite_with_leaves(*case)
-        crown = crown_from_vclp(g, vclp_half_integral(g))
-        doc = {"independent": sorted(crown.independent), "edges": sorted(crown.saturating_matching.edges)}
+        p = vclp_half_integral(g)
+        doc = {"independent": sorted(p.v0), "edges": sorted(crown_from_vclp(g, p).edges)}
         out[f"crown_from_vclp{case}"] = _digest(doc)
     for name, (g, parts) in {
         "matching": _bipartite_with_leaves(100, 100, 0.01, 100, 1),

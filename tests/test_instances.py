@@ -29,7 +29,8 @@ from cclose.kernel_ds import all_black_twin, sweep_black_rules
 from cclose.kernel_im import rr_leaf_rules
 from cclose.matching import vclp_half_integral
 from cclose.oracle import certified_witness
-from cclose.verify import kernelize, random_instance
+from cclose.problems import pipeline_of
+from cclose.verify import random_instance
 
 from helpers import cycle_graph, random_graph, star_graph
 
@@ -292,14 +293,14 @@ def test_rule_cases_fire_every_rule():
     fired = set()
     for c, inst in RULE_CASES.values():
         assert compute_closure(inst.graph).c <= c
-        fired |= {record.rule for record in kernelize(inst, c).trace}
+        fired |= {record.rule for record in pipeline_of(inst).kernel().run(inst, c).trace}
     assert fired == EVERY_RULE
 
 
 @pytest.mark.parametrize("name", sorted(RULE_CASES))
 def test_rule_record_from_json_inverts_to_json(name):
     c, inst = RULE_CASES[name]
-    assert_records_round_trip(inst, kernelize(inst, c).trace)
+    assert_records_round_trip(inst, pipeline_of(inst).kernel().run(inst, c).trace)
 
 
 @settings(max_examples=150)
@@ -313,7 +314,7 @@ def test_rule_record_from_json_inverts_to_json(name):
 def test_random_kernel_traces_round_trip(shape, seed):
     problem, r, bipartite = shape
     inst = random_instance(problem, 10, 3, r, bipartite, seed)
-    outcome = kernelize(inst, compute_closure(inst.graph).c)
+    outcome = pipeline_of(inst).kernel().run(inst, compute_closure(inst.graph).c)
     assert_records_round_trip(inst, getattr(outcome, "trace", ()))
 
 

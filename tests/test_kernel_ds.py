@@ -46,6 +46,7 @@ from cclose.instances import exhaust, replay
 from cclose.kernel_ds import (
     all_black_twin,
     common_neighborhood_threshold,
+    per_vertex_black_bound,
     rr_black_count,
     rr_clique,
     rr_clique_no,
@@ -136,6 +137,24 @@ class TestRuleBlackCount:
         inst = bw(g, k=1)
         assert not rr_black_count(inst, 4)
         assert oracle_answer(inst)
+
+    def test_per_vertex_black_bound_matches_the_two_branch_formula(self):
+        """The bound starts at the last common-neighborhood stage when
+        r <= c - 1 and at rho otherwise, and extends down to one vertex."""
+
+        def two_branch(c, k, r):
+            if r <= c - 1:
+                size, bound = r, common_neighborhood_threshold(c, k, c - r)
+            else:
+                size, bound = c - 1, ramsey_threshold(c, c * k, k + 1)
+            for _ in range(size - 1):
+                bound = max(k * c + k, k * bound + 2 * k)
+            return bound
+
+        for c in range(1, 9):
+            for k in range(1, 7):
+                for r in range(1, 11):
+                    assert per_vertex_black_bound(c, k, r) == two_branch(c, k, r), (c, k, r)
 
 
 def first_white_removal(inst, keep=frozenset()):
@@ -320,8 +339,6 @@ class TestBwtdsPipeline:
                 assert out.witness is not None and validate_witness(inst, out.witness)
         else:
             assert oracle_answer(out.instance) == expected
-            from cclose.kernel_ds import per_vertex_black_bound
-
             pv = per_vertex_black_bound(c, out.instance.k, r)
             assert len(out.instance.black_vertices()) <= out.instance.k * pv + out.instance.k
             state = inst

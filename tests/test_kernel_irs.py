@@ -13,6 +13,7 @@ from cclose import (
     Problem,
     Reduced,
     RuleRecord,
+    ceil_sqrt,
     compute_closure,
     extract_irs_witness,
     irs_thresholds,
@@ -153,10 +154,13 @@ class TestSimplicialTwinSweep:
 
 class TestThresholds:
     def test_values(self):
-        alpha_prime, alpha, total = irs_thresholds(1, 2)
-        assert alpha_prime == 12 + 4 + 1
-        assert alpha == ramsey_threshold(1, alpha_prime, 2)
-        assert total == ramsey_threshold(1, alpha + 1, 2)
+        # alpha' written out as the exact ceiling of 6*c^(3/2)*k plus 2ck + 1
+        for c in range(1, 9):
+            for k in range(1, 9):
+                alpha_prime, alpha, total = irs_thresholds(c, k)
+                assert alpha_prime == ceil_sqrt(36 * k * k * c ** 3) + 2 * c * k + 1
+                assert alpha == ramsey_threshold(c, alpha_prime, k)
+                assert total == ramsey_threshold(c, c * alpha + 1, k)
 
     def test_exact_three_halves_ceiling(self):
         # 6 * 2^(3/2) * 1 = 16.97..., so alpha' = 17 + 4 + 1

@@ -418,46 +418,47 @@ class TestCrown:
     def test_star(self):
         g = star_graph(3)
         p = vclp_half_integral(g)
-        crown = crown_from_vclp(g, p)
-        assert crown.independent == {1, 2, 3}
+        matching = crown_from_vclp(g, p)
+        assert p.v0 == {1, 2, 3}
         assert p.v1 == {0}
-        assert len(crown.saturating_matching) == 1
+        assert len(matching) == 1
 
     def test_two_disjoint_stars(self):
         g = Graph(range(6), [(0, 1), (0, 2), (3, 4), (3, 5)])
         p = vclp_half_integral(g)
-        crown = crown_from_vclp(g, p)
+        matching = crown_from_vclp(g, p)
         assert p.v1 == {0, 3}
-        assert len(crown.saturating_matching) == 2
+        assert len(matching) == 2
 
     def test_degenerate_empty_v0(self):
         g = Graph(range(2), [(0, 1)])  # both endpoints end up half
-        crown = crown_from_vclp(g, vclp_half_integral(g))
-        assert crown.independent == frozenset() and not crown.saturating_matching
+        p = vclp_half_integral(g)
+        assert p.v0 == frozenset() and not crown_from_vclp(g, p)
 
     def test_isolated_vertices_degenerate_head(self):
         g = Graph(range(3))
         p = vclp_half_integral(g)
-        crown = crown_from_vclp(g, p)
-        assert crown.independent == {0, 1, 2} and p.v1 == frozenset()
-        assert not crown.saturating_matching
+        matching = crown_from_vclp(g, p)
+        assert p.v0 == {0, 1, 2} and p.v1 == frozenset()
+        assert not matching
 
     @given(st.integers(0, 2 ** 31), st.integers(0, 9))
     def test_crown_properties_random(self, seed, n):
         g = random_graph(n, 0.4, seed)
         p = vclp_half_integral(g)
-        crown = crown_from_vclp(g, p)
-        if not crown.independent:
+        matching = crown_from_vclp(g, p)
+        if not p.v0:
+            assert not matching
             return
-        assert g.is_independent_set(crown.independent)
+        assert g.is_independent_set(p.v0)
         neighborhood = set()
-        for v in crown.independent:
+        for v in p.v0:
             neighborhood |= g.neighbors(v)
         assert neighborhood == p.v1
-        assert crown.saturating_matching.saturates(p.v1)
-        for u, v in crown.saturating_matching.edges:
+        assert matching.saturates(p.v1)
+        for u, v in matching.edges:
             assert g.has_edge(u, v)
-            assert (u in crown.independent) != (v in crown.independent)
+            assert (u in p.v0) != (v in p.v0)
 
 
 class TestTwoMaximal:

@@ -484,7 +484,7 @@ def _shape(problem, **fields):
 )
 def test_kernelize_runs_the_kernel_of_each_instance_shape(inst, mode, direct):
     c = compute_closure(inst.graph).c
-    assert verify_mod.kernelize(inst, c, mode) == direct(inst, c)
+    assert problems.pipeline_of(inst).kernel(mode).run(inst, c) == direct(inst, c)
 
 
 @pytest.mark.parametrize("r", [1, 2])
