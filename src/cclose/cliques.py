@@ -16,6 +16,22 @@ def maximal_cliques(g: Graph, min_size: int = 0) -> list[tuple[int, ...]]:
     """All inclusion-maximal cliques with at least ``min_size`` vertices, each
     sorted, in sorted order.
 
+    A graph never changes, so its listing at each ``min_size`` is kept on it
+    (``Graph._cliques``): the first call at a bound lists the cliques with
+    ``_bron_kerbosch`` and stores them, and a later call on the same graph
+    object at the same bound answers from the memo. Each bound is its own
+    entry, and every call returns a fresh list, so a caller may consume or
+    change what it gets. A derived graph starts with no memo.
+    """
+    listing = g._cliques.get(min_size)
+    if listing is None:
+        listing = g._cliques[min_size] = tuple(_bron_kerbosch(g, min_size))
+    return list(listing)
+
+
+def _bron_kerbosch(g: Graph, min_size: int) -> list[tuple[int, ...]]:
+    """The listing behind ``maximal_cliques``, made afresh.
+
     Bron-Kerbosch with pivoting on an explicit stack, so the depth is bounded
     by memory rather than by the recursion limit: a complete graph, which is
     1-closed, stacks one frame per vertex. The pivot is a candidate with the

@@ -27,15 +27,23 @@ class Graph:
     derived graph only unites, subtracts or intersects rows. ``is_clique``
     relies on this to reject a repeated member.
 
-    Because the adjacency is fixed, a graph also memoizes its closure report
-    (``_closure``): ``closure.compute_closure`` fills it and
-    ``closure.is_c_closed`` answers from it. ``vertex_ids`` keeps its sorted
-    tuple (``_ids``) the same way, computed on first use. Every graph starts
-    without either, derived graphs included, so no memo outlives the
-    adjacency it describes; equality ignores them.
+    Because the adjacency is fixed, a graph also memoizes what is read off
+    it more than once:
+
+    - ``_closure``, its closure report: ``closure.compute_closure`` fills it
+      and ``closure.is_c_closed`` answers from it;
+    - ``_ids``, the sorted tuple ``vertex_ids`` returns, made on first use;
+    - ``_cliques``, a dict from a lower size bound to the tuple of maximal
+      cliques ``cliques.maximal_cliques`` listed at it.
+
+    Every graph starts with all three empty, derived graphs included, so no
+    memo outlives the adjacency it describes; equality ignores them. Two
+    threads may fill a memo at once: each computes the same value from the
+    same adjacency, and whichever write lands last is kept, so the race is
+    benign.
     """
 
-    __slots__ = ("_adj", "_closure", "_ids")
+    __slots__ = ("_adj", "_closure", "_ids", "_cliques")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         adj = {v: set() for v in vertices}
@@ -43,6 +51,7 @@ class Graph:
         self._adj = _freeze_rows(adj)
         self._closure = None
         self._ids = None
+        self._cliques = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -53,6 +62,7 @@ class Graph:
         g._adj = adj
         g._closure = None
         g._ids = None
+        g._cliques = {}
         return g
 
     @classmethod

@@ -384,7 +384,9 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, RuleRecord]:
     white vertex, and the budget grows by r. The last gadget vertex has
     degree exactly r, which forces the other r into any solution that avoids
     it, covering the whites for free, as ``instances.lift`` uses. The
-    closure of the result may exceed the input's and is recomputed.
+    closure of the result may exceed the input's: it is computed on the
+    graph ``replay`` built, which keeps it memoized, and declared in the
+    payload.
     """
     if inst.problem is not Problem.BW_TDS:
         raise ValueError(f"expected a BW-TDS instance, got {inst.problem}")
@@ -397,15 +399,17 @@ def uncolor_gadget(inst: Instance) -> tuple[Instance, RuleRecord]:
         (w, clique[i]) for w in sorted(inst.white_vertices()) for i in range(r)
     )
     edges = tuple(clique_edges) + white_edges
-    closure = compute_closure(g.with_vertices(clique).with_edges(edges)).c
+    payload = {"uncolor": True, "clique": list(clique)}
     record = RuleRecord(
         rule="gadget",
         vertices_added=clique,
         edges_added=edges,
         k_delta=r,
-        payload={"uncolor": True, "clique": list(clique), "declared_closure": closure},
+        payload=payload,
     )
-    return replay(inst, record), record
+    gadget = replay(inst, record)
+    payload["declared_closure"] = compute_closure(gadget.graph).c
+    return gadget, record
 
 
 def all_black_twin(inst: Instance) -> Instance:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cclose import Graph, cliques_of_size, maximal_cliques
+from cclose.cliques import _bron_kerbosch
 
 from helpers import (
     brute_cliques_of_size,
@@ -75,6 +78,10 @@ def test_size_bound_filters_the_full_listing(seed, n, p):
     full = brute_maximal_cliques(g)
     for m in range(n + 2):
         assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
+    # A second sweep answers from the memo, one entry per bound.
+    assert sorted(g._cliques) == list(range(n + 2))
+    for m in range(n + 2):
+        assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
 
 
 def networkx_maximal_cliques(g, min_size=0):
@@ -98,12 +105,64 @@ def test_agrees_with_networkx_on_scattered_ids(seed, n, p):
     full = networkx_maximal_cliques(g)
     for m in range(n + 2):
         assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
+    for m in reversed(range(n + 2)):
+        assert maximal_cliques(g, m) == [q for q in full if len(q) >= m]
 
 
 def test_agrees_with_networkx_on_community_graphs():
     # RR2 lists the maximal cliques with at least c*k = 8 vertices there.
     for g in community_graphs(5, 40):
         assert maximal_cliques(g, 8) == networkx_maximal_cliques(g, 8)
+
+
+def test_memo_answers_a_repeated_call_with_a_fresh_list(monkeypatch):
+    g = random_graph(12, 0.5, 3)
+    first = maximal_cliques(g, 2)
+    listings = 0
+
+    def counting(graph, min_size):
+        nonlocal listings
+        listings += 1
+        return _bron_kerbosch(graph, min_size)
+
+    monkeypatch.setattr("cclose.cliques._bron_kerbosch", counting)
+    second = maximal_cliques(g, 2)
+    assert second == first and second is not first
+    expected = list(first)
+    first.clear()
+    second.append((99,))
+    assert maximal_cliques(g, 2) == expected
+    assert listings == 0
+    assert maximal_cliques(g, 3) == [q for q in expected if len(q) >= 3]
+    assert listings == 1
+    assert sorted(g._cliques) == [2, 3]
+
+
+def test_threads_sharing_a_graph_each_read_its_full_listing():
+    # Filling the memo is a benign race: threads that list one graph at once
+    # may each list it, and every one of them returns the whole listing.
+    g = random_graph(30, 0.4, 5)
+    expected = {m: _bron_kerbosch(g, m) for m in range(6)}
+    results = []
+
+    def worker():
+        for m in range(6):
+            results.append((m, maximal_cliques(g, m)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 48
+    assert all(listing == expected[m] for m, listing in results)
+    assert sorted(g._cliques) == list(range(6))
 
 
 def test_size_bound_on_a_complete_graph_needs_no_deep_recursion():

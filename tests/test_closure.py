@@ -22,6 +22,7 @@ from cclose import (
     path_graph,
 )
 from cclose.closure import common_neighborhood
+from cclose.graphio import parse_graph, serialize_graph
 
 from helpers import (
     closure_by_matrix,
@@ -200,7 +201,8 @@ class TestClosureMemo:
     def test_derived_graphs_carry_no_memo(self):
         g = random_graph(12, 0.4, 3)
         compute_closure(g)
-        assert g._closure is not None
+        maximal_cliques(g, 2)
+        assert g._closure is not None and g._cliques
         u, v = next(
             (u, v) for u in g.vertex_ids for v in g.vertex_ids if u < v and not g.has_edge(u, v)
         )
@@ -210,8 +212,10 @@ class TestClosureMemo:
             g.with_edges([(u, v)]),
             g.without_vertices([0, 1]),
             g.induced([0, 1, 2, 3]),
+            g.between(range(6), range(6, 12)),
+            parse_graph(serialize_graph(g))[0],
         ]
-        assert all(h._closure is None for h in derived)
+        assert all(h._closure is None and h._cliques == {} for h in derived)
         assert g == Graph(g.vertex_ids, g.edges())
 
     def test_kernels_still_reject_a_c_below_the_memoized_closure(self):

@@ -583,6 +583,26 @@ class TestCliqueSweeps:
         assert fires.count(True) == 3
         assert listings == {("maximal_cliques", 2): 1}
 
+    @pytest.mark.parametrize("k, r", [(1, 2), (2, 1), (2, 2), (6, 1)])
+    def test_a_warm_clique_memo_changes_no_output(self, k, r):
+        """The DS kernel, the BW-TDS kernel and the TDS solver each run RR2
+        on the maximal cliques of their input graph at c*k. On a graph whose
+        listing is memoized already they return the traces, witnesses and
+        reduced instances they return on a freshly built equal graph."""
+        c = 4
+        rng = random.Random(10 * k + r)
+        for g in community_graphs(10 * k + r, 3):
+            white = frozenset(v for v in g.vertex_ids if rng.random() < 0.3)
+            runs = [
+                lambda h: kernelize_ds(Instance(problem=Problem.DS, graph=h, k=k), c),
+                lambda h: kernelize_bwtds(bw(h, k, r, white), c),
+                lambda h: solve_tds(h, c, r, k),
+            ]
+            maximal_cliques(g, c * k)
+            for run in runs:
+                assert run(g) == run(Graph(g.vertex_ids, g.edges()))
+            assert list(g._cliques) == [c * k]
+
     def test_threshold_filter_skips_common_neighborhoods(self, monkeypatch):
         # Only the star center has more black neighbors than a stage needs
         # (3 for RR3.1, 5 for RR3.2), so the one common neighborhood computed
@@ -722,6 +742,9 @@ class TestGadget:
         assert gadget.graph.has_edge(1, 3) and not gadget.graph.has_edge(1, 4)
         assert gadget.k == 2
         assert gadget.problem is Problem.DS
+        assert list(record.payload) == ["uncolor", "clique", "declared_closure"]
+        # The closure is computed on the graph the record replays to, which keeps it.
+        assert gadget.graph._closure is not None
         assert record.payload["declared_closure"] == compute_closure(gadget.graph).c
 
     def test_no_whites_still_adds_clique(self):
